@@ -71,23 +71,13 @@ type json_entry = {
   ns_per_op : float;
 }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Write the entries as a stable, machine-readable JSON document so the
    perf trajectory can be tracked across PRs. *)
 let write_json ~path ~benchmark entries =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"benchmark\": \"%s\",\n" (json_escape benchmark);
+  out "  \"benchmark\": \"%s\",\n" (Rlist_obs.Event.escape benchmark);
   out "  \"unit\": \"ns_per_op\",\n";
   out "  \"results\": [\n";
   List.iteri
@@ -95,7 +85,10 @@ let write_json ~path ~benchmark entries =
       out
         "    {\"name\": \"%s\", \"impl\": \"%s\", \"op\": \"%s\", \"size\": \
          %d, \"ns_per_op\": %s}%s\n"
-        (json_escape e.name) (json_escape e.impl) (json_escape e.op) e.size
+        (Rlist_obs.Event.escape e.name)
+        (Rlist_obs.Event.escape e.impl)
+        (Rlist_obs.Event.escape e.op)
+        e.size
         (if Float.is_nan e.ns_per_op then "null"
          else Printf.sprintf "%.2f" e.ns_per_op)
         (if i = List.length entries - 1 then "" else ","))

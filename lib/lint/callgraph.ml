@@ -456,9 +456,9 @@ let json ?(entries = []) ?(reached = []) t =
         Buffer.add_string buf
           (Printf.sprintf
              "{\"id\":\"%s\",\"name\":\"%s\",\"file\":\"%s\",\"line\":%d,\"entry\":%b,\"reached\":%b,\"sinks\":%d}"
-             (Finding.json_escape d.d_id)
-             (Finding.json_escape d.d_disp)
-             (Finding.json_escape d.d_file)
+             (Rlist_obs.Event.escape d.d_id)
+             (Rlist_obs.Event.escape d.d_disp)
+             (Rlist_obs.Event.escape d.d_file)
              d.d_line (List.mem id entries) (List.mem id reached)
              (List.length d.d_sinks)))
     t.order;
@@ -475,8 +475,9 @@ let json ?(entries = []) ?(reached = []) t =
               if not !first then Buffer.add_char buf ',';
               first := false;
               Buffer.add_string buf
-                (Printf.sprintf "[\"%s\",\"%s\"]" (Finding.json_escape d.d_id)
-                   (Finding.json_escape callee))
+                (Printf.sprintf "[\"%s\",\"%s\"]"
+                   (Rlist_obs.Event.escape d.d_id)
+                   (Rlist_obs.Event.escape callee))
             end)
           d.d_calls)
     t.order;

@@ -838,16 +838,16 @@ let report_json { allocs } =
       let chain =
         String.concat ","
           (List.map
-             (fun l -> Printf.sprintf "\"%s\"" (Finding.json_escape l))
+             (fun l -> Printf.sprintf "\"%s\"" (Rlist_obs.Event.escape l))
              a.a_chain)
       in
       Buffer.add_string buf
         (Printf.sprintf
            "{\"def\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"kind\":\"%s\",\"class\":\"%s\",\"reachable\":%b,\"exempt\":%b,\"suppressed\":%b,\"chain\":[%s]}"
-           (Finding.json_escape a.a_def_disp)
-           (Finding.json_escape a.a_file)
+           (Rlist_obs.Event.escape a.a_def_disp)
+           (Rlist_obs.Event.escape a.a_file)
            a.a_line a.a_col
-           (Finding.json_escape a.a_kind)
+           (Rlist_obs.Event.escape a.a_kind)
            (verdict_name a.a_verdict) a.a_reachable a.a_exempt a.a_suppressed
            chain))
     allocs;

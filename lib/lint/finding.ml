@@ -28,22 +28,6 @@ let pp ppf f =
   | chain ->
     Format.fprintf ppf "@\n    via %s" (String.concat " -> " chain)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json f =
   let family =
     match Rules.find f.rule with
@@ -56,9 +40,14 @@ let to_json f =
     | links ->
       Printf.sprintf ",\"chain\":[%s]"
         (String.concat ","
-           (List.map (fun l -> Printf.sprintf "\"%s\"" (json_escape l)) links))
+           (List.map
+              (fun l -> Printf.sprintf "\"%s\"" (Rlist_obs.Event.escape l))
+              links))
   in
   Printf.sprintf
     "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"family\":\"%s\",\"message\":\"%s\"%s}"
-    (json_escape f.file) f.line f.col (json_escape f.rule) family
-    (json_escape f.msg) chain
+    (Rlist_obs.Event.escape f.file)
+    f.line f.col
+    (Rlist_obs.Event.escape f.rule)
+    family
+    (Rlist_obs.Event.escape f.msg) chain

@@ -32,5 +32,3 @@ val to_json : t -> string
 (** One finding as a JSON object (file/line/col/rule/family/message,
     plus [chain] when the finding carries a witness call chain). *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal. *)

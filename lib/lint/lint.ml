@@ -452,7 +452,7 @@ let report_json findings =
     (fun i (rule, n) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (Finding.json_escape rule) n))
+        (Printf.sprintf "\"%s\":%d" (Rlist_obs.Event.escape rule) n))
     by_rule;
   Buffer.add_string buf "},\"findings\":[";
   List.iteri

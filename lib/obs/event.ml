@@ -98,12 +98,16 @@ let tick = function
   | Transform _ | State_space_grow _ | Span _ -> None
 
 let escape s =
-  let b = Buffer.create (String.length s) in
+  let b = Buffer.create (String.length s + 8) in
   String.iter
     (function
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
@@ -216,6 +220,13 @@ let parse_fields line =
         (match peek () with
         | 'n' -> Buffer.add_char b '\n'
         | 't' -> Buffer.add_char b '\t'
+        | 'r' -> Buffer.add_char b '\r'
+        | 'u' ->
+          if !pos + 4 >= n then raise Bad_line;
+          (match int_of_string_opt ("0x" ^ String.sub line (!pos + 1) 4) with
+          | Some code when code < 0x100 -> Buffer.add_char b (Char.chr code)
+          | _ -> raise Bad_line);
+          pos := !pos + 4
         | c -> Buffer.add_char b c);
         advance ();
         loop ()

@@ -104,8 +104,10 @@ val op_id : t -> string option
 (** The virtual-clock stamp, for the event kinds that carry one. *)
 val tick : t -> int option
 
-(** JSON string escaping, shared with the other renderers in this
-    library. *)
+(** JSON string escaping, the one shared by every JSON renderer in
+    the repository (metrics, trace, lint reports, bench results):
+    quotes, backslashes, newlines, tabs and carriage returns get their
+    short escapes, every other control character becomes [\u00XX]. *)
 val escape : string -> string
 
 (** [to_jsonl ~seq e] renders one JSON object (no trailing newline);

@@ -171,17 +171,6 @@ let fold t ~init ~f =
   in
   List.fold_left (fun acc (name, m) -> f acc name m) init entries
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* JSON number: no NaN/inf in the output, ever. *)
 let json_float v =
   if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
@@ -195,7 +184,7 @@ let to_json t =
   in
   fold t ~init:() ~f:(fun () name m ->
       sep ();
-      Buffer.add_string b (Printf.sprintf "\"%s\": " (json_escape name));
+      Buffer.add_string b (Printf.sprintf "\"%s\": " (Event.escape name));
       match m with
       | Counter c -> Buffer.add_string b (string_of_int c)
       | Gauge g -> Buffer.add_string b (json_float g)

@@ -11,7 +11,9 @@ module Event = Rlist_obs.Event
 
 (* One exemplar per constructor, plus the interesting edge cases:
    reads (no op id), batched ids (joined with '+'), every wire action,
-   and a name that needs JSON escaping. *)
+   and names that need JSON escaping — quotes and backslashes, and
+   control characters (tab, carriage return, and a raw \x01 that takes
+   the \u00XX form). *)
 let exemplars : Event.t list =
   [
     Generate
@@ -60,6 +62,7 @@ let exemplars : Event.t list =
       { cycle = 1; reclaimed_states = 37; reclaimed_log = 12;
         reclaimed_keys = 24; meta = 180; snapshot_bytes = 96; skipped = 1;
         tick = 51 };
+    Span { name = "tab\tcr\r\001soh"; dur_ns = 7. };
   ]
 
 let rendered () =
