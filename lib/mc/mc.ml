@@ -99,299 +99,112 @@ let compare_behaviors ~spec mine theirs =
   in
   go 0 mine theirs
 
-module Cs (P : Rlist_sim.Protocol_intf.PROTOCOL) = struct
-  module E = Rlist_sim.Engine.Make (P)
-  module S = Rlist_sim.Schedule
+(* What one engine shape contributes to a checker: the engine, its
+   action type, and the shape's own enabled deliveries, independence
+   relation and footprint.  Script bookkeeping, the generate frontier,
+   final reads, the per-spec checks, exploration and shrinking are
+   {!Checker}'s, shared by both shapes. *)
+module type SHAPE = sig
+  type t
 
-  let make_system ~(workload : Workload.t) ~equiv ~specs ~batching ~gc :
-      (module Explore.SYSTEM with type action = S.event) =
+  type action
+
+  val make :
+    initial:Document.t -> batching:bool -> gc:Rlist_gc.policy option -> int ->
+    t
+
+  val apply_event : t -> action -> unit
+
+  val generate : int -> Intent.t -> action
+
+  val generated : action -> (int * Intent.t) option
+
+  val document : t -> int -> Document.t
+
+  val deliveries : t -> action list
+
+  val equal_action : action -> action -> bool
+
+  val independent : batching:bool -> action -> action -> bool
+
+  val footprint : batching:bool -> n:int -> action -> (int * char) list
+
+  val pending_messages : t -> int
+
+  val converged : t -> bool
+
+  val trace : t -> Rlist_spec.Trace.t
+
+  val pp_action : Format.formatter -> action -> unit
+end
+
+module Checker (S : SHAPE) = struct
+  let system ~(workload : Workload.t) ~specs ~batching ~gc ~extra :
+      (module Explore.SYSTEM with type action = S.action) =
     let n = workload.Workload.nclients in
-    if n > 8 then invalid_arg "Mc.Cs: at most 8 clients";
+    if n > 8 then invalid_arg "Mc.check: at most 8 clients or peers";
     (module struct
       type t = {
-        e : E.t;
+        e : S.t;
         scripts : Intent.t list array;
       }
 
-      type action = S.event
+      type action = S.action
 
       let fresh () =
         {
-          e =
-            E.create ~initial:workload.Workload.initial ~batching ?gc
-              ~nclients:n ();
+          e = S.make ~initial:workload.Workload.initial ~batching ~gc n;
           scripts = Array.copy workload.Workload.scripts;
         }
 
       let apply t ev =
-        (match ev with
-        | S.Generate (i, _) -> (
+        (match S.generated ev with
+        | Some (i, _) -> (
           (* The event already carries its clamped intent; the script
              slot only gates [enabled].  Tolerate an exhausted slot so
              shrunk candidate schedules remain replayable. *)
           match t.scripts.(i) with
           | [] -> ()
           | _ :: tl -> t.scripts.(i) <- tl)
-        | S.Deliver_to_server _ | S.Deliver_to_client _ -> ());
-        E.apply_event t.e ev
+        | None -> ());
+        S.apply_event t.e ev
 
       let enabled t =
         let gens = ref [] in
-        let dts = ref [] in
-        let dtc = ref [] in
         for i = n downto 1 do
-          (match t.scripts.(i) with
+          match t.scripts.(i) with
           | [] -> ()
           | intent :: _ ->
-            let doc_length = Document.length (E.client_document t.e i) in
-            gens := S.Generate (i, Workload.clamp ~doc_length intent) :: !gens);
-          if E.pending_to_server t.e i > 0 then
-            dts := S.Deliver_to_server i :: !dts;
-          if E.pending_to_client t.e i > 0 then
-            dtc := S.Deliver_to_client i :: !dtc
+            let doc_length = Document.length (S.document t.e i) in
+            gens := S.generate i (Workload.clamp ~doc_length intent) :: !gens
         done;
-        !gens @ !dts @ !dtc
+        !gens @ S.deliveries t.e
 
-      let equal_action a b =
-        match (a, b) with
-        | S.Generate (i, x), S.Generate (j, y) -> i = j && equal_intent x y
-        | S.Deliver_to_server i, S.Deliver_to_server j -> i = j
-        | S.Deliver_to_client i, S.Deliver_to_client j -> i = j
-        | (S.Generate _ | S.Deliver_to_server _ | S.Deliver_to_client _), _
-          ->
-          false
+      let equal_action = S.equal_action
 
-      (* Client [i]'s generate touches client [i] and the back of its
-         to-server queue; a to-server delivery touches the server and
-         the front of that queue (push-back and pop-front commute); a
-         to-client delivery touches client [i] and the front of its
-         from-server queue.  Only the server serializes: to-server
-         deliveries conflict with each other, and nothing else does
-         except actions on the same client.
+      let independent = S.independent ~batching
 
-         Batching shrinks the relation: a delivery flushes the target
-         channel's outbox, so it no longer commutes with the sends
-         that feed that outbox — the batch boundary (hence the batch
-         handed to the protocol) depends on the order.  A to-server
-         delivery conflicts with the same client's generate (its
-         to-server outbox) and with every to-client delivery (it
-         appends to all from-server outboxes). *)
-      let independent a b =
-        match (a, b) with
-        | S.Generate (i, _), S.Generate (j, _) -> i <> j
-        | S.Generate (i, _), S.Deliver_to_client j
-        | S.Deliver_to_client j, S.Generate (i, _) ->
-          i <> j
-        | S.Generate (i, _), S.Deliver_to_server j
-        | S.Deliver_to_server j, S.Generate (i, _) ->
-          (not batching) || i <> j
-        | S.Deliver_to_server _, S.Deliver_to_server _ -> false
-        | S.Deliver_to_server _, S.Deliver_to_client _
-        | S.Deliver_to_client _, S.Deliver_to_server _ ->
-          not batching
-        | S.Deliver_to_client i, S.Deliver_to_client j -> i <> j
-
-      (* Unbatched, each action extends one local history.  Batched, a
-         to-server delivery also extends every client's from-server
-         outbox and flushes client [i]'s to-server outbox, so its
-         token lands in every slot: per-slot projections again
-         determine the configuration (each client slot orders its
-         generates, its incoming deliveries, and all batch-boundary
-         events; slot 0 orders the server's serialization). *)
-      let footprint = function
-        | S.Generate (i, _) -> [ (i, 'g') ]
-        | S.Deliver_to_server i ->
-          let token = Char.chr (Char.code '0' + i) in
-          if batching then
-            (0, token) :: List.init n (fun j -> (j + 1, token))
-          else [ (0, token) ]
-        | S.Deliver_to_client i -> [ (i, 'r') ]
+      let footprint = S.footprint ~batching ~n
 
       let nslots = n + 1
 
       let finalize t =
-        let reads = S.final_reads ~nclients:n in
+        let reads = List.init n (fun i -> S.generate (i + 1) Intent.Read) in
         List.iter (apply t) reads;
         reads
 
       let checks t schedule =
-        let trace = lazy (E.trace t.e) in
-        let spec_checks =
-          List.map
-            (fun spec ->
-              let name = spec_name spec in
-              let result =
-                match spec with
-                | Convergence ->
-                  (* Replica equality is only judged at quiescence;
-                     shrunk candidate schedules with messages still in
-                     flight fall back to the trace-level check. *)
-                  if E.pending_messages t.e = 0 && not (E.converged t.e)
-                  then diverged ~spec:name
-                  else Rlist_spec.Convergence.check (Lazy.force trace)
-                | Weak -> Rlist_spec.Weak_spec.check (Lazy.force trace)
-                | Strong -> Rlist_spec.Strong_spec.check (Lazy.force trace)
-              in
-              (name, result))
-            specs
-        in
-        match equiv with
-        | None -> spec_checks
-        | Some (name, replay) ->
-          let result =
-            match
-              replay ~nclients:n ~initial:workload.Workload.initial schedule
-            with
-            | exception Invalid_argument msg ->
-              Rlist_spec.Check.violated ~spec:name ~culprits:[]
-                ("partner protocol cannot replay the schedule: " ^ msg)
-            | theirs -> compare_behaviors ~spec:name (E.behavior t.e) theirs
-          in
-          spec_checks @ [ (name, result) ]
-    end)
-
-  let check ?equiv ?gc ?(por = true) ?(max_states = 500_000) ?(shrink = true)
-      ?(batching = false) ~specs ~workload () =
-    let module Sys = (val make_system ~workload ~equiv ~specs ~batching ~gc) in
-    let module X = Explore.Make (Sys) in
-    let report = X.run ~por ~max_states () in
-    let violations =
-      if shrink then
-        shrink_violations ~fresh:Sys.fresh ~apply:Sys.apply
-          ~checks:Sys.checks report.X.violations
-      else report.X.violations
-    in
-    { workload; stats = report.X.stats; violations }
-
-  let pp_violation ppf v =
-    Witness.pp ~pp_action:S.pp_event
-      ~is_generate:(function
-        | S.Generate (_, intent) -> is_update_intent intent
-        | S.Deliver_to_server _ | S.Deliver_to_client _ -> false)
-      ppf v
-end
-
-module P2p (P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL) = struct
-  module E = Rlist_sim.P2p_engine.Make (P)
-
-  let make_system ~(workload : Workload.t) ~specs ~batching ~gc :
-      (module Explore.SYSTEM with type action = Rlist_sim.P2p_engine.event) =
-    let n = workload.Workload.nclients in
-    if n > 8 then invalid_arg "Mc.P2p: at most 8 peers";
-    (module struct
-      type t = {
-        e : E.t;
-        scripts : Intent.t list array;
-      }
-
-      type action = Rlist_sim.P2p_engine.event
-
-      let fresh () =
-        {
-          e =
-            E.create ~initial:workload.Workload.initial ~batching ?gc
-              ~npeers:n ();
-          scripts = Array.copy workload.Workload.scripts;
-        }
-
-      let apply t ev =
-        (match ev with
-        | Rlist_sim.P2p_engine.Generate (i, _) -> (
-          match t.scripts.(i) with
-          | [] -> ()
-          | _ :: tl -> t.scripts.(i) <- tl)
-        | Rlist_sim.P2p_engine.Deliver _ -> ());
-        E.apply_event t.e ev
-
-      let enabled t =
-        let gens = ref [] in
-        let dels = ref [] in
-        for dst = n downto 1 do
-          for src = n downto 1 do
-            if src <> dst && E.channel_depth t.e ~src ~dst > 0 then
-              dels := Rlist_sim.P2p_engine.Deliver (src, dst) :: !dels
-          done
-        done;
-        for i = n downto 1 do
-          match t.scripts.(i) with
-          | [] -> ()
-          | intent :: _ ->
-            let doc_length = Document.length (E.document t.e i) in
-            gens :=
-              Rlist_sim.P2p_engine.Generate
-                (i, Workload.clamp ~doc_length intent)
-              :: !gens
-        done;
-        !gens @ !dels
-
-      let equal_action a b =
-        match (a, b) with
-        | ( Rlist_sim.P2p_engine.Generate (i, x),
-            Rlist_sim.P2p_engine.Generate (j, y) ) ->
-          i = j && equal_intent x y
-        | ( Rlist_sim.P2p_engine.Deliver (s1, d1),
-            Rlist_sim.P2p_engine.Deliver (s2, d2) ) ->
-          s1 = s2 && d1 = d2
-        | (Rlist_sim.P2p_engine.Generate _ | Rlist_sim.P2p_engine.Deliver _), _
-          ->
-          false
-
-      (* A generate touches peer [i] and the backs of its outgoing
-         channels; a delivery touches peer [dst], the front of one
-         incoming channel, and (reactions) the backs of [dst]'s
-         outgoing channels.  Two actions conflict exactly when they
-         touch the same peer's state.
-
-         Batching adds outbox conflicts (see the Cs relation): a
-         delivery from [src] flushes the [src->dst] outbox, which the
-         generates of [src] and the reactions of deliveries into
-         [src] feed, so those pairs no longer commute. *)
-      let independent a b =
-        match (a, b) with
-        | ( Rlist_sim.P2p_engine.Generate (i, _),
-            Rlist_sim.P2p_engine.Generate (j, _) ) ->
-          i <> j
-        | Rlist_sim.P2p_engine.Generate (i, _),
-          Rlist_sim.P2p_engine.Deliver (s, d)
-        | Rlist_sim.P2p_engine.Deliver (s, d),
-          Rlist_sim.P2p_engine.Generate (i, _) ->
-          if batching then d <> i && s <> i else d <> i
-        | ( Rlist_sim.P2p_engine.Deliver (s1, d1),
-            Rlist_sim.P2p_engine.Deliver (s2, d2) ) ->
-          if batching then d1 <> d2 && d1 <> s2 && d2 <> s1 else d1 <> d2
-
-      (* Batched, a delivery also marks the source slot — with a token
-         naming the destination, so the source slot records {e which}
-         of its outboxes was flushed (two flushes towards different
-         peers leave different batch contents behind and must not
-         collapse to one cache key). *)
-      let footprint = function
-        | Rlist_sim.P2p_engine.Generate (i, _) -> [ (i, 'g') ]
-        | Rlist_sim.P2p_engine.Deliver (src, dst) ->
-          let token = Char.chr (Char.code '0' + src) in
-          if batching then
-            [ (dst, token); (src, Char.chr (Char.code 'A' + dst)) ]
-          else [ (dst, token) ]
-
-      let nslots = n + 1
-
-      let finalize t =
-        let reads =
-          List.init n (fun i ->
-              Rlist_sim.P2p_engine.Generate (i + 1, Intent.Read))
-        in
-        List.iter (apply t) reads;
-        reads
-
-      let checks t _schedule =
-        let trace = lazy (E.trace t.e) in
+        let trace = lazy (S.trace t.e) in
         List.map
           (fun spec ->
             let name = spec_name spec in
             let result =
               match spec with
               | Convergence ->
-                if E.pending_messages t.e = 0 && not (E.converged t.e) then
+                (* Replica equality is only judged at quiescence;
+                   shrunk candidate schedules with messages still in
+                   flight fall back to the trace-level check. *)
+                if S.pending_messages t.e = 0 && not (S.converged t.e) then
                   diverged ~spec:name
                 else Rlist_spec.Convergence.check (Lazy.force trace)
               | Weak -> Rlist_spec.Weak_spec.check (Lazy.force trace)
@@ -399,11 +212,12 @@ module P2p (P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL) = struct
             in
             (name, result))
           specs
+        @ extra workload t.e schedule
     end)
 
-  let check ?gc ?(por = true) ?(max_states = 500_000) ?(shrink = true)
+  let check ~extra ?gc ?(por = true) ?(max_states = 500_000) ?(shrink = true)
       ?(batching = false) ~specs ~workload () =
-    let module Sys = (val make_system ~workload ~specs ~batching ~gc) in
+    let module Sys = (val system ~workload ~specs ~batching ~gc ~extra) in
     let module X = Explore.Make (Sys) in
     let report = X.run ~por ~max_states () in
     let violations =
@@ -415,9 +229,196 @@ module P2p (P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL) = struct
     { workload; stats = report.X.stats; violations }
 
   let pp_violation ppf v =
-    Witness.pp ~pp_action:Rlist_sim.P2p_engine.pp_event
-      ~is_generate:(function
-        | Rlist_sim.P2p_engine.Generate (_, intent) -> is_update_intent intent
-        | Rlist_sim.P2p_engine.Deliver _ -> false)
+    Witness.pp ~pp_action:S.pp_action
+      ~is_generate:(fun a ->
+        match S.generated a with
+        | Some (_, intent) -> is_update_intent intent
+        | None -> false)
       ppf v
+end
+
+let replicas n = List.init n (fun i -> i + 1)
+
+module Cs (P : Rlist_sim.Protocol_intf.PROTOCOL) = struct
+  module E = Rlist_sim.Engine.Make (P)
+  module S = Rlist_sim.Schedule
+
+  module C = Checker (struct
+    include E
+
+    type action = S.event
+
+    let make ~initial ~batching ~gc n =
+      create ~initial ~batching ?gc ~nclients:n ()
+
+    let generate i intent = S.Generate (i, intent)
+
+    let generated = function
+      | S.Generate (i, intent) -> Some (i, intent)
+      | S.Deliver_to_server _ | S.Deliver_to_client _ -> None
+
+    let document = client_document
+
+    let deliveries e =
+      let pending depth deliver =
+        List.filter_map
+          (fun i -> if depth e i > 0 then Some (deliver i) else None)
+          (replicas (nclients e))
+      in
+      pending pending_to_server (fun i -> S.Deliver_to_server i)
+      @ pending pending_to_client (fun i -> S.Deliver_to_client i)
+
+    let equal_action a b =
+      match (a, b) with
+      | S.Generate (i, x), S.Generate (j, y) -> i = j && equal_intent x y
+      | S.Deliver_to_server i, S.Deliver_to_server j -> i = j
+      | S.Deliver_to_client i, S.Deliver_to_client j -> i = j
+      | (S.Generate _ | S.Deliver_to_server _ | S.Deliver_to_client _), _ ->
+        false
+
+    (* Client [i]'s generate touches client [i] and the back of its
+       to-server queue; a to-server delivery touches the server and
+       the front of that queue (push-back and pop-front commute); a
+       to-client delivery touches client [i] and the front of its
+       from-server queue.  Only the server serializes: to-server
+       deliveries conflict with each other, and nothing else does
+       except actions on the same client.
+
+       Batching shrinks the relation: a delivery flushes the target
+       channel's outbox, so it no longer commutes with the sends
+       that feed that outbox — the batch boundary (hence the batch
+       handed to the protocol) depends on the order.  A to-server
+       delivery conflicts with the same client's generate (its
+       to-server outbox) and with every to-client delivery (it
+       appends to all from-server outboxes). *)
+    let independent ~batching a b =
+      match (a, b) with
+      | S.Generate (i, _), S.Generate (j, _) -> i <> j
+      | S.Generate (i, _), S.Deliver_to_client j
+      | S.Deliver_to_client j, S.Generate (i, _) ->
+        i <> j
+      | S.Generate (i, _), S.Deliver_to_server j
+      | S.Deliver_to_server j, S.Generate (i, _) ->
+        (not batching) || i <> j
+      | S.Deliver_to_server _, S.Deliver_to_server _ -> false
+      | S.Deliver_to_server _, S.Deliver_to_client _
+      | S.Deliver_to_client _, S.Deliver_to_server _ ->
+        not batching
+      | S.Deliver_to_client i, S.Deliver_to_client j -> i <> j
+
+    (* Unbatched, each action extends one local history.  Batched, a
+       to-server delivery also extends every client's from-server
+       outbox and flushes client [i]'s to-server outbox, so its token
+       lands in every slot: per-slot projections again determine the
+       configuration (each client slot orders its generates, its
+       incoming deliveries, and all batch-boundary events; slot 0
+       orders the server's serialization). *)
+    let footprint ~batching ~n = function
+      | S.Generate (i, _) -> [ (i, 'g') ]
+      | S.Deliver_to_server i ->
+        let token = Char.chr (Char.code '0' + i) in
+        if batching then (0, token) :: List.init n (fun j -> (j + 1, token))
+        else [ (0, token) ]
+      | S.Deliver_to_client i -> [ (i, 'r') ]
+
+    let pp_action = S.pp_event
+  end)
+
+  let equiv_check equiv (workload : Workload.t) e schedule =
+    match equiv with
+    | None -> []
+    | Some (name, replay) ->
+      let result =
+        match
+          replay ~nclients:workload.Workload.nclients
+            ~initial:workload.Workload.initial schedule
+        with
+        | exception Invalid_argument msg ->
+          Rlist_spec.Check.violated ~spec:name ~culprits:[]
+            ("partner protocol cannot replay the schedule: " ^ msg)
+        | theirs -> compare_behaviors ~spec:name (E.behavior e) theirs
+      in
+      [ (name, result) ]
+
+  let check ?equiv ?gc ?por ?max_states ?shrink ?batching ~specs ~workload
+      () =
+    C.check ~extra:(equiv_check equiv) ?gc ?por ?max_states ?shrink
+      ?batching ~specs ~workload ()
+
+  let pp_violation = C.pp_violation
+end
+
+module P2p (P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL) = struct
+  module E = Rlist_sim.P2p_engine.Make (P)
+  module Ev = Rlist_sim.P2p_engine
+
+  module C = Checker (struct
+    include E
+
+    type action = Ev.event
+
+    let make ~initial ~batching ~gc n =
+      create ~initial ~batching ?gc ~npeers:n ()
+
+    let generate i intent = Ev.Generate (i, intent)
+
+    let generated = function
+      | Ev.Generate (i, intent) -> Some (i, intent)
+      | Ev.Deliver _ -> None
+
+    let deliveries e =
+      let peers = replicas (npeers e) in
+      List.concat_map
+        (fun dst ->
+          List.filter_map
+            (fun src ->
+              if src <> dst && channel_depth e ~src ~dst > 0 then
+                Some (Ev.Deliver (src, dst))
+              else None)
+            peers)
+        peers
+
+    let equal_action a b =
+      match (a, b) with
+      | Ev.Generate (i, x), Ev.Generate (j, y) -> i = j && equal_intent x y
+      | Ev.Deliver (s1, d1), Ev.Deliver (s2, d2) -> s1 = s2 && d1 = d2
+      | (Ev.Generate _ | Ev.Deliver _), _ -> false
+
+    (* A generate touches peer [i] and the backs of its outgoing
+       channels; a delivery touches peer [dst], the front of one
+       incoming channel, and (reactions) the backs of [dst]'s
+       outgoing channels.  Two actions conflict exactly when they
+       touch the same peer's state.
+
+       Batching adds outbox conflicts (see the Cs relation): a
+       delivery from [src] flushes the [src->dst] outbox, which the
+       generates of [src] and the reactions of deliveries into [src]
+       feed, so those pairs no longer commute. *)
+    let independent ~batching a b =
+      match (a, b) with
+      | Ev.Generate (i, _), Ev.Generate (j, _) -> i <> j
+      | Ev.Generate (i, _), Ev.Deliver (s, d)
+      | Ev.Deliver (s, d), Ev.Generate (i, _) ->
+        if batching then d <> i && s <> i else d <> i
+      | Ev.Deliver (s1, d1), Ev.Deliver (s2, d2) ->
+        if batching then d1 <> d2 && d1 <> s2 && d2 <> s1 else d1 <> d2
+
+    (* Batched, a delivery also marks the source slot — with a token
+       naming the destination, so the source slot records {e which}
+       of its outboxes was flushed (two flushes towards different
+       peers leave different batch contents behind and must not
+       collapse to one cache key). *)
+    let footprint ~batching ~n:_ = function
+      | Ev.Generate (i, _) -> [ (i, 'g') ]
+      | Ev.Deliver (src, dst) ->
+        let token = Char.chr (Char.code '0' + src) in
+        if batching then [ (dst, token); (src, Char.chr (Char.code 'A' + dst)) ]
+        else [ (dst, token) ]
+
+    let pp_action = Ev.pp_event
+  end)
+
+  let check = C.check ~extra:(fun _ _ _ -> [])
+
+  let pp_violation = C.pp_violation
 end

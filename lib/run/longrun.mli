@@ -59,8 +59,8 @@ type result = {
 }
 
 (** [run ~now ~protocol ~profile ~nclients ~updates ~chunk ~seed ()]
-    soaks a client/server protocol (same names as
-    {!Recorded.protocol_names} minus the peer-to-peer ones).  [gc]
+    soaks a client/server protocol: a {!Protocols} key whose entry is
+    a [Star].  [gc]
     enables the compaction policy; [faults] (default none) wires the
     fault-injected transport with the reliability shim on.
     @raise Invalid_argument on an unknown or peer-to-peer protocol,

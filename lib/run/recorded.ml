@@ -47,14 +47,6 @@ type outcome = {
   o_net : Rlist_net.Stats.t;
 }
 
-let protocol_names =
-  [
-    "css"; "cscw"; "rga"; "naive"; "css-pruned"; "logoot"; "css-seq";
-    "treedoc"; "css-p2p"; "ttf";
-  ]
-
-let is_p2p name = String.equal name "css-p2p" || String.equal name "ttf"
-
 (* The CSS append fast path is an engine-scoped record: one fresh
    record per run, handed to the engine's constructor, so the
    counters cover exactly this run and nothing leaks across runs (or,
@@ -70,13 +62,14 @@ let publish obs net fp =
         Rlist_obs.Metrics.add (Rlist_obs.Metrics.counter m name) v)
       (Rlist_ot.Fastpath.fields fp)
 
-let run_cs (type c s c2s s2c)
-    (module P : Rlist_sim.Protocol_intf.PROTOCOL
-      with type client = c
-       and type server = s
-       and type c2s = c2s
-       and type s2c = s2c) ?obs ?recorder spec =
-  let module E = Rlist_sim.Engine.Make (P) in
+let run ?obs ?recorder spec =
+  let (module E) =
+    match Protocols.find spec.protocol with
+    | Some p -> Protocols.engine p
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Recorded.run: unknown protocol %S" spec.protocol)
+  in
   let net =
     Rlist_net.Transport.config ~shim:spec.shim ~rto:spec.rto
       ~faults:spec.faults ~seed:spec.seed ()
@@ -93,21 +86,16 @@ let run_cs (type c s c2s s2c)
     Workload.intent_generator spec.profile ~nclients:spec.nclients ~rng
   in
   let params = Workload.params spec.profile ~updates:spec.updates in
-  let schedule = E.run_random ~intent t ~rng ~params in
+  let events = E.run_random ~intent t ~rng ~params in
   let trace = E.trace t in
   let sat = Rlist_spec.Check.is_satisfied in
   publish obs net fp;
   {
-    o_protocol = P.name;
-    o_events = List.length schedule;
+    o_protocol = E.name;
+    o_events = events;
     o_converged = E.converged t;
     o_finals =
-      (if P.server_is_replica then
-         [ "server", Document.to_string (E.server_document t) ]
-       else [])
-      @ List.init spec.nclients (fun i ->
-            ( "c" ^ string_of_int (i + 1),
-              Document.to_string (E.client_document t (i + 1)) ));
+      List.map (fun (r, doc) -> r, Document.to_string doc) (E.documents t);
     o_ots = E.total_ot_count t;
     o_metadata = E.total_metadata_size t;
     o_convergence = sat (Rlist_spec.Convergence.check trace);
@@ -118,65 +106,6 @@ let run_cs (type c s c2s s2c)
       @ Rlist_ot.Fastpath.fields fp;
     o_net = Rlist_net.Transport.stats net;
   }
-
-let run_p2p (module P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL) ?obs
-    ?recorder spec =
-  let module E = Rlist_sim.P2p_engine.Make (P) in
-  let net =
-    Rlist_net.Transport.config ~shim:spec.shim ~rto:spec.rto
-      ~faults:spec.faults ~seed:spec.seed ()
-  in
-  let fp = Rlist_ot.Fastpath.create ~enabled:spec.fastpath () in
-  let t =
-    E.create ~net ~batching:spec.batching ?gc:spec.gc ~fastpath:fp
-      ~npeers:spec.nclients ()
-  in
-  (match obs with Some o -> E.attach_obs t o | None -> ());
-  (match recorder with Some r -> E.attach_recorder t r | None -> ());
-  let rng = Random.State.make [| spec.seed |] in
-  let intent =
-    Workload.intent_generator spec.profile ~nclients:spec.nclients ~rng
-  in
-  let params = Workload.params spec.profile ~updates:spec.updates in
-  let schedule = E.run_random ~intent t ~rng ~params in
-  let trace = E.trace t in
-  let sat = Rlist_spec.Check.is_satisfied in
-  publish obs net fp;
-  {
-    o_protocol = P.name;
-    o_events = List.length schedule;
-    o_converged = E.converged t;
-    o_finals =
-      List.init spec.nclients (fun i ->
-          ( "p" ^ string_of_int (i + 1),
-            Document.to_string (E.document t (i + 1)) ));
-    o_ots = E.total_ot_count t;
-    o_metadata = E.total_metadata_size t;
-    o_convergence = sat (Rlist_spec.Convergence.check trace);
-    o_weak = sat (Rlist_spec.Weak_spec.check trace);
-    o_strong = sat (Rlist_spec.Strong_spec.check trace);
-    o_stats =
-      Rlist_net.Stats.fields (Rlist_net.Transport.stats net)
-      @ Rlist_ot.Fastpath.fields fp;
-    o_net = Rlist_net.Transport.stats net;
-  }
-
-let run ?obs ?recorder spec =
-  match spec.protocol with
-  | "css" -> run_cs (module Jupiter_css.Protocol) ?obs ?recorder spec
-  | "cscw" -> run_cs (module Jupiter_cscw.Protocol) ?obs ?recorder spec
-  | "rga" -> run_cs (module Jupiter_rga.Protocol) ?obs ?recorder spec
-  | "naive" -> run_cs (module Jupiter_cscw.Naive_p2p) ?obs ?recorder spec
-  | "css-pruned" ->
-    run_cs (module Jupiter_css.Pruned_protocol) ?obs ?recorder spec
-  | "logoot" -> run_cs (module Jupiter_logoot.Protocol) ?obs ?recorder spec
-  | "css-seq" ->
-    run_cs (module Jupiter_css.Sequencer_protocol) ?obs ?recorder spec
-  | "treedoc" -> run_cs (module Jupiter_treedoc.Protocol) ?obs ?recorder spec
-  | "css-p2p" ->
-    run_p2p (module Jupiter_css.Distributed_protocol) ?obs ?recorder spec
-  | "ttf" -> run_p2p (module Jupiter_ttf.Adopted_protocol) ?obs ?recorder spec
-  | other -> invalid_arg (Printf.sprintf "Recorded.run: unknown protocol %S" other)
 
 (* The soak gate: strong-spec violations are a theorem for the OT
    protocols (Thm 8.1), so a run "fails" on convergence or the weak
@@ -224,7 +153,7 @@ let spec_of_header header =
   let ( let* ) = Result.bind in
   let* protocol =
     match find "protocol" with
-    | Some p when List.exists (String.equal p) protocol_names -> Ok p
+    | Some p when List.mem_assoc p Protocols.all -> Ok p
     | Some p -> Error (Printf.sprintf "recording header: unknown protocol %S" p)
     | None -> Error "recording header: no protocol"
   in

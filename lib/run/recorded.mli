@@ -16,7 +16,7 @@ module Workload = Rlist_workload.Workload
 
 (** Everything that determines a run. *)
 type spec = {
-  protocol : string;  (** One of {!protocol_names}. *)
+  protocol : string;  (** A {!Protocols} key. *)
   profile : Workload.profile;
   nclients : int;  (** Clients, or peers for the p2p protocols. *)
   updates : int;
@@ -59,10 +59,6 @@ type outcome = {
       (** The live counter record, for {!Rlist_net.Stats.pp} /
           [to_json]. *)
 }
-
-val protocol_names : string list
-
-val is_p2p : string -> bool
 
 (** Run one spec.  [obs] attaches the observability bundle to the
     engine and the wire (and publishes the network and fast-path

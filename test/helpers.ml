@@ -119,3 +119,30 @@ module Naive_run = Run (Jupiter_cscw.Naive_p2p)
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(* The registry's correct protocols of one shape (every key but the
+   naive foil), keyed by CLI name.  [expect] pins the count, so a
+   registry change is noticed here and the new protocol joins the
+   table that uses it. *)
+let registry_protocols ~expect shape =
+  let picked =
+    List.filter_map
+      (fun (key, p) ->
+        match shape p with
+        | Some x when not (String.equal key "naive") -> Some (key, x)
+        | Some _ | None -> None)
+      Rlist_run.Protocols.all
+  in
+  if List.length picked <> expect then
+    failwith
+      (Printf.sprintf "registry: expected %d protocols of this shape, found %d"
+         expect (List.length picked));
+  picked
+
+let star = function
+  | Rlist_run.Protocols.Star p -> Some p
+  | Rlist_run.Protocols.Mesh _ -> None
+
+let mesh = function
+  | Rlist_run.Protocols.Mesh p -> Some p
+  | Rlist_run.Protocols.Star _ -> None

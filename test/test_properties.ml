@@ -47,12 +47,8 @@ type outcome = {
   trace : Rlist_spec.Trace.t;
 }
 
-let run_cs (type c s a b)
-    (module P : Rlist_sim.Protocol_intf.PROTOCOL
-      with type client = c
-       and type server = s
-       and type c2s = a
-       and type s2c = b) ?(batching = false) ~faulty seed =
+let run_cs (module P : Rlist_sim.Protocol_intf.PROTOCOL) ?(batching = false)
+    ~faulty seed =
   let module E = Rlist_sim.Engine.Make (P) in
   let net = if faulty then Some (net_for seed) else None in
   let t = E.create ?net ~batching ~nclients:3 () in
@@ -102,22 +98,13 @@ let pruned_equiv_css ?(batching = false) ~faulty seed =
 
 (* --- Every protocol converges at quiescence ------------------------ *)
 
-let cs_protocols :
-    (string * (?batching:bool -> faulty:bool -> int -> outcome)) list =
-  [
-    "css", run_cs (module Jupiter_css.Protocol);
-    "cscw", run_cs (module Jupiter_cscw.Protocol);
-    "css-pruned", run_cs (module Jupiter_css.Pruned_protocol);
-    "css-seq", run_cs (module Jupiter_css.Sequencer_protocol);
-    "rga", run_cs (module Jupiter_rga.Protocol);
-    "logoot", run_cs (module Jupiter_logoot.Protocol);
-    "treedoc", run_cs (module Jupiter_treedoc.Protocol);
-  ]
+let cs_protocols =
+  List.map
+    (fun (name, p) -> name, run_cs p)
+    (Helpers.registry_protocols ~expect:7 Helpers.star)
 
-let run_p2p (type p m)
-    (module P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL
-      with type peer = p
-       and type message = m) ?(batching = false) ~faulty seed =
+let run_p2p (module P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL)
+    ?(batching = false) ~faulty seed =
   let module E = Rlist_sim.P2p_engine.Make (P) in
   let net = if faulty then Some (net_for seed) else None in
   let t = E.create ?net ~batching ~npeers:3 () in
@@ -129,10 +116,9 @@ let run_p2p (type p m)
   && satisfied (Rlist_spec.Weak_spec.check trace)
 
 let p2p_protocols =
-  [
-    "css-p2p", run_p2p (module Jupiter_css.Distributed_protocol);
-    "ttf", run_p2p (module Jupiter_ttf.Adopted_protocol);
-  ]
+  List.map
+    (fun (name, p) -> name, run_p2p p)
+    (Helpers.registry_protocols ~expect:2 Helpers.mesh)
 
 let all_converge ?(batching = false) ~faulty seed =
   List.for_all

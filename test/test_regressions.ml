@@ -35,12 +35,8 @@ type result = {
   trace : Rlist_spec.Trace.t;
 }
 
-let replay (type c s a b)
-    (module P : Rlist_sim.Protocol_intf.PROTOCOL
-      with type client = c
-       and type server = s
-       and type c2s = a
-       and type s2c = b) (file : Rlist_sim.Schedule_text.file) =
+let replay (module P : Rlist_sim.Protocol_intf.PROTOCOL)
+    (file : Rlist_sim.Schedule_text.file) =
   let module E = Rlist_sim.Engine.Make (P) in
   let t = E.create ~initial:file.initial ~nclients:file.nclients () in
   E.run t file.events;
@@ -51,15 +47,9 @@ let replay (type c s a b)
    strong spec is not asserted — figure7/thm81 refute it for the OT
    protocols (Theorem 8.1), by design. *)
 let protocols =
-  [
-    "css", (fun f -> replay (module Jupiter_css.Protocol) f);
-    "cscw", (fun f -> replay (module Jupiter_cscw.Protocol) f);
-    "css-pruned", (fun f -> replay (module Jupiter_css.Pruned_protocol) f);
-    "css-seq", (fun f -> replay (module Jupiter_css.Sequencer_protocol) f);
-    "rga", (fun f -> replay (module Jupiter_rga.Protocol) f);
-    "logoot", (fun f -> replay (module Jupiter_logoot.Protocol) f);
-    "treedoc", (fun f -> replay (module Jupiter_treedoc.Protocol) f);
-  ]
+  List.map
+    (fun (name, p) -> name, replay p)
+    (Helpers.registry_protocols ~expect:7 Helpers.star)
 
 let behavior_equal =
   List.equal (fun (r1, d1) (r2, d2) ->

@@ -272,6 +272,29 @@ let test_batched_events_cover_every_op () =
   Alcotest.(check int) "4 ops spanned" 4 summary.Spans.su_ops;
   Alcotest.(check int) "no incomplete spans" 0 summary.Spans.su_incomplete
 
+(* The protocol registry is the one name table: its keys are unique, a
+   recording header accepts exactly them, and every correct protocol
+   passes the soak gate under the default spec. *)
+let test_registry () =
+  let keys = Rlist_run.Protocols.keys in
+  Alcotest.(check int)
+    "keys are unique" (List.length keys)
+    (List.length (List.sort_uniq String.compare keys));
+  let accepted p = Result.is_ok (Recorded.spec_of_header [ "protocol", p ]) in
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " accepted") true (accepted k))
+    keys;
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " rejected") false (accepted k))
+    [ ""; "CSS"; "css "; "p2p"; "nope" ];
+  List.iter
+    (fun k ->
+      if not (String.equal k "naive") then
+        Alcotest.(check bool)
+          (k ^ " passes the gate") true
+          (Recorded.passed (Recorded.run (Recorded.default ~protocol:k))))
+    keys
+
 let () =
   Alcotest.run "replay"
     [
@@ -296,6 +319,7 @@ let () =
           Alcotest.test_case "recording file round-trips" `Quick
             test_recording_file_round_trips;
           Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
+          Alcotest.test_case "registry keys" `Quick test_registry;
         ] );
       ( "extraction",
         [
