@@ -15,7 +15,7 @@
    (regenerates BENCH_net.json with --json).
    Pass --batch to run only the C16 batching/fast-path family
    (regenerates BENCH_batch.json with --json; the smoke bench always
-   emits it — it carries the acceptance speedup numbers).
+   emits it).
    Pass --trace to run only the C17 flight-recorder family
    (regenerates BENCH_trace.json with --json; carries the < 5%
    recorder-overhead acceptance number and the convergence-lag
@@ -155,7 +155,7 @@ let () =
       (Experiments.c14_model_checking ?json_path:mc_json_path ~smoke:true ());
     Experiments.c15_network ?json_path:net_json_path ~smoke:true ();
     (* Always emitted in smoke: BENCH_batch.json carries the C16
-       batched-vs-unbatched speedup numbers the CI gate reads. *)
+       batched-vs-unbatched throughput numbers. *)
     Experiments.c16_batching ~json_path:"BENCH_batch.json" ~smoke:true ();
     (* Also always emitted: BENCH_trace.json carries the C17 recorder
        overhead acceptance number and the convergence-lag percentiles. *)

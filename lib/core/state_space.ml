@@ -70,9 +70,6 @@ type t = {
   (* The run's fast-path switch and counters, shared with every other
      space of the same engine run. *)
   fp : Fastpath.t;
-  (* [fp.baseline] at creation time: recompute node hashes from
-     scratch (seed-equivalent cost, benchmark ablation only). *)
-  baseline : bool;
   mutable root : state;
   mutable final : state;
   (* Cache of the node holding [final], so the (frequent) additions at
@@ -102,11 +99,8 @@ let register t node =
 
 (* A state known to be absent (every ladder state contains an
    operation no existing state does): no bucket search.  The
-   incrementally maintained [shash] equals [state_hash state]; a
-   baseline-mode space discards it and pays the full fold, which is
-   what the pre-optimization implementation paid on every square. *)
+   incrementally maintained [shash] equals [state_hash state]. *)
 let fresh_node t ~shash state =
-  let shash = if t.baseline then state_hash state else shash in
   let node = { state; shash; transitions = []; children = [] } in
   register t node;
   node
@@ -141,7 +135,6 @@ let create ?(transform = Transform.xform) ?fastpath ~key_of () =
     transform;
     fast_ok = transform == Transform.xform;
     fp;
-    baseline = fp.Fastpath.baseline;
     root = initial_state;
     final = initial_state;
     final_node = root_node;
@@ -237,13 +230,6 @@ let xform t o1 o2 =
   t.ot_count <- t.ot_count + 1;
   t.transform o1 o2
 
-(* Baseline-mode cost replay (see {!Fastpath.t}'s [baseline]): one probe of
-   the node table as the seed performed it — an O(|state|) content
-   hash, plus an O(|state|) set equality when the bucket hits.  The
-   rewrite either follows the pointer mirror or knows the state is
-   fresh, so outside baseline mode these probes never happen. *)
-let baseline_probe t state = ignore (bucket_find t (state_hash state) state)
-
 (* The context of a quiescent replica's next operation is its current
    final state: the leftmost path is empty, no transformation can
    happen, and the whole of Algorithm 1 collapses to appending one
@@ -276,13 +262,6 @@ let add_op t { Context.op; ctx } =
     let node = t.final_node in
     let final_plus = Op_id.Set.add op.Op.id node.state in
     let fnode = fresh_node t ~shash:(node.shash + mh) final_plus in
-    if t.baseline then begin
-      (* Seed: leftmost_path + the ladder entry each resolved [ctx]
-         through the table, and the final append was a find_or_create. *)
-      baseline_probe t ctx;
-      baseline_probe t ctx;
-      baseline_probe t final_plus
-    end;
     insert_transition t node ~tnode:fnode
       { orig = op.Op.id; form = op; target = final_plus };
     t.final_node <- fnode;
@@ -293,13 +272,6 @@ let add_op t { Context.op; ctx } =
   else begin
     let entry = find_node t ctx in
     let path = leftmost_steps t ctx entry in
-    if t.baseline then begin
-      (* Seed: [ctx] was resolved twice (leftmost_path + the ladder
-         entry) and the path walk re-found every step's target. *)
-      baseline_probe t ctx;
-      baseline_probe t ctx;
-      List.iter (fun (tr, _) -> baseline_probe t tr.target) path
-    end;
     let o = ref op in
     let src = ref entry in
     (* The node above the current source, [src + op]: fresh in the
@@ -325,13 +297,6 @@ let add_op t { Context.op; ctx } =
           fresh_node t ~shash:(tgt.shash + mh)
             (Op_id.Set.add op.Op.id tgt.state)
         in
-        if t.baseline then begin
-          (* Seed, per square: find_or_create on both upper corners and
-             find_node on the step target. *)
-          baseline_probe t s_plus.state;
-          baseline_probe t tgt_plus.state;
-          baseline_probe t tgt.state
-        end;
         let tr_form' = xform t tr.form o_here in
         insert_transition t s_plus ~tnode:tgt_plus
           { orig = tr.orig; form = tr_form'; target = tgt_plus.state };
@@ -347,7 +312,6 @@ let add_op t { Context.op; ctx } =
       | Some n -> n
       | None -> assert false (* ctx <> final, so the path was non-empty *)
     in
-    if t.baseline then baseline_probe t fnode.state;
     insert_transition t !src ~tnode:fnode
       { orig = op.Op.id; form = !o; target = fnode.state };
     t.final_node <- fnode;
@@ -604,8 +568,7 @@ let compact t ~stable ~base_doc =
   List.iter
     (fun node ->
       node.state <- Op_id.Set.diff node.state stable;
-      node.shash <-
-        (if t.baseline then state_hash node.state else node.shash - stable_mix);
+      node.shash <- node.shash - stable_mix;
       node.transitions <-
         List.map
           (fun tr -> { tr with target = Op_id.Set.diff tr.target stable })
@@ -643,7 +606,6 @@ let of_raw ~key_of ~root ~final assoc =
       transform = Transform.xform;
       fast_ok = true;
       fp = Fastpath.create ();
-      baseline = false;
       root;
       final;
       final_node =

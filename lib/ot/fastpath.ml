@@ -2,14 +2,13 @@
 
 type t = {
   mutable enabled : bool;
-  mutable baseline : bool;
   mutable context_hits : int;
   mutable append_hits : int;
   mutable generic_squares : int;
 }
 
-let create ?(enabled = false) ?(baseline = false) () =
-  { enabled; baseline; context_hits = 0; append_hits = 0; generic_squares = 0 }
+let create ?(enabled = false) () =
+  { enabled; context_hits = 0; append_hits = 0; generic_squares = 0 }
 
 let reset t =
   t.context_hits <- 0;

@@ -16,15 +16,6 @@ type t = {
       (** Switches the append specialization of
           {!Jupiter_css.State_space.add_run} on.  The context-match
           shortcut is a pure strength reduction and is always on. *)
-  mutable baseline : bool;
-      (** Benchmark ablation (C16): spaces created from a [baseline]
-          record pay the pre-optimization cost model — every node
-          created re-hashes its full state set instead of extending
-          the parent's hash by one mix, and [add_op] replays the
-          hash-table probes the seed performed at every ladder square
-          instead of following the pointer mirror.  Captured at space
-          creation time; structure and forms are unchanged (only the
-          constant work per square).  Never set it in protocol code. *)
   mutable context_hits : int;
       (** Operations whose context matched the final state (ladder
           collapsed to one appended transition). *)
@@ -35,11 +26,11 @@ type t = {
       (** Ladder squares processed the ordinary way. *)
 }
 
-(** A fresh record, counters at zero.  [enabled] and [baseline]
-    default to [false]. *)
-val create : ?enabled:bool -> ?baseline:bool -> unit -> t
+(** A fresh record, counters at zero.  [enabled] defaults to
+    [false]. *)
+val create : ?enabled:bool -> unit -> t
 
-(** Reset the counters (not [enabled] or [baseline]). *)
+(** Reset the counters (not [enabled]). *)
 val reset : t -> unit
 
 (** The counters as metric fields, for publication:

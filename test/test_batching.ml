@@ -204,33 +204,6 @@ let test_non_insert_runs () =
   check_same ~same_ot:true ~fastpath:false ~prefix ~batch ();
   check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
 
-(* The C16 benchmark ablation (the fast-path record's [baseline]) restores
-   the seed's constant work per ladder square but must change nothing
-   observable: a space built under it is equal to the normal one, with
-   the same forms and transformation count. *)
-let test_baseline_mode_equivalent () =
-  let prefix, batch = crossing_case (Helpers.ins ~client:2 'z' 1) in
-  let ops = prefix @ batch in
-  let serials, key = key_table () in
-  List.iteri
-    (fun i oc -> Hashtbl.replace serials oc.Context.op.Op.id (i + 1))
-    ops;
-  let build baseline =
-    let space =
-      Space.create
-        ~fastpath:(Space.Fastpath.create ~baseline ())
-        ~key_of:key ()
-    in
-    let forms = List.map (Space.add_op space) ops in
-    space, forms
-  in
-  let opt, opt_forms = build false in
-  let base, base_forms = build true in
-  Alcotest.check space_testable "spaces equal" opt base;
-  Alcotest.(check (list Helpers.op)) "forms equal" opt_forms base_forms;
-  Alcotest.(check int)
-    "ot counts equal" (Space.ot_count opt) (Space.ot_count base)
-
 (* --- Randomized fold equivalence ------------------------------------- *)
 
 (* A synthetic server: a common seed prefix, then a burst of foreign
@@ -420,8 +393,6 @@ let () =
           Alcotest.test_case "mixed batch splits into runs" `Quick
             test_mixed_batch_splits;
           Alcotest.test_case "runs with deletions" `Quick test_non_insert_runs;
-          Alcotest.test_case "baseline ablation is observationally inert"
-            `Quick test_baseline_mode_equivalent;
           qtest "add_run = fold add_op (generic)" gen_scenario
             (scenario_prop ~fastpath:false);
           qtest "add_run = fold add_op (fast paths)" gen_scenario
