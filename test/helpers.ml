@@ -146,3 +146,39 @@ let star = function
 let mesh = function
   | Rlist_run.Protocols.Mesh p -> Some p
   | Rlist_run.Protocols.Star _ -> None
+
+(* The benchmark's typing-burst episode: each round, every one of 4
+   clients types a 64-character slice of [text] at the end of its own
+   view, then the round quiesces.  Batching and the append fast path
+   ([fp], which must be enabled) are on; the wire is perfect. *)
+module Css_engine = Rlist_sim.Engine.Make (Jupiter_css.Protocol)
+
+let typing_clients = 4
+
+let typing_burst = 64
+
+let typing_episode ~fp text =
+  let rounds = String.length text / (typing_clients * typing_burst) in
+  let t =
+    Css_engine.create ~batching:true ~history:false ~fastpath:fp
+      ~nclients:typing_clients ()
+  in
+  for round = 0 to rounds - 1 do
+    for i = 1 to typing_clients do
+      let len = Document.length (Css_engine.client_document t i) in
+      let base = ((round * typing_clients) + i - 1) * typing_burst in
+      for j = 0 to typing_burst - 1 do
+        Css_engine.apply_event t
+          (Rlist_sim.Schedule.Generate
+             (i, Intent.Insert (text.[base + j], len + j)))
+      done
+    done;
+    ignore (Css_engine.quiesce t)
+  done;
+  t
+
+(* Two rounds of lowercase letters drawn from [seed]. *)
+let typing_text seed =
+  let rng = Random.State.make [| seed |] in
+  String.init (2 * typing_clients * typing_burst) (fun _ ->
+      Char.chr (97 + Random.State.int rng 26))
