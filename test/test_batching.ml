@@ -371,6 +371,29 @@ let test_batch_checkpoint_recovery () =
 let qtest name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:300 gen prop)
 
+(* --- Allocation budget of the batched fast path ------------------------ *)
+
+(* The benchmark's typing episode (4 clients, 2 rounds of 64-character
+   bursts, batched, append fast path on) may allocate at most 90 minor
+   words per ladder square, engine and protocol included.  OCaml 5
+   without flambda counts allocations exactly, so the figure is the
+   same on every run. *)
+let words_per_square_budget = 90.
+
+let test_words_per_square () =
+  let fp = Space.Fastpath.create ~enabled:true () in
+  let text = Helpers.typing_text 3 in
+  let before = Gc.minor_words () in
+  ignore (Helpers.typing_episode ~fp text);
+  let words = Gc.minor_words () -. before in
+  let squares = fp.Space.Fastpath.append_hits + fp.Space.Fastpath.generic_squares in
+  let per_square = words /. float_of_int squares in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per square (%d squares) <= %.0f"
+       per_square squares words_per_square_budget)
+    true
+    (per_square <= words_per_square_budget)
+
 let () =
   Alcotest.run "batching"
     [
@@ -406,5 +429,10 @@ let () =
             test_batch_retransmit_dedup;
           Alcotest.test_case "checkpoint recovery with batches" `Quick
             test_batch_checkpoint_recovery;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "typing episode words per square" `Quick
+            test_words_per_square;
         ] );
     ]
