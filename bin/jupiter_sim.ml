@@ -171,6 +171,15 @@ let gc_conv =
         | Error msg -> Error (`Msg msg)),
       fun ppf p -> Format.pp_print_string ppf (Rlist_gc.to_string p) )
 
+(* A bad fault spec is a usage error (exit 124), like a bad --gc. *)
+let faults_conv =
+  Arg.conv
+    ( (fun s ->
+        match Rlist_net.Faults.of_string s with
+        | Ok f -> Ok f
+        | Error msg -> Error (`Msg msg)),
+      fun ppf f -> Format.pp_print_string ppf (Rlist_net.Faults.to_string f) )
+
 let gc_arg =
   Arg.(value & opt (some gc_conv) None
        & info [ "gc" ] ~docv:"POLICY"
@@ -324,15 +333,8 @@ let fuzz_cmd =
    the gate fails (or on demand with --record-out) so the failing run
    can be re-executed bit-identically with `jupiter_sim replay`. *)
 
-let soak protocol faults_str no_shim rto batching fastpath gc nclients
+let soak protocol faults no_shim rto batching fastpath gc nclients
     profile updates seed record_out json =
-  let faults =
-    match Rlist_net.Faults.of_string faults_str with
-    | Ok f -> f
-    | Error msg ->
-      Printf.eprintf "soak: %s\n" msg;
-      exit 1
-  in
   let shim = not no_shim in
   let spec =
     {
@@ -426,8 +428,8 @@ let soak_protocol_arg =
            ~doc:"Protocol to soak (same names as $(b,simulate)).")
 
 let faults_arg =
-  Arg.(value & opt string "chaos"
-       & info [ "faults" ] ~docv:"SPEC"
+  Arg.(value & opt faults_conv (Option.get (Rlist_net.Faults.preset "chaos"))
+       & info [ "faults" ] ~absent:"chaos" ~docv:"SPEC"
            ~doc:
              "Fault model: a preset (none, drop, dup, reorder, partition, \
               chaos, heavy-loss) or a field list like \
@@ -475,15 +477,8 @@ let soak_cmd =
    continuous GC keeps both flat where the unbounded run grows.  The
    digest line is the CI gate's handle for GC-on/GC-off equality. *)
 
-let longrun protocol profile nclients updates chunk seed faults_str gc
+let longrun protocol profile nclients updates chunk seed faults gc
     assert_flat max_meta json =
-  let faults =
-    match Rlist_net.Faults.of_string faults_str with
-    | Ok f -> f
-    | Error msg ->
-      Printf.eprintf "longrun: %s\n" msg;
-      exit 1
-  in
   let r =
     match
       Rlist_run.Longrun.run ?gc ~faults ~now:Unix.gettimeofday
@@ -525,8 +520,8 @@ let longrun_cmd =
                 chunks).")
   in
   let faults_arg =
-    Arg.(value & opt string "none"
-         & info [ "faults" ] ~docv:"SPEC"
+    Arg.(value & opt faults_conv Rlist_net.Faults.none
+         & info [ "faults" ] ~absent:"none" ~docv:"SPEC"
              ~doc:"Fault model for the wire (as in $(b,soak)); default none.")
   in
   let assert_flat_arg =

@@ -19,7 +19,8 @@ let none =
 
 let validate spec =
   let prob name p =
-    if p < 0.0 || p > 1.0 then
+    (* Written so that NaN, which fails every comparison, is refused. *)
+    if not (p >= 0.0 && p <= 1.0) then
       Error (Printf.sprintf "%s must be in [0,1], got %g" name p)
     else Ok ()
   in

@@ -43,6 +43,12 @@ let test_field_syntax () =
 
 let test_parse_errors () =
   err "probability > 1" (Faults.of_string "drop=1.5");
+  (* NaN fails every comparison, so a range check written as two
+     rejections lets it through. *)
+  err "drop NaN" (Faults.of_string "drop=nan");
+  err "dup NaN" (Faults.of_string "dup=nan");
+  err "reorder NaN" (Faults.of_string "reorder=nan");
+  err "infinite probability" (Faults.of_string "drop=inf");
   err "unknown preset" (Faults.of_string "no-such-model");
   err "unknown field" (Faults.of_string "frobnicate=1");
   err "down >= period"
