@@ -99,6 +99,41 @@ let test_hashtbl_iter () =
     ~path:"lib/net/fixture.ml"
     "let f t k = Hashtbl.replace t k (); Hashtbl.find_opt t k\n"
 
+(* A table built by Hashtbl.Make iterates in bucket order too. *)
+let test_functor_table_iter () =
+  check_rules "fold of this file's Hashtbl.Make table fires"
+    [ "hashtbl-iter" ] ~path:"lib/core/fixture.ml"
+    "module Table = Hashtbl.Make (K)\n\
+     let f t = Table.fold (fun k _ acc -> k :: acc) t []\n";
+  check_rules "so does iter of a let-module table" [ "hashtbl-iter" ]
+    ~path:"lib/net/fixture.ml"
+    "let f () =\n\
+    \  let module T = Hashtbl.MakeSeeded (K) in\n\
+    \  T.iter (fun _ _ -> ()) (T.create 8)\n";
+  check_rules "find_opt on such a table stays legal" []
+    ~path:"lib/core/fixture.ml"
+    "module Table = Hashtbl.Make (K)\nlet f t k = Table.find_opt t k\n";
+  let tables = [ [ "Op_id"; "Table" ] ] in
+  let corpus src =
+    rules_of (Lint.check_source ~tables ~path:"lib/core/fixture.ml" src)
+  in
+  Alcotest.(check (list string))
+    "a corpus table's fold fires in another file" [ "hashtbl-iter" ]
+    (corpus "let f t = Op_id.Table.fold (fun k _ acc -> k :: acc) t []\n");
+  Alcotest.(check (list string))
+    "also through a library prefix" [ "hashtbl-iter" ]
+    (corpus "let f t = Rlist_model.Op_id.Table.iter (fun _ _ -> ()) t\n");
+  Alcotest.(check (list string))
+    "an unrelated module's fold does not" []
+    (corpus "let f m = Other.Table.fold (fun _ _ acc -> acc) m 0\n");
+  Alcotest.(check (list string))
+    "an allow on a table fold is used, not stale" []
+    (corpus
+       "let f t =\n\
+       \  List.sort Op_id.compare\n\
+       \    ((Op_id.Table.fold (fun k _ acc -> k :: acc) t [])\n\
+       \    [@lint.allow \"hashtbl-iter\"])\n")
+
 let test_wall_clock () =
   check_rules "Unix.gettimeofday fires in replayed code" [ "wall-clock" ]
     ~path:"lib/sim/fixture.ml" "let t () = Unix.gettimeofday ()\n";
@@ -389,6 +424,8 @@ let () =
         [
           Alcotest.test_case "rand-global" `Quick test_rand_global;
           Alcotest.test_case "hashtbl-iter" `Quick test_hashtbl_iter;
+          Alcotest.test_case "hashtbl-iter on Hashtbl.Make tables" `Quick
+            test_functor_table_iter;
           Alcotest.test_case "wall-clock" `Quick test_wall_clock;
           Alcotest.test_case "float-format" `Quick test_float_format;
           Alcotest.test_case "print-direct" `Quick test_print_direct;

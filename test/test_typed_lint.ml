@@ -4,10 +4,10 @@
    formatting), the domain-safety inventory and its shard-readiness
    report, and the graph exports.
 
-   The corpus is test/fixtures_typed/ — eleven hand-written modules
-   compiled with -bin-annot by a dune rule, carrying two seeded bugs
-   (a 3-hop transitive Random chain and a module-level hashtable), a
-   clean module, a suppressed sink, and one module per escape-pass
+   The corpus is test/fixtures_typed/ — twelve hand-written modules
+   compiled with -bin-annot by a dune rule, carrying three seeded bugs
+   (a 3-hop transitive Random chain, a module-level hashtable, and an
+   entry point folding a Hashtbl.Make table), a clean module, a suppressed sink, and one module per escape-pass
    verdict (stack-confined, instance-confined, and the closure /
    module-binding / container-nested escapes). *)
 
@@ -30,11 +30,11 @@ let contains ~needle haystack =
 let test_loading () =
   let c = Lazy.force corpus in
   Alcotest.(check (list string))
-    "all eleven fixture units load"
+    "all twelve fixture units load"
     [
       "Fx_allowed"; "Fx_clean"; "Fx_entry"; "Fx_esc_closure";
       "Fx_esc_instance"; "Fx_esc_module"; "Fx_esc_nested"; "Fx_esc_stack";
-      "Fx_leaf"; "Fx_mid"; "Fx_table";
+      "Fx_ftable"; "Fx_leaf"; "Fx_mid"; "Fx_table";
     ]
     (List.map
        (fun (u : Cmt_loader.unit_info) -> u.modname)
@@ -70,6 +70,7 @@ let test_entry_matching () =
       "Fx_esc_module.transform";
       "Fx_esc_nested.server_receive";
       "Fx_esc_stack.server_receive";
+      "Fx_ftable.server_receive_keys";
       "Fx_table.server_receive_all";
     ]
     (List.sort String.compare (Typed.entry_ids g Typed.default_entries));
@@ -80,7 +81,7 @@ let test_entry_matching () =
 let test_det_reach () =
   let r = Typed.det_reach (Lazy.force graph) in
   match r.r_findings with
-  | [ rand; iter ] ->
+  | [ ftable; rand; iter ] ->
     Alcotest.(check string) "rule" "det-reach" rand.Finding.rule;
     Alcotest.(check string)
       "the finding is anchored at the sink site" "fx_leaf.ml"
@@ -96,10 +97,14 @@ let test_det_reach () =
     Alcotest.(check (list string))
       "with its own witness chain"
       [ "Fx_table.server_receive_all"; "Hashtbl.iter" ]
-      iter.Finding.chain
+      iter.Finding.chain;
+    Alcotest.(check (list string))
+      "a Hashtbl.Make table's fold is the same sink"
+      [ "Fx_ftable.server_receive_keys"; "Tbl.fold" ]
+      ftable.Finding.chain
   | fs ->
     Alcotest.failf
-      "expected exactly the two seeded findings, got %d: %s" (List.length fs)
+      "expected exactly the three seeded findings, got %d: %s" (List.length fs)
       (String.concat "; "
          (List.map (fun (f : Finding.t) -> f.file ^ ":" ^ f.rule) fs))
 
@@ -116,10 +121,29 @@ let test_suppressed_sink () =
        (fun (f : Finding.t) -> String.equal f.file "fx_clean.ml")
        r.r_findings)
 
+let test_functor_tables () =
+  let g = Lazy.force graph in
+  let sinks id =
+    match Callgraph.find g id with
+    | Some d ->
+      List.map
+        (fun (s : Callgraph.sink) -> s.Callgraph.s_rule, s.Callgraph.s_what)
+        d.Callgraph.d_sinks
+    | None -> Alcotest.failf "node %s missing from the graph" id
+  in
+  Alcotest.(check (list (pair string string)))
+    "a module-level Hashtbl.Make table's fold is a sink"
+    [ "hashtbl-iter", "Tbl.fold" ]
+    (sinks "Fx_ftable.server_receive_keys");
+  Alcotest.(check (list (pair string string)))
+    "so is a let-module table's iter"
+    [ "hashtbl-iter", "Local.iter" ]
+    (sinks "Fx_ftable.local_keys")
+
 let test_witness_formatting () =
   let r = Typed.det_reach (Lazy.force graph) in
   match r.r_findings with
-  | [ f; _ ] ->
+  | [ _; f; _ ] ->
     let rendered = Format.asprintf "%a" Finding.pp f in
     Alcotest.(check bool)
       "pp prints the chain on a continuation line" true
@@ -135,7 +159,7 @@ let test_witness_formatting () =
          ~needle:
            "\"chain\":[\"Fx_entry.transform\",\"Fx_mid.step\",\"Fx_leaf.pick\",\"Random.int\"]"
          json)
-  | fs -> Alcotest.failf "expected two findings, got %d" (List.length fs)
+  | fs -> Alcotest.failf "expected three findings, got %d" (List.length fs)
 
 let test_untyped_json_has_no_chain () =
   let f = Finding.v ~file:"x.ml" ~line:1 ~col:1 ~rule:"poly-eq" "m" in
@@ -197,6 +221,7 @@ let test_run_combined () =
       "fx_esc_nested.ml", "module-mutable";
       "fx_esc_nested.ml", "escape";
       "fx_esc_nested.ml", "escape";
+      "fx_ftable.ml", "det-reach";
       "fx_leaf.ml", "det-reach";
       "fx_table.ml", "module-mutable";
       "fx_table.ml", "escape";
@@ -427,6 +452,7 @@ let () =
           Alcotest.test_case "3-hop transitive sink" `Quick test_det_reach;
           Alcotest.test_case "suppressed and clean stay quiet" `Quick
             test_suppressed_sink;
+          Alcotest.test_case "Hashtbl.Make tables" `Quick test_functor_tables;
           Alcotest.test_case "witness formatting" `Quick
             test_witness_formatting;
           Alcotest.test_case "no chain on untyped findings" `Quick
