@@ -1036,18 +1036,20 @@ let verdict_json path (v : Recorded.verdict) =
   Printf.bprintf b ", \"ok\": %b}" v.Recorded.v_ok;
   Buffer.contents b
 
-let load_recording path =
+(* Load a recording for subcommand [cmd], which prefixes the error a
+   bad file exits with. *)
+let load_recording ~cmd path =
   match Rlist_obs.Recorder.load path with
   | recording -> recording
   | exception Rlist_obs.Recorder.Corrupt msg ->
-    Printf.eprintf "replay: %s: %s\n" path msg;
+    Printf.eprintf "%s: %s: %s\n" cmd path msg;
     exit 1
   | exception Sys_error msg ->
-    Printf.eprintf "replay: %s\n" msg;
+    Printf.eprintf "%s: %s\n" cmd msg;
     exit 1
 
 let replay_recording path trace_out json shrink =
-  let recording = load_recording path in
+  let recording = load_recording ~cmd:"replay" path in
   let oc =
     match trace_out with
     | None -> None
@@ -1175,7 +1177,7 @@ let events_of_jsonl path =
 let report path json =
   let events =
     if Rlist_obs.Recorder.is_recording path then begin
-      let recording = load_recording path in
+      let recording = load_recording ~cmd:"report" path in
       let sink = Rlist_obs.Sink.memory () in
       let obs = Rlist_obs.Obs.make ~sink () in
       match Recorded.verify ~obs recording with

@@ -36,42 +36,126 @@ let id_mix id = mix (Op_id.hash id)
 
 let state_hash s = Op_id.Set.fold (fun id acc -> acc + id_mix id) s 0
 
-(* A node does not store its state.  Every state a ladder creates is a
+(* The space is a struct-of-arrays store: nodes, edges and the
+   operations they mention are dense indices into growable arrays, so
+   a ladder square writes a handful of [int]s and one form instead of
+   allocating records and list cells, and the [int] arrays hold no
+   pointer for the major GC to follow.
+
+   A node does not store its state.  Every state a ladder creates is a
    known node's state plus one operation, so a node records that node
-   ([up]) and the operation ([via]); its state is [up]'s plus [via],
-   materialized only when an accessor asks for it.  Only {e base}
-   nodes — the root, every {!of_raw} node, and the survivors
+   ([n_up]) and the operation ([n_via]); its state is [n_up]'s plus
+   [n_via], materialized only when an accessor asks for it.  Only
+   {e base} nodes — the root, every {!of_raw} node, and the survivors
    {!compact} rebases across the stable frontier — hold their state
-   explicitly, in [base]; a base node is its own [up].
+   explicitly, in the [bases] side table; a base node is its own
+   [n_up].
 
-   [edges] are the ordered outgoing transitions, each pointing at its
-   target node, so the ladder walks follow pointers and never touch a
-   set.  All fields are mutable for {!compact}'s in-place rebase
-   (pointer identity is load-bearing: edges and [final_node] hold
-   node pointers). *)
-type node = {
-  mutable shash : int;  (* [state_hash] of the state, kept incrementally *)
-  mutable card : int;  (* cardinality of the state *)
-  mutable up : node;
-  mutable via : Op_id.t;
-  mutable base : state;  (* the state of a base node; empty otherwise *)
-  mutable edges : edge list;  (* sorted, leftmost first *)
-}
+   A node's ordered outgoing transitions are a chain of edges linked
+   through [e_next] from [n_first], leftmost first.  An edge records
+   its operation ([e_orig]), its target node ([e_dst]) and its form
+   ([e_form], the one pointer array), so the ladder walks follow
+   indices and never touch a set.  Operations are interned: every
+   identifier the space mentions has one index into [op_ids], so
+   identifiers compare as [int]s. *)
 
-and edge = {
-  orig : Op_id.t;
-  form : Op.t;
-  dst : node;
-}
+(* The absent node, edge or slot. *)
+let none = -1
+
+(* --- Columns ------------------------------------------------------------ *)
+
+(* A node or edge field is a column: a growable array kept as a spine
+   of chunks, entry [i] at [c.(i lsr chunk_bits).(i land chunk_mask)].
+   A full column gains one chunk, so an entry is initialized once and
+   never copied; doubling one flat array would re-initialize and copy
+   every entry, at a cost comparable to the ladder squares that fill
+   it.  Only the first chunk grows by doubling, so a small space stays
+   small.  Chunks of 512 entries measured faster on the unbatched
+   lossy workload than chunks of 4 096, at the same allocation. *)
+type 'a column = 'a array array
+
+let chunk_bits = 9
+
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+let column fill : _ column = [| Array.make 8 fill |]
+
+(* [a] copied into a fresh array of [n >= length a] entries. *)
+let grown a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Whether [c] has room for entry [i]. *)
+let[@inline] has_room (c : _ column) i =
+  let k = i lsr chunk_bits in
+  k < Array.length c && i land chunk_mask < Array.length c.(k)
+
+(* [c] with room for entry [i], the first entry it has no room for.
+   The spine doubles, empty chunks standing in for those not yet
+   added. *)
+let extend (c : _ column) i fill : _ column =
+  let k = i lsr chunk_bits in
+  if k = 0 then begin
+    c.(0) <- grown c.(0) (2 * i) fill;
+    c
+  end
+  else begin
+    let c = if k < Array.length c then c else grown c (2 * k) [||] in
+    c.(k) <- Array.make (chunk_mask + 1) fill;
+    c
+  end
+
+let[@inline] iget (c : int column) i =
+  c.(i lsr chunk_bits).(i land chunk_mask)
+
+let[@inline] iset (c : int column) i v =
+  c.(i lsr chunk_bits).(i land chunk_mask) <- v
+
+let[@inline] fget (c : Op.t column) i =
+  c.(i lsr chunk_bits).(i land chunk_mask)
+
+let[@inline] fset (c : Op.t column) i v =
+  c.(i lsr chunk_bits).(i land chunk_mask) <- v
 
 type t = {
-  (* Open addressing on the incremental state hash, linear probing,
-     load at most one half; [vacant] marks an empty slot.  The rare
-     same-hash states are told apart by cardinality and chain
-     membership. *)
-  mutable slots : node array;
-  vacant : node;
+  (* Nodes [0 .. nstates - 1]; a chain node's [n_up] is a smaller
+     index, since it existed when the node was made. *)
+  mutable n_shash : int column;  (* [state_hash] of the state *)
+  mutable n_card : int column;  (* cardinality of the state *)
+  mutable n_up : int column;
+  mutable n_via : int column;  (* an operation index; [none] on base nodes *)
+  mutable n_first : int column;  (* the leftmost edge, or [none] *)
   mutable nstates : int;
+  bases : (int, state) Hashtbl.t;  (* the state of every base node *)
+  (* Edges [0 .. ntransitions - 1]. *)
+  mutable e_orig : int column;  (* an operation index *)
+  mutable e_dst : int column;
+  mutable e_next : int column;  (* the next edge from the source, or [none] *)
+  mutable e_form : Op.t column;
+  mutable ntransitions : int;
+  (* Interned operations [0 .. nops - 1]. *)
+  mutable op_ids : Op_id.t array;
+  mutable op_mix : int array;  (* [id_mix] of each *)
+  (* Each operation's ordering key, valid while [op_epoch] is [epoch]:
+     [key_of] is asked once per operation processed, not once per
+     edge compared (a key may turn from [Pending] to [Serialized]
+     between two operations, but never while one is processed). *)
+  mutable op_key : Order_key.t array;
+  mutable op_epoch : int array;
+  mutable epoch : int;
+  mutable nops : int;
+  (* Every identifier the space mentions has one index.  A space grown
+     by {!add_op} only ever meets an operation it does not hold yet
+     (its states lie within [final], the operation does not), so only
+     an {!of_raw} space, whose states need not, looks identifiers up
+     here. *)
+  op_index : int Op_id.Table.t option;
+  (* Open addressing on the incremental state hash, linear probing,
+     load at most one half; a slot holds a node index or [none].  The
+     rare same-hash states are told apart by cardinality and chain
+     membership. *)
+  mutable slots : int array;
   key_of : Op_id.t -> Order_key.t;
   transform : Op.t -> Op.t -> Op.t;
   (* The append specialization reproduces the arithmetic of the
@@ -94,9 +178,8 @@ type t = {
      contexts of one batch once. *)
   mutable final : state;
   mutable final_src : state;
-  mutable final_node : node;
+  mutable final_node : int;
   mutable ot_count : int;
-  mutable ntransitions : int;
   (* Growth observer (observability layer): called once per {!add_op}
      with the new final level and the post-growth totals.  [None]
      costs one branch per operation. *)
@@ -106,60 +189,125 @@ type t = {
 
 let initial_state = Op_id.Set.empty
 
-let is_base node = node.up == node
+(* Fillers for the unused entries of the pointer arrays. *)
+let no_id = Op_id.initial ~seq:1
 
-(* Base nodes carry no [via]; any identifier fills the field. *)
-let no_via = Op_id.initial ~seq:1
+let no_form = Op.nop ~id:no_id
 
-let base_node ~shash state =
-  let rec node =
-    {
-      shash;
-      card = Op_id.Set.cardinal state;
-      up = node;
-      via = no_via;
-      base = state;
-      edges = [];
-    }
-  in
-  node
+let no_key = Order_key.Pending 0
+
+let table_for n =
+  let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
+  Array.make (pow2 64) none
+
+let make ~key_of ~transform ~fp ~root ~final ~nodes ~op_index =
+  let cap = 8 in
+  {
+    n_shash = column 0;
+    n_card = column 0;
+    n_up = column none;
+    n_via = column none;
+    n_first = column none;
+    nstates = 0;
+    bases = Hashtbl.create 1;
+    e_orig = column none;
+    e_dst = column none;
+    e_next = column none;
+    e_form = column no_form;
+    ntransitions = 0;
+    op_ids = Array.make cap no_id;
+    op_mix = Array.make cap 0;
+    op_key = Array.make cap no_key;
+    op_epoch = Array.make cap 0;
+    epoch = 1;
+    nops = 0;
+    op_index;
+    slots = table_for nodes;
+    key_of;
+    transform;
+    fast_ok = transform == Transform.xform;
+    fp;
+    root;
+    final;
+    final_src = final;
+    final_node = none;
+    ot_count = 0;
+    observer = None;
+  }
+
+let[@inline] is_base t node = iget t.n_up node = node
+
+let[@inline] base_state t node = Hashtbl.find t.bases node
+
+let[@inline] op_id t o = t.op_ids.(o)
+
+(* The ordering key of operation [o] in the current epoch. *)
+let[@inline] key_of_op t o =
+  if t.op_epoch.(o) <> t.epoch then begin
+    t.op_key.(o) <- t.key_of t.op_ids.(o);
+    t.op_epoch.(o) <- t.epoch
+  end;
+  t.op_key.(o)
+
+(* Keys looked up from here on may differ from those cached so far. *)
+let new_epoch t = t.epoch <- t.epoch + 1
+
+(* A new index for [id]. *)
+let new_op t id =
+  let o = t.nops in
+  if o = Array.length t.op_ids then begin
+    t.op_ids <- grown t.op_ids (2 * o) no_id;
+    t.op_mix <- grown t.op_mix (2 * o) 0;
+    t.op_key <- grown t.op_key (2 * o) no_key;
+    t.op_epoch <- grown t.op_epoch (2 * o) 0
+  end;
+  t.op_ids.(o) <- id;
+  t.op_mix.(o) <- id_mix id;
+  t.op_epoch.(o) <- 0;
+  t.nops <- o + 1;
+  o
+
+(* The index of [id], interned on first sight. *)
+let intern t id =
+  match t.op_index with
+  | None -> new_op t id
+  | Some index -> (
+    match Op_id.Table.find_opt index id with
+    | Some o -> o
+    | None ->
+      let o = new_op t id in
+      Op_id.Table.replace index id o;
+      o)
 
 (* --- The node table --------------------------------------------------- *)
 
-let vacant_node () = base_node ~shash:0 Op_id.Set.empty
+let[@inline] slot_of slots shash = shash land (Array.length slots - 1)
 
-let slot_of slots shash = shash land (Array.length slots - 1)
+(* Toplevel probe loops, so a probe allocates no closure. *)
+let rec probe_vacant slots mask i =
+  if slots.(i) = none then i else probe_vacant slots mask ((i + 1) land mask)
 
-let place slots vacant node =
+let[@inline] place t slots node =
   let mask = Array.length slots - 1 in
-  let rec probe i =
-    if slots.(i) == vacant then slots.(i) <- node else probe ((i + 1) land mask)
-  in
-  probe (slot_of slots node.shash)
+  slots.(probe_vacant slots mask (slot_of slots (iget t.n_shash node))) <- node
 
-let table_for vacant n =
-  let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
-  Array.make (pow2 64) vacant
-
-let register t node =
+let[@inline] register t node =
   if 2 * (t.nstates + 1) > Array.length t.slots then begin
-    let slots = Array.make (2 * Array.length t.slots) t.vacant in
-    Array.iter
-      (fun n -> if n != t.vacant then place slots t.vacant n)
-      t.slots;
+    let slots = Array.make (2 * Array.length t.slots) none in
+    Array.iter (fun n -> if n <> none then place t slots n) t.slots;
     t.slots <- slots
   end;
-  place t.slots t.vacant node;
+  place t t.slots node;
   t.nstates <- t.nstates + 1
 
-(* The node with hash [shash] satisfying [matches], if any. *)
+(* The node with hash [shash] satisfying [matches], or [none]. *)
 let lookup t shash matches =
   let slots = t.slots in
   let mask = Array.length slots - 1 in
   let rec probe i =
     let n = slots.(i) in
-    if n == t.vacant then None
-    else if n.shash = shash && matches n then Some n
+    if n = none then none
+    else if iget t.n_shash n = shash && matches n then n
     else probe ((i + 1) land mask)
   in
   probe (slot_of slots shash)
@@ -167,77 +315,110 @@ let lookup t shash matches =
 (* Slot order follows the state hashes and, within a probe run, the
    insertion order: deterministic, though not meaningful. *)
 let fold_nodes t f acc =
-  Array.fold_left (fun acc n -> if n == t.vacant then acc else f n acc) acc
-    t.slots
+  Array.fold_left (fun acc n -> if n = none then acc else f n acc) acc t.slots
+
+(* Room for one more node, which takes the next index; the caller
+   registers it. *)
+let[@inline] new_node t ~shash ~card ~up ~via =
+  let i = t.nstates in
+  if not (has_room t.n_shash i) then begin
+    t.n_shash <- extend t.n_shash i 0;
+    t.n_card <- extend t.n_card i 0;
+    t.n_up <- extend t.n_up i none;
+    t.n_via <- extend t.n_via i none;
+    t.n_first <- extend t.n_first i none
+  end;
+  iset t.n_shash i shash;
+  iset t.n_card i card;
+  iset t.n_up i up;
+  iset t.n_via i via;
+  iset t.n_first i none;
+  i
+
+let base_node t ~shash state =
+  let card = Op_id.Set.cardinal state in
+  let i = new_node t ~shash ~card ~up:t.nstates ~via:none in
+  Hashtbl.replace t.bases i state;
+  register t i;
+  i
 
 (* A state known to be absent (every ladder state contains an
    operation no existing state does): no lookup.  Its hash is one
    addition away from [up]'s. *)
-let fresh_node t ~up ~via ~mh =
-  let node =
-    {
-      shash = up.shash + mh;
-      card = up.card + 1;
-      up;
-      via;
-      base = Op_id.Set.empty;
-      edges = [];
-    }
+let[@inline] fresh_node t ~up ~via =
+  let i =
+    new_node t
+      ~shash:(iget t.n_shash up + t.op_mix.(via))
+      ~card:(iget t.n_card up + 1) ~up ~via
   in
-  register t node;
-  node
+  register t i;
+  i
+
+(* An edge heading the chain [next]; the caller links it in. *)
+let[@inline] new_edge t ~orig ~form ~dst ~next =
+  let e = t.ntransitions in
+  if not (has_room t.e_orig e) then begin
+    t.e_orig <- extend t.e_orig e none;
+    t.e_dst <- extend t.e_dst e none;
+    t.e_next <- extend t.e_next e none;
+    t.e_form <- extend t.e_form e no_form
+  end;
+  iset t.e_orig e orig;
+  iset t.e_dst e dst;
+  iset t.e_next e next;
+  fset t.e_form e form;
+  t.ntransitions <- e + 1;
+  e
+
+(* The edge labelled [o] in the chain from [e], or [none]. *)
+let rec find_edge t e o =
+  if e = none || iget t.e_orig e = o then e else find_edge t (iget t.e_next e) o
 
 (* --- Materializing states ---------------------------------------------- *)
 
 (* The state of one node: the base set of its chain plus every [via]
    above it, added bottom-up. *)
-let state_of node =
+let state_of t node =
   let rec climb node vias =
-    if is_base node then
-      List.fold_left (fun s id -> Op_id.Set.add id s) node.base vias
-    else climb node.up (node.via :: vias)
+    if is_base t node then
+      List.fold_left (fun s id -> Op_id.Set.add id s) (base_state t node) vias
+    else climb (iget t.n_up node) (op_id t (iget t.n_via node) :: vias)
   in
   climb node []
 
-(* Many states at once: a per-call memo (nodes keyed by hash and told
-   apart by identity) makes each node one [Set.add] onto its [up]'s
-   materialized set. *)
-let materializer () =
-  let memo : (int, (node * state) list) Hashtbl.t = Hashtbl.create 256 in
-  let known node =
-    match Hashtbl.find_opt memo node.shash with
-    | None -> None
-    | Some bucket -> List.assq_opt node bucket
-  in
-  let remember node s =
-    let bucket = Option.value (Hashtbl.find_opt memo node.shash) ~default:[] in
-    Hashtbl.replace memo node.shash ((node, s) :: bucket)
-  in
+(* Many states at once: a per-call memo makes each node one [Set.add]
+   onto its [up]'s materialized set.  The nodes must not change while
+   it is in use. *)
+let materializer t =
+  let memo = Array.make t.nstates initial_state in
+  let known = Bytes.make t.nstates '\000' in
   let rec descend s = function
     | [] -> s
     | node :: rest ->
-      let s = Op_id.Set.add node.via s in
-      remember node s;
+      let s = Op_id.Set.add (op_id t (iget t.n_via node)) s in
+      memo.(node) <- s;
+      Bytes.set known node '\001';
       descend s rest
   in
   let rec climb node pending =
-    if is_base node then descend node.base pending
-    else
-      match known node with
-      | Some s -> descend s pending
-      | None -> climb node.up (node :: pending)
+    if is_base t node then descend (base_state t node) pending
+    else if Char.equal (Bytes.get known node) '\001' then
+      descend memo.(node) pending
+    else climb (iget t.n_up node) (node :: pending)
   in
   fun node -> climb node []
 
 (* Whether [node]'s state is [s] ([card] elements), decided without
    materializing it: the cardinalities agree and every element of the
    chain is in [s]. *)
-let holds node s ~card =
+let holds t node s ~card =
   let rec chain node =
-    if is_base node then Op_id.Set.subset node.base s
-    else Op_id.Set.mem node.via s && chain node.up
+    if is_base t node then Op_id.Set.subset (base_state t node) s
+    else
+      Op_id.Set.mem (op_id t (iget t.n_via node)) s
+      && chain (iget t.n_up node)
   in
-  node.card = card && chain node
+  iget t.n_card node = card && chain node
 
 (* Whether [dst]'s state is [src]'s plus [o], decided from the chains
    alone.  A node made while processing an operation [x] has [via = x]
@@ -246,28 +427,35 @@ let holds node s ~card =
    level up: then [src] and [dst] both extend the ends of an [o]-edge
    below by [x], and that edge is checked the same way.  [false] only
    means undecided. *)
-let rec extends_by_edge src dst o =
-  dst.card = src.card + 1
-  && (not (is_base dst))
-  && (if dst.up == src then Op_id.equal dst.via o
-      else
-        (not (is_base src))
-        && Op_id.equal src.via dst.via
-        &&
-        match List.find_opt (fun e -> Op_id.equal e.orig o) src.up.edges with
-        | Some e -> e.dst == dst.up && extends_by_edge src.up dst.up o
-        | None -> false)
+let rec extends_by_edge t src dst o =
+  iget t.n_card dst = iget t.n_card src + 1
+  && (not (is_base t dst))
+  &&
+  if iget t.n_up dst = src then iget t.n_via dst = o
+  else
+    (not (is_base t src))
+    && iget t.n_via src = iget t.n_via dst
+    &&
+    let below = iget t.n_up src in
+    let e = find_edge t (iget t.n_first below) o in
+    e <> none
+    && iget t.e_dst e = iget t.n_up dst
+    && extends_by_edge t below (iget t.n_up dst) o
 
-(* The target of [edge] from [src], whose state is [src_state]: one
-   [Set.add] when the chains show it extends [src] by [edge]'s
-   operation (every edge a ladder made), a chain walk otherwise. *)
-let target_of ~src ~src_state edge =
-  if extends_by_edge src edge.dst edge.orig then
-    Op_id.Set.add edge.orig src_state
-  else state_of edge.dst
+(* The target of edge [e] from [src], whose state is [src_state]: one
+   [Set.add] when the chains show it extends [src] by [e]'s operation
+   (every edge a ladder made), a chain walk otherwise. *)
+let target_of t ~src ~src_state e =
+  let orig = iget t.e_orig e and dst = iget t.e_dst e in
+  if extends_by_edge t src dst orig then Op_id.Set.add (op_id t orig) src_state
+  else state_of t dst
 
-let transition_of ~src ~src_state edge =
-  { orig = edge.orig; form = edge.form; target = target_of ~src ~src_state edge }
+let transition_of t ~src ~src_state e =
+  {
+    orig = op_id t (iget t.e_orig e);
+    form = fget t.e_form e;
+    target = target_of t ~src ~src_state e;
+  }
 
 (* ------------------------------------------------------------------------ *)
 
@@ -275,27 +463,11 @@ let create ?(transform = Transform.xform) ?fastpath ~key_of () =
   let fp =
     match fastpath with Some fp -> fp | None -> Fastpath.create ()
   in
-  let vacant = vacant_node () in
-  let root_node = base_node ~shash:0 initial_state in
   let t =
-    {
-      slots = table_for vacant 1;
-      vacant;
-      nstates = 0;
-      key_of;
-      transform;
-      fast_ok = transform == Transform.xform;
-      fp;
-      root = initial_state;
-      final = initial_state;
-      final_src = initial_state;
-      final_node = root_node;
-      ot_count = 0;
-      ntransitions = 0;
-      observer = None;
-    }
+    make ~key_of ~transform ~fp ~root:initial_state ~final:initial_state
+      ~nodes:1 ~op_index:None
   in
-  register t root_node;
+  t.final_node <- base_node t ~shash:0 initial_state;
   t
 
 let root t = t.root
@@ -304,73 +476,77 @@ let final t = t.final
 
 let find_node_opt t state =
   let card = Op_id.Set.cardinal state in
-  lookup t (state_hash state) (fun n -> holds n state ~card)
+  lookup t (state_hash state) (fun n -> holds t n state ~card)
 
 let find_node t state =
-  match find_node_opt t state with
-  | Some node -> node
-  | None ->
+  let node = find_node_opt t state in
+  if node = none then
     invalid_arg
       (Format.asprintf "State_space: no state matches context %a" Op_id.Set.pp
-         state)
+         state);
+  node
 
-let mem_state t state = Option.is_some (find_node_opt t state)
+let mem_state t state = find_node_opt t state <> none
 
 let transitions t state =
   let src = find_node t state in
-  List.map (transition_of ~src ~src_state:state) src.edges
+  let rec collect e acc =
+    if e = none then List.rev acc
+    else
+      collect (iget t.e_next e)
+        (transition_of t ~src ~src_state:state e :: acc)
+  in
+  collect (iget t.n_first src) []
 
 (* In slot order (see {!fold_nodes}). *)
 let states t =
-  let state_of = materializer () in
+  let state_of = materializer t in
   fold_nodes t (fun node acc -> state_of node :: acc) []
 
 let num_states t = t.nstates
 
-(* Maintained incrementally by {!insert_edge} / {!compact}: the growth
-   observer reads it after every operation, so the O(states) fold is
-   too slow to recompute each time. *)
+(* Kept by {!insert_edge} / {!compact}: the growth observer reads it
+   after every operation. *)
 let num_transitions t = t.ntransitions
 
 let size t = num_states t + num_transitions t
 
-(* Insert an edge among a node's ordered children; [key] is the
-   ordering key of [edge.orig], which callers look up once per
-   operation rather than once per insertion (a key may turn from
-   [Pending] to [Serialized] between two operations, but never while
-   one is processed, and the relative order never changes).  Equal
-   keys cannot occur: an operation identifier labels at most one
+(* Splice a new edge into [node]'s ordered chain, before the first edge
+   [cur] whose key exceeds [key], the ordering key of [orig]; the keys
+   of the edges passed come from the per-epoch cache ({!key_of_op}).
+   Equal keys cannot occur: an operation identifier labels at most one
    transition per state (Lemma 6.3's "parallel transitions" are at
-   distinct states). *)
-let insert_edge t node ~key edge =
-  let rec insert = function
-    | [] -> [ edge ]
-    | e :: rest as all ->
-      if Op_id.equal e.orig edge.orig then
-        invalid_arg
-          (Format.asprintf
-             "State_space: operation %a already has a transition from state \
-              %a"
-             Op_id.pp edge.orig Op_id.Set.pp (state_of node))
-      else if Order_key.compare key (t.key_of e.orig) < 0 then edge :: all
-      else e :: insert rest
-  in
-  node.edges <- insert node.edges;
-  t.ntransitions <- t.ntransitions + 1
+   distinct states).  A toplevel recursion, so a splice allocates no
+   closure. *)
+let rec splice t node ~key ~orig ~form ~dst prev cur =
+  if cur <> none && iget t.e_orig cur = orig then
+    invalid_arg
+      (Format.asprintf
+         "State_space: operation %a already has a transition from state %a"
+         Op_id.pp (op_id t orig) Op_id.Set.pp (state_of t node))
+  else if
+    cur = none || Order_key.compare key (key_of_op t (iget t.e_orig cur)) < 0
+  then begin
+    let e = new_edge t ~orig ~form ~dst ~next:cur in
+    if prev = none then iset t.n_first node e else iset t.e_next prev e
+  end
+  else splice t node ~key ~orig ~form ~dst cur (iget t.e_next cur)
+
+let[@inline] insert_edge t node ~key ~orig ~form ~dst =
+  splice t node ~key ~orig ~form ~dst none (iget t.n_first node)
 
 (* Check that the leftmost path from [node] ends at the final node;
    the ladder walks below then follow it without re-checking. *)
 let check_leftmost t ~start node =
   let rec walk n =
-    match n.edges with
-    | e :: _ -> walk e.dst
-    | [] ->
-      if n != t.final_node then
-        invalid_arg
-          (Format.asprintf
-             "State_space: leftmost path from %a ends at %a, not at the \
-              final state %a"
-             Op_id.Set.pp start Op_id.Set.pp (state_of n) Op_id.Set.pp t.final)
+    let e = iget t.n_first n in
+    if e <> none then walk (iget t.e_dst e)
+    else if n <> t.final_node then
+      invalid_arg
+        (Format.asprintf
+           "State_space: leftmost path from %a ends at %a, not at the final \
+            state %a"
+           Op_id.Set.pp start Op_id.Set.pp (state_of t n) Op_id.Set.pp t.final)
   in
   walk node
 
@@ -378,15 +554,15 @@ let leftmost_path t state =
   let node = find_node t state in
   check_leftmost t ~start:state node;
   let rec walk src src_state acc =
-    match src.edges with
-    | [] -> List.rev acc
-    | e :: _ ->
-      let tr = transition_of ~src ~src_state e in
-      walk e.dst tr.target (tr :: acc)
+    let e = iget t.n_first src in
+    if e = none then List.rev acc
+    else
+      let tr = transition_of t ~src ~src_state e in
+      walk (iget t.e_dst e) tr.target (tr :: acc)
   in
   walk node state []
 
-let xform t o1 o2 =
+let[@inline] xform t o1 o2 =
   t.ot_count <- t.ot_count + 1;
   t.transform o1 o2
 
@@ -402,7 +578,7 @@ let notify_growth t ~ot_before =
   match t.observer with
   | None -> ()
   | Some notify ->
-    notify ~level:t.final_node.card ~states:(num_states t)
+    notify ~level:(iget t.n_card t.final_node) ~states:(num_states t)
       ~transitions:t.ntransitions ~ots:(t.ot_count - ot_before)
 
 let check_fresh t id =
@@ -422,16 +598,17 @@ let grow_final t fnode id =
 let add_op t { Context.op; ctx } =
   let id = op.Op.id in
   check_fresh t id;
+  new_epoch t;
   let ot_before = t.ot_count in
-  let mh = id_mix id in
   if context_is_final t ctx then begin
     (* Context-match fast path: O(1) node work, zero transformations,
        and — by Lemma 6.4 — exactly what the generic walk below would
        have produced from an empty leftmost path. *)
     t.fp.Fastpath.context_hits <- t.fp.Fastpath.context_hits + 1;
     let node = t.final_node in
-    let fnode = fresh_node t ~up:node ~via:id ~mh in
-    insert_edge t node ~key:(t.key_of id) { orig = id; form = op; dst = fnode };
+    let o = intern t id in
+    let fnode = fresh_node t ~up:node ~via:o in
+    insert_edge t node ~key:(t.key_of id) ~orig:o ~form:op ~dst:fnode;
     grow_final t fnode id;
     notify_growth t ~ot_before;
     op
@@ -440,6 +617,7 @@ let add_op t { Context.op; ctx } =
     let entry = find_node t ctx in
     check_leftmost t ~start:ctx entry;
     let key = t.key_of id in
+    let oid = intern t id in
     (* One "square" of the commuting ladder per leftmost step: from
        the source [s] with leftmost edge [e : s -> s'], add
        [s -o-> s+o] (in its order among the children of [s]) and
@@ -447,23 +625,27 @@ let add_op t { Context.op; ctx } =
        leftmost edge is read before [s] gains the new edge, which is
        the path the walk checked above.  [s_plus] is [s + op]: fresh
        in the first square, the previous square's upper target
-       afterwards. *)
+       afterwards.  At the final node the last op-labelled transition
+       gets the fully transformed form [o], which is returned. *)
     let rec ladder s s_plus o =
-      match s.edges with
-      | [] -> s, s_plus, o
-      | e :: _ ->
-        insert_edge t s ~key { orig = id; form = o; dst = s_plus };
-        let tgt_plus = fresh_node t ~up:e.dst ~via:id ~mh in
-        insert_edge t s_plus ~key:(t.key_of e.orig)
-          { orig = e.orig; form = xform t e.form o; dst = tgt_plus };
+      let e = iget t.n_first s in
+      if e = none then begin
+        insert_edge t s ~key ~orig:oid ~form:o ~dst:s_plus;
+        grow_final t s_plus id;
+        o
+      end
+      else begin
+        let e_orig = iget t.e_orig e and e_dst = iget t.e_dst e in
+        let e_form = fget t.e_form e in
+        insert_edge t s ~key ~orig:oid ~form:o ~dst:s_plus;
+        let tgt_plus = fresh_node t ~up:e_dst ~via:oid in
+        insert_edge t s_plus ~key:(key_of_op t e_orig) ~orig:e_orig
+          ~form:(xform t e_form o) ~dst:tgt_plus;
         t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1;
-        ladder e.dst tgt_plus (xform t o e.form)
+        ladder e_dst tgt_plus (xform t o e_form)
+      end
     in
-    let last, fnode, o = ladder entry (fresh_node t ~up:entry ~via:id ~mh) op in
-    (* [last] is the final node: record the fully transformed form
-       along the last op-labelled transition. *)
-    insert_edge t last ~key { orig = id; form = o; dst = fnode };
-    grow_final t fnode id;
+    let o = ladder entry (fresh_node t ~up:entry ~via:oid) op in
     notify_growth t ~ot_before;
     o
   end
@@ -474,10 +656,14 @@ let add_op t { Context.op; ctx } =
    extended by exactly [prev]'s operation — the shape of two
    operations generated back to back by one replica.  Within one FIFO
    stream contexts grow monotonically, so this test is also how a
-   mixed batch is split back into contiguous runs. *)
+   mixed batch is split back into contiguous runs.  Equality is
+   decided by cardinality and inclusion, which allocates nothing when
+   the two trees have the same shape — as they do when [ctx'] was
+   built by the same [Set.add] — where [Op_id.Set.equal] allocates
+   along both trees. *)
 let extends_by ~prev ctx' =
-  Op_id.Set.equal ctx'
-    (Op_id.Set.add prev.Context.op.Op.id prev.Context.ctx)
+  let ctx = Op_id.Set.add prev.Context.op.Op.id prev.Context.ctx in
+  Op_id.Set.cardinal ctx' = Op_id.Set.cardinal ctx && Op_id.Set.subset ctx' ctx
 
 (* Maximal contiguous runs of a batch, order preserved. *)
 let segment_runs ops =
@@ -538,10 +724,10 @@ let shift_by d o =
    element priority decides, fall back to the generic squares). *)
 let run_segment t seg =
   List.iter (fun { Context.op; _ } -> check_fresh t op.Op.id) seg;
+  new_epoch t;
   let ot_before = t.ot_count in
   let k = List.length seg in
   let ids = Array.of_list (List.map (fun oc -> oc.Context.op.Op.id) seg) in
-  let mixes = Array.map id_mix ids in
   let forms = Array.of_list (List.map (fun oc -> oc.Context.op) seg) in
   let entry_ctx = (List.hd seg).Context.ctx in
   let quiescent = context_is_final t entry_ctx in
@@ -552,42 +738,47 @@ let run_segment t seg =
     t.fp.Fastpath.context_hits <- t.fp.Fastpath.context_hits + k
   else check_leftmost t ~start:entry_ctx entry_node;
   let keys = Array.map t.key_of ids in
+  let oids = Array.map (intern t) ids in
   (* While [Some q], the lanes form a pure append run starting at [q]. *)
   let run_q =
-    ref (if t.fp.Fastpath.enabled && t.fast_ok then run_start_of forms else None)
+    ref
+      (if t.fp.Fastpath.enabled && t.fast_ok then run_start_of forms
+       else None)
   in
   (* Entry row: lane nodes [ctx ∪ {o1..oi}], each original operation
      saved along its transition in order (Algorithm 1's first step,
      once per operation of the run).  Every lane node is fresh: its
      state contains its operation, which no existing state does.  The
-     path node's edges are read before the first lane edge joins
-     them. *)
-  let path = entry_node.edges in
+     path node's leftmost edge is read before the first lane edge
+     joins its chain. *)
+  let path = iget t.n_first entry_node in
   let entry = Array.make (k + 1) entry_node in
   for i = 1 to k do
     let below = entry.(i - 1) in
-    let node = fresh_node t ~up:below ~via:ids.(i - 1) ~mh:mixes.(i - 1) in
-    insert_edge t below ~key:keys.(i - 1)
-      { orig = ids.(i - 1); form = forms.(i - 1); dst = node };
+    let node = fresh_node t ~up:below ~via:oids.(i - 1) in
+    insert_edge t below ~key:keys.(i - 1) ~orig:oids.(i - 1)
+      ~form:forms.(i - 1) ~dst:node;
     entry.(i) <- node
   done;
   (* One level per leftmost step [e]: [prev] is the row of lane nodes
      above [e]'s source ([prev.(0)] the source, [prev.(i)] its state
      plus the run's first [i] operations), [cur] receives the row above
      [e]'s target; the two arrays swap roles level by level.  The
-     target's edges are read before its first lane edge joins them. *)
-  let rec levels prev cur = function
-    | [] -> prev
-    | e :: _ ->
-      let tgt = e.dst in
-      let path = tgt.edges in
+     target's leftmost edge is read before its first lane edge joins
+     its chain. *)
+  let rec levels prev cur e =
+    if e = none then prev
+    else begin
+      let tgt = iget t.e_dst e and e_orig = iget t.e_orig e in
+      let e_form = fget t.e_form e in
+      let path = iget t.n_first tgt in
       cur.(0) <- tgt;
-      let path_key = t.key_of e.orig in
+      let path_key = key_of_op t e_orig in
       let fast =
         match !run_q with
         | None -> None
         | Some q -> (
-          match e.form.Op.action with
+          match e_form.Op.action with
           | Op.Nop -> Some (0, false)
           | Op.Ins (_, r) ->
             if r < q then Some (1, false)
@@ -602,29 +793,27 @@ let run_segment t seg =
            insertion it passes. *)
         for i = 1 to k do
           let below = cur.(i - 1) in
-          let node = fresh_node t ~up:below ~via:ids.(i - 1) ~mh:mixes.(i - 1) in
+          let node = fresh_node t ~up:below ~via:oids.(i - 1) in
           if lane_shift <> 0 then
             forms.(i - 1) <- shift_by lane_shift forms.(i - 1);
-          let f_i = if path_shifts then shift_by i e.form else e.form in
-          insert_edge t below ~key:keys.(i - 1)
-            { orig = ids.(i - 1); form = forms.(i - 1); dst = node };
-          insert_edge t prev.(i) ~key:path_key
-            { orig = e.orig; form = f_i; dst = node };
+          let f_i = if path_shifts then shift_by i e_form else e_form in
+          insert_edge t below ~key:keys.(i - 1) ~orig:oids.(i - 1)
+            ~form:forms.(i - 1) ~dst:node;
+          insert_edge t prev.(i) ~key:path_key ~orig:e_orig ~form:f_i ~dst:node;
           cur.(i) <- node
         done;
         t.fp.Fastpath.append_hits <- t.fp.Fastpath.append_hits + k;
         run_q := Option.map (fun q -> q + lane_shift) !run_q
       | None ->
-        let f = ref e.form in
+        let f = ref e_form in
         for i = 1 to k do
           let below = cur.(i - 1) in
-          let node = fresh_node t ~up:below ~via:ids.(i - 1) ~mh:mixes.(i - 1) in
+          let node = fresh_node t ~up:below ~via:oids.(i - 1) in
           let f' = xform t !f forms.(i - 1) in
           forms.(i - 1) <- xform t forms.(i - 1) !f;
-          insert_edge t below ~key:keys.(i - 1)
-            { orig = ids.(i - 1); form = forms.(i - 1); dst = node };
-          insert_edge t prev.(i) ~key:path_key
-            { orig = e.orig; form = f'; dst = node };
+          insert_edge t below ~key:keys.(i - 1) ~orig:oids.(i - 1)
+            ~form:forms.(i - 1) ~dst:node;
+          insert_edge t prev.(i) ~key:path_key ~orig:e_orig ~form:f' ~dst:node;
           f := f';
           cur.(i) <- node;
           t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1
@@ -633,6 +822,7 @@ let run_segment t seg =
            may or may not survive. *)
         if Option.is_some !run_q then run_q := run_start_of forms);
       levels cur prev path
+    end
   in
   let last = levels entry (Array.make (k + 1) entry_node) path in
   Array.iter (fun id -> grow_final t last.(k) id) ids;
@@ -653,77 +843,73 @@ let fastpath t = t.fp
 
 let set_observer t notify = t.observer <- Some notify
 
-(* Whether [node]'s state holds every element of [s], [k = |s|]: count
-   the chain's members of [s] until all are found or too few elements
-   remain. *)
-let covers node s ~k =
-  let rec count node found =
-    if found >= k then true
-    else if node.card + found < k then false
-    else if is_base node then
-      Op_id.Set.fold
-        (fun id n -> if Op_id.Set.mem id s then n + 1 else n)
-        node.base found
-      >= k
-    else count node.up (if Op_id.Set.mem node.via s then found + 1 else found)
-  in
-  count node 0
+(* [keep] with [none] for every dropped entry and, for the others,
+   their new indices: ascending, from 0.  Returns the number kept. *)
+let renumber keep =
+  let n = ref 0 in
+  Array.iteri
+    (fun i k ->
+      if k <> none then begin
+        keep.(i) <- !n;
+        incr n
+      end)
+    keep;
+  !n
 
 let compact t ~stable ~base_doc =
-  let stable_node =
-    match find_node_opt t stable with
-    | Some node -> node
-    | None ->
-      invalid_arg
-        (Format.asprintf "State_space.compact: %a is not a state" Op_id.Set.pp
-           stable)
-  in
+  let stable_node = find_node_opt t stable in
+  if stable_node = none then
+    invalid_arg
+      (Format.asprintf "State_space.compact: %a is not a state" Op_id.Set.pp
+         stable);
   if not (Op_id.Set.subset t.root stable) then
     invalid_arg "State_space.compact: stable state below the current root";
   let k = Op_id.Set.cardinal stable in
   (* The document at the stable state: the stable operations are the
      first ones in total order, so the leftmost path from the root
-     passes through [stable] (Lemma 6.4); replay its prefix. *)
-  let rec replay doc node state =
-    if node == stable_node then doc
+     passes through [stable] (Lemma 6.4); replay its prefix.  Every
+     state on the way must lie within [stable]: the root does, and a
+     step whose chains show it adds one operation stays within iff
+     that operation is stable, so only the other steps materialize
+     their target. *)
+  let rec replay doc node =
+    if node = stable_node then doc
     else
-      match node.edges with
-      | [] ->
+      let e = iget t.n_first node in
+      if e = none then
         invalid_arg
           (Format.asprintf
              "State_space.compact: stable state %a not reachable along the \
               leftmost path"
              Op_id.Set.pp stable)
-      | e :: _ ->
-        let target = target_of ~src:node ~src_state:state e in
-        if not (Op_id.Set.subset target stable) then
+      else
+        let orig = iget t.e_orig e and dst = iget t.e_dst e in
+        let within =
+          if extends_by_edge t node dst orig then
+            Op_id.Set.mem (op_id t orig) stable
+          else Op_id.Set.subset (state_of t dst) stable
+        in
+        if not within then
           invalid_arg
             (Format.asprintf
                "State_space.compact: %a is not a prefix of the total order"
                Op_id.Set.pp stable)
-        else replay (Op.apply e.form doc) e.dst target
+        else replay (Op.apply (fget t.e_form e) doc) dst
   in
-  let stable_doc = replay base_doc (find_node t t.root) t.root in
+  let stable_doc = replay base_doc (find_node t t.root) in
   (* Drop every state that does not contain the stable set: no future
-     context can match it.  (A transition from a surviving state
-     targets a superset of it, hence also survives — only the doomed
-     nodes' own transitions leave the count.) *)
-  let survivors =
-    fold_nodes t
-      (fun node survivors ->
-        if covers node stable ~k then node :: survivors
-        else begin
-          t.ntransitions <- t.ntransitions - List.length node.edges;
-          survivors
-        end)
-      []
-  in
-  (* Rebase the survivors: subtract the stable set from every retained
-     state, in place, so set sizes track the live window rather than
-     the full operation history — without this, every context lookup
-     and state hash would cost O(total ops ever) and a long-running
-     replica's per-op latency would grow with its uptime.  A survivor
-     whose [via] is stable sits right above the frontier: its [up] is
+     context can match it.  A transition from a surviving state
+     targets a superset of it, hence also survives; so do the
+     operations the surviving chains and edges mention.  Everything
+     else is dropped and the survivors renumbered by index, in their
+     old order, so each array compacts in place.
+
+     Rebase the survivors: subtract the stable set from every retained
+     state, so set sizes track the live window rather than the full
+     operation history — without this, every context lookup and state
+     hash would cost O(total ops ever) and a long-running replica's
+     per-op latency would grow with its uptime.  A survivor whose
+     [via] is stable sits right above the frontier: its [up] is
      dropped, so it becomes a base node holding its rebased state.
      Every other survivor keeps its chain ([up] survives, [via] is not
      stable), and base survivors drop the stable elements from their
@@ -732,33 +918,111 @@ let compact t ~stable ~base_doc =
      O(1) per node, and the root returns to the empty set: states are
      always relative to the current compaction frontier, which is why
      contexts crossing replica boundaries must be translated by the
-     protocol (see Pruned_protocol).  The table is rebuilt because the
-     hashes changed; node pointers (edges, [final_node]) survive
-     untouched. *)
-  let rebased =
-    List.filter_map
-      (fun node ->
-        if is_base node then Some (node, Op_id.Set.diff node.base stable)
-        else if Op_id.Set.mem node.via stable then
-          Some (node, Op_id.Set.diff (state_of node) stable)
-        else None)
-      survivors
-  in
+     protocol (see Pruned_protocol). *)
+  let nodes = t.nstates and edges = t.ntransitions in
+  (* [inside.(i)]: how many stable operations node [i]'s state holds.
+     A chain node's [up] precedes it in index order, so one ascending
+     pass counts them all, one membership test per node. *)
+  let inside = Array.make nodes 0 in
+  let node_map = Array.make nodes none in
+  let edge_map = Array.make edges none in
+  let op_map = Array.make t.nops none in
+  let rebased = Bytes.make nodes '\000' in
+  let new_bases = ref [] in
+  for i = 0 to nodes - 1 do
+    inside.(i) <-
+      (if is_base t i then
+         Op_id.Set.fold
+           (fun id n -> if Op_id.Set.mem id stable then n + 1 else n)
+           (base_state t i) 0
+       else
+         inside.(iget t.n_up i)
+         + if Op_id.Set.mem (op_id t (iget t.n_via i)) stable then 1 else 0);
+    if inside.(i) = k then begin
+      node_map.(i) <- i;
+      let rec mark e =
+        if e <> none then begin
+          edge_map.(e) <- e;
+          op_map.(iget t.e_orig e) <- 0;
+          mark (iget t.e_next e)
+        end
+      in
+      mark (iget t.n_first i);
+      if is_base t i then begin
+        Bytes.set rebased i '\001';
+        new_bases := (i, Op_id.Set.diff (base_state t i) stable) :: !new_bases
+      end
+      else if Op_id.Set.mem (op_id t (iget t.n_via i)) stable then begin
+        Bytes.set rebased i '\001';
+        new_bases := (i, Op_id.Set.diff (state_of t i) stable) :: !new_bases
+      end
+      else op_map.(iget t.n_via i) <- 0
+    end
+  done;
+  let survivors = renumber node_map in
+  let kept_edges = renumber edge_map in
+  let kept_ops = renumber op_map in
+  for o = 0 to t.nops - 1 do
+    let o' = op_map.(o) in
+    if o' <> none then begin
+      t.op_ids.(o') <- t.op_ids.(o);
+      t.op_mix.(o') <- t.op_mix.(o)
+    end
+  done;
+  Array.fill t.op_ids kept_ops (t.nops - kept_ops) no_id;
+  t.nops <- kept_ops;
+  Option.iter
+    (fun index ->
+      Op_id.Table.reset index;
+      for o = 0 to kept_ops - 1 do
+        Op_id.Table.replace index t.op_ids.(o) o
+      done)
+    t.op_index;
+  let remap map i = if i = none then none else map.(i) in
+  for e = 0 to edges - 1 do
+    let e' = edge_map.(e) in
+    if e' <> none then begin
+      iset t.e_orig e' (op_map.(iget t.e_orig e));
+      iset t.e_dst e' (node_map.(iget t.e_dst e));
+      iset t.e_next e' (remap edge_map (iget t.e_next e));
+      fset t.e_form e' (fget t.e_form e)
+    end
+  done;
+  for e = kept_edges to edges - 1 do
+    fset t.e_form e no_form
+  done;
+  t.ntransitions <- kept_edges;
   let stable_mix = state_hash stable in
-  List.iter
-    (fun node ->
-      node.shash <- node.shash - stable_mix;
-      node.card <- node.card - k)
-    survivors;
-  List.iter
-    (fun (node, base) ->
-      node.up <- node;
-      node.via <- no_via;
-      node.base <- base)
-    rebased;
-  t.slots <- table_for t.vacant (List.length survivors);
+  for i = 0 to nodes - 1 do
+    let i' = node_map.(i) in
+    if i' <> none then begin
+      iset t.n_shash i' (iget t.n_shash i - stable_mix);
+      iset t.n_card i' (iget t.n_card i - k);
+      if Char.equal (Bytes.get rebased i) '\001' then begin
+        iset t.n_up i' i';
+        iset t.n_via i' none
+      end
+      else begin
+        iset t.n_up i' (node_map.(iget t.n_up i));
+        iset t.n_via i' (op_map.(iget t.n_via i))
+      end;
+      iset t.n_first i' (remap edge_map (iget t.n_first i))
+    end
+  done;
+  Hashtbl.reset t.bases;
+  List.iter (fun (i, base) -> Hashtbl.replace t.bases node_map.(i) base)
+    !new_bases;
+  t.final_node <- node_map.(t.final_node);
+  (* The table is rebuilt because the hashes changed.  Survivors are
+     registered in descending order of their old slots, so the slot
+     order {!states} reports does not depend on the renumbering. *)
+  let old_slots = t.slots in
+  t.slots <- table_for survivors;
   t.nstates <- 0;
-  List.iter (register t) survivors;
+  for s = Array.length old_slots - 1 downto 0 do
+    let i = old_slots.(s) in
+    if i <> none && node_map.(i) <> none then register t node_map.(i)
+  done;
   t.root <- initial_state;
   t.final <- Op_id.Set.diff t.final stable;
   t.final_src <- Op_id.Set.diff t.final_src stable;
@@ -768,45 +1032,34 @@ let equal t1 t2 =
   Op_id.Set.equal t1.final t2.final
   && num_states t1 = num_states t2
   &&
-  let state1 = materializer () and state2 = materializer () in
-  let edge_equal e e' =
-    Op_id.equal e.orig e'.orig && Op.equal e.form e'.form
-    && Op_id.Set.equal (state1 e.dst) (state2 e'.dst)
+  let state1 = materializer t1 and state2 = materializer t2 in
+  let rec chains_equal e e' =
+    if e = none || e' = none then e = none && e' = none
+    else
+      Op_id.equal (op_id t1 (iget t1.e_orig e)) (op_id t2 (iget t2.e_orig e'))
+      && Op.equal (fget t1.e_form e) (fget t2.e_form e')
+      && Op_id.Set.equal (state1 (iget t1.e_dst e)) (state2 (iget t2.e_dst e'))
+      && chains_equal (iget t1.e_next e) (iget t2.e_next e')
   in
   fold_nodes t1
     (fun node acc ->
       acc
       &&
       let s = state1 node in
-      match
-        lookup t2 node.shash (fun n ->
-            n.card = node.card && Op_id.Set.equal (state2 n) s)
-      with
-      | None -> false
-      | Some node' ->
-        List.length node.edges = List.length node'.edges
-        && List.for_all2 edge_equal node.edges node'.edges)
+      let card = iget t1.n_card node in
+      let node' =
+        lookup t2 (iget t1.n_shash node) (fun n ->
+            iget t2.n_card n = card && Op_id.Set.equal (state2 n) s)
+      in
+      node' <> none
+      && chains_equal (iget t1.n_first node) (iget t2.n_first node'))
     true
 
 let of_raw ~key_of ~root ~final assoc =
-  let vacant = vacant_node () in
   let t =
-    {
-      slots = table_for vacant (List.length assoc);
-      vacant;
-      nstates = 0;
-      key_of;
-      transform = Transform.xform;
-      fast_ok = true;
-      fp = Fastpath.create ();
-      root;
-      final;
-      final_src = final;
-      final_node = vacant (* patched below *);
-      ot_count = 0;
-      ntransitions = 0;
-      observer = None;
-    }
+    make ~key_of ~transform:Transform.xform ~fp:(Fastpath.create ()) ~root
+      ~final ~nodes:(List.length assoc)
+      ~op_index:(Some (Op_id.Table.create 16))
   in
   List.iter
     (fun (state, _) ->
@@ -814,15 +1067,15 @@ let of_raw ~key_of ~root ~final assoc =
         invalid_arg
           (Format.asprintf "State_space.of_raw: duplicate state %a"
              Op_id.Set.pp state);
-      register t (base_node ~shash:(state_hash state) state))
+      ignore (base_node t ~shash:(state_hash state) state))
     assoc;
   let require state =
-    match find_node_opt t state with
-    | Some node -> node
-    | None ->
+    let node = find_node_opt t state in
+    if node = none then
       invalid_arg
         (Format.asprintf "State_space.of_raw: missing state %a" Op_id.Set.pp
-           state)
+           state);
+    node
   in
   ignore (require root);
   t.final_node <- require final;
@@ -831,8 +1084,9 @@ let of_raw ~key_of ~root ~final assoc =
       let node = require state in
       List.iter
         (fun (tr : transition) ->
-          insert_edge t node ~key:(t.key_of tr.orig)
-            { orig = tr.orig; form = tr.form; dst = require tr.target })
+          let dst = require tr.target in
+          insert_edge t node ~key:(t.key_of tr.orig) ~orig:(intern t tr.orig)
+            ~form:tr.form ~dst)
         transitions)
     assoc;
   t

@@ -18,16 +18,19 @@
     execution.
 
     Nodes do not store their states: a node created by a ladder square
-    records the node it extends and the operation it adds, and
-    transitions point at target nodes.  Algorithm 1 ({!add_op},
-    {!add_run}) therefore never builds a set beyond the final state.
-    The accessors that return states — {!states}, {!transitions},
-    {!leftmost_path}, and {!equal}, {!union}, {!pp} on top of them —
-    materialize the sets on demand, at up to O(|state| log |state|)
-    per state returned, and a state given as an argument is found by
-    checking a candidate node's chain against it, at the same cost.
-    They serve analysis, rendering and tests, not the protocol hot
-    path. *)
+    records the node it extends and the operation it adds, and a
+    transition records its operation, its form and its target node.
+    Nodes, transitions and operations are indices into growable
+    [int] arrays (the forms into one array of their own), so a ladder
+    square writes a few integers and allocates little beyond its
+    transformed forms, and Algorithm 1 ({!add_op}, {!add_run}) never
+    builds a set beyond the final state.  The accessors that return
+    states — {!states}, {!transitions}, {!leftmost_path}, and {!equal},
+    {!union}, {!pp} on top of them — materialize the sets on demand,
+    at up to O(|state| log |state|) per state returned, and a state
+    given as an argument is found by checking a candidate node's chain
+    against it, at the same cost.  They serve analysis, rendering and
+    tests, not the protocol hot path. *)
 
 open Rlist_model
 open Rlist_ot
