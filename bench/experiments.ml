@@ -3,6 +3,7 @@
    recorded in EXPERIMENTS.md. *)
 
 open Rlist_model
+module Json = Rlist_obs.Json
 module Css = Rlist_sim.Engine.Make (Jupiter_css.Protocol)
 module Cscw = Rlist_sim.Engine.Make (Jupiter_cscw.Protocol)
 module Rga = Rlist_sim.Engine.Make (Jupiter_rga.Protocol)
@@ -672,14 +673,15 @@ let document_scaling ?(sizes = [ 100; 1_000; 10_000; 100_000 ]) ?(quota = 0.5)
   (match json_path with
   | None -> ()
   | Some path ->
-    let entries =
-      List.map
-        (fun ((key, impl, op, size), _) ->
-          { Harness.name = key; impl; op; size; ns_per_op = ns key })
-        all
+    let row ((key, impl, op, size), _) =
+      Json.(
+        Obj
+          [ "name", Str key; "impl", Str impl; "op", Str op; "size", Int size;
+            "ns_per_op", Fixed (2, ns key) ])
     in
-    Harness.write_json ~path ~benchmark:"document_scaling" entries;
-    Printf.printf "  wrote %s (%d entries)\n" path (List.length entries));
+    Harness.write_sections ~path ~benchmark:"document_scaling"
+      ~unit:"ns_per_op" [ "results", List.map row all ];
+    Printf.printf "  wrote %s (%d entries)\n" path (List.length all));
   results
 
 (* --- C13: observability — traced counters on the figure scenarios ------ *)
@@ -710,10 +712,10 @@ let c13_observability ?json_path () =
     List.iter
       (fun (metric, value) ->
         entries :=
-          Printf.sprintf
-            "{\"scenario\": \"%s\", \"protocol\": \"%s\", \"metric\": \
-             \"%s\", \"value\": %d}"
-            s.sname proto metric value
+          Json.(
+            Obj
+              [ "scenario", Str s.sname; "protocol", Str proto;
+                "metric", Str metric; "value", Int value ])
           :: !entries)
       [
         "events_traced", events;
@@ -780,44 +782,9 @@ let c13_observability ?json_path () =
    is only run where it is tractable.  Emits BENCH_mc.json on
    request. *)
 
-type mc_entry = {
-  m_workload : string;
-  m_protocol : string;
-  m_mode : string;  (* "por" or "naive" *)
-  m_states : int;
-  m_interleavings : int;
-  m_pruned_state : int;
-  m_pruned_sleep : int;
-  m_elapsed_s : float;
-  m_truncated : bool;
-  m_violations : string list;
-}
-
-let mc_write_json ~path entries =
-  Harness.write_sections ~path ~benchmark:"model_checking"
-    [
-      ( "results",
-        List.map
-          (fun e ->
-            Printf.sprintf
-              "{\"workload\": \"%s\", \"protocol\": \"%s\", \"mode\": \
-               \"%s\", \"states\": %d, \"interleavings\": %d, \
-               \"pruned_state\": %d, \"pruned_sleep\": %d, \"elapsed_s\": \
-               %.6f, \"states_per_sec\": %.0f, \"truncated\": %b, \
-               \"violations\": [%s]}"
-              e.m_workload e.m_protocol e.m_mode e.m_states e.m_interleavings
-              e.m_pruned_state e.m_pruned_sleep e.m_elapsed_s
-              (float_of_int e.m_states /. Float.max 1e-9 e.m_elapsed_s)
-              e.m_truncated
-              (String.concat ", "
-                 (List.map (fun s -> Printf.sprintf "\"%s\"" s)
-                    e.m_violations)))
-          entries );
-    ]
-
 let c14_model_checking ?json_path ?(smoke = false) () =
   section "C14 (model checking): POR reduction factor and throughput";
-  let entries = ref [] in
+  let rows = ref [] in
   Printf.printf "  %-18s | %-5s | %-5s | %8s %8s %9s %9s | %s\n" "workload"
     "proto" "mode" "states" "interlv" "pruned" "states/s" "violations";
   let specs = Rlist_mc.Mc.all_specs in
@@ -844,44 +811,42 @@ let c14_model_checking ?json_path ?(smoke = false) () =
         (fun (v : _ Rlist_mc.Explore.violation) -> v.Rlist_mc.Explore.v_spec)
         outcome.Rlist_mc.Mc.violations
     in
-    let e =
-      {
-        m_workload = workload.Rlist_mc.Workload.wname;
-        m_protocol = name;
-        m_mode = (if por then "por" else "naive");
-        m_states = stats.Rlist_mc.Explore.states;
-        m_interleavings = stats.Rlist_mc.Explore.terminals;
-        m_pruned_state = stats.Rlist_mc.Explore.pruned_state;
-        m_pruned_sleep = stats.Rlist_mc.Explore.pruned_sleep;
-        m_elapsed_s = elapsed;
-        m_truncated = stats.Rlist_mc.Explore.truncated;
-        m_violations = violations;
-      }
+    let wname = workload.Rlist_mc.Workload.wname in
+    let mode = if por then "por" else "naive" in
+    let { Rlist_mc.Explore.states; terminals; pruned_state; pruned_sleep;
+          truncated; _ } =
+      stats
     in
-    entries := e :: !entries;
-    Printf.printf "  %-18s | %-5s | %-5s | %8d %8d %9d %9.0f | %s\n"
-      e.m_workload e.m_protocol e.m_mode e.m_states e.m_interleavings
-      (e.m_pruned_state + e.m_pruned_sleep)
-      (float_of_int e.m_states /. Float.max 1e-9 elapsed)
+    let per_sec = float_of_int states /. Float.max 1e-9 elapsed in
+    rows :=
+      Json.(
+        Obj
+          [ "workload", Str wname; "protocol", Str name; "mode", Str mode;
+            "states", Int states; "interleavings", Int terminals;
+            "pruned_state", Int pruned_state; "pruned_sleep", Int pruned_sleep;
+            "elapsed_s", Fixed (6, elapsed);
+            "states_per_sec", Fixed (0, per_sec); "truncated", Bool truncated;
+            "violations", List (List.map (fun v -> Str v) violations) ])
+      :: !rows;
+    Printf.printf "  %-18s | %-5s | %-5s | %8d %8d %9d %9.0f | %s\n" wname
+      name mode states terminals (pruned_state + pruned_sleep) per_sec
       (if violations = [] then "-" else String.concat "," violations);
-    e
+    (List.sort String.compare violations, terminals, truncated)
   in
   let compare_modes protocol name workload =
-    let reduced = run_one protocol name ~por:true workload in
-    let naive = run_one protocol name ~por:false workload in
-    if
-      List.sort String.compare reduced.m_violations
-      <> List.sort String.compare naive.m_violations
-    then
+    let reduced, reduced_n, _ = run_one protocol name ~por:true workload in
+    let naive, naive_n, naive_truncated =
+      run_one protocol name ~por:false workload
+    in
+    if reduced <> naive then
       failwith
         (Printf.sprintf "C14: POR changed the %s/%s verdicts!" name
            workload.Rlist_mc.Workload.wname);
     (* A truncated naive run still lower-bounds the reduction. *)
     Printf.printf "  %-18s | %-5s | reduction factor %s%.1fx\n"
       workload.Rlist_mc.Workload.wname name
-      (if naive.m_truncated then ">=" else "")
-      (float_of_int naive.m_interleavings
-      /. Float.max 1.0 (float_of_int reduced.m_interleavings))
+      (if naive_truncated then ">=" else "")
+      (float_of_int naive_n /. Float.max 1.0 (float_of_int reduced_n))
   in
   let small = Rlist_mc.Workload.combinatorial ~nclients:2 ~ops:1 in
   let thm81 = Rlist_mc.Workload.thm81 in
@@ -898,12 +863,12 @@ let c14_model_checking ?json_path ?(smoke = false) () =
     "  claim: sleep sets + state caching preserve every verdict (asserted \
      above) while pruning the interleaving space; thm81 refutes the strong \
      spec under both modes (Thm 8.1).\n";
-  (match json_path with
+  match json_path with
   | None -> ()
   | Some path ->
-    mc_write_json ~path (List.rev !entries);
-    Printf.printf "  wrote %s (%d entries)\n" path (List.length !entries));
-  List.rev !entries
+    Harness.write_sections ~path ~benchmark:"model_checking"
+      [ "results", List.rev !rows ];
+    Printf.printf "  wrote %s (%d entries)\n" path (List.length !rows)
 
 (* --- C15: unreliable network — shim cost vs loss rate ------------------ *)
 
@@ -915,43 +880,10 @@ let c14_model_checking ?json_path ?(smoke = false) () =
    the FIFO-exactly-once contract at any loss < 1 — and the bench
    asserts it.  Emits BENCH_net.json on request. *)
 
-type net_entry = {
-  n_protocol : string;
-  n_faults : string;
-  n_loss : float;
-  n_converged : bool;
-  n_ticks : int;
-  n_payloads : int;
-  n_transmissions : int;
-  n_retransmits : int;
-  n_dup_dropped : int;
-  n_partitions_healed : int;
-  n_amplification : float;
-  n_elapsed_s : float;
-}
-
-let net_write_json ~path entries =
-  Harness.write_sections ~path ~benchmark:"unreliable_network"
-    [
-      ( "results",
-        List.map
-          (fun e ->
-            Printf.sprintf
-              "{\"protocol\": \"%s\", \"faults\": \"%s\", \"loss\": %.2f, \
-               \"converged\": %b, \"ticks\": %d, \"payloads\": %d, \
-               \"transmissions\": %d, \"retransmits\": %d, \"dup_dropped\": \
-               %d, \"partitions_healed\": %d, \"amplification\": %.3f, \
-               \"elapsed_s\": %.6f}"
-              e.n_protocol e.n_faults e.n_loss e.n_converged e.n_ticks
-              e.n_payloads e.n_transmissions e.n_retransmits e.n_dup_dropped
-              e.n_partitions_healed e.n_amplification e.n_elapsed_s)
-          entries );
-    ]
-
 let c15_network ?json_path ?(smoke = false) () =
   section "C15 (network): reliability-shim cost vs loss rate";
   let updates = if smoke then 30 else 120 in
-  let entries = ref [] in
+  let rows = ref [] in
   Printf.printf "  %-5s | %-26s | %5s %6s %7s %7s %8s %6s\n" "proto" "faults"
     "loss" "ticks" "msgs" "retx" "dup-drop" "ampl";
   let run_cs (type c s c2s s2c)
@@ -974,26 +906,26 @@ let c15_network ?json_path ?(smoke = false) () =
       failwith
         (Printf.sprintf "C15: %s diverged under the shim (%s)" P.name
            (Rlist_net.Faults.to_string faults));
-    let e =
-      {
-        n_protocol = P.name;
-        n_faults = Rlist_net.Faults.to_string faults;
-        n_loss = loss;
-        n_converged = true;
-        n_ticks = st.Rlist_net.Stats.ticks;
-        n_payloads = st.Rlist_net.Stats.payloads;
-        n_transmissions = st.Rlist_net.Stats.transmissions;
-        n_retransmits = st.Rlist_net.Stats.retransmits;
-        n_dup_dropped = st.Rlist_net.Stats.dup_dropped;
-        n_partitions_healed = st.Rlist_net.Stats.partitions_healed;
-        n_amplification = Rlist_net.Stats.amplification st;
-        n_elapsed_s = elapsed;
-      }
+    let fname = Rlist_net.Faults.to_string faults in
+    let amplification = Rlist_net.Stats.amplification st in
+    let { Rlist_net.Stats.ticks; payloads; transmissions; retransmits;
+          dup_dropped; partitions_healed; _ } =
+      st
     in
-    entries := e :: !entries;
-    Printf.printf "  %-5s | %-26s | %5.2f %6d %7d %7d %8d %6.2f\n" e.n_protocol
-      e.n_faults e.n_loss e.n_ticks e.n_transmissions e.n_retransmits
-      e.n_dup_dropped e.n_amplification
+    rows :=
+      Json.(
+        Obj
+          [ "protocol", Str P.name; "faults", Str fname;
+            "loss", Fixed (2, loss); "converged", Bool true;
+            "ticks", Int ticks; "payloads", Int payloads;
+            "transmissions", Int transmissions; "retransmits", Int retransmits;
+            "dup_dropped", Int dup_dropped;
+            "partitions_healed", Int partitions_healed;
+            "amplification", Fixed (3, amplification);
+            "elapsed_s", Fixed (6, elapsed) ])
+      :: !rows;
+    Printf.printf "  %-5s | %-26s | %5.2f %6d %7d %7d %8d %6.2f\n" P.name fname
+      loss ticks transmissions retransmits dup_dropped amplification
   in
   let losses = if smoke then [ 0.0; 0.3 ] else [ 0.0; 0.1; 0.3; 0.5 ] in
   let lossy loss =
@@ -1017,8 +949,9 @@ let c15_network ?json_path ?(smoke = false) () =
   match json_path with
   | None -> ()
   | Some path ->
-    net_write_json ~path (List.rev !entries);
-    Printf.printf "  wrote %s (%d entries)\n" path (List.length !entries)
+    Harness.write_sections ~path ~benchmark:"unreliable_network"
+      [ "results", List.rev !rows ];
+    Printf.printf "  wrote %s (%d entries)\n" path (List.length !rows)
 
 (* --- C16: per-channel batching + transform fast paths ------------------ *)
 
@@ -1044,49 +977,13 @@ let c15_network ?json_path ?(smoke = false) () =
    the specialized paths actually fired.  Emits BENCH_batch.json on
    request. *)
 
-type batch_entry = {
-  bt_protocol : string;
-  bt_workload : string;
-  bt_faults : string;
-  bt_loss : float;
-  bt_mode : string;
-  bt_updates : int;
-  bt_converged : bool;
-  bt_payloads : int;
-  bt_op_payloads : int;
-  bt_amplification : float;
-  bt_context_hits : int;
-  bt_append_hits : int;
-  bt_elapsed_s : float;
-  bt_ops_per_s : float;
-}
-
-let batch_write_json ~path entries =
-  Harness.write_sections ~path ~benchmark:"batching"
-    [
-      ( "results",
-        List.map
-          (fun e ->
-            Printf.sprintf
-              "{\"protocol\": \"%s\", \"workload\": \"%s\", \"faults\": \
-               \"%s\", \"loss\": %.2f, \"mode\": \"%s\", \"updates\": %d, \
-               \"converged\": %b, \"payloads\": %d, \"op_payloads\": %d, \
-               \"amplification\": %.3f, \"context_hits\": %d, \
-               \"append_hits\": %d, \"elapsed_s\": %.6f, \"ops_per_s\": \
-               %.1f}"
-              e.bt_protocol e.bt_workload e.bt_faults e.bt_loss e.bt_mode
-              e.bt_updates e.bt_converged e.bt_payloads e.bt_op_payloads
-              e.bt_amplification e.bt_context_hits e.bt_append_hits
-              e.bt_elapsed_s e.bt_ops_per_s)
-          entries );
-    ]
-
 let c16_batching ?json_path ?(smoke = false) () =
   section "C16 (batching): per-channel batches + transform fast paths";
   let updates = if smoke then 150 else 300 in
   let bursts = if smoke then 6 else 8 in
   let burst = 64 in
-  let entries = ref [] in
+  let rows = ref [] in
+  let losses = if smoke then [ 0.0; 0.3 ] else [ 0.0; 0.1; 0.3; 0.5 ] in
   Printf.printf "  %-5s | %-6s | %5s | %-9s | %8s %8s %6s %10s\n" "proto"
     "work" "loss" "mode" "msgs" "ops" "ampl" "ops/sec";
   let run_cs (type c s c2s s2c)
@@ -1141,30 +1038,33 @@ let c16_batching ?json_path ?(smoke = false) () =
     let workload_name =
       match workload with `Random -> "random" | `Typing -> "typing"
     in
-    let e =
-      {
-        bt_protocol = P.name;
-        bt_workload = workload_name;
-        bt_faults = Rlist_net.Faults.to_string faults;
-        bt_loss = loss;
-        bt_mode = mode_name;
-        bt_updates = total;
-        bt_converged = true;
-        bt_payloads = st.Rlist_net.Stats.payloads;
-        bt_op_payloads = st.Rlist_net.Stats.op_payloads;
-        bt_amplification = Rlist_net.Stats.amplification st;
-        bt_context_hits = fp.Rlist_ot.Fastpath.context_hits;
-        bt_append_hits = fp.Rlist_ot.Fastpath.append_hits;
-        bt_elapsed_s = elapsed;
-        bt_ops_per_s = float_of_int total /. elapsed;
-      }
-    in
-    entries := e :: !entries;
+    let amplification = Rlist_net.Stats.amplification st in
+    let ops_per_s = float_of_int total /. elapsed in
+    let { Rlist_ot.Fastpath.context_hits; append_hits; _ } = fp in
+    let { Rlist_net.Stats.payloads; op_payloads; _ } = st in
+    rows :=
+      Json.(
+        Obj
+          [ "protocol", Str P.name; "workload", Str workload_name;
+            "faults", Str (Rlist_net.Faults.to_string faults);
+            "loss", Fixed (2, loss); "mode", Str mode_name;
+            "updates", Int total; "converged", Bool true;
+            "payloads", Int payloads; "op_payloads", Int op_payloads;
+            "amplification", Fixed (3, amplification);
+            "context_hits", Int context_hits; "append_hits", Int append_hits;
+            "elapsed_s", Fixed (6, elapsed); "ops_per_s", Fixed (1, ops_per_s)
+          ])
+      :: !rows;
     Printf.printf "  %-5s | %-6s | %5.2f | %-9s | %8d %8d %6.2f %10.0f\n"
-      e.bt_protocol e.bt_workload e.bt_loss mode_name e.bt_payloads
-      e.bt_op_payloads e.bt_amplification e.bt_ops_per_s
+      P.name workload_name loss mode_name payloads op_payloads amplification
+      ops_per_s;
+    (* The batched CSS typing run on the first profile must take the
+       specialized paths. *)
+    if
+      P.name = "css" && workload = `Typing && loss = List.hd losses && batched
+      && (context_hits = 0 || append_hits = 0)
+    then failwith "C16: fast paths never fired on the batched CSS typing run"
   in
-  let losses = if smoke then [ 0.0; 0.3 ] else [ 0.0; 0.1; 0.3; 0.5 ] in
   let lossy loss =
     { Rlist_net.Faults.none with drop = loss; duplicate = 0.1; reorder = 0.2 }
   in
@@ -1186,16 +1086,6 @@ let c16_batching ?json_path ?(smoke = false) () =
             [ `Random; `Typing ])
         [ `Unbatched; `Batched ])
     losses;
-  let entries = List.rev !entries in
-  let batched_css =
-    List.find
-      (fun e ->
-        e.bt_protocol = "css" && e.bt_workload = "typing"
-        && e.bt_loss = List.hd losses && e.bt_mode = "batched")
-      entries
-  in
-  if batched_css.bt_context_hits = 0 || batched_css.bt_append_hits = 0 then
-    failwith "C16: fast paths never fired on the batched CSS typing run";
   Printf.printf
     "  claim: batching collapses each channel flush into one message \
      (amplification now counts ops, so reliability cost is comparable \
@@ -1206,8 +1096,9 @@ let c16_batching ?json_path ?(smoke = false) () =
   match json_path with
   | None -> ()
   | Some path ->
-    batch_write_json ~path entries;
-    Printf.printf "  wrote %s (%d entries)\n" path (List.length entries)
+    Harness.write_sections ~path ~benchmark:"batching"
+      [ "results", List.rev !rows ];
+    Printf.printf "  wrote %s (%d entries)\n" path (List.length !rows)
 
 (* --- C17: flight-recorder overhead + convergence-lag percentiles ------- *)
 
@@ -1235,53 +1126,6 @@ let c16_batching ?json_path ?(smoke = false) () =
    percentiles per loss rate (generation at the origin to application
    at the last replica, in channel ticks).  Emits BENCH_trace.json on
    request. *)
-
-type trace_entry = {
-  tr_faults : string;
-  tr_loss : float;
-  tr_mode : string;
-  tr_updates : int;
-  tr_elapsed_s : float;
-  tr_ops_per_s : float;
-  tr_overhead_pct : float;  (** vs the "off" leg on the same profile. *)
-}
-
-type lag_entry = {
-  lg_faults : string;
-  lg_loss : float;
-  lg_unit : string;
-  lg_ops : int;
-  lg_incomplete : int;
-  lg_p50 : float;
-  lg_p90 : float;
-  lg_p99 : float;
-  lg_max : float;
-}
-
-let trace_write_json ~path entries lags =
-  Harness.write_sections ~path ~benchmark:"trace"
-    [
-      ( "results",
-        List.map
-          (fun e ->
-            Printf.sprintf
-              "{\"faults\": \"%s\", \"loss\": %.2f, \"mode\": \"%s\", \
-               \"updates\": %d, \"cpu_s\": %.6f, \"ops_per_cpu_s\": %.1f, \
-               \"overhead_pct\": %.2f}"
-              e.tr_faults e.tr_loss e.tr_mode e.tr_updates e.tr_elapsed_s
-              e.tr_ops_per_s e.tr_overhead_pct)
-          entries );
-      ( "convergence_lag",
-        List.map
-          (fun l ->
-            Printf.sprintf
-              "{\"faults\": \"%s\", \"loss\": %.2f, \"unit\": \"%s\", \
-               \"ops\": %d, \"incomplete\": %d, \"p50\": %.1f, \"p90\": \
-               %.1f, \"p99\": %.1f, \"max\": %.1f}"
-              l.lg_faults l.lg_loss l.lg_unit l.lg_ops l.lg_incomplete l.lg_p50
-              l.lg_p90 l.lg_p99 l.lg_max)
-          lags );
-    ]
 
 let c17_trace ?json_path ?(smoke = false) () =
   section "C17 (trace): flight-recorder overhead + convergence lag";
@@ -1337,7 +1181,7 @@ let c17_trace ?json_path ?(smoke = false) () =
            (Rlist_net.Faults.to_string faults));
     elapsed, Option.map Rlist_obs.Sink.events sink
   in
-  let entries = ref [] in
+  let rows = ref [] in
   let lags = ref [] in
   Printf.printf "  %-26s | %5s | %-12s | %9s %10s %8s\n" "faults" "loss"
     "mode" "cpu" "ops/cpu-s" "overhead";
@@ -1365,44 +1209,27 @@ let c17_trace ?json_path ?(smoke = false) () =
     let events = !events in
     let add mode elapsed =
       let overhead = ((elapsed /. off) -. 1.0) *. 100.0 in
-      let e =
-        {
-          tr_faults = fname;
-          tr_loss = loss;
-          tr_mode = mode;
-          tr_updates = total;
-          tr_elapsed_s = elapsed;
-          tr_ops_per_s = float_of_int total /. elapsed;
-          tr_overhead_pct = overhead;
-        }
-      in
-      entries := e :: !entries;
+      let ops_per_s = float_of_int total /. elapsed in
+      rows :=
+        Json.(
+          Obj
+            [ "faults", Str fname; "loss", Fixed (2, loss); "mode", Str mode;
+              "updates", Int total; "cpu_s", Fixed (6, elapsed);
+              "ops_per_cpu_s", Fixed (1, ops_per_s);
+              "overhead_pct", Fixed (2, overhead) ])
+        :: !rows;
       Printf.printf "  %-26s | %5.2f | %-12s | %7.2fms %10.0f %+7.2f%%\n"
-        e.tr_faults e.tr_loss e.tr_mode (elapsed *. 1e3) e.tr_ops_per_s
-        overhead;
-      e
+        fname loss mode (elapsed *. 1e3) ops_per_s overhead;
+      overhead
     in
     ignore (add "off" off);
-    let record_e = add "record" record in
+    let record_overhead = add "record" record in
     ignore (add "record+trace" traced);
     (match events with
     | None -> failwith "C17: the traced leg produced no events"
     | Some events ->
-      let s = Rlist_obs.Spans.summarize events in
-      lags :=
-        {
-          lg_faults = fname;
-          lg_loss = loss;
-          lg_unit = s.Rlist_obs.Spans.su_lag_unit;
-          lg_ops = s.Rlist_obs.Spans.su_ops;
-          lg_incomplete = s.Rlist_obs.Spans.su_incomplete;
-          lg_p50 = s.Rlist_obs.Spans.su_lag_p50;
-          lg_p90 = s.Rlist_obs.Spans.su_lag_p90;
-          lg_p99 = s.Rlist_obs.Spans.su_lag_p99;
-          lg_max = s.Rlist_obs.Spans.su_lag_max;
-        }
-        :: !lags);
-    record_e
+      lags := (fname, loss, Rlist_obs.Spans.summarize events) :: !lags);
+    record_overhead
   in
   let losses = if smoke then [ 0.0; 0.3 ] else [ 0.0; 0.1; 0.3; 0.5 ] in
   let lossy loss =
@@ -1413,19 +1240,16 @@ let c17_trace ?json_path ?(smoke = false) () =
      that cost and skews every overhead ratio negative. *)
   ignore (run_once ~mode:`Off (lossy 0.0));
   let record_legs = List.map (fun loss -> profile ~loss (lossy loss)) losses in
+  let lags = List.rev !lags in
   List.iter
-    (fun l ->
+    (fun (_, loss, (s : Rlist_obs.Spans.summary)) ->
       Printf.printf
         "  convergence lag @ loss %.2f: p50 %.0f p90 %.0f p99 %.0f max %.0f \
          %s (%d ops, %d incomplete)\n"
-        l.lg_loss l.lg_p50 l.lg_p90 l.lg_p99 l.lg_max l.lg_unit l.lg_ops
-        l.lg_incomplete)
-    (List.rev !lags);
-  let worst =
-    List.fold_left
-      (fun acc e -> Float.max acc e.tr_overhead_pct)
-      neg_infinity record_legs
-  in
+        loss s.su_lag_p50 s.su_lag_p90 s.su_lag_p99 s.su_lag_max
+        s.su_lag_unit s.su_ops s.su_incomplete)
+    lags;
+  let worst = List.fold_left Float.max neg_infinity record_legs in
   Printf.printf "  worst record-only overhead: %+.2f%% (acceptance: < 5%%)\n"
     worst;
   (* The smoke leg's runs are short enough that CPU-clock quantization
@@ -1445,8 +1269,18 @@ let c17_trace ?json_path ?(smoke = false) () =
   match json_path with
   | None -> ()
   | Some path ->
-    trace_write_json ~path (List.rev !entries) (List.rev !lags);
-    Printf.printf "  wrote %s (%d entries)\n" path (List.length !entries)
+    let lag_row (fname, loss, (s : Rlist_obs.Spans.summary)) =
+      Json.(
+        Obj
+          [ "faults", Str fname; "loss", Fixed (2, loss);
+            "unit", Str s.su_lag_unit; "ops", Int s.su_ops;
+            "incomplete", Int s.su_incomplete; "p50", Fixed (1, s.su_lag_p50);
+            "p90", Fixed (1, s.su_lag_p90); "p99", Fixed (1, s.su_lag_p99);
+            "max", Fixed (1, s.su_lag_max) ])
+    in
+    Harness.write_sections ~path ~benchmark:"trace"
+      [ "results", List.rev !rows; "convergence_lag", List.map lag_row lags ];
+    Printf.printf "  wrote %s (%d entries)\n" path (List.length !rows)
 
 (* --- C18: continuous metadata GC — the long-horizon soak --------------- *)
 

@@ -7,6 +7,7 @@
 
 open Bechamel
 open Toolkit
+module Json = Rlist_obs.Json
 
 (* --- monotonic wall clock --------------------------------------------- *)
 
@@ -62,52 +63,27 @@ let run ?(quota = 0.5) ?(quiet = false) tests =
 
 (* --- machine-readable output ------------------------------------------ *)
 
-(* One measured point of the document-scaling family. *)
-type json_entry = {
-  name : string;
-  impl : string;  (* "rope" | "reference" | "engine" *)
-  op : string;    (* "insert" | "delete" | "nth" | "to_string" | "replay" *)
-  size : int;
-  ns_per_op : float;
-}
-
 (* Write a BENCH_*.json file: the benchmark name (and, when given, the
    unit every row is measured in), then each named section as an array
-   of pre-rendered one-line rows, in order. *)
+   of one-line rows, in order.  The envelope breaks lines between rows;
+   names and rows print through [Json]. *)
 let write_sections ~path ~benchmark ?unit sections =
   let oc = open_out path in
+  let str s = Json.to_string (Json.Str s) in
   let last i l = i = List.length l - 1 in
-  Printf.fprintf oc "{\n  \"benchmark\": \"%s\",\n"
-    (Rlist_obs.Event.escape benchmark);
-  Option.iter (Printf.fprintf oc "  \"unit\": \"%s\",\n") unit;
+  let field key v = Printf.fprintf oc "  %s: %s,\n" (str key) (str v) in
+  output_string oc "{\n";
+  field "benchmark" benchmark;
+  Option.iter (field "unit") unit;
   List.iteri
     (fun si (name, rows) ->
-      Printf.fprintf oc "  \"%s\": [\n" name;
+      Printf.fprintf oc "  %s: [\n" (str name);
       List.iteri
         (fun i row ->
-          Printf.fprintf oc "    %s%s\n" row (if last i rows then "" else ","))
+          Printf.fprintf oc "    %s%s\n" (Json.to_string row)
+            (if last i rows then "" else ","))
         rows;
       Printf.fprintf oc "  ]%s\n" (if last si sections then "" else ","))
     sections;
   output_string oc "}\n";
   close_out oc
-
-(* The document-scaling family's rows, so the perf trajectory can be
-   tracked across PRs. *)
-let write_json ~path ~benchmark entries =
-  write_sections ~path ~benchmark ~unit:"ns_per_op"
-    [
-      ( "results",
-        List.map
-          (fun e ->
-            Printf.sprintf
-              "{\"name\": \"%s\", \"impl\": \"%s\", \"op\": \"%s\", \
-               \"size\": %d, \"ns_per_op\": %s}"
-              (Rlist_obs.Event.escape e.name)
-              (Rlist_obs.Event.escape e.impl)
-              (Rlist_obs.Event.escape e.op)
-              e.size
-              (if Float.is_nan e.ns_per_op then "null"
-               else Printf.sprintf "%.2f" e.ns_per_op))
-          entries );
-    ]

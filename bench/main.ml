@@ -130,7 +130,7 @@ let () =
   let longrun_json_path = if json then Some "BENCH_longrun.json" else None in
   Harness.install_metrics_clock ();
   if flag "--mc" then
-    ignore (Experiments.c14_model_checking ?json_path:mc_json_path ())
+    Experiments.c14_model_checking ?json_path:mc_json_path ()
   else if flag "--net" then
     Experiments.c15_network ?json_path:net_json_path ()
   else if flag "--batch" then
@@ -151,8 +151,7 @@ let () =
       (Experiments.document_scaling ~sizes:[ 100; 1_000 ] ~quota:0.05
          ~replay_ops:500 ~engine_updates:50 ?json_path ());
     Experiments.c13_observability ?json_path:obs_json_path ();
-    ignore
-      (Experiments.c14_model_checking ?json_path:mc_json_path ~smoke:true ());
+    Experiments.c14_model_checking ?json_path:mc_json_path ~smoke:true ();
     Experiments.c15_network ?json_path:net_json_path ~smoke:true ();
     (* Always emitted in smoke: BENCH_batch.json carries the C16
        batched-vs-unbatched throughput numbers. *)
@@ -175,7 +174,7 @@ let () =
     Experiments.figures ();
     Experiments.claims ();
     Experiments.c13_observability ?json_path:obs_json_path ();
-    ignore (Experiments.c14_model_checking ?json_path:mc_json_path ());
+    Experiments.c14_model_checking ?json_path:mc_json_path ();
     Experiments.c15_network ?json_path:net_json_path ();
     Experiments.c16_batching ?json_path:batch_json_path ();
     Experiments.c17_trace ?json_path:trace_json_path ();

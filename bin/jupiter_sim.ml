@@ -22,8 +22,11 @@
 open Rlist_model
 open Cmdliner
 
+module Json = Rlist_obs.Json
 module Recorded = Rlist_run.Recorded
 module Protocols = Rlist_run.Protocols
+
+let print_json v = print_endline (Json.to_string v)
 
 (* Every PROTOCOL argument is a registry key; the converter rejects
    anything else, so the lookup behind it cannot fail. *)
@@ -363,12 +366,12 @@ let soak protocol faults no_shim rto batching fastpath gc nclients
     in
     let dumped = dump_recording ~spec ~aborted:msg recorder dump_path in
     if json then
-      Printf.printf
-        "{\"faults\": %S, \"shim\": %b, \"seed\": %d, \"aborted\": %S%s}\n"
-        (Rlist_net.Faults.to_string faults)
-        shim seed msg
-        (if dumped then Printf.sprintf ", \"recording\": %S" dump_path
-         else "")
+      print_json
+        Json.(
+          Obj
+            ([ "faults", Str (Rlist_net.Faults.to_string faults);
+               "shim", Bool shim; "seed", Int seed; "aborted", Str msg ]
+            @ if dumped then [ "recording", Str dump_path ] else []))
     else begin
       Printf.printf "soak aborted: %s\n" msg;
       if dumped then Printf.printf "recording:   %s\n" dump_path
@@ -391,21 +394,20 @@ let soak protocol faults no_shim rto batching fastpath gc nclients
       | None -> None
     in
     if json then
-      Printf.printf
-        "{\"protocol\": %S, \"faults\": %S, \"shim\": %b, \"batch\": %b, \
-         \"fastpath\": %b, \"seed\": %d, \"events\": %d, \"converged\": %b, \
-         \"convergence\": %b, \"weak\": %b, \"strong\": %b, \"net\": %s, \
-         \"metrics\": %s%s}\n"
-        outcome.Recorded.o_protocol
-        (Rlist_net.Faults.to_string faults)
-        shim batching fastpath seed outcome.Recorded.o_events
-        outcome.Recorded.o_converged outcome.Recorded.o_convergence
-        outcome.Recorded.o_weak outcome.Recorded.o_strong
-        (Rlist_net.Stats.to_json outcome.Recorded.o_net)
-        (Rlist_obs.Obs.metrics_json obs)
-        (match dumped with
-        | Some path -> Printf.sprintf ", \"recording\": %S" path
-        | None -> "")
+      let o = outcome in
+      print_json
+        Json.(
+          Obj
+            ([ "protocol", Str o.Recorded.o_protocol;
+               "faults", Str (Rlist_net.Faults.to_string faults);
+               "shim", Bool shim; "batch", Bool batching;
+               "fastpath", Bool fastpath; "seed", Int seed;
+               "events", Int o.o_events; "converged", Bool o.o_converged;
+               "convergence", Bool o.o_convergence; "weak", Bool o.o_weak;
+               "strong", Bool o.o_strong;
+               "net", Rlist_net.Stats.to_json o.o_net;
+               "metrics", Rlist_obs.Metrics.to_json obs.metrics ]
+            @ match dumped with Some p -> [ "recording", Str p ] | None -> []))
     else begin
       pp_outcome outcome;
       Printf.printf "faults:      %s\n" (Rlist_net.Faults.to_string faults);
@@ -490,7 +492,7 @@ let longrun protocol profile nclients updates chunk seed faults gc
       Printf.eprintf "longrun: %s\n" msg;
       exit 1
   in
-  if json then print_endline (Rlist_run.Longrun.result_to_json r)
+  if json then print_json (Rlist_run.Longrun.result_to_json r)
   else Format.printf "%a@." Rlist_run.Longrun.pp r;
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
@@ -570,7 +572,7 @@ let shard_smoke protocol profile nclients updates chunk seed gc json =
       Printf.eprintf "shard-smoke: %s\n" msg;
       exit 1
   in
-  if json then print_endline (Rlist_run.Shard_smoke.result_to_json r)
+  if json then print_json (Rlist_run.Shard_smoke.result_to_json r)
   else Format.printf "@[<v>%a@]@." Rlist_run.Shard_smoke.pp r;
   if not r.Rlist_run.Shard_smoke.s_equal then begin
     Printf.eprintf
@@ -715,34 +717,29 @@ let mc_check protocol nclients ops specs equiv_partner gc por max_states
         observed spec <> expected)
       checked_specs
   in
-  if json then begin
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n  \"workloads\": [\n";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_string b ",\n";
-        Printf.bprintf b
-          "    {\"workload\": %S, \"updates\": %d, \"states\": %d, \
-           \"interleavings\": %d, \"pruned_state\": %d, \"pruned_sleep\": \
-           %d, \"truncated\": %b, \"elapsed_s\": %.6f, \"violations\": [%s]}"
-          r.r_workload r.r_updates r.r_states r.r_terminals r.r_pruned_state
-          r.r_pruned_sleep r.r_truncated r.r_elapsed
-          (String.concat ", "
-             (List.map
-                (fun (spec, nevents, _) ->
-                  Printf.sprintf "{\"spec\": %S, \"events\": %d}" spec
-                    nevents)
-                r.r_violations)))
-      results;
-    Printf.bprintf b "\n  ],\n  \"expected_violations\": [%s],\n"
-      (String.concat ", "
-         (List.map (fun s -> Printf.sprintf "%S" s) expect_violation));
-    Printf.bprintf b "  \"mismatches\": [%s],\n"
-      (String.concat ", "
-         (List.map (fun s -> Printf.sprintf "%S" s) mismatches));
-    Printf.bprintf b "  \"pass\": %b\n}" (mismatches = [] && not truncated);
-    print_endline (Buffer.contents b)
-  end
+  if json then
+    let strs l = Json.List (List.map (fun s -> Json.Str s) l) in
+    let violation (spec, events, _) =
+      Json.(Obj [ "spec", Str spec; "events", Int events ])
+    in
+    let workload r =
+      Json.(
+        Obj
+          [ "workload", Str r.r_workload; "updates", Int r.r_updates;
+            "states", Int r.r_states; "interleavings", Int r.r_terminals;
+            "pruned_state", Int r.r_pruned_state;
+            "pruned_sleep", Int r.r_pruned_sleep;
+            "truncated", Bool r.r_truncated;
+            "elapsed_s", Fixed (6, r.r_elapsed);
+            "violations", List (List.map violation r.r_violations) ])
+    in
+    print_json
+      Json.(
+        Obj
+          [ "workloads", List (List.map workload results);
+            "expected_violations", strs expect_violation;
+            "mismatches", strs mismatches;
+            "pass", Bool (mismatches = [] && not truncated) ])
   else begin
     List.iter
       (fun r ->
@@ -1013,28 +1010,22 @@ let pp_verdict path (v : Recorded.verdict) =
   else Printf.printf "replay:      DIVERGED\n"
 
 let verdict_json path (v : Recorded.verdict) =
-  let b = Buffer.create 512 in
+  let open Json in
   let spec = v.Recorded.v_spec in
-  Printf.bprintf b
-    "{\"recording\": %S, \"protocol\": %S, \"seed\": %d, \
-     \"decisions_recorded\": %d, \"decisions_replayed\": %d, \
-     \"mismatches\": ["
-    path spec.Recorded.protocol spec.Recorded.seed
-    v.Recorded.v_total_expected v.Recorded.v_total_got;
-  List.iteri
-    (fun i (k, expected, got) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "{\"key\": %S, \"expected\": %S, \"got\": %S}" k
-        expected got)
-    v.Recorded.v_mismatches;
-  Buffer.add_string b "], \"divergence\": ";
-  (match v.Recorded.v_divergence with
-  | None -> Buffer.add_string b "null"
-  | Some (i, expected, got) ->
-    Printf.bprintf b
-      "{\"index\": %d, \"expected\": %S, \"got\": %S}" i expected got);
-  Printf.bprintf b ", \"ok\": %b}" v.Recorded.v_ok;
-  Buffer.contents b
+  let mismatch (k, expected, got) =
+    Obj [ "key", Str k; "expected", Str expected; "got", Str got ]
+  in
+  let divergence (i, expected, got) =
+    Obj [ "index", Int i; "expected", Str expected; "got", Str got ]
+  in
+  Obj
+    [ "recording", Str path; "protocol", Str spec.Recorded.protocol;
+      "seed", Int spec.Recorded.seed;
+      "decisions_recorded", Int v.Recorded.v_total_expected;
+      "decisions_replayed", Int v.Recorded.v_total_got;
+      "mismatches", List (List.map mismatch v.Recorded.v_mismatches);
+      "divergence", opt divergence v.Recorded.v_divergence;
+      "ok", Bool v.Recorded.v_ok ]
 
 (* Load a recording for subcommand [cmd], which prefixes the error a
    bad file exits with. *)
@@ -1086,7 +1077,7 @@ let replay_recording path trace_out json shrink =
     exit 1
   | Ok v ->
     Option.iter close_out oc;
-    if json then print_endline (verdict_json path v) else pp_verdict path v;
+    if json then print_json (verdict_json path v) else pp_verdict path v;
     if shrink then do_shrink recording v.Recorded.v_spec path;
     if not v.Recorded.v_ok then exit 1
 
@@ -1202,7 +1193,7 @@ let report path json =
     exit 1
   end;
   let summary = Rlist_obs.Spans.summarize events in
-  if json then print_endline (Rlist_obs.Spans.summary_to_json summary)
+  if json then print_json (Rlist_obs.Spans.summary_to_json summary)
   else Format.printf "%a@." Rlist_obs.Spans.pp_summary summary
 
 let report_cmd =
@@ -1225,19 +1216,20 @@ let report_cmd =
 (* --- stats ------------------------------------------------------------ *)
 
 let stats_json ~source (st : Jupiter_css.Analysis.stats) ~lemmas ~fp =
-  let widths =
-    String.concat ","
-      (List.map (fun (l, w) -> Printf.sprintf "[%d,%d]" l w) st.width_per_level)
-  in
-  Printf.sprintf
-    "{\"source\":%S,\"states\":%d,\"transitions\":%d,\"depth\":%d,\
-     \"max_branching\":%d,\"nop_forms\":%d,\"width_per_level\":[%s],\
-     \"lemmas_ok\":%b,\"fastpath\":{\"enabled\":%b,\"context_hits\":%d,\
-     \"append_hits\":%d,\"generic_squares\":%d}}"
-    source st.states st.transitions st.depth st.max_branching st.nop_forms
-    widths lemmas fp.Rlist_ot.Fastpath.enabled
-    fp.Rlist_ot.Fastpath.context_hits fp.Rlist_ot.Fastpath.append_hits
-    fp.Rlist_ot.Fastpath.generic_squares
+  let open Json in
+  let width (l, w) = List [ Int l; Int w ] in
+  Obj
+    [ "source", Str source; "states", Int st.states;
+      "transitions", Int st.transitions; "depth", Int st.depth;
+      "max_branching", Int st.max_branching; "nop_forms", Int st.nop_forms;
+      "width_per_level", List (List.map width st.width_per_level);
+      "lemmas_ok", Bool lemmas;
+      ( "fastpath",
+        Obj
+          [ "enabled", Bool fp.Rlist_ot.Fastpath.enabled;
+            "context_hits", Int fp.context_hits;
+            "append_hits", Int fp.append_hits;
+            "generic_squares", Int fp.generic_squares ] ) ]
 
 let stats name schedule_file json =
   let build source initial nclients events =
@@ -1249,7 +1241,7 @@ let stats name schedule_file json =
     let st = Jupiter_css.Analysis.stats space in
     let lemmas = Jupiter_css.Analysis.check_all space ~nclients ~initial in
     if json then
-      print_endline (stats_json ~source st ~lemmas:(Result.is_ok lemmas) ~fp)
+      print_json (stats_json ~source st ~lemmas:(Result.is_ok lemmas) ~fp)
     else begin
       Format.printf "%a@." Jupiter_css.Analysis.pp_stats st;
       match lemmas with
@@ -1351,22 +1343,21 @@ let trace name protocol batching fastpath out_file json =
     let fp = Rlist_ot.Fastpath.create ~enabled:fastpath () in
     let run (converged, ots, metadata, space_stats) =
       publish_fastpath fp obs.Rlist_obs.Obs.metrics;
-      let space_json =
-        match space_stats with
-        | None -> ""
-        | Some (st : Jupiter_css.Analysis.stats) ->
-          Printf.sprintf
-            ",\"space_states\":%d,\"space_transitions\":%d,\"space_depth\":%d"
-            st.states st.transitions st.depth
+      let space (st : Jupiter_css.Analysis.stats) =
+        Json.
+          [ "space_states", Int st.states;
+            "space_transitions", Int st.transitions;
+            "space_depth", Int st.depth ]
       in
       if json then
-        output_string oc
-          (Printf.sprintf
-             "{\"type\":\"summary\",\"scenario\":%S,\"converged\":%b,\
-              \"total_transforms\":%d,\"total_metadata\":%d%s,\
-              \"metrics\":%s}\n"
-             scenario.sname converged ots metadata space_json
-             (Rlist_obs.Obs.metrics_json obs))
+        Json.(
+          Obj
+            ([ "type", Str "summary"; "scenario", Str scenario.sname;
+               "converged", Bool converged; "total_transforms", Int ots;
+               "total_metadata", Int metadata ]
+            @ Option.fold space_stats ~none:[] ~some:space
+            @ [ "metrics", Rlist_obs.Metrics.to_json obs.metrics ])
+          |> to_string |> Printf.fprintf oc "%s\n")
       else Format.eprintf "%a@." Rlist_obs.Obs.report obs;
       close ();
       if not converged then exit 1

@@ -28,6 +28,7 @@
    (repeatable) overrides the entry-point patterns. *)
 
 open Rlist_lint
+module Json = Rlist_obs.Json
 
 let default_roots = [ "lib"; "bin"; "test"; "bench"; "examples" ]
 
@@ -55,6 +56,8 @@ let write_file path contents =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
+
+let write_json path v = write_file path (Json.to_string v)
 
 let () =
   let json = ref false in
@@ -172,18 +175,18 @@ let () =
         write_file file
           (Callgraph.dot ~entries:reach.r_entries ~reached:reach.r_reached g)
       | Some (_, file) ->
-        write_file file
+        write_json file
           (Callgraph.json ~entries:reach.r_entries ~reached:reach.r_reached g)
       | None -> ());
       (match !domain_out with
       | Some file ->
-        write_file file
+        write_json file
           (Typed.domain_report_json
              ~escaping_unsuppressed:(Escape.unsuppressed_escaping esc)
              muts)
       | None -> ());
       (match !escape_out with
-      | Some file -> write_file file (Escape.report_json esc)
+      | Some file -> write_json file (Escape.report_json esc)
       | None -> ());
       let typed_findings =
         reach.r_findings @ Typed.domain_findings muts @ Escape.findings esc
@@ -202,7 +205,7 @@ let () =
     | None -> findings
     | Some b -> Lint.apply_baseline b findings
   in
-  if !json then print_endline (Lint.report_json findings)
+  if !json then print_endline (Json.to_string (Lint.report_json findings))
   else begin
     List.iter
       (fun f -> Format.printf "%a@." Finding.pp f)

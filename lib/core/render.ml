@@ -19,7 +19,7 @@ let doc_table t ~initial =
 let to_dot t ~initial ~name =
   let buffer = Buffer.create 1024 in
   let doc_of = doc_table t ~initial in
-  let node_id state = Printf.sprintf "\"%s\"" (state_label state) in
+  let node_id state = "\"" ^ state_label state ^ "\"" in
   Buffer.add_string buffer (Printf.sprintf "digraph %S {\n" name);
   Buffer.add_string buffer "  rankdir=TB;\n  ordering=out;\n";
   Buffer.add_string buffer "  node [shape=box, fontname=\"monospace\"];\n";

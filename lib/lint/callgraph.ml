@@ -460,6 +460,8 @@ let dot_escape s =
     s;
   Buffer.contents buf
 
+let dot_quote s = "\"" ^ dot_escape s ^ "\""
+
 let dot ?(entries = []) ?(reached = []) t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
@@ -477,7 +479,7 @@ let dot ?(entries = []) ?(reached = []) t =
           else ""
         in
         Buffer.add_string buf
-          (Printf.sprintf "  \"%s\" [label=\"%s\\n%s\"%s];\n" (dot_escape d.d_id)
+          (Printf.sprintf "  %s [label=\"%s\\n%s\"%s];\n" (dot_quote d.d_id)
              (dot_escape d.d_disp) (dot_escape d.d_file) attrs))
     t.order;
   List.iter
@@ -489,51 +491,30 @@ let dot ?(entries = []) ?(reached = []) t =
           (fun callee ->
             if Hashtbl.mem t.defs callee then
               Buffer.add_string buf
-                (Printf.sprintf "  \"%s\" -> \"%s\";\n" (dot_escape d.d_id)
-                   (dot_escape callee)))
+                (Printf.sprintf "  %s -> %s;\n" (dot_quote d.d_id)
+                   (dot_quote callee)))
           d.d_calls)
     t.order;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let json ?(entries = []) ?(reached = []) t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"version\":1,\"nodes\":[";
-  let first = ref true in
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.defs id with
-      | None -> ()
-      | Some d ->
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"id\":\"%s\",\"name\":\"%s\",\"file\":\"%s\",\"line\":%d,\"entry\":%b,\"reached\":%b,\"sinks\":%d}"
-             (Rlist_obs.Event.escape d.d_id)
-             (Rlist_obs.Event.escape d.d_disp)
-             (Rlist_obs.Event.escape d.d_file)
-             d.d_line (List.mem id entries) (List.mem id reached)
-             (List.length d.d_sinks)))
-    t.order;
-  Buffer.add_string buf "],\"edges\":[";
-  first := true;
-  List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.defs id with
-      | None -> ()
-      | Some d ->
-        List.iter
-          (fun callee ->
-            if Hashtbl.mem t.defs callee then begin
-              if not !first then Buffer.add_char buf ',';
-              first := false;
-              Buffer.add_string buf
-                (Printf.sprintf "[\"%s\",\"%s\"]"
-                   (Rlist_obs.Event.escape d.d_id)
-                   (Rlist_obs.Event.escape callee))
-            end)
-          d.d_calls)
-    t.order;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Rlist_obs.Json in
+  let defs = List.filter_map (Hashtbl.find_opt t.defs) t.order in
+  let node d =
+    Obj
+      [ "id", Str d.d_id; "name", Str d.d_disp; "file", Str d.d_file;
+        "line", Int d.d_line; "entry", Bool (List.mem d.d_id entries);
+        "reached", Bool (List.mem d.d_id reached);
+        "sinks", Int (List.length d.d_sinks) ]
+  in
+  let edges d =
+    List.filter_map
+      (fun callee ->
+        if Hashtbl.mem t.defs callee then Some (List [ Str d.d_id; Str callee ])
+        else None)
+      d.d_calls
+  in
+  Obj
+    [ "version", Int 1; "nodes", List (List.map node defs);
+      "edges", List (List.concat_map edges defs) ]

@@ -66,5 +66,6 @@ val dot : ?entries:string list -> ?reached:string list -> t -> string
 (** Graphviz rendering; entry nodes are blue, sink-bearing nodes
     salmon, other reached nodes yellow. *)
 
-val json : ?entries:string list -> ?reached:string list -> t -> string
+val json :
+  ?entries:string list -> ?reached:string list -> t -> Rlist_obs.Json.t
 (** Machine-readable [{nodes; edges}] rendering. *)

@@ -825,31 +825,23 @@ let report_json { allocs } =
   let reachable =
     List.length (List.filter (fun a -> a.a_reachable) allocs)
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"version\":1,\"total\":%d,\"reachable\":%d,\"classes\":{\"stack-confined\":%d,\"instance-confined\":%d,\"escaping\":%d},\"escaping_unsuppressed\":%d,\"entries\":["
-       (List.length allocs) reachable (count Stack_confined)
-       (count Instance_confined) (count Escaping)
-       (unsuppressed_escaping { allocs }));
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char buf ',';
-      let chain =
-        String.concat ","
-          (List.map
-             (fun l -> Printf.sprintf "\"%s\"" (Rlist_obs.Event.escape l))
-             a.a_chain)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"def\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"kind\":\"%s\",\"class\":\"%s\",\"reachable\":%b,\"exempt\":%b,\"suppressed\":%b,\"chain\":[%s]}"
-           (Rlist_obs.Event.escape a.a_def_disp)
-           (Rlist_obs.Event.escape a.a_file)
-           a.a_line a.a_col
-           (Rlist_obs.Event.escape a.a_kind)
-           (verdict_name a.a_verdict) a.a_reachable a.a_exempt a.a_suppressed
-           chain))
-    allocs;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Rlist_obs.Json in
+  let entry a =
+    Obj
+      [ "def", Str a.a_def_disp; "file", Str a.a_file; "line", Int a.a_line;
+        "col", Int a.a_col; "kind", Str a.a_kind;
+        "class", Str (verdict_name a.a_verdict);
+        "reachable", Bool a.a_reachable; "exempt", Bool a.a_exempt;
+        "suppressed", Bool a.a_suppressed;
+        "chain", List (List.map (fun l -> Str l) a.a_chain) ]
+  in
+  Obj
+    [ "version", Int 1; "total", Int (List.length allocs);
+      "reachable", Int reachable;
+      ( "classes",
+        Obj
+          [ "stack-confined", Int (count Stack_confined);
+            "instance-confined", Int (count Instance_confined);
+            "escaping", Int (count Escaping) ] );
+      "escaping_unsuppressed", Int (unsuppressed_escaping { allocs });
+      "entries", List (List.map entry allocs) ]

@@ -63,7 +63,7 @@ val findings : result -> Finding.t list
 val unsuppressed_escaping : result -> int
 (** Count behind {!findings} — the number that gates [shard_ready]. *)
 
-val report_json : result -> string
+val report_json : result -> Rlist_obs.Json.t
 (** The full inventory as JSON: totals per class and every allocation
     with verdict, witness chain, reachability, exemption and
     suppression bits (the [--escape-report] artifact). *)

@@ -29,6 +29,7 @@ let pp ppf f =
     Format.fprintf ppf "@\n    via %s" (String.concat " -> " chain)
 
 let to_json f =
+  let open Rlist_obs.Json in
   let family =
     match Rules.find f.rule with
     | Some r -> Rules.family_name r.Rules.family
@@ -36,18 +37,10 @@ let to_json f =
   in
   let chain =
     match f.chain with
-    | [] -> ""
-    | links ->
-      Printf.sprintf ",\"chain\":[%s]"
-        (String.concat ","
-           (List.map
-              (fun l -> Printf.sprintf "\"%s\"" (Rlist_obs.Event.escape l))
-              links))
+    | [] -> []
+    | links -> [ "chain", List (List.map (fun l -> Str l) links) ]
   in
-  Printf.sprintf
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"family\":\"%s\",\"message\":\"%s\"%s}"
-    (Rlist_obs.Event.escape f.file)
-    f.line f.col
-    (Rlist_obs.Event.escape f.rule)
-    family
-    (Rlist_obs.Event.escape f.msg) chain
+  Obj
+    ([ "file", Str f.file; "line", Int f.line; "col", Int f.col;
+       "rule", Str f.rule; "family", Str family; "message", Str f.msg ]
+    @ chain)

@@ -28,7 +28,7 @@ val pp : Format.formatter -> t -> unit
 (** [file:line:col: [rule] msg], the greppable text form; findings
     with a witness chain print it on a continuation line. *)
 
-val to_json : t -> string
+val to_json : t -> Rlist_obs.Json.t
 (** One finding as a JSON object (file/line/col/rule/family/message,
     plus [chain] when the finding carries a witness call chain). *)
 

@@ -534,32 +534,14 @@ let exit_code findings =
     0 findings
 
 let report_json findings =
-  let buf = Buffer.create 1024 in
-  let by_rule =
-    List.sort_uniq String.compare
-      (List.map (fun (f : Finding.t) -> f.rule) findings)
-    |> List.map (fun rule ->
-         ( rule,
-           List.length
-             (List.filter
-                (fun (f : Finding.t) -> String.equal f.rule rule)
-                findings) ))
+  let open Rlist_obs.Json in
+  let rule (f : Finding.t) = f.rule in
+  let count r =
+    List.length (List.filter (fun f -> String.equal (rule f) r) findings)
   in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"version\":1,\"total\":%d,\"exit_code\":%d,"
-       (List.length findings) (exit_code findings));
-  Buffer.add_string buf "\"by_rule\":{";
-  List.iteri
-    (fun i (rule, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (Rlist_obs.Event.escape rule) n))
-    by_rule;
-  Buffer.add_string buf "},\"findings\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Finding.to_json f))
-    findings;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let rules = List.sort_uniq String.compare (List.map rule findings) in
+  Obj
+    [ "version", Int 1; "total", Int (List.length findings);
+      "exit_code", Int (exit_code findings);
+      "by_rule", Obj (List.map (fun r -> (r, Int (count r))) rules);
+      "findings", List (List.map Finding.to_json findings) ]

@@ -70,6 +70,6 @@ val exit_code : Finding.t list -> int
     0 means clean, and e.g. 6 means determinism + exception-safety
     findings (and nothing else). *)
 
-val report_json : Finding.t list -> string
+val report_json : Finding.t list -> Rlist_obs.Json.t
 (** The full machine-readable report: version, totals, per-rule
     counts, exit code, and the findings array. *)

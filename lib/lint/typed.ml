@@ -260,29 +260,25 @@ let domain_report_json ?(escaping_unsuppressed = 0) entries =
          (fun e -> e.m_class == Shared_unsafe && not e.m_suppressed)
          entries)
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"version\":1,\"total\":%d,\"shard_ready\":%b,\"classes\":{\"obs-seam\":%d,\"domain-confined\":%d,\"shared-unsafe\":%d},\"unsuppressed_shared_unsafe\":%d,\"escaping_unsuppressed\":%d,\"entries\":["
-       (List.length entries)
-       (unsuppressed_unsafe = 0 && escaping_unsuppressed = 0)
-       (count Obs_seam) (count Domain_confined) (count Shared_unsafe)
-       unsuppressed_unsafe escaping_unsuppressed);
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":\"%s\",\"name\":\"%s\",\"file\":\"%s\",\"line\":%d,\"kind\":\"%s\",\"class\":\"%s\",\"suppressed\":%b}"
-           (Rlist_obs.Event.escape e.m_id)
-           (Rlist_obs.Event.escape e.m_disp)
-           (Rlist_obs.Event.escape e.m_file)
-           e.m_line
-           (Rlist_obs.Event.escape e.m_kind)
-           (class_name e.m_class) e.m_suppressed))
-    entries;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Rlist_obs.Json in
+  let entry e =
+    Obj
+      [ "id", Str e.m_id; "name", Str e.m_disp; "file", Str e.m_file;
+        "line", Int e.m_line; "kind", Str e.m_kind;
+        "class", Str (class_name e.m_class); "suppressed", Bool e.m_suppressed ]
+  in
+  Obj
+    [ "version", Int 1; "total", Int (List.length entries);
+      ( "shard_ready",
+        Bool (unsuppressed_unsafe = 0 && escaping_unsuppressed = 0) );
+      ( "classes",
+        Obj
+          [ "obs-seam", Int (count Obs_seam);
+            "domain-confined", Int (count Domain_confined);
+            "shared-unsafe", Int (count Shared_unsafe) ] );
+      "unsuppressed_shared_unsafe", Int unsuppressed_unsafe;
+      "escaping_unsuppressed", Int escaping_unsuppressed;
+      "entries", List (List.map entry entries) ]
 
 let run ?entries corpus =
   let g = Callgraph.build corpus in

@@ -63,7 +63,8 @@ val domain_findings : mut_entry list -> Finding.t list
 (** A [module-mutable] finding for each unsuppressed shared-unsafe
     entry. *)
 
-val domain_report_json : ?escaping_unsuppressed:int -> mut_entry list -> string
+val domain_report_json :
+  ?escaping_unsuppressed:int -> mut_entry list -> Rlist_obs.Json.t
 (** The shard-readiness report: totals per class, a [shard_ready]
     verdict (no unsuppressed shared-unsafe state {e and} no
     unsuppressed escaping allocation from the escape pass — pass the

@@ -83,15 +83,10 @@ let publish t metrics =
     (amplification t)
 
 let to_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, value) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "\"%s\": %d" name value)
-    (fields t);
-  Printf.bprintf b ", \"amplification\": %.3f}" (amplification t);
-  Buffer.contents b
+  let open Rlist_obs.Json in
+  Obj
+    (List.map (fun (name, value) -> (name, Int value)) (fields t)
+    @ [ ("amplification", Fixed (3, amplification t)) ])
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -55,6 +55,7 @@ val fields : t -> (string * int) list
     per run. *)
 val publish : t -> Rlist_obs.Metrics.t -> unit
 
-val to_json : t -> string
+(** The counters, then [amplification], as one JSON object. *)
+val to_json : t -> Rlist_obs.Json.t
 
 val pp : Format.formatter -> t -> unit

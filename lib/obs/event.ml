@@ -97,307 +97,103 @@ let tick = function
     Some tick
   | Transform _ | State_space_grow _ | Span _ -> None
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let opt_id = function
-  | None -> "null"
-  | Some id -> Printf.sprintf "\"%s\"" (escape id)
-
 let to_jsonl ~seq e =
-  let head = Printf.sprintf "{\"seq\": %d, \"type\": \"%s\", " seq (kind e) in
+  let s k v = (k, Json.Str v) and i k v = (k, Json.Int v) in
+  let op v = ("op", Json.opt (fun id -> Json.Str id) v) in
   let body =
     match e with
     | Generate { replica; op_id; intent; queue; tick } ->
-      Printf.sprintf
-        "\"replica\": \"%s\", \"op\": %s, \"intent\": \"%s\", \"queue\": %d, \
-         \"tick\": %d"
-        (escape replica) (opt_id op_id) (escape intent) queue tick
+      [ s "replica" replica; op op_id; s "intent" intent; i "queue" queue;
+        i "tick" tick ]
     | Send { src; dst; op_id; bytes; queue; tick } ->
-      Printf.sprintf
-        "\"src\": \"%s\", \"dst\": \"%s\", \"op\": %s, \"bytes\": %d, \
-         \"queue\": %d, \"tick\": %d"
-        (escape src) (escape dst) (opt_id op_id) bytes queue tick
+      [ s "src" src; s "dst" dst; op op_id; i "bytes" bytes; i "queue" queue;
+        i "tick" tick ]
     | Deliver { replica; src; op_id; transforms; queue; tick } ->
-      Printf.sprintf
-        "\"replica\": \"%s\", \"src\": \"%s\", \"op\": %s, \"transforms\": \
-         %d, \"queue\": %d, \"tick\": %d"
-        (escape replica) (escape src) (opt_id op_id) transforms queue tick
-    | Transform { replica; count } ->
-      Printf.sprintf "\"replica\": \"%s\", \"count\": %d" (escape replica)
-        count
+      [ s "replica" replica; s "src" src; op op_id;
+        i "transforms" transforms; i "queue" queue; i "tick" tick ]
+    | Transform { replica; count } -> [ s "replica" replica; i "count" count ]
     | Apply { replica; op_id; doc_len; tick } ->
-      Printf.sprintf
-        "\"replica\": \"%s\", \"op\": %s, \"doc_len\": %d, \"tick\": %d"
-        (escape replica) (opt_id op_id) doc_len tick
+      [ s "replica" replica; op op_id; i "doc_len" doc_len; i "tick" tick ]
     | Wire { channel; action; wseq; info; tick } ->
-      Printf.sprintf
-        "\"channel\": \"%s\", \"action\": \"%s\", \"wseq\": %d, \"info\": \
-         %d, \"tick\": %d"
-        (escape channel) (escape action) wseq info tick
+      [ s "channel" channel; s "action" action; i "wseq" wseq; i "info" info;
+        i "tick" tick ]
     | State_space_grow { replica; level; states; transitions } ->
-      Printf.sprintf
-        "\"replica\": \"%s\", \"level\": %d, \"states\": %d, \
-         \"transitions\": %d"
-        (escape replica) level states transitions
-    | Span { name; dur_ns } ->
-      Printf.sprintf "\"name\": \"%s\", \"dur_ns\": %.0f" (escape name)
-        dur_ns
+      [ s "replica" replica; i "level" level; i "states" states;
+        i "transitions" transitions ]
+    | Span { name; dur_ns } -> [ s "name" name; ("dur_ns", Fixed (0, dur_ns)) ]
     | Gc_begin { cycle; trigger; meta; tick } ->
-      Printf.sprintf
-        "\"cycle\": %d, \"trigger\": \"%s\", \"meta\": %d, \"tick\": %d"
-        cycle (escape trigger) meta tick
-    | Gc_end
-        {
-          cycle;
-          reclaimed_states;
-          reclaimed_log;
-          reclaimed_keys;
-          meta;
-          snapshot_bytes;
-          skipped;
-          tick;
-        } ->
-      Printf.sprintf
-        "\"cycle\": %d, \"reclaimed_states\": %d, \"reclaimed_log\": %d, \
-         \"reclaimed_keys\": %d, \"meta\": %d, \"snapshot_bytes\": %d, \
-         \"skipped\": %d, \"tick\": %d"
-        cycle reclaimed_states reclaimed_log reclaimed_keys meta
-        snapshot_bytes skipped tick
+      [ i "cycle" cycle; s "trigger" trigger; i "meta" meta; i "tick" tick ]
+    | Gc_end g ->
+      [ i "cycle" g.cycle; i "reclaimed_states" g.reclaimed_states;
+        i "reclaimed_log" g.reclaimed_log; i "reclaimed_keys" g.reclaimed_keys;
+        i "meta" g.meta; i "snapshot_bytes" g.snapshot_bytes;
+        i "skipped" g.skipped; i "tick" g.tick ]
   in
-  head ^ body ^ "}"
+  Json.to_string (Obj (i "seq" seq :: s "type" (kind e) :: body))
 
 let pp ppf e = Format.pp_print_string ppf (to_jsonl ~seq:0 e)
 
 (* --- JSONL decoding ------------------------------------------------ *)
 
-(* The trace format is deliberately flat: every line is one JSON
-   object whose values are strings, numbers, or null.  A few dozen
-   lines of scanner therefore decode it without a JSON dependency. *)
-
-type jv =
-  | Jstr of string
-  | Jnum of float
-  | Jnull
-
 exception Bad_line
 
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then raise Bad_line else line.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (peek () = ' ' || peek () = '\t') do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then raise Bad_line;
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'u' ->
-          if !pos + 4 >= n then raise Bad_line;
-          (match int_of_string_opt ("0x" ^ String.sub line (!pos + 1) 4) with
-          | Some code when code < 0x100 -> Buffer.add_char b (Char.chr code)
-          | _ -> raise Bad_line);
-          pos := !pos + 4
-        | c -> Buffer.add_char b c);
-        advance ();
-        loop ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Jstr (parse_string ())
-    | 'n' ->
-      pos := !pos + 4;
-      Jnull
-    | 't' ->
-      pos := !pos + 4;
-      Jnum 1.0
-    | 'f' ->
-      pos := !pos + 5;
-      Jnum 0.0
-    | _ ->
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match peek () with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        advance ()
-      done;
-      if !pos = start then raise Bad_line;
-      (match float_of_string_opt (String.sub line start (!pos - start)) with
-      | Some f -> Jnum f
-      | None -> raise Bad_line)
-  in
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = '}' then []
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' ->
-        advance ();
-        members ()
-      | '}' -> ()
-      | _ -> raise Bad_line
-    in
-    members ();
-    List.rev !fields
-  end
+let field j key =
+  match Json.member key j with Some v -> v | None -> raise Bad_line
 
-let fstr fields key =
-  match List.assoc_opt key fields with
-  | Some (Jstr s) -> s
+let fstr j key = match field j key with Json.Str s -> s | _ -> raise Bad_line
+
+let fint j key = match field j key with Json.Int n -> n | _ -> raise Bad_line
+
+(* [null] is how the writer prints a non-finite float. *)
+let ffloat j key =
+  match field j key with
+  | Json.Int n -> float_of_int n
+  | Json.Fixed (_, x) -> x
+  | Json.Null -> Float.nan
   | _ -> raise Bad_line
 
-let fint fields key =
-  match List.assoc_opt key fields with
-  | Some (Jnum f) -> int_of_float f
+let fop j =
+  match field j "op" with
+  | Json.Str s -> Some s
+  | Json.Null -> None
   | _ -> raise Bad_line
 
-let ffloat fields key =
-  match List.assoc_opt key fields with
-  | Some (Jnum f) -> f
+let decode j =
+  let s = fstr j and i = fint j in
+  match s "type" with
+  | "generate" ->
+    Generate { replica = s "replica"; op_id = fop j; intent = s "intent";
+               queue = i "queue"; tick = i "tick" }
+  | "send" ->
+    Send { src = s "src"; dst = s "dst"; op_id = fop j; bytes = i "bytes";
+           queue = i "queue"; tick = i "tick" }
+  | "deliver" ->
+    Deliver { replica = s "replica"; src = s "src"; op_id = fop j;
+              transforms = i "transforms"; queue = i "queue";
+              tick = i "tick" }
+  | "transform" -> Transform { replica = s "replica"; count = i "count" }
+  | "apply" ->
+    Apply { replica = s "replica"; op_id = fop j; doc_len = i "doc_len";
+            tick = i "tick" }
+  | "wire" ->
+    Wire { channel = s "channel"; action = s "action"; wseq = i "wseq";
+           info = i "info"; tick = i "tick" }
+  | "state_space_grow" ->
+    State_space_grow { replica = s "replica"; level = i "level";
+                       states = i "states"; transitions = i "transitions" }
+  | "span" -> Span { name = s "name"; dur_ns = ffloat j "dur_ns" }
+  | "gc_begin" ->
+    Gc_begin { cycle = i "cycle"; trigger = s "trigger"; meta = i "meta";
+               tick = i "tick" }
+  | "gc_end" ->
+    Gc_end { cycle = i "cycle"; reclaimed_states = i "reclaimed_states";
+             reclaimed_log = i "reclaimed_log";
+             reclaimed_keys = i "reclaimed_keys"; meta = i "meta";
+             snapshot_bytes = i "snapshot_bytes"; skipped = i "skipped";
+             tick = i "tick" }
   | _ -> raise Bad_line
-
-let fopt fields key =
-  match List.assoc_opt key fields with
-  | Some (Jstr s) -> Some s
-  | _ -> None
 
 let of_jsonl line =
-  match parse_fields line with
-  | exception Bad_line -> None
-  | fields -> (
-    try
-      let seq = fint fields "seq" in
-      let e =
-        match fstr fields "type" with
-        | "generate" ->
-          Generate
-            {
-              replica = fstr fields "replica";
-              op_id = fopt fields "op";
-              intent = fstr fields "intent";
-              queue = fint fields "queue";
-              tick = fint fields "tick";
-            }
-        | "send" ->
-          Send
-            {
-              src = fstr fields "src";
-              dst = fstr fields "dst";
-              op_id = fopt fields "op";
-              bytes = fint fields "bytes";
-              queue = fint fields "queue";
-              tick = fint fields "tick";
-            }
-        | "deliver" ->
-          Deliver
-            {
-              replica = fstr fields "replica";
-              src = fstr fields "src";
-              op_id = fopt fields "op";
-              transforms = fint fields "transforms";
-              queue = fint fields "queue";
-              tick = fint fields "tick";
-            }
-        | "transform" ->
-          Transform
-            { replica = fstr fields "replica"; count = fint fields "count" }
-        | "apply" ->
-          Apply
-            {
-              replica = fstr fields "replica";
-              op_id = fopt fields "op";
-              doc_len = fint fields "doc_len";
-              tick = fint fields "tick";
-            }
-        | "wire" ->
-          Wire
-            {
-              channel = fstr fields "channel";
-              action = fstr fields "action";
-              wseq = fint fields "wseq";
-              info = fint fields "info";
-              tick = fint fields "tick";
-            }
-        | "state_space_grow" ->
-          State_space_grow
-            {
-              replica = fstr fields "replica";
-              level = fint fields "level";
-              states = fint fields "states";
-              transitions = fint fields "transitions";
-            }
-        | "span" ->
-          Span { name = fstr fields "name"; dur_ns = ffloat fields "dur_ns" }
-        | "gc_begin" ->
-          Gc_begin
-            {
-              cycle = fint fields "cycle";
-              trigger = fstr fields "trigger";
-              meta = fint fields "meta";
-              tick = fint fields "tick";
-            }
-        | "gc_end" ->
-          Gc_end
-            {
-              cycle = fint fields "cycle";
-              reclaimed_states = fint fields "reclaimed_states";
-              reclaimed_log = fint fields "reclaimed_log";
-              reclaimed_keys = fint fields "reclaimed_keys";
-              meta = fint fields "meta";
-              snapshot_bytes = fint fields "snapshot_bytes";
-              skipped = fint fields "skipped";
-              tick = fint fields "tick";
-            }
-        | _ -> raise Bad_line
-      in
-      Some (seq, e)
-    with Bad_line -> None)
+  match Json.of_string line with
+  | Error _ -> None
+  | Ok j -> ( try Some (fint j "seq", decode j) with Bad_line -> None)

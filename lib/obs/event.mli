@@ -104,20 +104,14 @@ val op_id : t -> string option
 (** The virtual-clock stamp, for the event kinds that carry one. *)
 val tick : t -> int option
 
-(** JSON string escaping, the one shared by every JSON renderer in
-    the repository (metrics, trace, lint reports, bench results):
-    quotes, backslashes, newlines, tabs and carriage returns get their
-    short escapes, every other control character becomes [\u00XX]. *)
-val escape : string -> string
-
-(** [to_jsonl ~seq e] renders one JSON object (no trailing newline);
-    [seq] is the event's position in the trace. *)
+(** [to_jsonl ~seq e] renders one {!Json} object (no trailing
+    newline); [seq] is the event's position in the trace. *)
 val to_jsonl : seq:int -> t -> string
 
 (** [of_jsonl line] decodes one trace line back into its sequence
     number and event.  Returns [None] on anything that is not a trace
-    event (summary lines, blank lines, unknown types) — the analyzer
-    skips those. *)
+    event (summary lines, blank lines, unknown types, malformed JSON,
+    fields of the wrong type) — the analyzer skips those. *)
 val of_jsonl : string -> (int * t) option
 
 val pp : Format.formatter -> t -> unit

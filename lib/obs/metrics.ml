@@ -171,36 +171,19 @@ let fold t ~init ~f =
   in
   List.fold_left (fun acc (name, m) -> f acc name m) init entries
 
-(* JSON number: no NaN/inf in the output, ever. *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
 let to_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ", "
+  let num v = Json.Fixed (3, v) in
+  let value = function
+    | Counter c -> Json.Int c
+    | Gauge g -> num g
+    | Histogram h ->
+      Json.Obj
+        [ "count", Int (hist_count h); "sum", num h.sum;
+          "mean", num (hist_mean h); "p50", num (percentile h 50.0);
+          "p90", num (percentile h 90.0); "p99", num (percentile h 99.0);
+          "max", num h.mx ]
   in
-  fold t ~init:() ~f:(fun () name m ->
-      sep ();
-      Buffer.add_string b (Printf.sprintf "\"%s\": " (Event.escape name));
-      match m with
-      | Counter c -> Buffer.add_string b (string_of_int c)
-      | Gauge g -> Buffer.add_string b (json_float g)
-      | Histogram h ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"count\": %d, \"sum\": %s, \"mean\": %s, \"p50\": %s, \
-              \"p90\": %s, \"p99\": %s, \"max\": %s}"
-             (hist_count h) (json_float h.sum)
-             (json_float (hist_mean h))
-             (json_float (percentile h 50.0))
-             (json_float (percentile h 90.0))
-             (json_float (percentile h 99.0))
-             (json_float h.mx)));
-  Buffer.add_string b "}";
-  Buffer.contents b
+  Json.Obj (List.rev (fold t ~init:[] ~f:(fun acc k m -> (k, value m) :: acc)))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -103,10 +103,10 @@ type metric =
 (** All metrics, sorted by name. *)
 val fold : t -> init:'a -> f:('a -> string -> metric -> 'a) -> 'a
 
-(** One-object JSON rendering: counters as integers, gauges as
-    numbers, histograms as [{"count":..,"mean":..,"p50":..,"p90":..,
-    "p99":..,"max":..}] summaries.  Keys sorted by name. *)
-val to_json : t -> string
+(** One JSON object: counters as integers, gauges as 3-decimal
+    numbers, histograms as [{"count", "sum", "mean", "p50", "p90",
+    "p99", "max"}] summaries.  Keys sorted by name. *)
+val to_json : t -> Json.t
 
 (** Human-readable table of the same content. *)
 val pp : Format.formatter -> t -> unit

@@ -37,4 +37,4 @@ let report ppf t =
     Format.fprintf ppf "trace events emitted: %d@," (Sink.count t.sink);
   Format.fprintf ppf "@]"
 
-let metrics_json t = Metrics.to_json t.metrics
+let metrics_json t = Json.to_string (Metrics.to_json t.metrics)

@@ -344,41 +344,31 @@ let pp_summary ppf s =
   Format.fprintf ppf "@]"
 
 let summary_to_json s =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{\"events\": %d, \"ops\": %d, \"sends\": %d, \"incomplete\": %d, "
-    s.su_events s.su_ops s.su_sends s.su_incomplete;
-  add "\"lag_unit\": \"%s\", " s.su_lag_unit;
-  add
-    "\"convergence_lag\": {\"p50\": %.2f, \"p90\": %.2f, \"p99\": %.2f, \
-     \"max\": %.2f}, "
-    s.su_lag_p50 s.su_lag_p90 s.su_lag_p99 s.su_lag_max;
-  add "\"staleness\": {";
-  List.iteri
-    (fun i (r, mean, mx) ->
-      if i > 0 then add ", ";
-      add "\"%s\": {\"mean\": %.2f, \"max\": %.2f}" (Event.escape r) mean mx)
-    s.su_staleness;
-  add "}, ";
-  add
-    "\"transforms\": {\"total\": %d, \"p50\": %.2f, \"p90\": %.2f, \"max\": \
-     %.2f}, "
-    s.su_transforms_total s.su_tf_p50 s.su_tf_p90 s.su_tf_max;
-  add "\"wire\": {";
-  List.iteri
-    (fun i (a, n) ->
-      if i > 0 then add ", ";
-      add "\"%s\": %d" (Event.escape a) n)
-    s.su_wire;
-  add "}, ";
-  add "\"amplification\": %.3f, " s.su_amplification;
-  add "\"timeline\": [";
-  List.iteri
-    (fun i (t, rex, drops) ->
-      if i > 0 then add ", ";
-      add "{\"tick\": %d, \"retransmits\": %d, \"drops\": %d}" t rex drops)
-    s.su_timeline;
-  add "], ";
-  add "\"gc\": {\"cycles\": %d, \"reclaimed\": %d, \"skipped\": %d}}"
-    s.su_gc_cycles s.su_gc_reclaimed s.su_gc_skipped;
-  Buffer.contents b
+  let open Json in
+  let f2 x = Fixed (2, x) in
+  Obj
+    [ "events", Int s.su_events; "ops", Int s.su_ops; "sends", Int s.su_sends;
+      "incomplete", Int s.su_incomplete; "lag_unit", Str s.su_lag_unit;
+      ( "convergence_lag",
+        Obj [ "p50", f2 s.su_lag_p50; "p90", f2 s.su_lag_p90;
+              "p99", f2 s.su_lag_p99; "max", f2 s.su_lag_max ] );
+      ( "staleness",
+        Obj
+          (List.map
+             (fun (r, mean, mx) -> (r, Obj [ "mean", f2 mean; "max", f2 mx ]))
+             s.su_staleness) );
+      ( "transforms",
+        Obj [ "total", Int s.su_transforms_total; "p50", f2 s.su_tf_p50;
+              "p90", f2 s.su_tf_p90; "max", f2 s.su_tf_max ] );
+      "wire", Obj (List.map (fun (a, n) -> (a, Int n)) s.su_wire);
+      "amplification", Fixed (3, s.su_amplification);
+      ( "timeline",
+        List
+          (List.map
+             (fun (t, rex, drops) ->
+               Obj
+                 [ "tick", Int t; "retransmits", Int rex; "drops", Int drops ])
+             s.su_timeline) );
+      ( "gc",
+        Obj [ "cycles", Int s.su_gc_cycles; "reclaimed", Int s.su_gc_reclaimed;
+              "skipped", Int s.su_gc_skipped ] ) ]

@@ -68,4 +68,4 @@ val summarize : Event.t list -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val summary_to_json : summary -> string
+val summary_to_json : summary -> Json.t

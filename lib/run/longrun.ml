@@ -168,43 +168,30 @@ let run ?gc ?(faults = Rlist_net.Faults.none) ~now ~protocol ~profile
   }
 
 let result_to_json r =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"protocol\": %S, \"profile\": %S, \"updates\": %d, \"chunk\": %d, \
-     \"seed\": %d, \"gc\": %s, \"meta_peak\": %d, \"heap_peak_words\": %d, \
-     \"p50_us_per_op\": %.3f, \"p99_us_per_op\": %.3f, \"flat_meta\": %.3f, \
-     \"flat_latency\": %.3f, \"digest\": %S, \"converged\": %b, \
-     \"elapsed_s\": %.3f"
-    r.l_protocol
-    (Workload.profile_name r.l_profile)
-    r.l_updates r.l_chunk r.l_seed
-    (match r.l_gc with
-    | None -> "null"
-    | Some p -> Printf.sprintf "%S" (Rlist_gc.to_string p))
-    r.l_meta_peak r.l_heap_peak r.l_p50_us r.l_p99_us r.l_flat_meta
-    r.l_flat_latency r.l_digest r.l_converged r.l_elapsed_s;
-  (match r.l_gc_stats with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string b ", \"gc_stats\": {";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string b ", ";
-        Printf.bprintf b "%S: %d" k v)
-      (Rlist_gc.stats_fields s);
-    Buffer.add_char b '}');
-  Buffer.add_string b ", \"samples\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b
-        "{\"ops\": %d, \"us_per_op\": %.3f, \"meta\": %d, \"heap_words\": \
-         %d, \"gc_cycles\": %d, \"reclaimed\": %d, \"dedup_keys\": %d}"
-        s.x_ops s.x_us_per_op s.x_meta s.x_heap_words s.x_gc_cycles
-        s.x_reclaimed s.x_dedup_keys)
-    r.l_samples;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Rlist_obs.Json in
+  let f3 x = Fixed (3, x) in
+  let gc_stats s =
+    let ints = List.map (fun (k, v) -> (k, Int v)) (Rlist_gc.stats_fields s) in
+    [ "gc_stats", Obj ints ]
+  in
+  let sample s =
+    Obj
+      [ "ops", Int s.x_ops; "us_per_op", f3 s.x_us_per_op; "meta", Int s.x_meta;
+        "heap_words", Int s.x_heap_words; "gc_cycles", Int s.x_gc_cycles;
+        "reclaimed", Int s.x_reclaimed; "dedup_keys", Int s.x_dedup_keys ]
+  in
+  Obj
+    ([ "protocol", Str r.l_protocol;
+       "profile", Str (Workload.profile_name r.l_profile);
+       "updates", Int r.l_updates; "chunk", Int r.l_chunk; "seed", Int r.l_seed;
+       "gc", opt (fun p -> Str (Rlist_gc.to_string p)) r.l_gc;
+       "meta_peak", Int r.l_meta_peak; "heap_peak_words", Int r.l_heap_peak;
+       "p50_us_per_op", f3 r.l_p50_us; "p99_us_per_op", f3 r.l_p99_us;
+       "flat_meta", f3 r.l_flat_meta; "flat_latency", f3 r.l_flat_latency;
+       "digest", Str r.l_digest; "converged", Bool r.l_converged;
+       "elapsed_s", f3 r.l_elapsed_s ]
+    @ Option.fold ~none:[] ~some:gc_stats r.l_gc_stats
+    @ [ "samples", List (List.map sample r.l_samples) ])
 
 let pp ppf r =
   Format.fprintf ppf

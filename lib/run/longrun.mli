@@ -78,8 +78,8 @@ val run :
   unit ->
   result
 
-(** One-object JSON rendering (samples included), for
-    [BENCH_longrun.json] and the CLI's [--json]. *)
-val result_to_json : result -> string
+(** One JSON object (samples included), for [BENCH_longrun.json]
+    and the CLI's [--json]. *)
+val result_to_json : result -> Rlist_obs.Json.t
 
 val pp : Format.formatter -> result -> unit

@@ -51,12 +51,15 @@ let run ?gc ?faults ~now ~protocol ~profile ~nclients ~updates ~chunk ~seed
   }
 
 let result_to_json r =
-  Printf.sprintf
-    {|{"version":1,"protocol":%S,"profile":%S,"updates":%d,"seeds":[%d,%d],"single":[%S,%S],"sharded":[%S,%S],"equal":%b}|}
-    r.s_protocol
-    (Rlist_workload.Workload.profile_name r.s_profile)
-    r.s_updates r.s_seed_a r.s_seed_b (fst r.s_single) (snd r.s_single)
-    (fst r.s_sharded) (snd r.s_sharded) r.s_equal
+  let open Rlist_obs.Json in
+  let pair (a, b) = List [ Str a; Str b ] in
+  Obj
+    [ "version", Int 1; "protocol", Str r.s_protocol;
+      "profile", Str (Rlist_workload.Workload.profile_name r.s_profile);
+      "updates", Int r.s_updates;
+      "seeds", List [ Int r.s_seed_a; Int r.s_seed_b ];
+      "single", pair r.s_single; "sharded", pair r.s_sharded;
+      "equal", Bool r.s_equal ]
 
 let pp ppf r =
   Format.fprintf ppf

@@ -41,7 +41,7 @@ val run :
   unit ->
   result
 
-(** One-object JSON rendering, for the CI artifact and [--json]. *)
-val result_to_json : result -> string
+(** One JSON object, for the CI artifact and [--json]. *)
+val result_to_json : result -> Rlist_obs.Json.t
 
 val pp : Format.formatter -> result -> unit

@@ -182,3 +182,43 @@ let typing_text seed =
   let rng = Random.State.make [| seed |] in
   String.init (2 * typing_clients * typing_burst) (fun _ ->
       Char.chr (97 + Random.State.int rng 26))
+
+(* JSON reports are asserted field by field on their emitted text,
+   parsed back, so the tests pin values and not layout. *)
+module Json = Rlist_obs.Json
+
+let json : Json.t Alcotest.testable =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Json.to_string v))
+    ( = )
+
+(* [v] printed and parsed back; fails the test when the text is not
+   JSON. *)
+let reparse v =
+  match Json.of_string (Json.to_string v) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e
+
+(* The member at [path] (object keys, outermost first). *)
+let rec json_at j = function
+  | [] -> j
+  | key :: rest -> (
+    match Json.member key j with
+    | Some v -> json_at v rest
+    | None -> Alcotest.failf "no member %S in %s" key (Json.to_string j))
+
+let check_json_field j path expected =
+  Alcotest.check json (String.concat "." path) expected (json_at j path)
+
+(* Some element of the array at [path] has member [key] = [expected]. *)
+let check_json_some j path key expected =
+  let elements =
+    match json_at j path with
+    | Json.List l -> l
+    | v -> Alcotest.failf "not an array: %s" (Json.to_string v)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "some %s has %s = %s" (String.concat "." path) key
+       (Json.to_string expected))
+    true
+    (List.exists (fun e -> Json.member key e = Some expected) elements)

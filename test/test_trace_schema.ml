@@ -123,7 +123,118 @@ let test_decoder_skips_non_events () =
        true}";
       "{\"seq\": 3, \"type\": \"no-such-kind\", \"replica\": \"c1\"}";
       "{\"seq\": 1}";
+      (* malformed literals are not null or a number *)
+      "{\"seq\": 0, \"type\": \"apply\", \"replica\": \"c1\", \"op\": nope, \
+       \"doc_len\": 1, \"tick\": 0}";
+      "{\"seq\": 0, \"type\": \"generate\", \"replica\": \"c1\", \"op\": \
+       null, \"intent\": \"read\", \"queue\": trux, \"tick\": 0}";
     ]
+
+let test_decoder_escapes () =
+  Alcotest.(check (option (pair int event)))
+    "\\b decodes to a backspace"
+    (Some (0, Event.Transform { replica = "c\b1"; count = 2 }))
+    (Event.of_jsonl
+       "{\"seq\": 0, \"type\": \"transform\", \"replica\": \"c\\b1\", \
+        \"count\": 2}")
+
+let test_json_parser () =
+  let module J = Rlist_obs.Json in
+  let parses text v =
+    Alcotest.(check (result Helpers.json string))
+      text (Ok v) (J.of_string text)
+  in
+  parses {| {"a": [1, -2.50, true, false, null, {"b": "x"}]} |}
+    (Obj
+       [ ( "a",
+           List
+             [ Int 1; Fixed (2, -2.5); Bool true; Bool false; Null;
+               Obj [ "b", Str "x" ] ] ) ]);
+  parses {|"\u00e9\ud83d\ude00\/\b\f\t"|}
+    (Str "\xc3\xa9\xf0\x9f\x98\x80/\b\012\t");
+  parses "1e3" (Fixed (0, 1000.));
+  List.iter
+    (fun text ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rejects %S" text)
+        true
+        (Result.is_error (J.of_string text)))
+    [ "nul"; "[1,]"; {|{"a" 1}|}; {|"\x"|}; "01"; "1."; {|"\ud800"|};
+      "[1] x"; "\"a\001b\""; "" ];
+  Alcotest.(check (list string))
+    "numbers and escapes print as documented"
+    [ "null"; "1.000"; "-7"; {|"\u0001\"\\\n"|} ]
+    (List.map J.to_string
+       [ Fixed (2, Float.nan); Fixed (3, 1.); Int (-7); Str "\001\"\\\n" ])
+
+(* Events with arbitrary bytes in every string field and arbitrary
+   ints; span durations are whole numbers, which [%.0f] keeps exact. *)
+let gen_event =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_range 0 6) in
+  let+ k = int_range 0 9
+  and+ a = str
+  and+ b = str
+  and+ c = str
+  and+ op_id = opt str
+  and+ i = int
+  and+ j = int
+  and+ l = int
+  and+ m = int in
+  match k with
+  | 0 -> Event.Generate { replica = a; op_id; intent = b; queue = i; tick = j }
+  | 1 -> Send { src = a; dst = b; op_id; bytes = i; queue = j; tick = l }
+  | 2 ->
+    Deliver
+      { replica = a; src = b; op_id; transforms = i; queue = j; tick = l }
+  | 3 -> Transform { replica = a; count = i }
+  | 4 -> Apply { replica = a; op_id; doc_len = i; tick = j }
+  | 5 -> Wire { channel = a; action = b; wseq = i; info = j; tick = l }
+  | 6 ->
+    State_space_grow { replica = a; level = i; states = j; transitions = l }
+  | 7 -> Span { name = c; dur_ns = float_of_int (i mod 1_000_000_000) }
+  | 8 -> Gc_begin { cycle = i; trigger = c; meta = j; tick = l }
+  | _ ->
+    Gc_end
+      {
+        cycle = i;
+        reclaimed_states = j;
+        reclaimed_log = l;
+        reclaimed_keys = m;
+        meta = i;
+        snapshot_bytes = j;
+        skipped = l;
+        tick = m;
+      }
+
+let test_round_trip_arbitrary =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"of_jsonl (to_jsonl e) = e, arbitrary bytes"
+       ~count:500
+       ~print:(fun (seq, e) -> Event.to_jsonl ~seq e)
+       QCheck2.Gen.(pair int gen_event)
+       (fun (seq, e) -> Event.of_jsonl (Event.to_jsonl ~seq e) = Some (seq, e)))
+
+(* A prefix of a real trace line followed by JSON-ish junk: reaches
+   deeper into the parser than uniformly random bytes do. *)
+let gen_near_json =
+  let open QCheck2.Gen in
+  let line = Event.to_jsonl ~seq:1 (List.nth exemplars 4) in
+  let junk =
+    string_size
+      ~gen:(oneofl (List.of_seq (String.to_seq "{}[]\":,\\u0-.eEtnf ")))
+      (int_range 0 8)
+  in
+  let+ cut = int_bound (String.length line) and+ junk = junk in
+  String.sub line 0 cut ^ junk
+
+let test_parser_total =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"Json.of_string never raises" ~count:1000
+       ~print:(Printf.sprintf "%S")
+       QCheck2.Gen.(oneof [ string; gen_near_json ])
+       (fun s ->
+         match Rlist_obs.Json.of_string s with Ok _ | Error _ -> true))
 
 let test_accessors () =
   let gen = List.nth exemplars 0 in
@@ -152,6 +263,12 @@ let () =
             test_round_trip;
           Alcotest.test_case "decoder skips non-events" `Quick
             test_decoder_skips_non_events;
+          Alcotest.test_case "decoder handles escapes" `Quick
+            test_decoder_escapes;
+          Alcotest.test_case "Json reads what it writes" `Quick
+            test_json_parser;
+          test_round_trip_arbitrary;
+          test_parser_total;
           Alcotest.test_case "accessors" `Quick test_accessors;
         ] );
     ]

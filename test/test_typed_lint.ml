@@ -152,20 +152,23 @@ let test_witness_formatting () =
            "via Fx_entry.transform -> Fx_mid.step -> Fx_leaf.pick -> \
             Random.int"
          rendered);
-    let json = Finding.to_json f in
-    Alcotest.(check bool)
-      "to_json carries the chain array" true
-      (contains
-         ~needle:
-           "\"chain\":[\"Fx_entry.transform\",\"Fx_mid.step\",\"Fx_leaf.pick\",\"Random.int\"]"
-         json)
+    Helpers.check_json_field
+      (Helpers.reparse (Finding.to_json f))
+      [ "chain" ]
+      (List
+         [
+           Str "Fx_entry.transform";
+           Str "Fx_mid.step";
+           Str "Fx_leaf.pick";
+           Str "Random.int";
+         ])
   | fs -> Alcotest.failf "expected three findings, got %d" (List.length fs)
 
 let test_untyped_json_has_no_chain () =
   let f = Finding.v ~file:"x.ml" ~line:1 ~col:1 ~rule:"poly-eq" "m" in
-  Alcotest.(check bool)
-    "single-site findings keep the old JSON shape" false
-    (contains ~needle:"chain" (Finding.to_json f))
+  Alcotest.(check (option Helpers.json))
+    "single-site findings keep the old JSON shape" None
+    (Rlist_obs.Json.member "chain" (Helpers.reparse (Finding.to_json f)))
 
 let test_domain_scan () =
   let muts = Typed.domain_scan (Lazy.force corpus) in
@@ -192,24 +195,19 @@ let test_domain_scan () =
 
 let test_domain_report () =
   let muts = Typed.domain_scan (Lazy.force corpus) in
-  let json = Typed.domain_report_json muts in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "report contains %s" needle)
-        true (contains ~needle json))
-    [
-      "\"version\":1";
-      "\"shard_ready\":false";
-      "\"shared-unsafe\":3";
-      "\"unsuppressed_shared_unsafe\":3";
-      "\"name\":\"Fx_table.table\"";
-      "\"name\":\"Fx_esc_module.buf\"";
-      "\"kind\":\"Hashtbl.t\"";
-    ];
-  Alcotest.(check bool)
-    "an empty inventory is shard-ready" true
-    (contains ~needle:"\"shard_ready\":true" (Typed.domain_report_json []))
+  let json = Helpers.reparse (Typed.domain_report_json muts) in
+  let field = Helpers.check_json_field json in
+  let some = Helpers.check_json_some json [ "entries" ] in
+  field [ "version" ] (Int 1);
+  field [ "shard_ready" ] (Bool false);
+  field [ "classes"; "shared-unsafe" ] (Int 3);
+  field [ "unsuppressed_shared_unsafe" ] (Int 3);
+  some "name" (Str "Fx_table.table");
+  some "name" (Str "Fx_esc_module.buf");
+  some "kind" (Str "Hashtbl.t");
+  Helpers.check_json_field
+    (Helpers.reparse (Typed.domain_report_json []))
+    [ "shard_ready" ] (Bool true)
 
 let test_run_combined () =
   Alcotest.(check (list (pair string string)))
@@ -250,18 +248,20 @@ let test_exports () =
     "dot ids and labels escape quotes, angle brackets and backslashes"
     "M.(init) \\\"x\\\" \\<t\\> a\\\\b"
     (Callgraph.dot_escape "M.(init) \"x\" <t> a\\b");
-  let json = Callgraph.json ~entries:r.r_entries ~reached:r.r_reached g in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "graph json contains %s" needle)
-        true (contains ~needle json))
-    [
-      "\"version\":1";
-      "[\"Fx_entry.transform\",\"Fx_mid.step\"]";
-      "\"entry\":true";
-      "\"sinks\":1";
-    ]
+  let json =
+    Helpers.reparse (Callgraph.json ~entries:r.r_entries ~reached:r.r_reached g)
+  in
+  Helpers.check_json_field json [ "version" ] (Int 1);
+  Alcotest.(check bool)
+    "graph json has the edge Fx_entry.transform -> Fx_mid.step" true
+    (match Helpers.json_at json [ "edges" ] with
+    | List edges ->
+      List.mem
+        (Rlist_obs.Json.List [ Str "Fx_entry.transform"; Str "Fx_mid.step" ])
+        edges
+    | _ -> false);
+  Helpers.check_json_some json [ "nodes" ] "entry" (Bool true);
+  Helpers.check_json_some json [ "nodes" ] "sinks" (Int 1)
 
 let escape_result =
   lazy
@@ -353,29 +353,42 @@ let test_escape_findings_and_report () =
     "findings carry the escape rule"
     [ "escape"; "escape"; "escape"; "escape"; "escape" ]
     (List.map (fun (f : Finding.t) -> f.rule) (Escape.findings esc));
-  let json = Escape.report_json esc in
+  let json = Helpers.reparse (Escape.report_json esc) in
+  let field = Helpers.check_json_field json in
+  field [ "version" ] (Int 1);
+  field [ "classes"; "escaping" ] (Int 5);
   List.iter
-    (fun needle ->
+    (fun cls ->
       Alcotest.(check bool)
-        (Printf.sprintf "escape report contains %s" needle)
-        true (contains ~needle json))
-    [
-      "\"version\":1";
-      "\"escaping\":5";
-      "\"stack-confined\":";
-      "\"instance-confined\":";
-      "\"escaping_unsuppressed\":5";
-      "\"def\":\"Fx_esc_nested.register\"";
-      "stored via Hashtbl.replace (fx_esc_nested.ml:7)";
-    ];
+        (cls ^ " is counted") true
+        (match Helpers.json_at json [ "classes"; cls ] with
+        | Int _ -> true
+        | _ -> false))
+    [ "stack-confined"; "instance-confined" ];
+  field [ "escaping_unsuppressed" ] (Int 5);
+  Helpers.check_json_some json [ "entries" ] "def"
+    (Str "Fx_esc_nested.register");
+  Alcotest.(check bool)
+    "some entry's chain stores via Hashtbl.replace" true
+    (match Helpers.json_at json [ "entries" ] with
+    | List entries ->
+      List.exists
+        (fun e ->
+          match Rlist_obs.Json.member "chain" e with
+          | Some (List links) ->
+            List.mem
+              (Rlist_obs.Json.Str
+                 "stored via Hashtbl.replace (fx_esc_nested.ml:7)")
+              links
+          | _ -> false)
+        entries
+    | _ -> false);
   let dr =
     Typed.domain_report_json
       ~escaping_unsuppressed:(Escape.unsuppressed_escaping esc)
       []
   in
-  Alcotest.(check bool)
-    "unsuppressed escapes veto shard-readiness" true
-    (contains ~needle:"\"shard_ready\":false" dr)
+  Helpers.check_json_field (Helpers.reparse dr) [ "shard_ready" ] (Bool false)
 
 (* The repository's own engine core.  The engines are functors, whose
    instantiations the call graph does not resolve, so the shared core
@@ -431,12 +444,12 @@ let test_lib_census () =
        [ "stack-confined"; "instance-confined"; "escaping" ]);
   Alcotest.(check int) "no unsuppressed escaping allocation" 0
     (Escape.unsuppressed_escaping esc);
-  Alcotest.(check bool)
-    "shard-ready" true
-    (contains ~needle:"\"shard_ready\":true"
+  Helpers.check_json_field
+    (Helpers.reparse
        (Typed.domain_report_json
           ~escaping_unsuppressed:(Escape.unsuppressed_escaping esc)
           (Typed.domain_scan corpus)))
+    [ "shard_ready" ] (Bool true)
 
 let () =
   Alcotest.run "typed-lint"
