@@ -40,6 +40,11 @@ let usage_error cmd msg =
   Printf.eprintf "%s: %s\n" cmd msg;
   exit Cmd.Exit.cli_error
 
+(* Refuse arguments before a run starts, so a refusal is a usage error
+   and leaves nothing behind; a crash during the run still exits 1. *)
+let check_args cmd check =
+  try check () with Invalid_argument msg -> usage_error cmd msg
+
 (* The report of one simulated run or schedule replay, whatever the
    protocol. *)
 type summary = {
@@ -354,6 +359,7 @@ let soak protocol faults no_shim rto batching fastpath gc nclients
       gc;
     }
   in
+  check_args "soak" (fun () -> Recorded.check spec);
   let obs = Rlist_obs.Obs.make () in
   let recorder = Rlist_obs.Recorder.create () in
   match Recorded.run ~obs ~recorder spec with
@@ -481,6 +487,8 @@ let soak_cmd =
 
 let longrun protocol profile nclients updates chunk seed faults gc
     assert_flat max_meta json =
+  check_args "longrun" (fun () ->
+      Rlist_run.Longrun.check ~protocol ~nclients ~updates ~chunk);
   let r =
     match
       Rlist_run.Longrun.run ?gc ~faults ~now:Unix.gettimeofday
@@ -561,6 +569,8 @@ let longrun_cmd =
    reference run. *)
 
 let shard_smoke protocol profile nclients updates chunk seed gc json =
+  check_args "shard-smoke" (fun () ->
+      Rlist_run.Longrun.check ~protocol ~nclients ~updates ~chunk);
   let r =
     match
       Rlist_run.Shard_smoke.run ?gc ~now:Unix.gettimeofday

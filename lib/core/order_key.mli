@@ -17,3 +17,11 @@ type t =
 val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
+
+(** [of_serials ~who ~own_client serials] keys an operation by its
+    serial in [serials], or as {!Pending} if it is [own_client]'s own
+    (none at the server, [own_client = 0]).
+    @raise Invalid_argument naming [who] for any other operation. *)
+val of_serials :
+  who:string -> own_client:int -> int Rlist_model.Op_id.Table.t ->
+  Rlist_model.Op_id.t -> t

@@ -38,20 +38,7 @@ type server = {
 
 let make_replica ~fastpath ~initial ~own_client =
   let serials = Op_id.Table.create 64 in
-  let key_of id =
-    match Op_id.Table.find_opt serials id with
-    | Some serial -> Order_key.Serialized serial
-    | None ->
-      (* Only the replica's own unacknowledged operations may lack a
-         serial number (FIFO channels deliver every other operation
-         with its serial). *)
-      if id.Op_id.client = own_client then Order_key.Pending id.Op_id.seq
-      else
-        invalid_arg
-          (Format.asprintf
-             "CSS replica %d: no order key for foreign operation %a"
-             own_client Op_id.pp id)
-  in
+  let key_of = Order_key.of_serials ~who:"CSS replica" ~own_client serials in
   let space = State_space.create ~fastpath ~key_of () in
   { space; serials; doc = initial; path = [ State_space.initial_state ] }
 
@@ -213,17 +200,7 @@ let rebuild_client ~id ~next_seq ~doc ~serials ~space ~root ~final =
   let table = Op_id.Table.create 64 in
   List.iter (fun (op_id, serial) -> Op_id.Table.replace table op_id serial)
     serials;
-  let key_of op_id =
-    match Op_id.Table.find_opt table op_id with
-    | Some serial -> Order_key.Serialized serial
-    | None ->
-      if op_id.Op_id.client = id then Order_key.Pending op_id.Op_id.seq
-      else
-        invalid_arg
-          (Format.asprintf
-             "CSS rebuild %d: no order key for foreign operation %a" id
-             Op_id.pp op_id)
-  in
+  let key_of = Order_key.of_serials ~who:"CSS rebuild" ~own_client:id table in
   let space = State_space.of_raw ~key_of ~root ~final space in
   {
     id;

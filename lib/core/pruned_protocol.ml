@@ -60,16 +60,8 @@ type server = {
 
 let make_replica ~fastpath ~nclients ~initial ~own_client =
   let serials = Op_id.Table.create 64 in
-  let key_of id =
-    match Op_id.Table.find_opt serials id with
-    | Some serial -> Order_key.Serialized serial
-    | None ->
-      if id.Op_id.client = own_client then Order_key.Pending id.Op_id.seq
-      else
-        invalid_arg
-          (Format.asprintf
-             "css-pruned replica %d: no order key for foreign operation %a"
-             own_client Op_id.pp id)
+  let key_of =
+    Order_key.of_serials ~who:"css-pruned replica" ~own_client serials
   in
   {
     space = State_space.create ~fastpath ~key_of ();

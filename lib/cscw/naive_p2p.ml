@@ -90,12 +90,14 @@ let record_execution t form ~orig_clock ~orig_client ~orig_seq =
   t.log <- { form; orig_clock; orig_client; orig_seq } :: t.log
 
 let client_generate t intent =
-  let doc_length = Document.length t.doc in
-  if not (Intent.valid_for ~doc_length intent) then
-    invalid_arg
-      (Format.asprintf "naive client %d: intent %a out of bounds (length %d)"
-         t.id Intent.pp intent doc_length);
-  let emit op outcome =
+  let { Rlist_sim.Intent_resolver.outcome; op } =
+    Rlist_sim.Intent_resolver.resolve ~client:t.id ~seq:t.next_seq ~doc:t.doc
+      intent
+  in
+  match op with
+  | None -> outcome, None
+  | Some op ->
+    t.next_seq <- t.next_seq + 1;
     t.doc <- Op.apply op t.doc;
     t.clock.(t.id) <- t.clock.(t.id) + 1;
     t.visible <- Op_id.Set.add op.Op.id t.visible;
@@ -103,31 +105,6 @@ let client_generate t intent =
     record_execution t op ~orig_clock:clock ~orig_client:t.id
       ~orig_seq:op.Op.id.Op_id.seq;
     outcome, Some { op; clock }
-  in
-  match intent with
-  | Intent.Read ->
-    ( { Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_read; op_id = None },
-      None )
-  | Intent.Insert (value, pos) ->
-    let id = Op_id.make ~client:t.id ~seq:t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    let elt = Element.make ~value ~id in
-    emit
-      (Op.make_ins ~id elt pos)
-      {
-        Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_ins (elt, pos);
-        op_id = Some id;
-      }
-  | Intent.Delete pos ->
-    let elt = Document.nth t.doc pos in
-    let id = Op_id.make ~client:t.id ~seq:t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    emit
-      (Op.make_del ~id elt pos)
-      {
-        Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_del (elt, pos);
-        op_id = Some id;
-      }
 
 (* The relay "server" integrates the operation into its own copy (it
    is a replica like any other) and forwards the original to
@@ -181,11 +158,8 @@ let client_metadata_size t = List.length t.log
 
 let server_metadata_size t = List.length t.slog
 
-let client_log t = List.rev_map (fun e -> e.form) t.log
-
-(* Batch delivery: these protocols have no per-run shortcut (CRDT
-   integration and 2D-space transformation are inherently per
-   operation), so a batch is just the in-order fold. *)
+(* Batch delivery: dOPT integration is per operation, so a batch is
+   the in-order fold. *)
 let server_receive_batch t ~from batch =
   List.concat_map (fun msg -> server_receive t ~from msg) batch
 

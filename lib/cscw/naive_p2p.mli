@@ -31,7 +31,3 @@ type s2c = {
 
 include
   Rlist_sim.Protocol_intf.PROTOCOL with type c2s := c2s and type s2c := s2c
-
-(** Pretty-printed execution order of a client (operation forms as
-    executed), for figure rendering. *)
-val client_log : client -> Op.t list

@@ -64,12 +64,14 @@ let create_server ~fastpath:_ ~nclients ~initial =
 (* Local processing (Section 5.2.1): execute immediately, save along
    the local dimension, propagate. *)
 let client_generate t intent =
-  let doc_length = Document.length t.doc in
-  if not (Intent.valid_for ~doc_length intent) then
-    invalid_arg
-      (Format.asprintf "CSCW client %d: intent %a out of bounds (length %d)"
-         t.id Intent.pp intent doc_length);
-  let emit op outcome =
+  let { Rlist_sim.Intent_resolver.outcome; op } =
+    Rlist_sim.Intent_resolver.resolve ~client:t.id ~seq:t.next_seq ~doc:t.doc
+      intent
+  in
+  match op with
+  | None -> outcome, None
+  | Some op ->
+    t.next_seq <- t.next_seq + 1;
     t.doc <- Op.apply op t.doc;
     t.visible <- Op_id.Set.add op.Op.id t.visible;
     let top = Two_d_space.add_local t.space op ~at_global:t.seen in
@@ -77,31 +79,6 @@ let client_generate t intent =
        happens here. *)
     assert (Op.equal top op);
     outcome, Some { op; seen = t.seen }
-  in
-  match intent with
-  | Intent.Read ->
-    ( { Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_read; op_id = None },
-      None )
-  | Intent.Insert (value, pos) ->
-    let id = Op_id.make ~client:t.id ~seq:t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    let elt = Element.make ~value ~id in
-    emit
-      (Op.make_ins ~id elt pos)
-      {
-        Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_ins (elt, pos);
-        op_id = Some id;
-      }
-  | Intent.Delete pos ->
-    let elt = Document.nth t.doc pos in
-    let id = Op_id.make ~client:t.id ~seq:t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    emit
-      (Op.make_del ~id elt pos)
-      {
-        Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_del (elt, pos);
-        op_id = Some id;
-      }
 
 (* Server processing (Section 5.2.2): transform the incoming operation
    in the originator's space, execute it, append the transformed form
@@ -159,17 +136,8 @@ let server_metadata_size t =
   done;
   !sum
 
-(* Observability: the dispersed footprint, space by space.  The CSS
-   comparison ("one compact space vs 2n 2D spaces") needs the
-   per-dimension breakdown, not just the sum. *)
-let server_space_sizes t =
-  List.init t.nclients (fun i -> i + 1, Two_d_space.size t.spaces.(i + 1))
-
-let client_space_extent t = Two_d_space.extent t.space
-
-(* Batch delivery: these protocols have no per-run shortcut (CRDT
-   integration and 2D-space transformation are inherently per
-   operation), so a batch is just the in-order fold. *)
+(* Batch delivery: 2D-space transformation is per operation, so a batch
+   is the in-order fold. *)
 let server_receive_batch t ~from batch =
   List.concat_map (fun msg -> server_receive t ~from msg) batch
 

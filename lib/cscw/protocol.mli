@@ -38,15 +38,3 @@ type s2c =
 
 include
   Rlist_sim.Protocol_intf.PROTOCOL with type c2s := c2s and type s2c := s2c
-
-(** {2 Observability} *)
-
-(** The server's dispersed metadata, space by space: [(client, size)]
-    for each of the [n] per-client 2D spaces.  The sum is
-    {!server_metadata_size}; the breakdown feeds the compactness
-    comparison against the CSS protocol's single space. *)
-val server_space_sizes : server -> (int * int) list
-
-(** The client's grid extent [(local, global)]: how many own and
-    remote operations its 2D space has integrated. *)
-val client_space_extent : client -> int * int

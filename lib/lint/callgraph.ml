@@ -149,11 +149,13 @@ let rec pat_vars : type k. k Typedtree.general_pattern -> (Ident.t * string * Lo
 let build corpus =
   let defs = Hashtbl.create 512 in
   let order = ref [] in
-  (* Ident.unique_name of a unit's module-level bindings -> def id *)
+  (* (unit, Ident.unique_name) of a module-level binding -> def id.
+     Stamps restart in every compilation unit, so the unit is part of
+     the key. *)
   let local = Hashtbl.create 512 in
   (* Hashtbl.Make modules: qualified ids ("Unit.Sub.Table") for
-     cross-unit references, ident unique names for same-unit ones
-     (module-level and [let module] alike). *)
+     cross-unit references, (unit, ident unique name) for same-unit
+     ones (module-level and [let module] alike). *)
   let tables = Hashtbl.create 16 in
   let table_idents = Hashtbl.create 16 in
   let add_def ~unit_ ~prefix ~name ~file ~loc id_opt =
@@ -173,7 +175,7 @@ let build corpus =
       order := d_id :: !order
     end;
     (match id_opt with
-    | Some id -> Hashtbl.replace local (Ident.unique_name id) d_id
+    | Some id -> Hashtbl.replace local (unit_, Ident.unique_name id) d_id
     | None -> ());
     d_id
   in
@@ -203,7 +205,7 @@ let build corpus =
         let path = prefix @ [ Ident.name id ] in
         if is_hashtbl_make mb.mb_expr then begin
           Hashtbl.replace tables (String.concat "." (u.modname :: path)) ();
-          Hashtbl.replace table_idents (Ident.unique_name id) ()
+          Hashtbl.replace table_idents (u.modname, Ident.unique_name id) ()
         end;
         module_expr path mb.mb_expr
     and module_expr prefix (me : Typedtree.module_expr) =
@@ -234,7 +236,7 @@ let build corpus =
     let resolve_path p =
       match p with
       | Path.Pident id -> (
-        match Hashtbl.find_opt local (Ident.unique_name id) with
+        match Hashtbl.find_opt local (u.modname, Ident.unique_name id) with
         | Some d_id -> `Internal d_id
         | None -> `Local)
       | _ -> (
@@ -268,7 +270,7 @@ let build corpus =
       let table_iteration p =
         match p with
         | Path.Pdot (Path.Pident id, fn) when List.mem fn table_iterators ->
-          if Hashtbl.mem table_idents (Ident.unique_name id) then
+          if Hashtbl.mem table_idents (u.modname, Ident.unique_name id) then
             Some (Ident.name id ^ "." ^ fn)
           else None
         | Path.Pdot (m, fn) when List.mem fn table_iterators -> (
@@ -331,7 +333,8 @@ let build corpus =
                     | None -> check_ident e p)
                   | Texp_letmodule (Some id, _, _, me, _)
                     when is_hashtbl_make me ->
-                    Hashtbl.replace table_idents (Ident.unique_name id) ()
+                    Hashtbl.replace table_idents
+                      (u.modname, Ident.unique_name id) ()
                   | _ -> ());
                   default.expr it e));
           value_binding =

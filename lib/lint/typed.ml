@@ -14,10 +14,14 @@
 
 (* Entry-point patterns: a name with a dot matches a node's display
    name ("State_space.add_square"); a bare name matches the final
-   component only.  '*' is the single wildcard. *)
+   component only.  '*' is the single wildcard.  [integrate] is the
+   CRDT half of every relay protocol: the graph does not follow calls
+   into a functor argument, so [Relay.Make]'s receive functions never
+   reach the named [Crdt] modules by themselves. *)
 let default_entries =
   [
     "transform";
+    "integrate";
     "server_receive*";
     "client_receive*";
     "Engine.*";

@@ -5,9 +5,10 @@
     the sharded-server plan, ROADMAP item 2). *)
 
 val default_entries : string list
-(** The protocol/engine surface: [transform], [server_receive*],
-    [client_receive*], [Engine.*], [P2p_engine.*], [Mesh.*] (the
-    engines' shared core), [State_space.add_*].  A pattern containing
+(** The protocol/engine surface: [transform], [integrate] (the CRDT
+    half of {!Rlist_sim.Relay}), [server_receive*], [client_receive*],
+    [Engine.*], [P2p_engine.*], [Mesh.*] (the engines' shared core),
+    [State_space.add_*].  A pattern containing
     a dot matches a node's display name ([State_space.add_square]); a
     bare pattern matches the final name component only.  ['*'] is the
     one wildcard. *)

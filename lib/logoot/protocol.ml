@@ -1,9 +1,5 @@
 open Rlist_model
 
-let name = "logoot"
-
-let server_is_replica = true
-
 type logoot_op =
   | Lins of {
       elt : Element.t;
@@ -18,116 +14,48 @@ let op_id = function
   | Lins { elt; _ } -> elt.Element.id
   | Ldel { id; _ } -> id
 
-type c2s = { lop : logoot_op }
-
 type s2c =
   | Forward of logoot_op
   | Ack
 
-type client = {
-  id : int;
-  list : Logoot_list.t;
-  mutable next_seq : int;
-  mutable visible : Op_id.Set.t;
-}
+module Crdt = struct
+  let name = "logoot"
 
-type server = {
-  nclients : int;
-  slist : Logoot_list.t;
-  mutable svisible : Op_id.Set.t;
-}
+  type t = Logoot_list.t
 
-let create_client ~fastpath:_ ~nclients ~id ~initial =
-  ignore nclients;
-  {
-    id;
-    (* The RNG only drives digit choices inside freshly allocated
-       positions — determinism across replicas is irrelevant because
-       allocations happen at one site and travel by message. *)
-    list = Logoot_list.create ~rng:(Random.State.make [| 0x109007; id |])
-             ~site:id ~initial;
-    next_seq = 1;
-    visible = Op_id.Set.empty;
-  }
+  type op = logoot_op
 
-let create_server ~fastpath:_ ~nclients ~initial =
-  {
-    nclients;
-    slist =
-      Logoot_list.create ~rng:(Random.State.make [| 0x109007; 0 |]) ~site:0
-        ~initial;
-    svisible = Op_id.Set.empty;
-  }
+  type nonrec s2c = s2c
 
-let integrate list = function
-  | Lins { elt; at } -> Logoot_list.insert list ~elt ~at
-  | Ldel { target; _ } -> Logoot_list.delete list ~target
+  (* The RNG only drives digit choices inside freshly allocated
+     positions — determinism across replicas is irrelevant because
+     allocations happen at one site and travel by message. *)
+  let create ~site ~initial =
+    Logoot_list.create ~rng:(Random.State.make [| 0x109007; site |]) ~site
+      ~initial
 
-let client_generate t intent =
-  let doc = Logoot_list.document t.list in
-  let { Rlist_sim.Intent_resolver.outcome; op } =
-    Rlist_sim.Intent_resolver.resolve ~client:t.id ~seq:t.next_seq ~doc intent
-  in
-  match op, outcome.Rlist_sim.Protocol_intf.op with
-  | None, _ -> outcome, None
-  | Some _, Rlist_spec.Event.Do_ins (elt, pos) ->
-    t.next_seq <- t.next_seq + 1;
-    let at = Logoot_list.allocate t.list ~pos in
-    let lop = Lins { elt; at } in
-    integrate t.list lop;
-    t.visible <- Op_id.Set.add elt.Element.id t.visible;
-    outcome, Some { lop }
-  | Some op, Rlist_spec.Event.Do_del (elt, _pos) ->
-    t.next_seq <- t.next_seq + 1;
-    let lop = Ldel { id = op.Rlist_ot.Op.id; target = elt.Element.id } in
-    integrate t.list lop;
-    t.visible <- Op_id.Set.add op.Rlist_ot.Op.id t.visible;
-    outcome, Some { lop }
-  | Some _, Rlist_spec.Event.Do_read -> assert false
+  let document = Logoot_list.document
 
-let server_receive t ~from ({ lop } : c2s) =
-  integrate t.slist lop;
-  t.svisible <- Op_id.Set.add (op_id lop) t.svisible;
-  List.init t.nclients (fun i ->
-      let dest = i + 1 in
-      if dest = from then dest, Ack else dest, Forward lop)
+  let size = Logoot_list.size
 
-let client_receive t = function
-  | Ack -> ()
-  | Forward lop ->
-    integrate t.list lop;
-    t.visible <- Op_id.Set.add (op_id lop) t.visible
+  let op_id = op_id
 
-let c2s_op_id { lop } = Some (op_id lop)
+  let insert_op list ~site:_ elt ~pos =
+    Lins { elt; at = Logoot_list.allocate list ~pos }
 
-let s2c_op_id = function
-  | Forward lop -> Some (op_id lop)
-  | Ack -> None
+  let delete_op _ ~site:_ ~id elt = Ldel { id; target = elt.Element.id }
 
-let client_document t = Logoot_list.document t.list
+  let integrate list = function
+    | Lins { elt; at } -> Logoot_list.insert list ~elt ~at
+    | Ldel { target; _ } -> Logoot_list.delete list ~target
 
-let server_document t = Logoot_list.document t.slist
+  let forward op = Forward op
 
-let client_visible t = t.visible
+  let ack _ = Ack
 
-let server_visible t = t.svisible
+  let forwarded = function
+    | Forward op -> Some op
+    | Ack -> None
+end
 
-let client_ot_count _ = 0
-
-let server_ot_count _ = 0
-
-let client_metadata_size t = Logoot_list.size t.list
-
-let server_metadata_size t = Logoot_list.size t.slist
-
-(* Batch delivery: these protocols have no per-run shortcut (CRDT
-   integration and 2D-space transformation are inherently per
-   operation), so a batch is just the in-order fold. *)
-let server_receive_batch t ~from batch =
-  List.concat_map (fun msg -> server_receive t ~from msg) batch
-
-let client_receive_batch t batch = List.iter (client_receive t) batch
-
-(* No ack-driven pruning machinery; GC-enabled runs degrade to
-   shim-level pruning only. *)
-let gc_support = None
+include Rlist_sim.Relay.Make (Crdt)

@@ -1,8 +1,8 @@
 (** Logoot as a client/server protocol for the simulation engine: the
-    server is a pure relay (CRDT — no transformation, no
-    serialization logic beyond FIFO fan-out), and the originator gets
-    an acknowledgement to keep schedules aligned with the other
-    protocols.
+    CRDT half of {!Rlist_sim.Relay}, whose server is a pure relay (no
+    transformation, no serialization logic beyond FIFO fan-out) and
+    whose originator gets an acknowledgement to keep schedules aligned
+    with the other protocols.
 
     Like RGA, Logoot satisfies the {e strong} list specification: the
     position order is a total order over all elements, fixed at
@@ -22,11 +22,8 @@ type logoot_op =
 
 val op_id : logoot_op -> Op_id.t
 
-type c2s = { lop : logoot_op }
-
 type s2c =
   | Forward of logoot_op
   | Ack
 
-include
-  Rlist_sim.Protocol_intf.PROTOCOL with type c2s := c2s and type s2c := s2c
+include Rlist_sim.Protocol_intf.PROTOCOL with type s2c := s2c

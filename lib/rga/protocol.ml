@@ -1,9 +1,5 @@
 open Rlist_model
 
-let name = "rga"
-
-let server_is_replica = true
-
 type rga_op =
   | Rins of {
       elt : Element.t;
@@ -23,124 +19,52 @@ let op_id = function
 let op_ts = function
   | Rins { ts; _ } | Rdel { ts; _ } -> ts
 
-type c2s = { rop : rga_op }
-
 type s2c =
   | Forward of rga_op
   | Ack of Rga_list.timestamp
+      (* The relay ignores the payload: the originator's Lamport clock
+         already covers its own operation. *)
 
-type client = {
-  id : int;
-  rga : Rga_list.t;
-  mutable next_seq : int;
-  mutable visible : Op_id.Set.t;
-}
+module Crdt = struct
+  let name = "rga"
 
-type server = {
-  nclients : int;
-  srga : Rga_list.t;
-  mutable svisible : Op_id.Set.t;
-}
+  type t = Rga_list.t
 
-let create_client ~fastpath:_ ~nclients ~id ~initial =
-  ignore nclients;
-  { id; rga = Rga_list.create ~initial; next_seq = 1; visible = Op_id.Set.empty }
+  type op = rga_op
 
-let create_server ~fastpath:_ ~nclients ~initial =
-  { nclients; srga = Rga_list.create ~initial; svisible = Op_id.Set.empty }
+  type nonrec s2c = s2c
 
-let integrate rga op =
-  Rga_list.observe_timestamp rga (op_ts op);
-  match op with
-  | Rins { elt; after; ts } -> Rga_list.insert rga ~elt ~after ~ts
-  | Rdel { target; _ } -> Rga_list.delete rga ~target
+  let create ~site:_ ~initial = Rga_list.create ~initial
 
-let client_generate t intent =
-  let doc = Rga_list.document t.rga in
-  let doc_length = Document.length doc in
-  if not (Intent.valid_for ~doc_length intent) then
-    invalid_arg
-      (Format.asprintf "RGA client %d: intent %a out of bounds (length %d)"
-         t.id Intent.pp intent doc_length);
-  let emit rop outcome =
-    integrate t.rga rop;
-    t.visible <- Op_id.Set.add (op_id rop) t.visible;
-    outcome, Some { rop }
-  in
-  match intent with
-  | Intent.Read ->
-    ( { Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_read; op_id = None },
-      None )
-  | Intent.Insert (value, pos) ->
-    let id = Op_id.make ~client:t.id ~seq:t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    let elt = Element.make ~value ~id in
-    let after = Rga_list.anchor_of t.rga ~pos in
-    let ts = Rga_list.next_timestamp t.rga ~client:t.id in
-    emit
-      (Rins { elt; after; ts })
-      {
-        Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_ins (elt, pos);
-        op_id = Some id;
-      }
-  | Intent.Delete pos ->
-    let elt = Document.nth doc pos in
-    let id = Op_id.make ~client:t.id ~seq:t.next_seq in
-    t.next_seq <- t.next_seq + 1;
-    let ts = Rga_list.next_timestamp t.rga ~client:t.id in
-    emit
-      (Rdel { id; target = elt.Element.id; ts })
-      {
-        Rlist_sim.Protocol_intf.op = Rlist_spec.Event.Do_del (elt, pos);
-        op_id = Some id;
-      }
+  let document = Rga_list.document
 
-let server_receive t ~from ({ rop } : c2s) =
-  integrate t.srga rop;
-  t.svisible <- Op_id.Set.add (op_id rop) t.svisible;
-  List.init t.nclients (fun i ->
-      let dest = i + 1 in
-      if dest = from then dest, Ack (op_ts rop) else dest, Forward rop)
+  let size = Rga_list.size
 
-let client_receive t = function
-  | Ack ts -> Rga_list.observe_timestamp t.rga ts
-  | Forward rop ->
-    integrate t.rga rop;
-    t.visible <- Op_id.Set.add (op_id rop) t.visible
+  let op_id = op_id
 
-let c2s_op_id { rop } = Some (op_id rop)
+  let insert_op rga ~site elt ~pos =
+    let after = Rga_list.anchor_of rga ~pos in
+    Rins { elt; after; ts = Rga_list.next_timestamp rga ~client:site }
 
-let s2c_op_id = function
-  | Forward rop -> Some (op_id rop)
-  | Ack _ -> None
+  let delete_op rga ~site ~id elt =
+    let ts = Rga_list.next_timestamp rga ~client:site in
+    Rdel { id; target = elt.Element.id; ts }
 
-let client_document t = Rga_list.document t.rga
+  let integrate rga op =
+    Rga_list.observe_timestamp rga (op_ts op);
+    match op with
+    | Rins { elt; after; ts } -> Rga_list.insert rga ~elt ~after ~ts
+    | Rdel { target; _ } -> Rga_list.delete rga ~target
 
-let server_document t = Rga_list.document t.srga
+  let forward op = Forward op
 
-let client_visible t = t.visible
+  let ack op = Ack (op_ts op)
 
-let server_visible t = t.svisible
+  let forwarded = function
+    | Forward op -> Some op
+    | Ack _ -> None
+end
 
-(* CRDTs perform no transformations. *)
-let client_ot_count _ = 0
+include Rlist_sim.Relay.Make (Crdt)
 
-let server_ot_count _ = 0
-
-let client_metadata_size t = Rga_list.size t.rga
-
-let server_metadata_size t = Rga_list.size t.srga
-
-let client_tombstones t = Rga_list.tombstones t.rga
-
-(* Batch delivery: these protocols have no per-run shortcut (CRDT
-   integration and 2D-space transformation are inherently per
-   operation), so a batch is just the in-order fold. *)
-let server_receive_batch t ~from batch =
-  List.concat_map (fun msg -> server_receive t ~from msg) batch
-
-let client_receive_batch t batch = List.iter (client_receive t) batch
-
-(* No ack-driven pruning machinery; GC-enabled runs degrade to
-   shim-level pruning only. *)
-let gc_support = None
+let client_tombstones t = Rga_list.tombstones (client_list t)

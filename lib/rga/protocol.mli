@@ -1,13 +1,7 @@
 (** RGA as a client/server protocol, pluggable into the simulation
-    engine alongside the Jupiter protocols.
-
-    The server holds an RGA replica and relays operations in arrival
-    order — total-order (hence causal) delivery over the FIFO
-    channels, the setting in which {!Rga_list}'s integration is
-    correct.  No transformation ever happens; convergence comes from
-    the commutativity of integration (the CRDT approach, paper
-    Section 9).  The originator receives a pure acknowledgement to
-    keep message schedules aligned with the Jupiter protocols. *)
+    engine alongside the Jupiter protocols: the CRDT half of
+    {!Rlist_sim.Relay}, which owns the server's in-order relay and the
+    originator's acknowledgement (paper, Section 9). *)
 
 open Rlist_model
 
@@ -25,14 +19,11 @@ type rga_op =
 
 val op_id : rga_op -> Op_id.t
 
-type c2s = { rop : rga_op }
-
 type s2c =
   | Forward of rga_op
   | Ack of Rga_list.timestamp
 
-include
-  Rlist_sim.Protocol_intf.PROTOCOL with type c2s := c2s and type s2c := s2c
+include Rlist_sim.Protocol_intf.PROTOCOL with type s2c := s2c
 
 (** Tombstone count at a client, for the metadata experiments. *)
 val client_tombstones : client -> int

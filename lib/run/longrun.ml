@@ -63,18 +63,24 @@ let flatness values =
     let late = mean (n - quarter) n in
     if early <= 0. then 1. else late /. early
 
-let run ?gc ?(faults = Rlist_net.Faults.none) ~now ~protocol ~profile
-    ~nclients ~updates ~chunk ~seed () =
+let star protocol =
+  match Protocols.find protocol with
+  | Some (Protocols.Star p) -> p
+  | Some (Protocols.Mesh _) ->
+    invalid_arg "Longrun.run: peer-to-peer protocols are not soakable here"
+  | None ->
+    invalid_arg (Printf.sprintf "Longrun.run: unknown protocol %S" protocol)
+
+let check ~protocol ~nclients ~updates ~chunk =
   if updates < 1 then invalid_arg "Longrun.run: need updates >= 1";
   if chunk < 1 then invalid_arg "Longrun.run: need chunk >= 1";
-  let (module P : Rlist_sim.Protocol_intf.PROTOCOL) =
-    match Protocols.find protocol with
-    | Some (Protocols.Star p) -> p
-    | Some (Protocols.Mesh _) ->
-      invalid_arg "Longrun.run: peer-to-peer protocols are not soakable here"
-    | None ->
-      invalid_arg (Printf.sprintf "Longrun.run: unknown protocol %S" protocol)
-  in
+  if nclients < 1 then invalid_arg "Longrun.run: need nclients >= 1";
+  ignore (star protocol)
+
+let run ?gc ?(faults = Rlist_net.Faults.none) ~now ~protocol ~profile
+    ~nclients ~updates ~chunk ~seed () =
+  check ~protocol ~nclients ~updates ~chunk;
+  let (module P : Rlist_sim.Protocol_intf.PROTOCOL) = star protocol in
   let module E = Rlist_sim.Engine.Make (P) in
   (* The shim's retransmission timer counts ticks, and the timed driver
      ticks once per agenda event — about [nclients + 2] of those per

@@ -63,8 +63,7 @@ type result = {
     a [Star].  [gc]
     enables the compaction policy; [faults] (default none) wires the
     fault-injected transport with the reliability shim on.
-    @raise Invalid_argument on an unknown or peer-to-peer protocol,
-    or non-positive [updates]/[chunk]. *)
+    @raise Invalid_argument as {!check} does. *)
 val run :
   ?gc:Rlist_gc.policy ->
   ?faults:Rlist_net.Faults.spec ->
@@ -77,6 +76,11 @@ val run :
   seed:int ->
   unit ->
   result
+
+(** The arguments {!run} refuses before it starts.
+    @raise Invalid_argument on an unknown or peer-to-peer protocol,
+    or non-positive [nclients]/[updates]/[chunk]. *)
+val check : protocol:string -> nclients:int -> updates:int -> chunk:int -> unit
 
 (** One JSON object (samples included), for [BENCH_longrun.json]
     and the CLI's [--json]. *)

@@ -62,18 +62,25 @@ let publish obs net fp =
         Rlist_obs.Metrics.add (Rlist_obs.Metrics.counter m name) v)
       (Rlist_ot.Fastpath.fields fp)
 
+let engine spec =
+  match Protocols.find spec.protocol with
+  | Some p -> Protocols.engine p
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Recorded.run: unknown protocol %S" spec.protocol)
+
+let wire spec =
+  Rlist_net.Transport.config ~shim:spec.shim ~rto:spec.rto
+    ~faults:spec.faults ~seed:spec.seed ()
+
+(* The constructors are the one authority on what they accept. *)
+let check spec =
+  let (module E) = engine spec in
+  ignore (E.create ~net:(wire spec) ~nclients:spec.nclients ())
+
 let run ?obs ?recorder spec =
-  let (module E) =
-    match Protocols.find spec.protocol with
-    | Some p -> Protocols.engine p
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Recorded.run: unknown protocol %S" spec.protocol)
-  in
-  let net =
-    Rlist_net.Transport.config ~shim:spec.shim ~rto:spec.rto
-      ~faults:spec.faults ~seed:spec.seed ()
-  in
+  let (module E) = engine spec in
+  let net = wire spec in
   let fp = Rlist_ot.Fastpath.create ~enabled:spec.fastpath () in
   let t =
     E.create ~net ~batching:spec.batching ?gc:spec.gc ~fastpath:fp

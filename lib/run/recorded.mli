@@ -69,6 +69,11 @@ type outcome = {
     contract. *)
 val run : ?obs:Rlist_obs.Obs.t -> ?recorder:Recorder.t -> spec -> outcome
 
+(** Refuse a spec the run would refuse before it starts: an unknown
+    protocol, a replica count the engine rejects, a bad [rto].
+    @raise Invalid_argument with the refusing constructor's message. *)
+val check : spec -> unit
+
 (** The soak gate: converged, convergence spec, and weak spec.  Strong
     violations are expected for the OT protocols (Thm 8.1) and do not
     fail a run. *)

@@ -152,3 +152,45 @@ module type PROTOCOL = sig
       protocol has no ack-driven pruning machinery. *)
   val gc_support : (client, server, c2s) gc_support option
 end
+
+(** What a CRDT baseline (RGA, Logoot, TreeDoc) supplies to
+    {!Relay.Make}, which owns the replicas and the star wiring: its
+    list, its operation type and its server-to-client message. *)
+module type CRDT = sig
+  val name : string
+
+  type t
+  (** One replica's list, made at [site]: the client id, [0] at the
+      server. *)
+
+  type op
+  (** An operation as it travels. *)
+
+  type s2c
+
+  val create : site:int -> initial:Document.t -> t
+
+  val document : t -> Document.t
+
+  (** The metadata footprint. *)
+  val size : t -> int
+
+  val op_id : op -> Op_id.t
+
+  (** Mint the operation inserting the fresh element at a visible
+      position, or deleting a visible element, at client [site]. *)
+  val insert_op : t -> site:int -> Element.t -> pos:int -> op
+
+  val delete_op : t -> site:int -> id:Op_id.t -> Element.t -> op
+
+  (** Apply an operation, local or remote. *)
+  val integrate : t -> op -> unit
+
+  (** A relayed operation, and the originator's acknowledgement of its
+      own; [forwarded] is [None] on an acknowledgement. *)
+  val forward : op -> s2c
+
+  val ack : op -> s2c
+
+  val forwarded : s2c -> op option
+end

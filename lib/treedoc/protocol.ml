@@ -1,9 +1,5 @@
 open Rlist_model
 
-let name = "treedoc"
-
-let server_is_replica = true
-
 type treedoc_op =
   | Tins of {
       elt : Element.t;
@@ -18,112 +14,45 @@ let op_id = function
   | Tins { elt; _ } -> elt.Element.id
   | Tdel { id; _ } -> id
 
-type c2s = { top : treedoc_op }
-
 type s2c =
   | Forward of treedoc_op
   | Ack
 
-type client = {
-  id : int;
-  list : Treedoc_list.t;
-  mutable next_seq : int;
-  mutable visible : Op_id.Set.t;
-}
+module Crdt = struct
+  let name = "treedoc"
 
-type server = {
-  nclients : int;
-  slist : Treedoc_list.t;
-  mutable svisible : Op_id.Set.t;
-}
+  type t = Treedoc_list.t
 
-let create_client ~fastpath:_ ~nclients ~id ~initial =
-  ignore nclients;
-  {
-    id;
-    list = Treedoc_list.create ~site:id ~initial;
-    next_seq = 1;
-    visible = Op_id.Set.empty;
-  }
+  type op = treedoc_op
 
-let create_server ~fastpath:_ ~nclients ~initial =
-  {
-    nclients;
-    slist = Treedoc_list.create ~site:0 ~initial;
-    svisible = Op_id.Set.empty;
-  }
+  type nonrec s2c = s2c
 
-let integrate list = function
-  | Tins { elt; at } -> Treedoc_list.insert list ~elt ~at
-  | Tdel { target; _ } -> Treedoc_list.delete list ~target
+  let create = Treedoc_list.create
 
-let client_generate t intent =
-  let doc = Treedoc_list.document t.list in
-  let { Rlist_sim.Intent_resolver.outcome; op } =
-    Rlist_sim.Intent_resolver.resolve ~client:t.id ~seq:t.next_seq ~doc intent
-  in
-  match op, outcome.Rlist_sim.Protocol_intf.op with
-  | None, _ -> outcome, None
-  | Some _, Rlist_spec.Event.Do_ins (elt, pos) ->
-    t.next_seq <- t.next_seq + 1;
-    let at = Treedoc_list.allocate t.list ~pos in
-    let top = Tins { elt; at } in
-    integrate t.list top;
-    t.visible <- Op_id.Set.add elt.Element.id t.visible;
-    outcome, Some { top }
-  | Some op, Rlist_spec.Event.Do_del (elt, _pos) ->
-    t.next_seq <- t.next_seq + 1;
-    let top = Tdel { id = op.Rlist_ot.Op.id; target = elt.Element.id } in
-    integrate t.list top;
-    t.visible <- Op_id.Set.add op.Rlist_ot.Op.id t.visible;
-    outcome, Some { top }
-  | Some _, Rlist_spec.Event.Do_read -> assert false
+  let document = Treedoc_list.document
 
-let server_receive t ~from ({ top } : c2s) =
-  integrate t.slist top;
-  t.svisible <- Op_id.Set.add (op_id top) t.svisible;
-  List.init t.nclients (fun i ->
-      let dest = i + 1 in
-      if dest = from then dest, Ack else dest, Forward top)
+  let size = Treedoc_list.size
 
-let client_receive t = function
-  | Ack -> ()
-  | Forward top ->
-    integrate t.list top;
-    t.visible <- Op_id.Set.add (op_id top) t.visible
+  let op_id = op_id
 
-let c2s_op_id { top } = Some (op_id top)
+  let insert_op list ~site:_ elt ~pos =
+    Tins { elt; at = Treedoc_list.allocate list ~pos }
 
-let s2c_op_id = function
-  | Forward top -> Some (op_id top)
-  | Ack -> None
+  let delete_op _ ~site:_ ~id elt = Tdel { id; target = elt.Element.id }
 
-let client_document t = Treedoc_list.document t.list
+  let integrate list = function
+    | Tins { elt; at } -> Treedoc_list.insert list ~elt ~at
+    | Tdel { target; _ } -> Treedoc_list.delete list ~target
 
-let server_document t = Treedoc_list.document t.slist
+  let forward op = Forward op
 
-let client_visible t = t.visible
+  let ack _ = Ack
 
-let server_visible t = t.svisible
+  let forwarded = function
+    | Forward op -> Some op
+    | Ack -> None
+end
 
-let client_ot_count _ = 0
+include Rlist_sim.Relay.Make (Crdt)
 
-let server_ot_count _ = 0
-
-let client_metadata_size t = Treedoc_list.size t.list
-
-let server_metadata_size t = Treedoc_list.size t.slist
-
-let client_tombstones t = Treedoc_list.tombstones t.list
-
-(* Batch delivery: these protocols have no per-run shortcut (CRDT
-   integration and 2D-space transformation are inherently per
-   operation), so a batch is just the in-order fold. *)
-let server_receive_batch t ~from batch =
-  List.concat_map (fun msg -> server_receive t ~from msg) batch
-
-let client_receive_batch t batch = List.iter (client_receive t) batch
-
-(* No ack-driven pruning machinery; GC-enabled runs degrade to
-   shim-level pruning only. *)
-let gc_support = None
+let client_tombstones t = Treedoc_list.tombstones (client_list t)

@@ -1,6 +1,7 @@
-(** TreeDoc as a client/server protocol for the simulation engine: a
-    pure-relay server as for RGA and Logoot, with acknowledgement
-    messages keeping schedules aligned. *)
+(** TreeDoc as a client/server protocol for the simulation engine: the
+    CRDT half of {!Rlist_sim.Relay}, a pure-relay server as for RGA
+    and Logoot, with acknowledgement messages keeping schedules
+    aligned. *)
 
 open Rlist_model
 
@@ -16,13 +17,10 @@ type treedoc_op =
 
 val op_id : treedoc_op -> Op_id.t
 
-type c2s = { top : treedoc_op }
-
 type s2c =
   | Forward of treedoc_op
   | Ack
 
-include
-  Rlist_sim.Protocol_intf.PROTOCOL with type c2s := c2s and type s2c := s2c
+include Rlist_sim.Protocol_intf.PROTOCOL with type s2c := s2c
 
 val client_tombstones : client -> int

@@ -420,6 +420,60 @@ let test_promoted_per_square () =
     true
     (per_square <= promoted_per_square_budget)
 
+(* The batch contract (Protocol_intf): receiving a batch looks the
+   same as receiving its messages one by one.  For every star protocol,
+   naive foil included, a run of client 1's messages goes to two fresh
+   servers, one batched and one folded; then the messages client 2
+   receives go to two fresh clients the same way. *)
+let star_protocols =
+  List.filter_map
+    (fun (key, p) -> Option.map (fun p -> key, p) (Helpers.star p))
+    Rlist_run.Protocols.all
+
+let test_batch_contract (module P : Rlist_sim.Protocol_intf.PROTOCOL) () =
+  let nclients = 2 and initial = Document.empty in
+  let fastpath () = Fastpath.create () in
+  let client id =
+    P.create_client ~fastpath:(fastpath ()) ~nclients ~id ~initial
+  in
+  let server () =
+    P.create_server ~fastpath:(fastpath ()) ~nclients ~initial
+  in
+  let c1 = client 1 in
+  let c2s =
+    List.filter_map
+      (fun i -> snd (P.client_generate c1 i))
+      Intent.
+        [
+          Insert ('a', 0); Insert ('b', 1); Insert ('c', 0); Delete 1;
+          Insert ('d', 2); Read; Delete 0;
+        ]
+  in
+  let sb = server () and sf = server () in
+  let sent_b = P.server_receive_batch sb ~from:1 c2s in
+  let sent_f = List.concat_map (P.server_receive sf ~from:1) c2s in
+  let sent l = List.map (fun (dest, m) -> dest, P.s2c_op_id m) l in
+  Alcotest.(check (list (pair int (option Helpers.op_id))))
+    "server sends the same" (sent sent_f) (sent sent_b);
+  Alcotest.check Helpers.document "server documents" (P.server_document sf)
+    (P.server_document sb);
+  Alcotest.check Helpers.op_id_set "server visible sets" (P.server_visible sf)
+    (P.server_visible sb);
+  let to_c2 =
+    List.filter_map
+      (fun (dest, m) -> if dest = 2 then Some m else None)
+      sent_f
+  in
+  Alcotest.(check int) "client 2 receives the run" (List.length c2s)
+    (List.length to_c2);
+  let cb = client 2 and cf = client 2 in
+  P.client_receive_batch cb to_c2;
+  List.iter (P.client_receive cf) to_c2;
+  Alcotest.check Helpers.document "client documents" (P.client_document cf)
+    (P.client_document cb);
+  Alcotest.check Helpers.op_id_set "client visible sets" (P.client_visible cf)
+    (P.client_visible cb)
+
 let () =
   Alcotest.run "batching"
     [
@@ -447,6 +501,14 @@ let () =
           qtest "add_run = fold add_op (fast paths)" gen_scenario
             (scenario_prop ~fastpath:true);
         ] );
+      ( "contract",
+        Alcotest.test_case "every star protocol" `Quick (fun () ->
+            Alcotest.(check int) "star keys" 8 (List.length star_protocols))
+        :: List.map
+             (fun (key, p) ->
+               Alcotest.test_case ("batch = one by one, " ^ key) `Quick
+                 (test_batch_contract p))
+             star_protocols );
       ( "engine-wire",
         [
           Alcotest.test_case "one seqno per batch" `Quick

@@ -4,12 +4,13 @@
    formatting), the domain-safety inventory and its shard-readiness
    report, and the graph exports.
 
-   The corpus is test/fixtures_typed/ — twelve hand-written modules
+   The corpus is test/fixtures_typed/ — fourteen hand-written modules
    compiled with -bin-annot by a dune rule, carrying three seeded bugs
    (a 3-hop transitive Random chain, a module-level hashtable, and an
    entry point folding a Hashtbl.Make table), a clean module, a suppressed sink, and one module per escape-pass
    verdict (stack-confined, instance-confined, and the closure /
-   module-binding / container-nested escapes). *)
+   module-binding / container-nested escapes), and two units of
+   identical layout whose bindings share ident stamps. *)
 
 open Rlist_lint
 
@@ -30,11 +31,11 @@ let contains ~needle haystack =
 let test_loading () =
   let c = Lazy.force corpus in
   Alcotest.(check (list string))
-    "all twelve fixture units load"
+    "all fourteen fixture units load"
     [
       "Fx_allowed"; "Fx_clean"; "Fx_entry"; "Fx_esc_closure";
       "Fx_esc_instance"; "Fx_esc_module"; "Fx_esc_nested"; "Fx_esc_stack";
-      "Fx_ftable"; "Fx_leaf"; "Fx_mid"; "Fx_table";
+      "Fx_ftable"; "Fx_leaf"; "Fx_mid"; "Fx_table"; "Fx_twin_a"; "Fx_twin_b";
     ]
     (List.map
        (fun (u : Cmt_loader.unit_info) -> u.modname)
@@ -55,7 +56,16 @@ let test_graph_edges () =
     "mid calls leaf" [ "Fx_leaf.pick" ] (calls "Fx_mid.step");
   Alcotest.(check (list string))
     "same-unit call resolves by ident, not name" [ "Fx_allowed.jitter" ]
-    (calls "Fx_allowed.transform")
+    (calls "Fx_allowed.transform");
+  (* Stamps restart in every unit: the twins' [helper]s share one
+     unique name, and each caller must keep its own. *)
+  Alcotest.(check (list string))
+    "equal stamps in another unit do not capture a call"
+    [ "Fx_twin_a.helper" ]
+    (calls "Fx_twin_a.server_receive");
+  Alcotest.(check (list string))
+    "and the other twin keeps its own edge" [ "Fx_twin_b.helper" ]
+    (calls "Fx_twin_b.server_receive")
 
 let test_entry_matching () =
   let g = Lazy.force graph in
@@ -72,6 +82,8 @@ let test_entry_matching () =
       "Fx_esc_stack.server_receive";
       "Fx_ftable.server_receive_keys";
       "Fx_table.server_receive_all";
+      "Fx_twin_a.server_receive";
+      "Fx_twin_b.server_receive";
     ]
     (List.sort String.compare (Typed.entry_ids g Typed.default_entries));
   Alcotest.(check (list string))
@@ -394,8 +406,9 @@ let test_escape_findings_and_report () =
    instantiations the call graph does not resolve, so the shared core
    (lib/sim/mesh.ml) must stay a plain module matched by the default
    entry patterns: every one of its bindings is reached.  The lib/sim
-   escape census pins what the core allocates, and the whole library
-   stays shard-ready. *)
+   escape census pins what the core and the CRDT relay (its client and
+   server records) allocate, and the whole library stays
+   shard-ready. *)
 let lib_corpus = lazy (Cmt_loader.load_dir ~roots:[ "lib" ] "..")
 
 let test_mesh_reached () =
@@ -436,7 +449,7 @@ let test_lib_census () =
     "lib/sim allocation census"
     [
       "stack-confined", 12;
-      "instance-confined", 18;
+      "instance-confined", 20;
       "escaping", 0;
     ]
     (List.map
