@@ -113,19 +113,32 @@ let of_string text =
     | [ "" ] -> Error "empty fault spec"
     | fields -> go none fields)
 
+(* The shortest of 15, 16 or 17 significant digits that reads back as
+   the same float, so a recorded spec replays exactly. *)
+let float_to_string x =
+  let exact digits =
+    let text = Printf.sprintf "%.*g" digits x in
+    if Float.equal (float_of_string text) x then Some text else None
+  in
+  match exact 15 with
+  | Some text -> text
+  | None -> (
+    match exact 16 with Some text -> text | None -> Printf.sprintf "%.17g" x)
+
 let to_string spec =
+  let prob key p =
+    if p > 0.0 then [ key ^ "=" ^ float_to_string p ] else []
+  in
   let fields =
     List.concat
       [
-        (if spec.drop > 0.0 then [ Printf.sprintf "drop=%g" spec.drop ] else []);
-        (if spec.duplicate > 0.0 then
-           [ Printf.sprintf "dup=%g" spec.duplicate ]
-         else []);
-        (if spec.reorder > 0.0 then
-           [
-             Printf.sprintf "reorder=%g" spec.reorder;
-             Printf.sprintf "delay=%d" spec.delay;
-           ]
+        prob "drop" spec.drop;
+        prob "dup" spec.duplicate;
+        prob "reorder" spec.reorder;
+        (* [delay] only matters under reordering, but a non-default
+           value is printed anyway so the spec reads back whole. *)
+        (if spec.reorder > 0.0 || spec.delay <> none.delay then
+           [ Printf.sprintf "delay=%d" spec.delay ]
          else []);
         (if spec.partition_period > 0 then
            [

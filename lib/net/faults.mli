@@ -35,6 +35,9 @@ val preset : string -> spec option
     ([drop=0.3,dup=0.1,reorder=0.2,delay=4,partition=60:20]). *)
 val of_string : string -> (spec, string) result
 
+(** The field syntax (["none"] when nothing is set), with
+    probabilities printed in as few digits as read back exactly, so
+    [of_string (to_string s) = Ok s] for every valid [s]. *)
 val to_string : spec -> string
 
 val validate : spec -> (spec, string) result

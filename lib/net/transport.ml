@@ -1,10 +1,12 @@
 (* One directed channel.  [Perfect] is the seed repository's FIFO
    queue, bit-for-bit.  [Lossy] stamps every payload with a per-channel
    sequence number, pushes it through the fault model onto a virtual
-   wire (a list sorted by arrival time), and — when the shim is on —
-   runs a retransmission/resequencing protocol that restores the
+   wire (a FIFO of ready copies plus a list of jittered ones sorted by
+   arrival time), and — when the shim is on — runs a
+   retransmission/resequencing protocol that restores the
    FIFO-exactly-once contract the Jupiter protocols assume
-   (Section 4.4 of the paper; DESIGN.md section 9 has the argument). *)
+   (Section 4.4 of the paper; DESIGN.md section 9 has the argument and
+   the wire's layout). *)
 
 type config = {
   faults : Faults.spec;
@@ -37,18 +39,25 @@ let set_obs cfg obs = cfg.obs <- obs
 
 let set_recorder cfg recorder = cfg.recorder <- recorder
 
-type 'a wire_item = {
-  w_seq : int;
-  w_payload : 'a;
-  w_ready : int;  (* earliest tick the item can be delivered *)
-  w_birth : int;  (* tie-break: wire insertion order *)
-}
-
+(* A payload the sender has stamped.  [i_copies] counts its copies on
+   the wire — queued or jittered, not yet delivered or lost — so "is
+   it still in flight?" is a field read. *)
 type 'a inflight = {
   i_seq : int;
   i_payload : 'a;
   mutable i_last_sent : int;
   mutable i_attempts : int;
+  mutable i_copies : int;
+}
+
+(* One copy on the wire.  It keeps its own seq and payload (after a
+   sender rollback a seq can be reused for another payload) and points
+   at the record whose [i_copies] it is counted in. *)
+type 'a wire_item = {
+  w_seq : int;
+  w_payload : 'a;
+  w_ready : int;  (* earliest tick the copy can be delivered *)
+  mutable w_rec : 'a inflight;
 }
 
 type 'a lossy = {
@@ -57,11 +66,19 @@ type 'a lossy = {
   key : 'a -> string option;
   weight : 'a -> int;  (* operations carried by a payload *)
   mutable now : int;
-  mutable births : int;
-  mutable wire : 'a wire_item list;  (* sorted by (w_ready, w_birth) *)
-  mutable ack_wire : (int * int) list;  (* (ready tick, cumulative seq) *)
+  ready : 'a wire_item Queue.t;
+      (* copies deliverable now, in (ready tick, insertion) order *)
+  mutable delayed : 'a wire_item list;
+      (* jittered copies not yet ready, sorted by (ready tick, insertion) *)
+  mutable ack_wire : int;
+      (* the one ack in flight (cumulative seq), or -1: an ack leaves on
+         a tick and arrives on the next, so there is never a second *)
   mutable next_seq : int;  (* sender: next sequence number to assign *)
-  mutable unacked : 'a inflight list;  (* sender retransmit buffer, by seq *)
+  mutable max_sent : int;  (* sender: highest seq ever sent *)
+  unacked : 'a inflight Queue.t;  (* sender retransmit buffer, by seq *)
+  mutable next_due : int;
+      (* no retransmission is due before this tick: a lower bound on the
+         deadlines of unacked payloads with no copy on the wire *)
   mutable expected : int;  (* receiver: next seq to hand to the app *)
   mutable resequencer : (int * 'a) list;  (* receiver buffer, by seq *)
   mutable ack_pending : bool;
@@ -86,11 +103,13 @@ let create ?(key = no_key) ?(weight = fun _ -> 1) ?(name = "wire") cfg =
       key;
       weight;
       now = 0;
-      births = 0;
-      wire = [];
-      ack_wire = [];
+      ready = Queue.create ();
+      delayed = [];
+      ack_wire = -1;
       next_seq = 1;
-      unacked = [];
+      max_sent = 0;
+      unacked = Queue.create ();
+      next_due = max_int;
       expected = 1;
       resequencer = [];
       ack_pending = false;
@@ -122,24 +141,62 @@ let record_decision l d =
   | Some r -> Rlist_obs.Recorder.record r d
   | None -> ()
 
-let wire_insert l item =
-  let rec go = function
-    | [] -> [ item ]
-    | x :: rest ->
-      if
-        item.w_ready < x.w_ready
-        || (item.w_ready = x.w_ready && item.w_birth < x.w_birth)
-      then item :: x :: rest
-      else x :: go rest
-  in
-  l.wire <- go l.wire
+(* Retransmission backs off exponentially (capped) so a long partition
+   does not flood the wire the moment it heals. *)
+let timeout cfg attempts =
+  cfg.rto * (1 lsl min (attempts - 1) 4)
 
-(* Push one copy of (seq, payload) through the fault model.  May drop
-   it, jitter its arrival time, or enqueue an extra copy. *)
-let transmit l seq payload =
+let deadline l i = i.i_last_sent + timeout l.cfg i.i_attempts
+
+(* The earliest tick at which an unacked payload with no copy on the
+   wire times out. *)
+let earliest_due l =
+  Queue.fold
+    (fun due i -> if i.i_copies = 0 then Int.min due (deadline l i) else due)
+    max_int l.unacked
+
+let iter_wire f l =
+  Queue.iter f l.ready;
+  List.iter f l.delayed
+
+(* Count the wire copies stamped [i.i_seq] against [i]: a sender that
+   rolled back to a checkpoint re-creates records whose copies may
+   still be in flight. *)
+let adopt_copies l i =
+  iter_wire
+    (fun w ->
+      if w.w_seq = i.i_seq then begin
+        w.w_rec <- i;
+        i.i_copies <- i.i_copies + 1
+      end)
+    l
+
+(* Once [i] has no copy on the wire, its deadline bounds [next_due]. *)
+let note_idle l i =
+  if i.i_copies = 0 then l.next_due <- Int.min l.next_due (deadline l i)
+
+(* A copy left the wire (delivered or lost). *)
+let release_copy l w =
+  let i = w.w_rec in
+  i.i_copies <- i.i_copies - 1;
+  note_idle l i
+
+(* Insert a jittered copy after every copy ready no later than it,
+   which keeps insertion order among equal ready ticks. *)
+let delay_insert l item =
+  let rec go = function
+    | x :: rest when x.w_ready <= item.w_ready -> x :: go rest
+    | rest -> item :: rest
+  in
+  l.delayed <- go l.delayed
+
+(* Push one copy of [i] through the fault model.  May drop it, jitter
+   its arrival time, or enqueue an extra copy. *)
+let transmit l i =
   let s = l.cfg.stats in
+  let seq = i.i_seq in
   s.Stats.transmissions <- s.Stats.transmissions + 1;
-  s.Stats.op_transmissions <- s.Stats.op_transmissions + l.weight payload;
+  s.Stats.op_transmissions <- s.Stats.op_transmissions + l.weight i.i_payload;
   if down l then begin
     s.Stats.partition_drops <- s.Stats.partition_drops + 1;
     emit_wire l ~action:"partition_drop" ~wseq:seq ~info:0;
@@ -164,11 +221,11 @@ let transmit l seq payload =
         else 0
       in
       let item =
-        { w_seq = seq; w_payload = payload; w_ready = l.now + jitter;
-          w_birth = l.births }
+        { w_seq = seq; w_payload = i.i_payload; w_ready = l.now + jitter;
+          w_rec = i }
       in
-      l.births <- l.births + 1;
-      wire_insert l item;
+      i.i_copies <- i.i_copies + 1;
+      if jitter = 0 then Queue.push item l.ready else delay_insert l item;
       jitter
     in
     let jitter = enqueue () in
@@ -192,6 +249,10 @@ let transmit l seq payload =
     end
   end
 
+let inflight l seq payload =
+  { i_seq = seq; i_payload = payload; i_last_sent = l.now; i_attempts = 1;
+    i_copies = 0 }
+
 let send t payload =
   match t with
   | Perfect q -> Queue.push payload q
@@ -201,12 +262,13 @@ let send t payload =
     s.Stats.op_payloads <- s.Stats.op_payloads + l.weight payload;
     let seq = l.next_seq in
     l.next_seq <- seq + 1;
-    if l.cfg.shim then
-      l.unacked <-
-        l.unacked
-        @ [ { i_seq = seq; i_payload = payload; i_last_sent = l.now;
-              i_attempts = 1 } ];
-    transmit l seq payload
+    let i = inflight l seq payload in
+    if l.cfg.shim then begin
+      if seq <= l.max_sent then adopt_copies l i else l.max_sent <- seq;
+      Queue.push i l.unacked
+    end;
+    transmit l i;
+    note_idle l i
 
 (* Length of the contiguous run of buffered sequence numbers starting
    at [expected] — deliverable without any wire arrival. *)
@@ -217,14 +279,9 @@ let resequencer_run l =
   in
   go 0 l.expected l.resequencer
 
-let ready_count l =
-  List.fold_left
-    (fun n item -> if item.w_ready <= l.now then n + 1 else n)
-    0 l.wire
-
 let deliverable = function
   | Perfect q -> Queue.length q
-  | Lossy l -> ready_count l + resequencer_run l
+  | Lossy l -> Queue.length l.ready + resequencer_run l
 
 (* Application payloads sent but not yet delivered.  With the shim
    every one of them is still recoverable (retransmission), so this is
@@ -233,22 +290,17 @@ let deliverable = function
 let pending = function
   | Perfect q -> Queue.length q
   | Lossy l ->
-    if l.cfg.shim then l.next_seq - l.expected else List.length l.wire
+    if l.cfg.shim then l.next_seq - l.expected
+    else Queue.length l.ready + List.length l.delayed
 
-(* Pop the first wire item that is ready at the current tick. *)
+(* Pop the oldest copy that is ready at the current tick. *)
 let pop_ready l =
-  let rec go = function
-    | [] -> None, []
-    | item :: rest when item.w_ready <= l.now -> Some item, rest
-    | item :: rest ->
-      let found, remaining = go rest in
-      found, item :: remaining
-  in
-  (* The wire is sorted by readiness, so only the head can be ready —
-     but keep the scan robust to future ordering tweaks. *)
-  let found, remaining = go l.wire in
-  (match found with Some _ -> l.wire <- remaining | None -> ());
-  found
+  if Queue.is_empty l.ready then None
+  else begin
+    let item = Queue.pop l.ready in
+    release_copy l item;
+    Some item
+  end
 
 let accept_app l ~seq payload =
   let s = l.cfg.stats in
@@ -329,10 +381,25 @@ let deliver t =
         Some item.w_payload
     end
 
-(* Retransmission backs off exponentially (capped) so a long partition
-   does not flood the wire the moment it heals. *)
-let timeout cfg attempts =
-  cfg.rto * (1 lsl min (attempts - 1) 4)
+(* Jittered copies whose ready tick has come join the ready FIFO. *)
+let rec release_delayed l =
+  match l.delayed with
+  | item :: rest when item.w_ready <= l.now ->
+    Queue.push item l.ready;
+    l.delayed <- rest;
+    release_delayed l
+  | _ -> ()
+
+let retransmit l i =
+  let s = l.cfg.stats in
+  i.i_last_sent <- l.now;
+  i.i_attempts <- i.i_attempts + 1;
+  s.Stats.retransmits <- s.Stats.retransmits + 1;
+  emit_wire l ~action:"retransmit" ~wseq:i.i_seq ~info:i.i_attempts;
+  record_decision l
+    (Rlist_obs.Recorder.Retransmit
+       { channel = l.name; seq = i.i_seq; attempts = i.i_attempts });
+  transmit l i
 
 let tick t =
   match t with
@@ -345,17 +412,18 @@ let tick t =
     if l.was_down && not d then
       s.Stats.partitions_healed <- s.Stats.partitions_healed + 1;
     l.was_down <- d;
-    (* 1. Consume acknowledgements that have arrived back at the
-       sender; they are cumulative, so only the maximum matters. *)
-    let ready, in_flight =
-      List.partition (fun (ready, _) -> ready <= l.now) l.ack_wire
-    in
-    l.ack_wire <- in_flight;
-    (match ready with
-    | [] -> ()
-    | _ :: _ ->
-      let acked = List.fold_left (fun acc (_, a) -> max acc a) 0 ready in
-      l.unacked <- List.filter (fun i -> i.i_seq > acked) l.unacked);
+    release_delayed l;
+    (* 1. Consume the acknowledgement sent last tick; it is cumulative,
+       so it retires the unacked prefix up to its seq. *)
+    if l.ack_wire >= 0 then begin
+      let acked = l.ack_wire in
+      l.ack_wire <- -1;
+      while
+        (not (Queue.is_empty l.unacked)) && (Queue.peek l.unacked).i_seq <= acked
+      do
+        ignore (Queue.pop l.unacked)
+      done
+    end;
     (* 2. Flush the receiver's pending cumulative ack through the same
        fault model (acks travel the reverse link). *)
     if l.ack_pending then begin
@@ -372,7 +440,7 @@ let tick t =
         emit_wire l ~action:"ack" ~wseq:cum ~info:0;
         record_decision l
           (Rlist_obs.Recorder.Ack { channel = l.name; seq = cum; dropped = false });
-        l.ack_wire <- l.ack_wire @ [ l.now + 1, cum ]
+        l.ack_wire <- cum
       end
     end;
     (* 3. Retransmit whatever timed out.  The timer models an ideal
@@ -380,24 +448,13 @@ let tick t =
        still physically in flight (neither dropped nor delivered) is
        never retransmitted, because the virtual wire also absorbs the
        engine scheduler's choice latency, which a fixed timeout would
-       misread as loss. *)
-    let on_wire seq = List.exists (fun w -> w.w_seq = seq) l.wire in
-    List.iter
-      (fun i ->
-        if
-          l.now - i.i_last_sent >= timeout l.cfg i.i_attempts
-          && not (on_wire i.i_seq)
-        then begin
-          i.i_last_sent <- l.now;
-          i.i_attempts <- i.i_attempts + 1;
-          s.Stats.retransmits <- s.Stats.retransmits + 1;
-          emit_wire l ~action:"retransmit" ~wseq:i.i_seq ~info:i.i_attempts;
-          record_decision l
-            (Rlist_obs.Recorder.Retransmit
-               { channel = l.name; seq = i.i_seq; attempts = i.i_attempts });
-          transmit l i.i_seq i.i_payload
-        end)
-      l.unacked
+       misread as loss.  Before [next_due] nothing can be due. *)
+    if l.now >= l.next_due then begin
+      Queue.iter
+        (fun i -> if i.i_copies = 0 && l.now >= deadline l i then retransmit l i)
+        l.unacked;
+      l.next_due <- earliest_due l
+    end
 
 let now = function Perfect _ -> 0 | Lossy l -> l.now
 
@@ -448,18 +505,22 @@ let sender_checkpoint t =
   let l = lossy_of "sender_checkpoint" t in
   {
     ck_next_seq = l.next_seq;
-    ck_unacked = List.map (fun i -> i.i_seq, i.i_payload) l.unacked;
+    ck_unacked =
+      List.of_seq
+        (Seq.map (fun i -> i.i_seq, i.i_payload) (Queue.to_seq l.unacked));
   }
 
 let restore_sender t ck =
   let l = lossy_of "restore_sender" t in
   l.next_seq <- ck.ck_next_seq;
-  l.unacked <-
-    List.map
-      (fun (seq, payload) ->
-        { i_seq = seq; i_payload = payload; i_last_sent = l.now;
-          i_attempts = 1 })
-      ck.ck_unacked
+  Queue.clear l.unacked;
+  List.iter
+    (fun (seq, payload) ->
+      let i = inflight l seq payload in
+      adopt_copies l i;
+      Queue.push i l.unacked)
+    ck.ck_unacked;
+  l.next_due <- earliest_due l
 
 let receiver_checkpoint t =
   let l = lossy_of "receiver_checkpoint" t in
@@ -494,6 +555,11 @@ let restore_receiver t ck =
 let drop_wire t =
   let l = lossy_of "drop_wire" t in
   let s = l.cfg.stats in
-  s.Stats.dropped <- s.Stats.dropped + List.length l.wire;
-  l.wire <- [];
-  l.ack_wire <- []
+  iter_wire
+    (fun w ->
+      s.Stats.dropped <- s.Stats.dropped + 1;
+      release_copy l w)
+    l;
+  Queue.clear l.ready;
+  l.delayed <- [];
+  l.ack_wire <- -1

@@ -45,7 +45,8 @@ type decision =
 
 type t = {
   capacity : int;
-  buf : decision option array;
+  mutable buf : decision option array;
+      (* empty until the first [record], then [capacity] slots *)
   mutable head : int;  (* next write slot *)
   mutable total : int;  (* decisions ever recorded *)
 }
@@ -54,9 +55,15 @@ let default_capacity = 1 lsl 18
 
 let create ?(capacity = default_capacity) () =
   let capacity = max 1 capacity in
-  { capacity; buf = Array.make capacity None; head = 0; total = 0 }
+  { capacity; buf = [||]; head = 0; total = 0 }
 
+(* The ring is allocated whole at the first decision, not at [create]:
+   a recorder made per run then pays for its ring inside the run.  It
+   is not grown in steps either: one big allocation costs a major-heap
+   slice outside every handler, while a doubling ring spreads that
+   work into minor collections inside the handlers. *)
 let record t d =
+  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
   t.buf.(t.head) <- Some d;
   t.head <- (t.head + 1) mod t.capacity;
   t.total <- t.total + 1
@@ -80,7 +87,7 @@ let window t =
   end
 
 let clear t =
-  Array.fill t.buf 0 t.capacity None;
+  Array.fill t.buf 0 (Array.length t.buf) None;
   t.head <- 0;
   t.total <- 0
 

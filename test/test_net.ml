@@ -9,8 +9,16 @@ module Faults = Rlist_net.Faults
 module Stats = Rlist_net.Stats
 module Transport = Rlist_net.Transport
 
+(* Field by field, exactly: comparing printed forms would hide a
+   printer that rounds. *)
 let spec : Faults.spec Alcotest.testable =
-  Alcotest.testable Faults.pp (fun a b -> Faults.to_string a = Faults.to_string b)
+  Alcotest.testable Faults.pp (fun a b ->
+      Float.equal a.Faults.drop b.Faults.drop
+      && Float.equal a.duplicate b.duplicate
+      && Float.equal a.reorder b.reorder
+      && a.delay = b.delay
+      && a.partition_period = b.partition_period
+      && a.partition_down = b.partition_down)
 
 let ok = function
   | Ok v -> v
@@ -40,6 +48,48 @@ let test_field_syntax () =
   Alcotest.(check int) "delay" 4 s.Faults.delay;
   Alcotest.(check int) "period" 60 s.Faults.partition_period;
   Alcotest.(check int) "down" 20 s.Faults.partition_down
+
+(* A probability is printed in as many digits as it needs to read
+   back exactly; the short ones still print short. *)
+let test_exact_probabilities () =
+  let s = ok (Faults.of_string "drop=0.49999949,dup=0.123456789") in
+  Alcotest.(check string) "printed verbatim" "drop=0.49999949,dup=0.123456789"
+    (Faults.to_string s);
+  Alcotest.(check spec) "reads back" s (ok (Faults.of_string (Faults.to_string s)));
+  let third = { Faults.none with drop = 1.0 /. 3.0; delay = 9 } in
+  Alcotest.(check spec) "1/3 and a lone delay read back" third
+    (ok (Faults.of_string (Faults.to_string third)))
+
+let gen_spec =
+  let open QCheck2.Gen in
+  let prob =
+    oneof
+      [
+        return 0.0;
+        return 1.0;
+        float_bound_inclusive 1.0;
+        map (fun n -> float_of_int n /. 1000.0) (int_bound 1000);
+      ]
+  in
+  let* drop = prob and* duplicate = prob and* reorder = prob in
+  let* delay = int_range 1 50 in
+  let* partition_period, partition_down =
+    oneof
+      [
+        return (0, 0);
+        (let* period = int_range 1 500 in
+         let* down = int_bound (period - 1) in
+         return (period, down));
+      ]
+  in
+  return
+    { Faults.drop; duplicate; reorder; delay; partition_period; partition_down }
+
+let prop_round_trip =
+  Helpers.qtest ~count:500 "of_string (to_string s) = Ok s" gen_spec (fun s ->
+      match Faults.of_string (Faults.to_string s) with
+      | Ok s' -> Alcotest.equal spec s s'
+      | Error e -> QCheck2.Test.fail_reportf "%s: %s" (Faults.to_string s) e)
 
 let test_parse_errors () =
   err "probability > 1" (Faults.of_string "drop=1.5");
@@ -173,6 +223,136 @@ let test_determinism () =
   let g1, f1 = run () and g2, f2 = run () in
   Alcotest.(check (list int)) "same deliveries" g1 g2;
   Alcotest.(check (list (pair string int))) "same counters" f1 f2
+
+(* Channel decision pin.  One channel, driven by a fixed script of
+   sends, deliveries and ticks, under every preset with the shim on and
+   off, over three seeds.  Each run is fingerprinted by the recorder's
+   decision stream, the delivered order (with [.] for arrivals the
+   channel consumed) and the counters, so a wire that draws its RNG in
+   another order, delivers another copy, or counts differently fails
+   here.  The crash variant restores an older sender checkpoint and
+   keeps sending, delivering and ticking before [drop_wire]: payloads
+   whose copies are still on the wire must keep deferring their
+   retransmission, as they did when "on the wire" was a scan by
+   sequence number.  The expected digests come from the list-based
+   wire that preceded the copy-counted one. *)
+let pin_run ~faults ~shim ~seed ~crash =
+  let cfg = Transport.config ~shim ~faults ~seed () in
+  let recorder = Rlist_obs.Recorder.create () in
+  Transport.set_recorder cfg (Some recorder);
+  let ch =
+    Transport.create ~key:(fun x -> Some (string_of_int x)) ~name:"pin" cfg
+  in
+  let script = Random.State.make [| seed; 0x5C |] in
+  let out = Buffer.create 1024 in
+  let next = ref 0 in
+  let deliver () =
+    match Transport.deliver ch with
+    | Some x -> Printf.bprintf out "%d " x
+    | None -> Buffer.add_string out ". "
+  in
+  let steps n =
+    for _ = 1 to n do
+      match Random.State.int script 4 with
+      | 0 ->
+        Transport.send ch !next;
+        incr next
+      | 1 | 2 -> if Transport.deliverable ch > 0 then deliver ()
+      | _ -> Transport.tick ch
+    done
+  in
+  steps 120;
+  if crash then begin
+    let ck = Transport.sender_checkpoint ch in
+    steps 80;
+    Transport.restore_sender ch ck;
+    steps 60;
+    Transport.drop_wire ch
+  end;
+  steps 120;
+  let fuel = ref 100_000 in
+  while Transport.pending ch > 0 do
+    while Transport.deliverable ch > 0 do
+      deliver ()
+    done;
+    Transport.tick ch;
+    decr fuel;
+    if !fuel = 0 then Alcotest.fail "pin channel cannot quiesce"
+  done;
+  Buffer.add_string out "\n";
+  List.iter
+    (fun d ->
+      Buffer.add_string out (Rlist_obs.Recorder.decision_to_string d);
+      Buffer.add_char out '\n')
+    (Rlist_obs.Recorder.window recorder);
+  List.iter
+    (fun (k, v) -> Printf.bprintf out "%s=%d\n" k v)
+    (Stats.fields (Transport.stats cfg));
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
+let pin_expected =
+  [
+    "none", true, "904129a422f2859e4595ac3de13b15eb";
+    "none", false, "2ad534543b750401406b7726394330bc";
+    "drop", true, "0b39639e7e495707b526714d40036c3a";
+    "drop", false, "1db1ab8fec1c402d3ff4762038c21fc1";
+    "dup", true, "1fe6409fc2b20986213755dc260b3d90";
+    "dup", false, "44a49001bceb89616ebb657c6b95b2aa";
+    "reorder", true, "ea7ab191de0f3768451139dc968a671d";
+    "reorder", false, "c25888ef69fd152e4239ccfbd6664764";
+    "partition", true, "b2ff68a070e99ad587a4c40f6728168f";
+    "partition", false, "5e69946f4ac4a6003c8f103ec1db3c56";
+    "chaos", true, "401ab6ce17660e0a16713d8fcaaf5696";
+    "chaos", false, "c82cec376f7e1fc61cbad218e9e628ed";
+    "heavy-loss", true, "619a16301e7c4247ceefa045a18ae783";
+    "heavy-loss", false, "3ddef44042b9a6e4b374b0f8d219c9ae";
+  ]
+
+let test_decision_pin () =
+  List.iter
+    (fun (preset, shim, expected) ->
+      let faults = Option.get (Faults.preset preset) in
+      let runs =
+        List.concat_map
+          (fun seed ->
+            List.map
+              (fun crash -> pin_run ~faults ~shim ~seed ~crash)
+              [ false; true ])
+          [ 1; 2; 3 ]
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, shim %b" preset shim)
+        expected
+        (Digest.to_hex (Digest.string (String.concat "," runs))))
+    pin_expected
+
+(* An idle tick costs nothing.  Twenty payloads sit on a clean wire,
+   never delivered: all are past their retransmission deadline, all
+   still have a copy in flight, and no ack is pending or on its way.
+   Ticking such a channel must allocate no minor-heap words. *)
+let test_idle_tick_allocation () =
+  let cfg = Transport.config ~faults:Faults.none ~seed:1 () in
+  let ch = Transport.create cfg in
+  List.iter (Transport.send ch) (iota 20);
+  for _ = 1 to 100 do
+    Transport.tick ch
+  done;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let idle = words (fun () -> ()) in
+  let ticking =
+    words (fun () ->
+        for _ = 1 to 1000 do
+          Transport.tick ch
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words over 1000 idle ticks" 0.0
+    (ticking -. idle);
+  Alcotest.(check int) "nothing retransmitted" 0
+    (Transport.stats cfg).Stats.retransmits
 
 (* Sender crash: restore the last checkpointed sender state, reset the
    wire; retransmission resynchronises and the receiver's sequence
@@ -373,6 +553,9 @@ let () =
         [
           Alcotest.test_case "presets parse and round-trip" `Quick test_presets;
           Alcotest.test_case "field syntax" `Quick test_field_syntax;
+          Alcotest.test_case "exact probabilities" `Quick
+            test_exact_probabilities;
+          prop_round_trip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "partition clock" `Quick test_partition_clock;
         ] );
@@ -390,6 +573,10 @@ let () =
           Alcotest.test_case "determinism from the seed" `Quick test_determinism;
           Alcotest.test_case "stats publish into metrics" `Quick
             test_stats_publish;
+          Alcotest.test_case "decision pin: presets x shim x seeds" `Quick
+            test_decision_pin;
+          Alcotest.test_case "idle ticks allocate nothing" `Quick
+            test_idle_tick_allocation;
         ] );
       ( "crash-reconnect",
         [
