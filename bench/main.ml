@@ -27,32 +27,6 @@
 open Rlist_model
 open Bechamel
 
-(* Whole-session micro-benchmarks: one fixed 50-update 4-client
-   session per run, per protocol. *)
-let css_session () =
-  let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
-  let t = E.create ~nclients:4 () in
-  let rng = Random.State.make [| 1234 |] in
-  ignore
-    (E.run_random t ~rng
-       ~params:{ Rlist_sim.Schedule.default_params with updates = 50 })
-
-let cscw_session () =
-  let module E = Rlist_sim.Engine.Make (Jupiter_cscw.Protocol) in
-  let t = E.create ~nclients:4 () in
-  let rng = Random.State.make [| 1234 |] in
-  ignore
-    (E.run_random t ~rng
-       ~params:{ Rlist_sim.Schedule.default_params with updates = 50 })
-
-let rga_session () =
-  let module E = Rlist_sim.Engine.Make (Jupiter_rga.Protocol) in
-  let t = E.create ~nclients:4 () in
-  let rng = Random.State.make [| 1234 |] in
-  ignore
-    (E.run_random t ~rng
-       ~params:{ Rlist_sim.Schedule.default_params with updates = 50 })
-
 (* Primitive-operation micro-benchmarks. *)
 let xform_bench =
   let doc = Document.of_string "abcdefgh" in
@@ -78,40 +52,32 @@ let weak_check_bench =
   let trace = E.trace t in
   fun () -> ignore (Rlist_spec.Weak_spec.check trace)
 
-(* Same fixed session with the observability layer attached: once with
-   metrics only (no sink — the advertised near-zero configuration) and
-   once fully traced into a memory sink.  Compare against
-   css/session-50ops-4clients for the overhead. *)
-let css_session_obs ~traced () =
-  let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
-  let t = E.create ~nclients:4 () in
-  let sink =
-    if traced then Rlist_obs.Sink.memory () else Rlist_obs.Sink.null
-  in
-  E.attach_obs t (Rlist_obs.Obs.make ~sink ());
-  let rng = Random.State.make [| 1234 |] in
-  ignore
-    (E.run_random t ~rng
-       ~params:{ Rlist_sim.Schedule.default_params with updates = 50 })
-
 let micro_benchmarks () =
   Printf.printf "\n=== C4: bechamel micro-benchmarks ===\n";
   Printf.printf
     "  (one Test.make per measured quantity; times are per operation)\n";
+  (* Whole-session runs: one fixed 50-update 4-client session per run,
+     per protocol; the css session also with the observability layer
+     attached (compare against css/session-50ops-4clients for the
+     overhead). *)
+  let session name p ~obs =
+    let run = Experiments.session p ~obs ~updates:50 in
+    Test.make ~name (Staged.stage (fun () -> ignore (run ())))
+  in
   ignore
     (Harness.run
        [
          Test.make ~name:"ot/xform_pair" (Staged.stage xform_bench);
-         Test.make ~name:"css/session-50ops-4clients"
-           (Staged.stage css_session);
-         Test.make ~name:"css/session-50ops-metrics"
-           (Staged.stage (css_session_obs ~traced:false));
-         Test.make ~name:"css/session-50ops-traced"
-           (Staged.stage (css_session_obs ~traced:true));
-         Test.make ~name:"cscw/session-50ops-4clients"
-           (Staged.stage cscw_session);
-         Test.make ~name:"rga/session-50ops-4clients"
-           (Staged.stage rga_session);
+         session "css/session-50ops-4clients" (module Jupiter_css.Protocol)
+           ~obs:`Bare;
+         session "css/session-50ops-metrics" (module Jupiter_css.Protocol)
+           ~obs:`Metrics;
+         session "css/session-50ops-traced" (module Jupiter_css.Protocol)
+           ~obs:`Traced;
+         session "cscw/session-50ops-4clients" (module Jupiter_cscw.Protocol)
+           ~obs:`Bare;
+         session "rga/session-50ops-4clients" (module Jupiter_rga.Protocol)
+           ~obs:`Bare;
          Test.make ~name:"spec/weak-check-40ops"
            (Staged.stage weak_check_bench);
        ])

@@ -157,12 +157,6 @@ type t = {
      membership. *)
   mutable slots : int array;
   key_of : Op_id.t -> Order_key.t;
-  transform : Op.t -> Op.t -> Op.t;
-  (* The append specialization reproduces the arithmetic of the
-     standard view-position functions; a space built over any other
-     transform (TTF, the broken no-priority variant) must never take
-     it. *)
-  fast_ok : bool;
   (* The run's fast-path switch and counters, shared with every other
      space of the same engine run. *)
   fp : Fastpath.t;
@@ -200,7 +194,7 @@ let table_for n =
   let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
   Array.make (pow2 64) none
 
-let make ~key_of ~transform ~fp ~root ~final ~nodes ~op_index =
+let make ~key_of ~fp ~root ~final ~nodes ~op_index =
   let cap = 8 in
   {
     n_shash = column 0;
@@ -224,8 +218,6 @@ let make ~key_of ~transform ~fp ~root ~final ~nodes ~op_index =
     op_index;
     slots = table_for nodes;
     key_of;
-    transform;
-    fast_ok = transform == Transform.xform;
     fp;
     root;
     final;
@@ -459,12 +451,12 @@ let transition_of t ~src ~src_state e =
 
 (* ------------------------------------------------------------------------ *)
 
-let create ?(transform = Transform.xform) ?fastpath ~key_of () =
+let create ?fastpath ~key_of () =
   let fp =
     match fastpath with Some fp -> fp | None -> Fastpath.create ()
   in
   let t =
-    make ~key_of ~transform ~fp ~root:initial_state ~final:initial_state
+    make ~key_of ~fp ~root:initial_state ~final:initial_state
       ~nodes:1 ~op_index:None
   in
   t.final_node <- base_node t ~shash:0 initial_state;
@@ -564,7 +556,7 @@ let leftmost_path t state =
 
 let[@inline] xform t o1 o2 =
   t.ot_count <- t.ot_count + 1;
-  t.transform o1 o2
+  Transform.xform o1 o2
 
 (* The context of a quiescent replica's next operation is its current
    final state: the leftmost path is empty, no transformation can
@@ -742,8 +734,7 @@ let run_segment t seg =
   (* While [Some q], the lanes form a pure append run starting at [q]. *)
   let run_q =
     ref
-      (if t.fp.Fastpath.enabled && t.fast_ok then run_start_of forms
-       else None)
+      (if t.fp.Fastpath.enabled then run_start_of forms else None)
   in
   (* Entry row: lane nodes [ctx ∪ {o1..oi}], each original operation
      saved along its transition in order (Algorithm 1's first step,
@@ -1057,7 +1048,7 @@ let equal t1 t2 =
 
 let of_raw ~key_of ~root ~final assoc =
   let t =
-    make ~key_of ~transform:Transform.xform ~fp:(Fastpath.create ()) ~root
+    make ~key_of ~fp:(Fastpath.create ()) ~root
       ~final ~nodes:(List.length assoc)
       ~op_index:(Some (Op_id.Table.create 16))
   in

@@ -52,14 +52,11 @@ type t
     may answer [Pending] early on and [Serialized] later (the relative
     order never changes, see {!Order_key}).
 
-    [transform] is the transformation function driving Algorithm 1's
-    ladders (default: the Jupiter view-position functions,
-    {!Rlist_ot.Transform.xform}).  Passing a CP2-satisfying function
-    (e.g. the TTF functions) makes the space tolerate integration in
-    {e any} causally-consistent order, which is what the
-    total-order-free adOPTed-style protocol exploits. *)
+    Algorithm 1's ladders transform with the Jupiter view-position
+    functions, {!Rlist_ot.Transform.xform}.  (The adOPTed-style
+    protocol, which needs CP2-satisfying TTF functions, builds its own
+    [Jupiter_ttf.Lattice] instead.) *)
 val create :
-  ?transform:(Rlist_ot.Op.t -> Rlist_ot.Op.t -> Rlist_ot.Op.t) ->
   ?fastpath:Rlist_ot.Fastpath.t ->
   key_of:(Op_id.t -> Order_key.t) ->
   unit ->
@@ -125,11 +122,10 @@ val add_op : t -> Context.op_in_context -> Op.t
     — is identical to folding {!add_op} over the batch: the per-square
     transformation recurrences are the same, only their evaluation
     order changes.  Exception: when the space's {!Fastpath.t} is
-    enabled and the space uses the standard transform, runs of consecutive ascending
-    insertions (pure appends) resolve path steps by position
-    arithmetic, skipping the primitive transformations a fold would
-    perform — forms and structure are still identical, but
-    {!ot_count} grows more slowly.
+    enabled, runs of consecutive ascending insertions (pure appends)
+    resolve path steps by position arithmetic, skipping the primitive
+    transformations a fold would perform — forms and structure are
+    still identical, but {!ot_count} grows more slowly.
 
     The growth observer is notified once per contiguous run, with the
     run's aggregate transformation count.

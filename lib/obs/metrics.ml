@@ -128,6 +128,16 @@ let hist_max h = h.mx
 
 let hist_mean h = if h.len = 0 then nan else h.sum /. float_of_int h.len
 
+(* Linear interpolation between closest ranks over [0, len-1]. *)
+let interpolate sorted p =
+  let rank = p /. 100.0 *. float_of_int (Array.length sorted - 1) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = int_of_float (Float.ceil rank) in
+  if lo = hi then sorted.(lo)
+  else
+    let w = rank -. float_of_int lo in
+    ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
+
 let percentile h p =
   if p < 0.0 || p > 100.0 then
     invalid_arg (Printf.sprintf "Metrics.percentile: %g not in [0,100]" p);
@@ -135,14 +145,7 @@ let percentile h p =
   else begin
     let sorted = Array.sub h.values 0 h.len in
     Array.sort Float.compare sorted;
-    (* Linear interpolation between closest ranks over [0, len-1]. *)
-    let rank = p /. 100.0 *. float_of_int (h.len - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then sorted.(lo)
-    else
-      let w = rank -. float_of_int lo in
-      ((1.0 -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
+    interpolate sorted p
   end
 
 let time h f =

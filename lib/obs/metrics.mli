@@ -88,6 +88,10 @@ val hist_mean : histogram -> float
     @raise Invalid_argument when [p] is outside [0..100]. *)
 val percentile : histogram -> float -> float
 
+(** [interpolate sorted p] is the same percentile over an ascending,
+    non-empty array (the caller chooses the empty-input result). *)
+val interpolate : float array -> float -> float
+
 (** Time a thunk with the installed clock and record the elapsed
     nanoseconds into the histogram.  The thunk's exceptions pass
     through untimed. *)

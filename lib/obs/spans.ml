@@ -119,15 +119,7 @@ let build events =
     !order
 
 let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let rank = p /. 100.0 *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-  end
+  if Array.length sorted = 0 then 0.0 else Metrics.interpolate sorted p
 
 let summarize events =
   let spans = build events in

@@ -27,6 +27,3 @@ let with_context op ~ctx =
   { op; ctx }
 
 let pp = Op_id.Set.pp
-
-let pp_op_in_context ppf { op; ctx } =
-  Format.fprintf ppf "%a @@ %a" Op.pp op pp ctx

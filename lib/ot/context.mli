@@ -36,5 +36,3 @@ type op_in_context = {
 val with_context : Op.t -> ctx:t -> op_in_context
 
 val pp : Format.formatter -> t -> unit
-
-val pp_op_in_context : Format.formatter -> op_in_context -> unit

@@ -33,6 +33,9 @@ type result = {
   l_elapsed_s : float;
 }
 
+(* Nearest rank (truncated), unlike {!Rlist_obs.Metrics.interpolate}:
+   C18's p50/p99 and the CLI's longrun report use this rule, and
+   interpolating would shift every figure already published. *)
 let percentile sorted q =
   match Array.length sorted with
   | 0 -> 0.

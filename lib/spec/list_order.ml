@@ -35,9 +35,6 @@ let of_documents docs =
 
 let num_nodes t = Op_id.Map.cardinal t.succ
 
-let num_edges t =
-  Op_id.Map.fold (fun _ s acc -> acc + Op_id.Set.cardinal s) t.succ 0
-
 let mem_edge t a b =
   match Op_id.Map.find_opt a.Element.id t.succ with
   | None -> false

@@ -18,8 +18,6 @@ val of_documents : Document.t list -> t
 
 val num_nodes : t -> int
 
-val num_edges : t -> int
-
 (** [mem_edge t a b] reports whether [a] is ordered before [b]. *)
 val mem_edge : t -> Element.t -> Element.t -> bool
 

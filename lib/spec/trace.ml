@@ -24,14 +24,6 @@ let elems t =
   in
   Document.elements t.initial @ inserted
 
-let update_index t =
-  List.fold_left
-    (fun acc e ->
-      match e.Event.op_id with
-      | None -> acc
-      | Some id -> Op_id.Map.add id e acc)
-    Op_id.Map.empty t.events
-
 let inserted_element t id =
   if Op_id.is_initial id then
     Seq.find

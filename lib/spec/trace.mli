@@ -30,9 +30,6 @@ val reads : t -> Event.t list
     [elems(A)] in the paper. *)
 val elems : t -> Element.t list
 
-(** Map from update identifier to its event. *)
-val update_index : t -> Event.t Op_id.Map.t
-
 (** [inserted_element t id] is the element inserted by update [id]:
     either an insertion event's element or an initial element. *)
 val inserted_element : t -> Op_id.t -> Element.t option
