@@ -1105,10 +1105,10 @@ let c16_batching ?json_path ?(smoke = false) () =
   Printf.printf
     "  claim: batching collapses each channel flush into one message \
      (amplification now counts ops, so reliability cost is comparable \
-     across modes), incremental state hashing and set-free nodes (a \
-     state is its parent's plus one op; edges point at nodes) make a \
-     ladder square O(1) in the state size, and the leftmost-path fast \
-     paths turn appends into O(1) steps.\n";
+     across modes), set-free unindexed nodes (a state is its parent's \
+     plus one op; edges point at nodes; a lookup descends from a base \
+     node) make a ladder square O(1) in the state size, and the \
+     leftmost-path fast paths turn appends into O(1) steps.\n";
   write_json json_path ~benchmark:"batching" [ "results", rows ]
 
 (* --- C17: flight-recorder overhead + convergence-lag percentiles ------- *)

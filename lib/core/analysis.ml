@@ -3,10 +3,32 @@ open Rlist_ot
 
 type state = State_space.state
 
+(* The whole space from one walk: its states, in {!State_space.states}
+   order, and every state's ordered transitions by state.  The
+   analyses below visit each state many times, so they look
+   transitions up here rather than in the space. *)
+type walk = {
+  states : state list;
+  next : state -> State_space.transition list;
+}
+
+let walk t =
+  let listing = State_space.listing t in
+  let table = Op_id.State_table.create 64 in
+  List.iter (fun (s, trs) -> Op_id.State_table.replace table s trs) listing;
+  let next s =
+    match Op_id.State_table.find_opt table s with
+    | Some trs -> trs
+    | None ->
+      invalid_arg (Format.asprintf "Analysis: unknown state %a" Op_id.Set.pp s)
+  in
+  { states = List.map fst listing; next }
+
 let documents t ~initial =
   (* Breadth-first replay from the initial state.  Each state's
      document is computed once; any further path reaching it must
      agree (confluence, from CP1). *)
+  let w = walk t in
   let docs : Document.t Op_id.State_table.t = Op_id.State_table.create 64 in
   Op_id.State_table.add docs (State_space.root t) initial;
   let queue = Queue.create () in
@@ -29,11 +51,9 @@ let documents t ~initial =
                   the state-space is not confluent"
                  Op_id.Set.pp tr.State_space.target Document.pp existing
                  Document.pp doc'))
-      (State_space.transitions t s)
+      (w.next s)
   done;
-  List.map
-    (fun s -> s, Op_id.State_table.find docs s)
-    (State_space.states t)
+  List.map (fun s -> s, Op_id.State_table.find docs s) w.states
 
 let document_at t ~initial s =
   match
@@ -44,7 +64,7 @@ let document_at t ~initial s =
     invalid_arg
       (Format.asprintf "Analysis.document_at: unknown state %a" Op_id.Set.pp s)
 
-let all_paths ?(limit = 10_000) t ~src ~dst =
+let paths ?(limit = 10_000) w ~src ~dst =
   let count = ref 0 in
   let rec go s acc =
     if Op_id.Set.equal s dst then begin
@@ -61,65 +81,62 @@ let all_paths ?(limit = 10_000) t ~src ~dst =
           if Op_id.Set.subset tr.State_space.target dst then
             go tr.State_space.target (tr :: acc)
           else [])
-        (State_space.transitions t s)
+        (w.next s)
   in
   go src []
+
+let all_paths ?limit t ~src ~dst = paths ?limit (walk t) ~src ~dst
 
 (* Reachability: [s'] is an ancestor of [s] iff a path leads from [s']
    to [s].  Since states are the sets of processed operations and
    transitions only add operations, reachability implies set
    inclusion; we still follow actual transitions (inclusion alone is
    not sufficient, cf. Example 8.2). *)
-let descendants t s =
+let descendants w s =
   let seen : unit Op_id.State_table.t = Op_id.State_table.create 16 in
   let rec go s =
     if not (Op_id.State_table.mem seen s) then begin
       Op_id.State_table.add seen s ();
-      List.iter
-        (fun tr -> go tr.State_space.target)
-        (State_space.transitions t s)
+      List.iter (fun tr -> go tr.State_space.target) (w.next s)
     end
   in
   go s;
   seen
 
-let reaches t s1 s2 = Op_id.State_table.mem (descendants t s1) s2
+let reaches w s1 s2 = Op_id.State_table.mem (descendants w s1) s2
 
-let lowest_common_ancestors t s1 s2 =
-  let common =
-    List.filter
-      (fun s -> reaches t s s1 && reaches t s s2)
-      (State_space.states t)
-  in
+let lcas w s1 s2 =
+  let common = List.filter (fun s -> reaches w s s1 && reaches w s s2) w.states in
   List.filter
     (fun s ->
       not
         (List.exists
            (fun s' ->
              (not (Op_id.Set.equal s s'))
-             && reaches t s s')
+             && reaches w s s')
            common))
     common
+
+let lowest_common_ancestors t s1 s2 = lcas (walk t) s1 s2
 
 let check_nary t ~nclients =
   let bad =
     List.find_opt
-      (fun s -> List.length (State_space.transitions t s) > nclients)
-      (State_space.states t)
+      (fun (_, trs) -> List.length trs > nclients)
+      (State_space.listing t)
   in
   match bad with
   | None -> Ok ()
-  | Some s ->
+  | Some (s, trs) ->
     Error
       (Format.asprintf "state %a has %d children, more than the %d clients"
-         Op_id.Set.pp s
-         (List.length (State_space.transitions t s))
-         nclients)
+         Op_id.Set.pp s (List.length trs) nclients)
 
 let path_ops path = List.map (fun tr -> tr.State_space.orig) path
 
 let check_simple_paths t =
   let exception Bad of string in
+  let w = walk t in
   try
     List.iter
       (fun s ->
@@ -133,8 +150,8 @@ let check_simple_paths t =
                    (Format.asprintf
                       "a path from the root to %a repeats an operation"
                       Op_id.Set.pp s)))
-          (all_paths t ~src:(State_space.root t) ~dst:s))
-      (State_space.states t);
+          (paths w ~src:(State_space.root t) ~dst:s))
+      w.states;
     Ok ()
   with Bad msg -> Error msg
 
@@ -144,31 +161,33 @@ let rec all_pairs = function
 
 let check_unique_lca t =
   let exception Bad of string in
+  let w = walk t in
   try
     List.iter
       (fun (s1, s2) ->
-        match lowest_common_ancestors t s1 s2 with
+        match lcas w s1 s2 with
         | [ _ ] -> ()
         | lcas ->
           raise
             (Bad
                (Format.asprintf "states %a and %a have %d LCAs" Op_id.Set.pp s1
                   Op_id.Set.pp s2 (List.length lcas))))
-      (all_pairs (State_space.states t));
+      (all_pairs w.states);
     Ok ()
   with Bad msg -> Error msg
 
 let check_disjoint_paths t =
   let exception Bad of string in
+  let w = walk t in
   try
     List.iter
       (fun (s1, s2) ->
-        match lowest_common_ancestors t s1 s2 with
+        match lcas w s1 s2 with
         | [ lca ] ->
           let ops_to s =
             List.map
               (fun path -> Op_id.Set.of_list (path_ops path))
-              (all_paths t ~src:lca ~dst:s)
+              (paths w ~src:lca ~dst:s)
           in
           List.iter
             (fun o1 ->
@@ -184,7 +203,7 @@ let check_disjoint_paths t =
                 (ops_to s2))
             (ops_to s1)
         | _ -> () (* reported by check_unique_lca *))
-      (all_pairs (State_space.states t));
+      (all_pairs w.states);
     Ok ()
   with Bad msg -> Error msg
 
@@ -221,11 +240,11 @@ type stats = {
 }
 
 let stats t =
-  let states = State_space.states t in
+  let listing = State_space.listing t in
+  let states = List.map fst listing in
   let transitions, max_branching, nop_forms =
     List.fold_left
-      (fun (total, widest, nops) s ->
-        let outgoing = State_space.transitions t s in
+      (fun (total, widest, nops) (_, outgoing) ->
         let nops_here =
           List.length
             (List.filter (fun tr -> Op.is_nop tr.State_space.form) outgoing)
@@ -233,7 +252,7 @@ let stats t =
         ( total + List.length outgoing,
           max widest (List.length outgoing),
           nops + nops_here ))
-      (0, 0, 0) states
+      (0, 0, 0) listing
   in
   let widths = Hashtbl.create 16 in
   List.iter

@@ -23,22 +23,23 @@ let to_dot t ~initial ~name =
   Buffer.add_string buffer (Printf.sprintf "digraph %S {\n" name);
   Buffer.add_string buffer "  rankdir=TB;\n  ordering=out;\n";
   Buffer.add_string buffer "  node [shape=box, fontname=\"monospace\"];\n";
+  let listing = State_space.listing t in
   List.iter
-    (fun state ->
+    (fun (state, _) ->
       Buffer.add_string buffer
         (Printf.sprintf "  %s [label=\"{%s}\\n%S\"];\n" (node_id state)
            (state_label state) (doc_of state)))
-    (State_space.states t);
+    listing;
   List.iter
-    (fun state ->
+    (fun (state, transitions) ->
       List.iter
         (fun tr ->
           Buffer.add_string buffer
             (Printf.sprintf "  %s -> %s [label=%S];\n" (node_id state)
                (node_id tr.State_space.target)
                (Rlist_ot.Op.to_string tr.State_space.form)))
-        (State_space.transitions t state))
-    (State_space.states t);
+        transitions)
+    listing;
   Buffer.add_string buffer "}\n";
   Buffer.contents buffer
 
@@ -47,16 +48,16 @@ let to_ascii t ~initial =
   let doc_of = doc_table t ~initial in
   let by_level =
     List.sort
-      (fun s1 s2 ->
+      (fun (s1, _) (s2, _) ->
         match
           Int.compare (Op_id.Set.cardinal s1) (Op_id.Set.cardinal s2)
         with
         | 0 -> Op_id.Set.compare s1 s2
         | c -> c)
-      (State_space.states t)
+      (State_space.listing t)
   in
   List.iter
-    (fun state ->
+    (fun (state, transitions) ->
       Buffer.add_string buffer
         (Printf.sprintf "{%s} %S\n" (state_label state) (doc_of state));
       List.iter
@@ -65,7 +66,7 @@ let to_ascii t ~initial =
             (Printf.sprintf "  --%s--> {%s}\n"
                (Rlist_ot.Op.to_string tr.State_space.form)
                (state_label tr.State_space.target)))
-        (State_space.transitions t state))
+        transitions)
     by_level;
   Buffer.contents buffer
 

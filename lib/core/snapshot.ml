@@ -53,15 +53,17 @@ let client_to_string client =
   line "root %s" (state_tokens (State_space.root space));
   line "final %s" (state_tokens (State_space.final space));
   List.iter
-    (fun state ->
+    (fun (state, transitions) ->
       line "node %s" (state_tokens state);
       List.iter
         (fun tr ->
           line "tr %d %d %s" tr.State_space.orig.Op_id.client
             tr.State_space.orig.Op_id.seq
             (form_tokens tr.State_space.form))
-        (State_space.transitions space state))
-    (List.sort Op_id.Set.compare (State_space.states space));
+        transitions)
+    (List.sort
+       (fun (s1, _) (s2, _) -> Op_id.Set.compare s1 s2)
+       (State_space.listing space));
   Buffer.contents buffer
 
 let client_of_string text =

@@ -19,23 +19,6 @@ type transition = {
   target : state;
 }
 
-(* Zobrist-style state hashing: a state's hash is the {e sum} of a
-   well-mixed per-identifier hash, so the hash of [s + id] is one
-   addition away from the hash of [s].  Every state the ladders create
-   extends a known node by one operation, which makes node creation
-   O(1) in the size of the state — a content hash that folds over the
-   whole set would make every square of every ladder O(|state|). *)
-let mix x =
-  (* splitmix64-style finalizer, constants truncated to OCaml's int. *)
-  let x = x * 0x1E3779B97F4A7C15 in
-  let x = x lxor (x lsr 31) in
-  let x = x * 0x3F58476D1CE4E5B9 in
-  x lxor (x lsr 29)
-
-let id_mix id = mix (Op_id.hash id)
-
-let state_hash s = Op_id.Set.fold (fun id acc -> acc + id_mix id) s 0
-
 (* The space is a struct-of-arrays store: nodes, edges and the
    operations they mention are dense indices into growable arrays, so
    a ladder square writes a handful of [int]s and one form instead of
@@ -48,8 +31,7 @@ let state_hash s = Op_id.Set.fold (fun id acc -> acc + id_mix id) s 0
    [n_via], materialized only when an accessor asks for it.  Only
    {e base} nodes — the root, every {!of_raw} node, and the survivors
    {!compact} rebases across the stable frontier — hold their state
-   explicitly, in the [bases] side table; a base node is its own
-   [n_up].
+   explicitly, in [bases]; a base node is its own [n_up].
 
    A node's ordered outgoing transitions are a chain of edges linked
    through [e_next] from [n_first], leftmost first.  An edge records
@@ -57,9 +39,21 @@ let state_hash s = Op_id.Set.fold (fun id acc -> acc + id_mix id) s 0
    ([e_form], the one pointer array), so the ladder walks follow
    indices and never touch a set.  Operations are interned: every
    identifier the space mentions has one index into [op_ids], so
-   identifiers compare as [int]s. *)
+   identifiers compare as [int]s.
 
-(* The absent node, edge or slot. *)
+   Only base nodes are indexed by state ([base_index]); every other
+   node is found by walking down from a base (see {!descend}).  A
+   square that makes a node also inserts the edge [n_up -n_via-> node],
+   and [n_via], the operation being processed, was interned after every
+   other operation of the node's state.  So along the chain from a
+   node's base up to the node the [n_via] indices increase, and at each
+   chain node the next chain edge is the outgoing edge with the
+   smallest operation index among those whose operation is in the
+   node's state (an operation labels at most one transition per state,
+   see {!splice}).  Ladder nodes therefore cost no index entry at
+   all. *)
+
+(* The absent node or edge. *)
 let none = -1
 
 (* --- Columns ------------------------------------------------------------ *)
@@ -121,13 +115,15 @@ let[@inline] fset (c : Op.t column) i v =
 type t = {
   (* Nodes [0 .. nstates - 1]; a chain node's [n_up] is a smaller
      index, since it existed when the node was made. *)
-  mutable n_shash : int column;  (* [state_hash] of the state *)
   mutable n_card : int column;  (* cardinality of the state *)
   mutable n_up : int column;
   mutable n_via : int column;  (* an operation index; [none] on base nodes *)
   mutable n_first : int column;  (* the leftmost edge, or [none] *)
   mutable nstates : int;
-  bases : (int, state) Hashtbl.t;  (* the state of every base node *)
+  (* Every base node with its state, in index order, and each base
+     node by its state. *)
+  mutable bases : (int * state) array;
+  base_index : int Op_id.State_table.t;
   (* Edges [0 .. ntransitions - 1]. *)
   mutable e_orig : int column;  (* an operation index *)
   mutable e_dst : int column;
@@ -136,7 +132,6 @@ type t = {
   mutable ntransitions : int;
   (* Interned operations [0 .. nops - 1]. *)
   mutable op_ids : Op_id.t array;
-  mutable op_mix : int array;  (* [id_mix] of each *)
   (* Each operation's ordering key, valid while [op_epoch] is [epoch]:
      [key_of] is asked once per operation processed, not once per
      edge compared (a key may turn from [Pending] to [Serialized]
@@ -151,11 +146,6 @@ type t = {
      an {!of_raw} space, whose states need not, looks identifiers up
      here. *)
   op_index : int Op_id.Table.t option;
-  (* Open addressing on the incremental state hash, linear probing,
-     load at most one half; a slot holds a node index or [none].  The
-     rare same-hash states are told apart by cardinality and chain
-     membership. *)
-  mutable slots : int array;
   key_of : Op_id.t -> Order_key.t;
   (* The run's fast-path switch and counters, shared with every other
      space of the same engine run. *)
@@ -190,33 +180,27 @@ let no_form = Op.nop ~id:no_id
 
 let no_key = Order_key.Pending 0
 
-let table_for n =
-  let rec pow2 c = if c >= 2 * n then c else pow2 (2 * c) in
-  Array.make (pow2 64) none
-
 let make ~key_of ~fp ~root ~final ~nodes ~op_index =
   let cap = 8 in
   {
-    n_shash = column 0;
     n_card = column 0;
     n_up = column none;
     n_via = column none;
     n_first = column none;
     nstates = 0;
-    bases = Hashtbl.create 1;
+    bases = [||];
+    base_index = Op_id.State_table.create nodes;
     e_orig = column none;
     e_dst = column none;
     e_next = column none;
     e_form = column no_form;
     ntransitions = 0;
     op_ids = Array.make cap no_id;
-    op_mix = Array.make cap 0;
     op_key = Array.make cap no_key;
     op_epoch = Array.make cap 0;
     epoch = 1;
     nops = 0;
     op_index;
-    slots = table_for nodes;
     key_of;
     fp;
     root;
@@ -229,7 +213,16 @@ let make ~key_of ~fp ~root ~final ~nodes ~op_index =
 
 let[@inline] is_base t node = iget t.n_up node = node
 
-let[@inline] base_state t node = Hashtbl.find t.bases node
+(* The state of base node [node], by bisection. *)
+let base_state t node =
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    let n, state = t.bases.(mid) in
+    if n = node then state
+    else if n < node then search (mid + 1) hi
+    else search lo mid
+  in
+  search 0 (Array.length t.bases)
 
 let[@inline] op_id t o = t.op_ids.(o)
 
@@ -249,12 +242,10 @@ let new_op t id =
   let o = t.nops in
   if o = Array.length t.op_ids then begin
     t.op_ids <- grown t.op_ids (2 * o) no_id;
-    t.op_mix <- grown t.op_mix (2 * o) 0;
     t.op_key <- grown t.op_key (2 * o) no_key;
     t.op_epoch <- grown t.op_epoch (2 * o) 0
   end;
   t.op_ids.(o) <- id;
-  t.op_mix.(o) <- id_mix id;
   t.op_epoch.(o) <- 0;
   t.nops <- o + 1;
   o
@@ -271,80 +262,38 @@ let intern t id =
       Op_id.Table.replace index id o;
       o)
 
-(* --- The node table --------------------------------------------------- *)
+(* --- Nodes and edges ----------------------------------------------------- *)
 
-let[@inline] slot_of slots shash = shash land (Array.length slots - 1)
-
-(* Toplevel probe loops, so a probe allocates no closure. *)
-let rec probe_vacant slots mask i =
-  if slots.(i) = none then i else probe_vacant slots mask ((i + 1) land mask)
-
-let[@inline] place t slots node =
-  let mask = Array.length slots - 1 in
-  slots.(probe_vacant slots mask (slot_of slots (iget t.n_shash node))) <- node
-
-let[@inline] register t node =
-  if 2 * (t.nstates + 1) > Array.length t.slots then begin
-    let slots = Array.make (2 * Array.length t.slots) none in
-    Array.iter (fun n -> if n <> none then place t slots n) t.slots;
-    t.slots <- slots
-  end;
-  place t t.slots node;
-  t.nstates <- t.nstates + 1
-
-(* The node with hash [shash] satisfying [matches], or [none]. *)
-let lookup t shash matches =
-  let slots = t.slots in
-  let mask = Array.length slots - 1 in
-  let rec probe i =
-    let n = slots.(i) in
-    if n = none then none
-    else if iget t.n_shash n = shash && matches n then n
-    else probe ((i + 1) land mask)
-  in
-  probe (slot_of slots shash)
-
-(* Slot order follows the state hashes and, within a probe run, the
-   insertion order: deterministic, though not meaningful. *)
-let fold_nodes t f acc =
-  Array.fold_left (fun acc n -> if n = none then acc else f n acc) acc t.slots
-
-(* Room for one more node, which takes the next index; the caller
-   registers it. *)
-let[@inline] new_node t ~shash ~card ~up ~via =
+(* A new node, taking the next index. *)
+let[@inline] new_node t ~card ~up ~via =
   let i = t.nstates in
-  if not (has_room t.n_shash i) then begin
-    t.n_shash <- extend t.n_shash i 0;
+  if not (has_room t.n_card i) then begin
     t.n_card <- extend t.n_card i 0;
     t.n_up <- extend t.n_up i none;
     t.n_via <- extend t.n_via i none;
     t.n_first <- extend t.n_first i none
   end;
-  iset t.n_shash i shash;
   iset t.n_card i card;
   iset t.n_up i up;
   iset t.n_via i via;
   iset t.n_first i none;
+  t.nstates <- i + 1;
   i
 
-let base_node t ~shash state =
-  let card = Op_id.Set.cardinal state in
-  let i = new_node t ~shash ~card ~up:t.nstates ~via:none in
-  Hashtbl.replace t.bases i state;
-  register t i;
-  i
+(* A base node holding [state], indexed; the caller lists it in
+   [bases]. *)
+let base_node t state =
+  let i =
+    new_node t ~card:(Op_id.Set.cardinal state) ~up:t.nstates ~via:none
+  in
+  Op_id.State_table.replace t.base_index state i;
+  i, state
 
 (* A state known to be absent (every ladder state contains an
-   operation no existing state does): no lookup.  Its hash is one
-   addition away from [up]'s. *)
+   operation no existing state does): no lookup, and no index entry,
+   since lookups reach it from [up] (see {!descend}). *)
 let[@inline] fresh_node t ~up ~via =
-  let i =
-    new_node t
-      ~shash:(iget t.n_shash up + t.op_mix.(via))
-      ~card:(iget t.n_card up + 1) ~up ~via
-  in
-  register t i;
-  i
+  new_node t ~card:(iget t.n_card up + 1) ~up ~via
 
 (* An edge heading the chain [next]; the caller links it in. *)
 let[@inline] new_edge t ~orig ~form ~dst ~next =
@@ -400,18 +349,6 @@ let materializer t =
   in
   fun node -> climb node []
 
-(* Whether [node]'s state is [s] ([card] elements), decided without
-   materializing it: the cardinalities agree and every element of the
-   chain is in [s]. *)
-let holds t node s ~card =
-  let rec chain node =
-    if is_base t node then Op_id.Set.subset (base_state t node) s
-    else
-      Op_id.Set.mem (op_id t (iget t.n_via node)) s
-      && chain (iget t.n_up node)
-  in
-  iget t.n_card node = card && chain node
-
 (* Whether [dst]'s state is [src]'s plus [o], decided from the chains
    alone.  A node made while processing an operation [x] has [via = x]
    and, in the ladder square that made it, either sits directly over
@@ -459,16 +396,67 @@ let create ?fastpath ~key_of () =
     make ~key_of ~fp ~root:initial_state ~final:initial_state
       ~nodes:1 ~op_index:None
   in
-  t.final_node <- base_node t ~shash:0 initial_state;
+  let root = base_node t initial_state in
+  t.bases <- [| root |];
+  t.final_node <- fst root;
   t
 
 let root t = t.root
 
 let final t = t.final
 
+(* --- Finding states ---------------------------------------------------- *)
+
+(* Among the edges from [e] on whose operation is in [s], the one with
+   the smallest operation index ([best] if none is smaller).  Toplevel,
+   so a step allocates no closure. *)
+let rec smallest_edge_in t s e best =
+  if e = none then best
+  else
+    let o = iget t.e_orig e in
+    let best =
+      if (best = none || o < iget t.e_orig best) && Op_id.Set.mem (op_id t o) s
+      then e
+      else best
+    in
+    smallest_edge_in t s (iget t.e_next e) best
+
+(* The node of [s] ([card] elements) reached from [node], whose state
+   lies within [s], or [none].  Each step takes the outgoing edge with
+   the smallest operation index whose operation is in [s]: from the
+   base of [s]'s chain these are the chain edges (see the comment on
+   the store).  An edge into a chain node adds its operation to its
+   source's state, so every node reached lies within [s], and reaching
+   [card] elements is reaching [s].  A step into a base node ends the
+   walk; that base is tried on its own. *)
+let rec descend t s ~card node =
+  if iget t.n_card node = card then node
+  else
+    let e = smallest_edge_in t s (iget t.n_first node) none in
+    if e = none then none
+    else
+      let dst = iget t.e_dst e in
+      if is_base t dst then none else descend t s ~card dst
+
+(* The node of [state], or [none]: a base node by its index entry, any
+   other by a descent from each base within [state], in index order. *)
 let find_node_opt t state =
-  let card = Op_id.Set.cardinal state in
-  lookup t (state_hash state) (fun n -> holds t n state ~card)
+  match Op_id.State_table.find_opt t.base_index state with
+  | Some node -> node
+  | None ->
+    let card = Op_id.Set.cardinal state in
+    let rec from k =
+      if k = Array.length t.bases then none
+      else
+        let b, base = t.bases.(k) in
+        let node =
+          if iget t.n_card b < card && Op_id.Set.subset base state then
+            descend t state ~card b
+          else none
+        in
+        if node <> none then node else from (k + 1)
+    in
+    from 0
 
 let find_node t state =
   let node = find_node_opt t state in
@@ -490,10 +478,24 @@ let transitions t state =
   in
   collect (iget t.n_first src) []
 
-(* In slot order (see {!fold_nodes}). *)
-let states t =
+(* In creation order. *)
+let states t = List.init t.nstates (materializer t)
+
+let listing t =
   let state_of = materializer t in
-  fold_nodes t (fun node acc -> state_of node :: acc) []
+  let rec collect e acc =
+    if e = none then List.rev acc
+    else
+      collect (iget t.e_next e)
+        ({
+           orig = op_id t (iget t.e_orig e);
+           form = fget t.e_form e;
+           target = state_of (iget t.e_dst e);
+         }
+        :: acc)
+  in
+  List.init t.nstates (fun node ->
+      state_of node, collect (iget t.n_first node) [])
 
 let num_states t = t.nstates
 
@@ -905,11 +907,12 @@ let compact t ~stable ~base_doc =
      Every other survivor keeps its chain ([up] survives, [via] is not
      stable), and base survivors drop the stable elements from their
      base.  The new bases are computed before any node changes, since
-     they read the old chains.  The Zobrist sum makes the hash update
-     O(1) per node, and the root returns to the empty set: states are
-     always relative to the current compaction frontier, which is why
-     contexts crossing replica boundaries must be translated by the
-     protocol (see Pruned_protocol). *)
+     they read the old chains, and only they are indexed again: a chain
+     keeps its order of interned operations, so lookups still descend
+     along it.  The root returns to the empty set: states are always
+     relative to the current compaction frontier, which is why contexts
+     crossing replica boundaries must be translated by the protocol (see
+     Pruned_protocol). *)
   let nodes = t.nstates and edges = t.ntransitions in
   (* [inside.(i)]: how many stable operations node [i]'s state holds.
      A chain node's [up] precedes it in index order, so one ascending
@@ -955,10 +958,7 @@ let compact t ~stable ~base_doc =
   let kept_ops = renumber op_map in
   for o = 0 to t.nops - 1 do
     let o' = op_map.(o) in
-    if o' <> none then begin
-      t.op_ids.(o') <- t.op_ids.(o);
-      t.op_mix.(o') <- t.op_mix.(o)
-    end
+    if o' <> none then t.op_ids.(o') <- t.op_ids.(o)
   done;
   Array.fill t.op_ids kept_ops (t.nops - kept_ops) no_id;
   t.nops <- kept_ops;
@@ -983,11 +983,9 @@ let compact t ~stable ~base_doc =
     fset t.e_form e no_form
   done;
   t.ntransitions <- kept_edges;
-  let stable_mix = state_hash stable in
   for i = 0 to nodes - 1 do
     let i' = node_map.(i) in
     if i' <> none then begin
-      iset t.n_shash i' (iget t.n_shash i - stable_mix);
       iset t.n_card i' (iget t.n_card i - k);
       if Char.equal (Bytes.get rebased i) '\001' then begin
         iset t.n_up i' i';
@@ -1000,20 +998,17 @@ let compact t ~stable ~base_doc =
       iset t.n_first i' (remap edge_map (iget t.n_first i))
     end
   done;
-  Hashtbl.reset t.bases;
-  List.iter (fun (i, base) -> Hashtbl.replace t.bases node_map.(i) base)
-    !new_bases;
+  t.nstates <- survivors;
+  Op_id.State_table.reset t.base_index;
+  t.bases <-
+    Array.of_list
+      (List.rev_map
+         (fun (i, base) ->
+           let i' = node_map.(i) in
+           Op_id.State_table.replace t.base_index base i';
+           i', base)
+         !new_bases);
   t.final_node <- node_map.(t.final_node);
-  (* The table is rebuilt because the hashes changed.  Survivors are
-     registered in descending order of their old slots, so the slot
-     order {!states} reports does not depend on the renumbering. *)
-  let old_slots = t.slots in
-  t.slots <- table_for survivors;
-  t.nstates <- 0;
-  for s = Array.length old_slots - 1 downto 0 do
-    let i = old_slots.(s) in
-    if i <> none && node_map.(i) <> none then register t node_map.(i)
-  done;
   t.root <- initial_state;
   t.final <- Op_id.Set.diff t.final stable;
   t.final_src <- Op_id.Set.diff t.final_src stable;
@@ -1032,19 +1027,15 @@ let equal t1 t2 =
       && Op_id.Set.equal (state1 (iget t1.e_dst e)) (state2 (iget t2.e_dst e'))
       && chains_equal (iget t1.e_next e) (iget t2.e_next e')
   in
-  fold_nodes t1
-    (fun node acc ->
-      acc
-      &&
-      let s = state1 node in
-      let card = iget t1.n_card node in
-      let node' =
-        lookup t2 (iget t1.n_shash node) (fun n ->
-            iget t2.n_card n = card && Op_id.Set.equal (state2 n) s)
-      in
-      node' <> none
-      && chains_equal (iget t1.n_first node) (iget t2.n_first node'))
-    true
+  let rec nodes_equal node =
+    node = t1.nstates
+    ||
+    let node' = find_node_opt t2 (state1 node) in
+    node' <> none
+    && chains_equal (iget t1.n_first node) (iget t2.n_first node')
+    && nodes_equal (node + 1)
+  in
+  nodes_equal 0
 
 let of_raw ~key_of ~root ~final assoc =
   let t =
@@ -1052,14 +1043,16 @@ let of_raw ~key_of ~root ~final assoc =
       ~final ~nodes:(List.length assoc)
       ~op_index:(Some (Op_id.Table.create 16))
   in
-  List.iter
-    (fun (state, _) ->
-      if mem_state t state then
-        invalid_arg
-          (Format.asprintf "State_space.of_raw: duplicate state %a"
-             Op_id.Set.pp state);
-      ignore (base_node t ~shash:(state_hash state) state))
-    assoc;
+  t.bases <-
+    Array.of_list
+      (List.map
+         (fun (state, _) ->
+           if Op_id.State_table.mem t.base_index state then
+             invalid_arg
+               (Format.asprintf "State_space.of_raw: duplicate state %a"
+                  Op_id.Set.pp state);
+           base_node t state)
+         assoc);
   let require state =
     let node = find_node_opt t state in
     if node = none then
@@ -1087,9 +1080,6 @@ let transition_equal (a : transition) (b : transition) =
   && Op_id.Set.equal a.target b.target
 
 let union a b =
-  let listing space =
-    List.map (fun s -> s, transitions space s) (states space)
-  in
   let merged : transition list Op_id.State_table.t =
     Op_id.State_table.create 64
   in
@@ -1143,22 +1133,22 @@ let pp_state ppf state =
 let pp ppf t =
   let all =
     List.sort
-      (fun s1 s2 ->
+      (fun (s1, _) (s2, _) ->
         match
           Int.compare (Op_id.Set.cardinal s1) (Op_id.Set.cardinal s2)
         with
         | 0 -> Op_id.Set.compare s1 s2
         | c -> c)
-      (states t)
+      (listing t)
   in
   Format.fprintf ppf "@[<v>final: %a@," pp_state t.final;
   List.iter
-    (fun state ->
+    (fun (state, transitions) ->
       Format.fprintf ppf "%a:@," pp_state state;
       List.iter
         (fun (tr : transition) ->
           Format.fprintf ppf "  -[%a %a]-> %a@," Op_id.pp tr.orig Op.pp tr.form
             pp_state tr.target)
-        (transitions t state))
+        transitions)
     all;
   Format.fprintf ppf "@]"

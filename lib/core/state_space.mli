@@ -25,12 +25,19 @@
     square writes a few integers and allocates little beyond its
     transformed forms, and Algorithm 1 ({!add_op}, {!add_run}) never
     builds a set beyond the final state.  The accessors that return
-    states — {!states}, {!transitions}, {!leftmost_path}, and {!equal},
-    {!union}, {!pp} on top of them — materialize the sets on demand,
-    at up to O(|state| log |state|) per state returned, and a state
-    given as an argument is found by checking a candidate node's chain
-    against it, at the same cost.  They serve analysis, rendering and
-    tests, not the protocol hot path. *)
+    states — {!states}, {!listing}, {!transitions}, {!leftmost_path},
+    and {!equal}, {!union}, {!pp} on top of them — materialize the sets
+    on demand, at up to O(|state| log |state|) per state returned.
+    They serve analysis, rendering and tests, not the protocol hot
+    path.
+
+    A state given as an argument, an operation's context included, is
+    found without a per-node index.  Only the root, the {!of_raw} nodes
+    and the survivors {!compact} rebases are indexed by state; any other
+    state is reached from such a base within it by a descent that takes,
+    at each node, the transition of the earliest-processed operation the
+    state holds: O(|state| log |state|) per lookup, times the branching
+    (at most [n], Lemma 6.1). *)
 
 open Rlist_model
 open Rlist_ot
@@ -80,7 +87,13 @@ val mem_state : t -> state -> bool
     @raise Invalid_argument if the state is absent. *)
 val transitions : t -> state -> transition list
 
+(** Every state, in the order the space created its nodes. *)
 val states : t -> state list
+
+(** Every state with its ordered outgoing transitions, in the order of
+    {!states}, from one walk of the space (calling {!transitions} on
+    each of {!states} would look every state up again). *)
+val listing : t -> (state * transition list) list
 
 val num_states : t -> int
 

@@ -147,6 +147,38 @@ let mesh = function
   | Rlist_run.Protocols.Mesh p -> Some p
   | Rlist_run.Protocols.Star _ -> None
 
+(* css-pruned with [W.compacted who frontier space] called after every
+   handler call that moved a replica's compaction frontier, [who] being
+   ["server"] or ["client"]. *)
+module Watch_compactions (W : sig
+  val compacted : string -> int -> Jupiter_css.State_space.t -> unit
+end) =
+struct
+  include Jupiter_css.Pruned_protocol
+
+  let watch who frontier space t f =
+    let before = frontier t in
+    let result = f () in
+    let after = frontier t in
+    if after <> before then W.compacted who after (space t);
+    result
+
+  let watch_server t f = watch "server" server_pruned_to server_space t f
+
+  let watch_client t f = watch "client" client_pruned_to client_space t f
+
+  let server_receive t ~from m =
+    watch_server t (fun () -> server_receive t ~from m)
+
+  let server_receive_batch t ~from b =
+    watch_server t (fun () -> server_receive_batch t ~from b)
+
+  let client_receive t m = watch_client t (fun () -> client_receive t m)
+
+  let client_receive_batch t b =
+    watch_client t (fun () -> client_receive_batch t b)
+end
+
 (* The benchmark's typing-burst episode: each round, every one of 4
    clients types a 64-character slice of [text] at the end of its own
    view, then the round quiesces.  Batching and the append fast path

@@ -375,9 +375,9 @@ let qtest name gen prop =
 
 (* The benchmark's typing episode (4 clients, 2 rounds of 64-character
    bursts, batched, append fast path on) may allocate at most 10.4
-   minor words per ladder square, engine and protocol included (10.38
-   measured; 142.9 with a set per state, 77.0 with a record per node
-   and edge).  OCaml 5 without flambda counts allocations exactly, so
+   minor words per ladder square, engine and protocol included (10.34
+   measured; 10.38 with every node hashed into a table, 142.9 with a set
+   per state, 77.0 with a record per node and edge).  OCaml 5 without flambda counts allocations exactly, so
    the figure is the same on every run. *)
 let words_per_square_budget = 10.4
 
@@ -397,9 +397,10 @@ let test_words_per_square () =
 
 (* The same episode, run between two minor collections, may promote at
    most 7.8 words per ladder square: what the long-lived state spaces
-   retain, plus whatever a minor collection catches mid-flight (7.12
-   measured, bounded with 10 % headroom; 28.3 with a record per node
-   and edge).  The minor heap's size fixes when collections happen, so
+   retain, plus whatever a minor collection catches mid-flight (7.08
+   measured in the full suite, 7.12 with every node hashed into a
+   table, and the budget set 10 % above that; 28.3 with a record per
+   node and edge).  The minor heap's size fixes when collections happen, so
    the figure is the same on every run with the default settings. *)
 let promoted_per_square_budget = 7.8
 
@@ -419,6 +420,33 @@ let test_promoted_per_square () =
        per_square squares promoted_per_square_budget)
     true
     (per_square <= promoted_per_square_budget)
+
+(* After the same episode, each replica's space may retain at most
+   18.6 words per state, everything the space reaches included (18.27
+   measured, bounded with 2 % headroom; 21.93 with every node hashed
+   into a table of its own).  Like the allocation counts, the figure is
+   the same on every run. *)
+let retained_per_node_budget = 18.6
+
+let test_retained_per_node () =
+  let fp = Space.Fastpath.create ~enabled:true () in
+  let t = Helpers.typing_episode ~fp (Helpers.typing_text 3) in
+  let module Css = Helpers.Css_engine in
+  let spaces =
+    Jupiter_css.Protocol.server_space (Css.server t)
+    :: List.init (Css.nclients t) (fun i ->
+           Jupiter_css.Protocol.client_space (Css.client t (i + 1)))
+  in
+  List.iter
+    (fun space ->
+      let words = Obj.reachable_words (Obj.repr space) in
+      let per_node = float_of_int words /. float_of_int (Space.num_states space) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f retained words per state (%d states) <= %.1f"
+           per_node (Space.num_states space) retained_per_node_budget)
+        true
+        (per_node <= retained_per_node_budget))
+    spaces
 
 (* The batch contract (Protocol_intf): receiving a batch looks the
    same as receiving its messages one by one.  For every star protocol,
@@ -524,5 +552,7 @@ let () =
             test_words_per_square;
           Alcotest.test_case "typing episode promoted words per square" `Quick
             test_promoted_per_square;
+          Alcotest.test_case "typing episode retained words per state" `Quick
+            test_retained_per_node;
         ] );
     ]

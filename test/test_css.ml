@@ -461,6 +461,116 @@ let test_render_ascii_and_path () =
   in
   Alcotest.(check bool) "path nonempty" true (String.length path > 0)
 
+(* --- Lookup agreement -------------------------------------------------- *)
+
+(* [mem_state] and [transitions] find states by descending from a base
+   node; [listing] walks every node without a lookup.  They must agree on
+   every state of [space], on each state plus one operation of the final
+   state that it lacks, and on each state minus one of its elements
+   (present or not). *)
+let lookups_agree space =
+  let listing = Space.listing space in
+  let table = Op_id.State_table.create 64 in
+  List.iter (fun (s, trs) -> Op_id.State_table.replace table s trs) listing;
+  let same_transition (a : Space.transition) (b : Space.transition) =
+    Op_id.equal a.orig b.orig && Op.equal a.form b.form
+    && Op_id.Set.equal a.target b.target
+  in
+  let agrees s =
+    match Op_id.State_table.find_opt table s with
+    | Some trs ->
+      Space.mem_state space s
+      && List.equal same_transition trs (Space.transitions space s)
+    | None -> (
+      (not (Space.mem_state space s))
+      &&
+      match Space.transitions space s with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let final = Space.final space in
+  Op_id.State_table.length table = Space.num_states space
+  && List.for_all
+       (fun (s, _) ->
+         agrees s
+         && Op_id.Set.for_all
+              (fun id -> Op_id.Set.mem id s || agrees (Op_id.Set.add id s))
+              final
+         && Op_id.Set.for_all (fun id -> agrees (Op_id.Set.remove id s)) s)
+       listing
+
+let lookup_params =
+  { Rlist_sim.Schedule.default_params with updates = 12; deliver_bias = 0.35 }
+
+(* A random run, batched or not, replayed up to a random cut so that
+   replicas hold different, non-quiescent spaces.  Also checks [of_raw]
+   copies and unions of the replica spaces (every replica's space is
+   part of the same space, Proposition 6.6, so the unions exist). *)
+let prop_lookup_agreement =
+  Helpers.qtest ~count:60 "lookups agree with a listing (css, of_raw, union)"
+    QCheck2.Gen.(triple gen_seed bool (int_range 0 100))
+    (fun (seed, batching, cut) ->
+      let rng = Random.State.make [| seed |] in
+      let full = E.create ~batching ~history:false ~nclients:3 () in
+      let schedule = E.run_random full ~rng ~params:lookup_params in
+      let t = E.create ~batching ~history:false ~nclients:3 () in
+      List.iteri
+        (fun i ev ->
+          if i * 100 < cut * List.length schedule then E.apply_event t ev)
+        schedule;
+      let cut_spaces = all_spaces t 3 in
+      let server = List.hd cut_spaces in
+      let spaces = all_spaces full 3 @ cut_spaces in
+      (* Any total order will do: lookups do not read keys. *)
+      let key_of (id : Op_id.t) =
+        Jupiter_css.Order_key.Serialized ((id.client lsl 20) + id.seq)
+      in
+      let copy space =
+        Space.of_raw ~key_of ~root:(Space.root space)
+          ~final:(Space.final space) (Space.listing space)
+      in
+      List.for_all lookups_agree spaces
+      && List.for_all (fun s -> lookups_agree (copy s)) spaces
+      && List.for_all
+           (fun client ->
+             lookups_agree (Space.union (copy server) (copy client)))
+           (List.tl cut_spaces))
+
+(* css-pruned under an eager GC policy: the spaces are checked after
+   every compaction, whichever handler performed it, and at the end of
+   the run, when chains have grown again on the rebased survivors. *)
+module Pruned_lookups = struct
+  let bad = ref 0
+
+  let compactions = ref 0
+
+  module P = Helpers.Watch_compactions (struct
+    let compacted _ _ space =
+      incr compactions;
+      if not (lookups_agree space) then incr bad
+  end)
+
+  module Pe = Rlist_sim.Engine.Make (P)
+
+  let prop =
+    Helpers.qtest ~count:40
+      "lookups agree with a listing (css-pruned, after every compaction)"
+      QCheck2.Gen.(pair gen_seed bool)
+      (fun (seed, batching) ->
+        bad := 0;
+        compactions := 0;
+        let gc = Result.get_ok (Rlist_gc.of_string "ops=4,retain=2,snap=0") in
+        let t = Pe.create ~batching ~gc ~history:false ~nclients:3 () in
+        let rng = Random.State.make [| seed |] in
+        ignore (Pe.run_random t ~rng ~params:lookup_params);
+        !bad = 0
+        && !compactions > 0
+        && lookups_agree (P.server_space (Pe.server t))
+        && List.for_all
+             (fun i -> lookups_agree (P.client_space (Pe.client t i)))
+             [ 1; 2; 3 ])
+end
+
 let () =
   Alcotest.run "css"
     [
@@ -507,6 +617,7 @@ let () =
           prop_documents_confluent;
           prop_final_doc_matches_space;
         ] );
+      ( "lookup", [ prop_lookup_agreement; Pruned_lookups.prop ] );
       ( "render",
         [
           Alcotest.test_case "dot output" `Quick test_render_dot;

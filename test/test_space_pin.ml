@@ -117,33 +117,10 @@ let hotspot () =
 module Compactions = struct
   let log : string list ref = ref []
 
-  module P = struct
-    include Jupiter_css.Pruned_protocol
-
-    let watch who frontier space t f =
-      let before = frontier t in
-      let result = f () in
-      let after = frontier t in
-      if after <> before then
-        log :=
-          Printf.sprintf "%s@%d:%s" who after (space_digest (space t)) :: !log;
-      result
-
-    let watch_server t f = watch "server" server_pruned_to server_space t f
-
-    let watch_client t f = watch "client" client_pruned_to client_space t f
-
-    let server_receive t ~from m =
-      watch_server t (fun () -> server_receive t ~from m)
-
-    let server_receive_batch t ~from b =
-      watch_server t (fun () -> server_receive_batch t ~from b)
-
-    let client_receive t m = watch_client t (fun () -> client_receive t m)
-
-    let client_receive_batch t b =
-      watch_client t (fun () -> client_receive_batch t b)
-  end
+  module P = Helpers.Watch_compactions (struct
+    let compacted who after space =
+      log := Printf.sprintf "%s@%d:%s" who after (space_digest space) :: !log
+  end)
 
   module E = Rlist_sim.Engine.Make (P)
 
