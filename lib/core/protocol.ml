@@ -21,7 +21,6 @@ type replica = {
   space : State_space.t;
   serials : int Op_id.Table.t;
   mutable doc : Document.t;
-  mutable path : State_space.state list;  (* reversed *)
 }
 
 type client = {
@@ -40,17 +39,20 @@ let make_replica ~fastpath ~initial ~own_client =
   let serials = Op_id.Table.create 64 in
   let key_of = Order_key.of_serials ~who:"CSS replica" ~own_client serials in
   let space = State_space.create ~fastpath ~key_of () in
-  { space; serials; doc = initial; path = [ State_space.initial_state ] }
+  { space; serials; doc = initial }
 
-(* Uniform processing (Section 6.2): match the context, extend the
-   state-space per Algorithm 1, and execute the transformed form. *)
-let process replica (oc : Context.op_in_context) =
-  let form = State_space.add_op replica.space oc in
-  replica.doc <- Op.apply form replica.doc;
-  replica.path <- State_space.final replica.space :: replica.path
+(* Uniform processing (Section 6.2) of a run of operations: match each
+   context, extend the state-space per Algorithm 1 — a contiguous run
+   walks the ladder once (State_space.add_run) — and execute the
+   transformed forms in order.  Each operation's final node sits on
+   the previous one, so the space itself records the replica's path
+   (State_space.final_path). *)
+let process replica ocs =
+  List.iter
+    (fun form -> replica.doc <- Op.apply form replica.doc)
+    (State_space.add_run replica.space ocs)
 
-let create_client ~fastpath ~nclients ~id ~initial =
-  ignore nclients;
+let create_client ~fastpath ~nclients:_ ~id ~initial =
   if id < 1 then invalid_arg "CSS: client identifiers start at 1";
   { id; replica = make_replica ~fastpath ~initial ~own_client:id; next_seq = 1 }
 
@@ -74,63 +76,35 @@ let client_generate t intent =
   | Some op ->
     t.next_seq <- t.next_seq + 1;
     let ctx = State_space.final r.space in
-    process r (Context.with_context op ~ctx);
+    process r [ Context.with_context op ~ctx ];
     outcome, Some { op; ctx }
 
-let server_receive t ~from ({ op; ctx } : c2s) =
-  let serial = t.next_serial in
-  t.next_serial <- serial + 1;
-  Op_id.Table.replace t.server_replica.serials op.Op.id serial;
-  process t.server_replica (Context.with_context op ~ctx);
-  List.init t.nclients (fun i -> i + 1, { op; ctx; serial; origin = from })
-
-let client_receive t ({ op; ctx; serial; origin } : s2c) =
-  let r = t.replica in
-  Op_id.Table.replace r.serials op.Op.id serial;
-  if origin <> t.id then process r (Context.with_context op ~ctx)
-(* else: acknowledgement of an own operation — already processed at
-   generation time; recording the serial above is all that is needed
-   (the pending transition silently becomes serialized, keeping its
-   relative order, cf. Order_key). *)
-
-(* Batched processing: record every serial first (so the ordering keys
-   are final before any insertion), then walk the whole run through
-   Algorithm 1's ladder with a single leftmost-path lookup
-   (State_space.add_run), then execute the transformed forms in
-   order. *)
-let process_run replica ocs =
-  let forms = State_space.add_run replica.space ocs in
-  List.iter (fun form -> replica.doc <- Op.apply form replica.doc) forms;
-  (* Reconstruct the intermediate final states the one-by-one path
-     would have recorded: each operation grows the final state by its
-     own identifier. *)
-  let rec record ctx = function
-    | [] -> ()
-    | (oc : Context.op_in_context) :: rest ->
-      let ctx = Op_id.Set.add oc.Context.op.Op.id ctx in
-      replica.path <- ctx :: replica.path;
-      record ctx rest
-  in
-  (match replica.path with
-  | latest :: _ -> record latest ocs
-  | [] -> assert false)
-
-let server_receive_batch t ~from batch =
+(* Stamp each operation with the next serial, in order, and record it
+   (so the ordering keys are final before any insertion), then walk
+   the batch through Algorithm 1's ladder.  [narrow] sees every serial
+   stamped so far. *)
+let stamp t ~narrow batch =
+  let r = t.server_replica in
   let stamped =
     List.map
       (fun ({ op; ctx } : c2s) ->
         let serial = t.next_serial in
         t.next_serial <- serial + 1;
-        Op_id.Table.replace t.server_replica.serials op.Op.id serial;
-        op, ctx, serial)
+        Op_id.Table.replace r.serials op.Op.id serial;
+        op, narrow ctx, serial)
       batch
   in
-  process_run t.server_replica
+  process r
     (List.map (fun (op, ctx, _) -> Context.with_context op ~ctx) stamped);
+  stamped
+
+let server_receive_batch t ~from batch =
   List.concat_map
     (fun (op, ctx, serial) ->
       List.init t.nclients (fun i -> i + 1, { op; ctx; serial; origin = from }))
-    stamped
+    (stamp t ~narrow:Fun.id batch)
+
+let server_receive t ~from msg = server_receive_batch t ~from [ msg ]
 
 let client_receive_batch t batch =
   let r = t.replica in
@@ -141,20 +115,34 @@ let client_receive_batch t batch =
     (fun ({ op; serial; _ } : s2c) ->
       Op_id.Table.replace r.serials op.Op.id serial)
     batch;
-  (* Own acknowledgements need no processing; they also break run
-     contiguity for the foreign operations around them (the context
-     cardinality jumps), which add_run's segmentation handles. *)
-  let foreign =
-    List.filter_map
-      (fun ({ op; ctx; origin; _ } : s2c) ->
-        if origin <> t.id then Some (Context.with_context op ~ctx) else None)
-      batch
-  in
-  match foreign with [] -> () | _ :: _ -> process_run r foreign
+  (* An acknowledgement of an own operation needs no processing — it
+     was processed at generation time, and recording its serial above
+     silently turns its pending transition into a serialized one,
+     keeping its relative order (cf. Order_key).  Acknowledgements also
+     break run contiguity for the foreign operations around them (the
+     context cardinality jumps), which add_run's segmentation
+     handles. *)
+  process r
+    (List.filter_map
+       (fun ({ op; ctx; origin; _ } : s2c) ->
+         if origin <> t.id then Some (Context.with_context op ~ctx) else None)
+       batch)
+
+let client_receive t msg = client_receive_batch t [ msg ]
 
 let c2s_op_id ({ op; _ } : c2s) = Some op.Op.id
 
 let s2c_op_id ({ op; _ } : s2c) = Some op.Op.id
+
+let client_replica t = t.replica
+
+let server_replica t = t.server_replica
+
+let space r = r.space
+
+let serialized r id = Op_id.Table.mem r.serials id
+
+let forget r id = Op_id.Table.remove r.serials id
 
 let client_document t = t.replica.doc
 
@@ -182,9 +170,9 @@ let client_set_space_observer t notify =
 let server_set_space_observer t notify =
   State_space.set_observer t.server_replica.space notify
 
-let client_path t = List.rev t.replica.path
+let client_path t = State_space.final_path t.replica.space
 
-let server_path t = List.rev t.server_replica.path
+let server_path t = State_space.final_path t.server_replica.space
 
 (* [serials] is an unordered listing: its one reader,
    Snapshot.client_to_string, sorts it before writing. *)
@@ -202,11 +190,7 @@ let rebuild_client ~id ~next_seq ~doc ~serials ~space ~root ~final =
     serials;
   let key_of = Order_key.of_serials ~who:"CSS rebuild" ~own_client:id table in
   let space = State_space.of_raw ~key_of ~root ~final space in
-  {
-    id;
-    replica = { space; serials = table; doc; path = [ final ] };
-    next_seq;
-  }
+  { id; replica = { space; serials = table; doc }; next_seq }
 
 (* No ack-driven pruning machinery; GC-enabled runs degrade to
    shim-level pruning only. *)

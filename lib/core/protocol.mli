@@ -51,11 +51,38 @@ val server_set_space_observer :
   (level:int -> states:int -> transitions:int -> ots:int -> unit) ->
   unit
 
-(** The documents each replica went through, oldest first — its path
-    through the state-space (Example 6.3). *)
+(** The states each replica went through, oldest first — its path
+    through the state-space (Example 6.3), read off the space
+    ({!State_space.final_path}).  A client rebuilt by {!rebuild_client}
+    starts its path at the rebuilt final state. *)
 val client_path : client -> State_space.state list
 
 val server_path : server -> State_space.state list
+
+(** {2 The replica core, for {!Pruned_protocol}} *)
+
+type replica
+
+val client_replica : client -> replica
+
+val server_replica : server -> replica
+
+val space : replica -> State_space.t
+
+(** Membership and removal on the replica's serial-number table. *)
+val serialized : replica -> Rlist_model.Op_id.t -> bool
+
+val forget : replica -> Rlist_model.Op_id.t -> unit
+
+(** [stamp t ~narrow batch] gives the batch's operations the server's
+    next serials, in order, and processes them on the contexts [narrow]
+    returns ([narrow] sees the batch's earlier serials); returns each
+    operation with that context and its serial. *)
+val stamp :
+  server ->
+  narrow:(Context.t -> Context.t) ->
+  c2s list ->
+  (Op.t * Context.t * int) list
 
 (** {2 Introspection and reconstruction (for {!Snapshot})} *)
 
@@ -66,8 +93,7 @@ val client_state :
   client -> int * int * Rlist_model.Document.t * (Rlist_model.Op_id.t * int) list
 
 (** Rebuild a client from persisted state.  The state-space listing is
-    in {!State_space.of_raw} form; the construction path collapses to
-    the final state. *)
+    in {!State_space.of_raw} form. *)
 val rebuild_client :
   id:int ->
   next_seq:int ->

@@ -15,15 +15,17 @@
     - the stable serial rides on every broadcast, and each replica
       {!State_space.compact}s its space onto the stable state.
 
-    The protocol is observationally identical to {!Protocol} (the test
-    suite replays identical schedules against both); only the metadata
-    footprint changes.  The classic caveat applies: a client that never
-    generates operations never acknowledges, so the stable prefix — and
-    pruning — stalls (benchmark C7 quantifies both situations).  The
-    remedy is the explicit heartbeat: {!client_heartbeat} carries the
-    client's acknowledgement without an operation, and the server
-    answers with a [Stable] notification when the stable prefix
-    advances ([test_pruning.ml] exercises the stall and the fix). *)
+    The protocol is built on {!Protocol}: each replica is a css
+    replica plus a serial log and a compaction frontier, so it behaves
+    as css does (the test suite replays identical schedules against
+    both); only the metadata footprint changes.  The classic caveat
+    applies: a client that never generates operations never
+    acknowledges, so the stable prefix — and pruning — stalls
+    (benchmark C7 quantifies both situations).  The remedy is the
+    explicit heartbeat: {!client_heartbeat} carries the client's
+    acknowledgement without an operation, and the server answers with
+    a [Stable] notification when the stable prefix advances
+    ([test_pruning.ml] exercises the stall and the fix). *)
 
 open Rlist_ot
 

@@ -1,14 +1,12 @@
 open Rlist_model
 
+(* The client side is the CSS client, bit for bit, so it inherits the
+   run-at-once ladder walk; only the server is replaced. *)
+include (Protocol : module type of Protocol with type server := Protocol.server)
+
 let name = "css-sequencer"
 
 let server_is_replica = false
-
-type client = Protocol.client
-
-type c2s = Protocol.c2s
-
-type s2c = Protocol.s2c
 
 type server = {
   nclients : int;
@@ -16,13 +14,8 @@ type server = {
   mutable seen : Op_id.Set.t;  (* operations sequenced so far *)
 }
 
-let create_client = Protocol.create_client
-
-let create_server ~fastpath:_ ~nclients ~initial =
-  ignore initial;
+let create_server ~fastpath:_ ~nclients ~initial:_ =
   { nclients; next_serial = 1; seen = Op_id.Set.empty }
-
-let client_generate = Protocol.client_generate
 
 (* The whole center: stamp a serial number and fan out the original
    operation.  No document, no state-space, no OT. *)
@@ -30,39 +23,18 @@ let server_receive t ~from ({ op; ctx } : c2s) =
   let serial = t.next_serial in
   t.next_serial <- serial + 1;
   t.seen <- Op_id.Set.add op.Rlist_ot.Op.id t.seen;
-  List.init t.nclients (fun i ->
-      i + 1, { Protocol.op; ctx; serial; origin = from })
-
-let client_receive = Protocol.client_receive
+  List.init t.nclients (fun i -> i + 1, { op; ctx; serial; origin = from })
 
 let server_receive_batch t ~from batch =
   List.concat_map (fun msg -> server_receive t ~from msg) batch
 
-(* The client side is the CSS client, so it inherits the run-at-once
-   ladder walk. *)
-let client_receive_batch = Protocol.client_receive_batch
-
-let c2s_op_id = Protocol.c2s_op_id
-
-let s2c_op_id = Protocol.s2c_op_id
-
-let client_document = Protocol.client_document
-
 let server_document _ = Document.empty
-
-let client_visible = Protocol.client_visible
 
 let server_visible t = t.seen
 
-let client_ot_count = Protocol.client_ot_count
-
 let server_ot_count _ = 0
 
-let client_metadata_size = Protocol.client_metadata_size
-
 let server_metadata_size _ = 0
-
-let client_space = Protocol.client_space
 
 (* No ack-driven pruning machinery; GC-enabled runs degrade to
    shim-level pruning only. *)

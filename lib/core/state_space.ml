@@ -556,6 +556,17 @@ let leftmost_path t state =
   in
   walk node state []
 
+(* Every operation's final node is made on the previous final node
+   (the context-match append, the last ladder square and a run's top
+   lane all build it so), so the final node's chain down to its base
+   visits every earlier final state. *)
+let final_path t =
+  let rec chain node above =
+    if is_base t node then node :: above
+    else chain (iget t.n_up node) (node :: above)
+  in
+  List.map (materializer t) (chain t.final_node [])
+
 let[@inline] xform t o1 o2 =
   t.ot_count <- t.ot_count + 1;
   Transform.xform o1 o2
@@ -823,12 +834,12 @@ let run_segment t seg =
   Array.to_list forms
 
 let add_run t ops =
-  List.concat_map
-    (fun seg ->
-      match seg with
-      | [ single ] -> [ add_op t single ]
-      | seg -> run_segment t seg)
-    (segment_runs ops)
+  match ops with
+  | [ single ] -> [ add_op t single ]
+  | ops ->
+    List.concat_map
+      (function [ single ] -> [ add_op t single ] | seg -> run_segment t seg)
+      (segment_runs ops)
 
 let ot_count t = t.ot_count
 

@@ -26,10 +26,10 @@
     transformed forms, and Algorithm 1 ({!add_op}, {!add_run}) never
     builds a set beyond the final state.  The accessors that return
     states — {!states}, {!listing}, {!transitions}, {!leftmost_path},
-    and {!equal}, {!union}, {!pp} on top of them — materialize the sets
-    on demand, at up to O(|state| log |state|) per state returned.
-    They serve analysis, rendering and tests, not the protocol hot
-    path.
+    {!final_path}, and {!equal}, {!union}, {!pp} on top of them —
+    materialize the sets on demand, at up to O(|state| log |state|) per
+    state returned.  They serve analysis, rendering and tests, not the
+    protocol hot path.
 
     A state given as an argument, an operation's context included, is
     found without a per-node index.  Only the root, the {!of_raw} nodes
@@ -107,6 +107,15 @@ val size : t -> int
     is final, Lemma 6.4).
     @raise Invalid_argument if the state is absent. *)
 val leftmost_path : t -> state -> transition list
+
+(** The final states the space's owner went through, oldest first: its
+    path through the space (Example 6.3), which each {!add_op} or
+    {!add_run} extends by one state per operation.  It starts at
+    {!initial_state} for a space built by {!create} and at the final
+    state of an {!of_raw} one, keeps only its rebased part above the
+    stable frontier after {!compact}, and ends at {!final}.
+    Materialized from the final node's chain on every call. *)
+val final_path : t -> state list
 
 (** [add_op t op_in_ctx] processes one operation per Algorithm 1 and
     returns its fully transformed form [o{L}], which the caller must

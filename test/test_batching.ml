@@ -375,10 +375,12 @@ let qtest name gen prop =
 
 (* The benchmark's typing episode (4 clients, 2 rounds of 64-character
    bursts, batched, append fast path on) may allocate at most 10.4
-   minor words per ladder square, engine and protocol included (10.34
-   measured; 10.38 with every node hashed into a table, 142.9 with a set
-   per state, 77.0 with a record per node and edge).  OCaml 5 without flambda counts allocations exactly, so
-   the figure is the same on every run. *)
+   minor words per ladder square, engine and protocol included (9.85
+   measured; 10.34 with each replica keeping its path as a list of
+   states, 10.38 with every node hashed into a table as well, 142.9 with
+   a set per state, 77.0 with a record per node and edge).  OCaml 5
+   without flambda counts allocations exactly, so the figure is the same
+   on every run. *)
 let words_per_square_budget = 10.4
 
 let test_words_per_square () =
@@ -397,9 +399,10 @@ let test_words_per_square () =
 
 (* The same episode, run between two minor collections, may promote at
    most 7.8 words per ladder square: what the long-lived state spaces
-   retain, plus whatever a minor collection catches mid-flight (7.08
-   measured in the full suite, 7.12 with every node hashed into a
-   table, and the budget set 10 % above that; 28.3 with a record per
+   retain, plus whatever a minor collection catches mid-flight (6.59
+   measured in the full suite; 7.08 with each replica keeping its path
+   as a list of states, 7.12 with every node hashed into a table as
+   well, and the budget set 10 % above that; 28.3 with a record per
    node and edge).  The minor heap's size fixes when collections happen, so
    the figure is the same on every run with the default settings. *)
 let promoted_per_square_budget = 7.8
@@ -447,6 +450,39 @@ let test_retained_per_node () =
         true
         (per_node <= retained_per_node_budget))
     spaces
+
+(* After the same episode, each css replica record — client or server,
+   with its space, serial table and document — may retain at most
+   1819 words per operation it processed (1784.0 measured for every
+   replica, bounded with 2 % headroom; 1836.4 to 1837.8 when each
+   replica also kept its path as a list of states).  Like the
+   allocation counts, the figure is the same on every run. *)
+let retained_per_op_budget = 1819.
+
+let test_retained_per_op () =
+  let fp = Space.Fastpath.create ~enabled:true () in
+  let t = Helpers.typing_episode ~fp (Helpers.typing_text 3) in
+  let module Css = Helpers.Css_engine in
+  let module P = Jupiter_css.Protocol in
+  let replicas =
+    (Obj.repr (Css.server t), P.server_visible (Css.server t))
+    :: List.init (Css.nclients t) (fun i ->
+           let c = Css.client t (i + 1) in
+           Obj.repr c, P.client_visible c)
+  in
+  List.iter
+    (fun (replica, visible) ->
+      let ops = Op_id.Set.cardinal visible in
+      let per_op =
+        float_of_int (Obj.reachable_words replica) /. float_of_int ops
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%.2f retained words per operation (%d operations) <= %.0f" per_op
+           ops retained_per_op_budget)
+        true
+        (per_op <= retained_per_op_budget))
+    replicas
 
 (* The batch contract (Protocol_intf): receiving a batch looks the
    same as receiving its messages one by one.  For every star protocol,
@@ -502,6 +538,64 @@ let test_batch_contract (module P : Rlist_sim.Protocol_intf.PROTOCOL) () =
   Alcotest.check Helpers.op_id_set "client visible sets" (P.client_visible cf)
     (P.client_visible cb)
 
+(* css-pruned's batch handler folds a batch that interleaves updates
+   with heartbeats one message at a time, so each [Deliver] carries the
+   stable serial and base of its own moment.  Client 2 sends an update
+   concurrent with client 1's two, a heartbeat that makes both of those
+   stable, an update whose context they are compacted out of, and a
+   heartbeat that changes nothing. *)
+let test_pruned_mixed_batch () =
+  let module P = Jupiter_css.Pruned_protocol in
+  let nclients = 2 and initial = Document.empty in
+  let client id =
+    P.create_client ~fastpath:(Fastpath.create ()) ~nclients ~id ~initial
+  in
+  let server () =
+    P.create_server ~fastpath:(Fastpath.create ()) ~nclients ~initial
+  in
+  let generate c intent = Option.get (snd (P.client_generate c intent)) in
+  let c1 = client 1 and c2 = client 2 in
+  let sb = server () and sf = server () in
+  let x = generate c2 (Intent.Insert ('x', 0)) in
+  let a = generate c1 (Intent.Insert ('a', 0)) in
+  let from_c1 = [ a; generate c1 (Intent.Insert ('b', 1)) ] in
+  let sent = List.concat_map (P.server_receive sb ~from:1) from_c1 in
+  ignore (List.concat_map (P.server_receive sf ~from:1) from_c1);
+  List.iter
+    (fun (dest, m) -> P.client_receive (if dest = 1 then c1 else c2) m)
+    sent;
+  let heartbeat = P.client_heartbeat c1 in
+  ignore (P.server_receive sb ~from:1 heartbeat);
+  ignore (P.server_receive sf ~from:1 heartbeat);
+  let acked = P.client_heartbeat c2 in
+  let y = generate c2 (Intent.Insert ('y', 0)) in
+  let batch = [ x; acked; y; P.client_heartbeat c2 ] in
+  let show (dest, (m : P.s2c)) =
+    match m with
+    | P.Deliver { op; ctx; serial; origin; stable; base } ->
+      Format.asprintf
+        "%d <- deliver %a ctx %a serial %d origin %d stable %d base %d" dest
+        Op.pp op Op_id.Set.pp ctx serial origin stable base
+    | P.Stable { stable } -> Printf.sprintf "%d <- stable %d" dest stable
+  in
+  let sent_b = List.map show (P.server_receive_batch sb ~from:2 batch) in
+  let sent_f =
+    List.map show (List.concat_map (P.server_receive sf ~from:2) batch)
+  in
+  Alcotest.(check (list string)) "server sends the same" sent_f sent_b;
+  Alcotest.(check (list string))
+    "stable serials and bases"
+    (List.concat_map
+       (fun m -> [ "1 <- " ^ m; "2 <- " ^ m ])
+       [
+         "deliver Ins(x<2.1>, 0) ctx {} serial 3 origin 2 stable 0 base 0";
+         "stable 2";
+         "deliver Ins(y<2.2>, 0) ctx {2.1} serial 4 origin 2 stable 2 base 2";
+       ])
+    sent_b;
+  Alcotest.check Helpers.document "server documents" (P.server_document sf)
+    (P.server_document sb)
+
 let () =
   Alcotest.run "batching"
     [
@@ -536,7 +630,11 @@ let () =
              (fun (key, p) ->
                Alcotest.test_case ("batch = one by one, " ^ key) `Quick
                  (test_batch_contract p))
-             star_protocols );
+             star_protocols
+        @ [
+            Alcotest.test_case "css-pruned mixed batch = one by one" `Quick
+              test_pruned_mixed_batch;
+          ] );
       ( "engine-wire",
         [
           Alcotest.test_case "one seqno per batch" `Quick
@@ -554,5 +652,7 @@ let () =
             test_promoted_per_square;
           Alcotest.test_case "typing episode retained words per state" `Quick
             test_retained_per_node;
+          Alcotest.test_case "typing episode retained words per operation"
+            `Quick test_retained_per_op;
         ] );
     ]

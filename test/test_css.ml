@@ -378,6 +378,112 @@ let prop_final_doc_matches_space =
       in
       Document.equal doc (E.server_document t))
 
+(* --- Construction paths ------------------------------------------------ *)
+
+(* css with every replica's visible set recorded after each handler
+   call, newest first, under its replica (0 for the server). *)
+module Recording = struct
+  include Jupiter_css.Protocol
+
+  let log : (int * Op_id.Set.t) list ref = ref []
+
+  let client_key t =
+    let id, _, _, _ = client_state t in
+    id
+
+  let note_client t = log := (client_key t, client_visible t) :: !log
+
+  let note_server t = log := (0, server_visible t) :: !log
+
+  let client_generate t intent =
+    let result = client_generate t intent in
+    note_client t;
+    result
+
+  let server_receive t ~from m =
+    let sent = server_receive t ~from m in
+    note_server t;
+    sent
+
+  let server_receive_batch t ~from batch =
+    let sent = server_receive_batch t ~from batch in
+    note_server t;
+    sent
+
+  let client_receive t m =
+    client_receive t m;
+    note_client t
+
+  let client_receive_batch t batch =
+    client_receive_batch t batch;
+    note_client t
+
+  (* The states one replica was seen in, oldest first, starting from
+     the initial state, without repeats (a handler call need not
+     change the state). *)
+  let seen key =
+    List.fold_left
+      (fun acc (k, state) ->
+        if k <> key || Op_id.Set.equal (List.hd acc) state then acc
+        else state :: acc)
+      [ Space.initial_state ] (List.rev !log)
+    |> List.rev
+end
+
+module Re = Rlist_sim.Engine.Make (Recording)
+
+let rec is_subsequence sub l =
+  match sub, l with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | x :: sub', y :: l' ->
+    if Op_id.Set.equal x y then is_subsequence sub' l' else is_subsequence sub l'
+
+(* Each step of a path adds exactly one operation. *)
+let rec one_op_steps = function
+  | a :: (b :: _ as rest) ->
+    Op_id.Set.cardinal b = Op_id.Set.cardinal a + 1
+    && Op_id.Set.subset a b && one_op_steps rest
+  | [ _ ] | [] -> true
+
+(* The path read off a replica's space starts at the initial state,
+   ends at its final state and adds one operation per step.  Unbatched,
+   it is exactly the list of states the replica was seen in after each
+   handler call; batched, a handler call may process several
+   operations, so the states seen are a subsequence of it.  A client
+   rebuilt from a snapshot starts its path at its final state. *)
+let prop_path_read_off_space =
+  Helpers.qtest ~count:60 "a replica's path is read off its space"
+    QCheck2.Gen.(pair gen_seed bool)
+    (fun (seed, batching) ->
+      Recording.log := [];
+      let t = Re.create ~batching ~history:false ~nclients:3 () in
+      ignore
+        (Re.run_random t ~rng:(Random.State.make [| seed |])
+           ~params:small_params);
+      let check key path final =
+        let seen = Recording.seen key in
+        Op_id.Set.equal (List.hd path) Space.initial_state
+        && Op_id.Set.equal (List.nth path (List.length path - 1)) final
+        && one_op_steps path
+        &&
+        if batching then is_subsequence seen path
+        else List.equal Op_id.Set.equal seen path
+      in
+      let server = Re.server t in
+      check 0 (Recording.server_path server) (Recording.server_visible server)
+      && List.for_all
+           (fun i ->
+             let c = Re.client t i in
+             let rebuilt =
+               Jupiter_css.Snapshot.(client_of_string (client_to_string c))
+             in
+             check i (Recording.client_path c) (Recording.client_visible c)
+             && List.equal Op_id.Set.equal
+                  (Recording.client_path rebuilt)
+                  [ Recording.client_visible c ])
+           [ 1; 2; 3 ])
+
 (* --- Rendering -------------------------------------------------------- *)
 
 let test_render_dot () =
@@ -618,6 +724,7 @@ let () =
           prop_final_doc_matches_space;
         ] );
       ( "lookup", [ prop_lookup_agreement; Pruned_lookups.prop ] );
+      ("path", [ prop_path_read_off_space ]);
       ( "render",
         [
           Alcotest.test_case "dot output" `Quick test_render_dot;

@@ -261,6 +261,33 @@ let test_heartbeat_through_partitions () =
     ~net:(Rlist_net.Transport.config ~faults ~seed:23 ())
     ()
 
+(* The two protocol-level rejections, each naming the serial its log
+   lacks: a stable point past the client's serial log, and a delivery
+   whose base names a serial the client never received. *)
+let test_rejects_unknown_serials () =
+  let module P = Jupiter_css.Pruned_protocol in
+  let client () =
+    P.create_client ~fastpath:(Space.Fastpath.create ()) ~nclients:2 ~id:1
+      ~initial:Document.empty
+  in
+  Alcotest.check_raises "stable past the serial log"
+    (Invalid_argument "css-pruned: stable serial 1 references an unknown serial 1")
+    (fun () -> P.client_receive (client ()) (P.Stable { stable = 1 }));
+  let deliver =
+    P.Deliver
+      {
+        op = Helpers.ins ~client:2 'x' 0;
+        ctx = Space.initial_state;
+        serial = 3;
+        origin = 2;
+        stable = 0;
+        base = 2;
+      }
+  in
+  Alcotest.check_raises "deliver base past the serial log"
+    (Invalid_argument "css-pruned: deliver base 2 references an unknown serial 1")
+    (fun () -> P.client_receive (client ()) deliver)
+
 let () =
   Alcotest.run "pruning"
     [
@@ -291,5 +318,7 @@ let () =
             test_heartbeat_through_faults;
           Alcotest.test_case "heartbeats work through cyclic partitions" `Quick
             test_heartbeat_through_partitions;
+          Alcotest.test_case "unknown serials are rejected" `Quick
+            test_rejects_unknown_serials;
         ] );
     ]
