@@ -1,23 +1,12 @@
 (* jupiter-sim: command-line driver for the replicated-list protocols.
 
-   Subcommands:
-     simulate  run a random workload under a protocol and report
-               convergence, specification verdicts, and cost counters
-     check     bounded model checking: enumerate every delivery
-               interleaving of a small workload (with partial-order
-               reduction), check the paper's specifications on each,
-               and shrink any counterexample to a minimal witness
-     fuzz      run one protocol over many seeds and report the first
-               specification violation found (none expected for the
-               correct protocols; the naive foil fails quickly)
-     soak      run a workload over an unreliable network (drops,
-               duplicates, reordering, partitions) with the reliability
-               shim, and report convergence plus network counters
-     viz       print (and optionally write DOT for) the CSS state-space
-               of a named figure scenario
-     trace     replay a figure scenario with the observability layer on
-               and emit the structured JSONL event trace
-     figures   replay every figure scenario and print its verdicts *)
+   One subcommand per task (`jupiter_sim --help` lists all thirteen):
+   random runs (simulate, fuzz, soak, longrun, shard-smoke), bounded
+   model checking (check), the paper's figure scenarios (figures, viz,
+   stats, trace), schedules and flight recordings (record, replay), and
+   offline trace analysis (report).  Every run is driven and reported
+   through Rlist_run.Recorded: one outcome record with the three
+   specification verdicts, and one text report of it. *)
 
 open Rlist_model
 open Cmdliner
@@ -45,22 +34,8 @@ let usage_error cmd msg =
 let check_args cmd check =
   try check () with Invalid_argument msg -> usage_error cmd msg
 
-(* The report of one simulated run or schedule replay, whatever the
-   protocol. *)
-type summary = {
-  s_protocol : string;
-  s_events : int;
-  s_converged : bool;
-  s_final : string;
-  s_ots : int;
-  s_metadata : int;
-  s_convergence : Rlist_spec.Check.result;
-  s_weak : Rlist_spec.Check.result;
-  s_strong : Rlist_spec.Check.result;
-}
-
 (* Replay a schedule under a client/server protocol; [obs], [batching]
-   and [fastpath] as in [Engine.create] / [attach_obs]. *)
+   and [fastpath] as in [Recorded.replay_schedule]. *)
 let replay_one ?obs ?batching ?fastpath key ~initial ~nclients events =
   match lookup key with
   | Protocols.Mesh _ ->
@@ -68,48 +43,9 @@ let replay_one ?obs ?batching ?fastpath key ~initial ~nclients events =
       "replay: peer-to-peer protocols use a different schedule shape; use \
        simulate instead";
     exit 1
-  | Protocols.Star (module P) ->
-    let module E = Rlist_sim.Engine.Make (P) in
-    let t = E.create ~initial ?batching ?fastpath ~nclients () in
-    Option.iter (E.attach_obs t) obs;
-    E.run t events;
-    let trace = E.trace t in
-    {
-      s_protocol = P.name;
-      s_events = List.length events;
-      s_converged = E.converged t;
-      s_final = Document.to_string (E.client_document t 1);
-      s_ots = E.total_ot_count t;
-      s_metadata = E.total_metadata_size t;
-      s_convergence = Rlist_spec.Convergence.check trace;
-      s_weak = Rlist_spec.Weak_spec.check trace;
-      s_strong = Rlist_spec.Strong_spec.check trace;
-    }
-
-let record_schedule ~profile ~nclients ~updates ~seed ~path =
-  let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
-  let t = E.create ~nclients () in
-  let rng = Random.State.make [| seed |] in
-  let intent = Rlist_workload.Workload.intent_generator profile ~nclients ~rng in
-  let params = Rlist_workload.Workload.params profile ~updates in
-  let schedule = E.run_random ~intent t ~rng ~params in
-  (try Rlist_sim.Schedule_text.save ~path ~nclients schedule
-   with Sys_error msg ->
-     Printf.eprintf "cannot write %s: %s\n" path msg;
-     exit 1);
-  Printf.printf "recorded %d events to %s (generated under the css protocol)\n"
-    (List.length schedule) path
-
-let pp_summary s =
-  Printf.printf "protocol:    %s\n" s.s_protocol;
-  Printf.printf "events:      %d\n" s.s_events;
-  Printf.printf "converged:   %b\n" s.s_converged;
-  Printf.printf "final:       %S\n" s.s_final;
-  Printf.printf "OT calls:    %d\n" s.s_ots;
-  Printf.printf "metadata:    %d\n" s.s_metadata;
-  Format.printf "convergence: %a@." Rlist_spec.Check.pp s.s_convergence;
-  Format.printf "weak spec:   %a@." Rlist_spec.Check.pp s.s_weak;
-  Format.printf "strong spec: %a@." Rlist_spec.Check.pp s.s_strong
+  | Protocols.Star p ->
+    Recorded.replay_schedule ?obs ?batching ?fastpath p ~initial ~nclients
+      events
 
 (* --- arguments -------------------------------------------------------- *)
 
@@ -198,48 +134,21 @@ let gc_arg =
               run's schedule, digest, and final documents are bit-identical \
               to the same seed without GC — it just retains less metadata.")
 
-(* The append specialization is engine-scoped: one fast-path record
-   per CLI run, handed to the engine constructor, so the counters
-   cover exactly this run. *)
-let publish_fastpath fp metrics =
-  List.iter
-    (fun (name, v) ->
-      Rlist_obs.Metrics.add (Rlist_obs.Metrics.counter metrics name) v)
-    (Rlist_ot.Fastpath.fields fp)
+(* --- simulate ----------------------------------------------------------- *)
 
-(* --- simulate --------------------------------------------------------- *)
-
-(* One run body for both channel shapes.  An engine that refuses the
-   replica count is a usage error; a protocol that crashes mid-run
-   (the naive foil) aborts the run, as a schedule replay does. *)
+(* One random run on perfect channels: a soak spec without faults or
+   shim.  A protocol that crashes mid-run (the naive foil) aborts it. *)
 let simulate protocol profile nclients updates seed =
-  let (module E) = Protocols.engine (lookup protocol) in
-  let t =
-    match E.create ~nclients () with
-    | t -> t
-    | exception Invalid_argument msg -> usage_error "simulate" msg
+  let spec =
+    { (Recorded.default ~protocol) with profile; nclients; updates; seed;
+      shim = false }
   in
-  let rng = Random.State.make [| seed |] in
-  let intent = Rlist_workload.Workload.intent_generator profile ~nclients ~rng in
-  let params = Rlist_workload.Workload.params profile ~updates in
-  match E.run_random ~intent t ~rng ~params with
+  check_args "simulate" (fun () -> Recorded.check spec);
+  match Recorded.run spec with
   | exception Invalid_argument msg ->
     Printf.printf "simulate aborted: %s\n" msg;
     exit 1
-  | events ->
-    let trace = E.trace t in
-    pp_summary
-      {
-        s_protocol = E.name;
-        s_events = events;
-        s_converged = E.converged t;
-        s_final = Document.to_string (snd (List.hd (E.documents t)));
-        s_ots = E.total_ot_count t;
-        s_metadata = E.total_metadata_size t;
-        s_convergence = Rlist_spec.Convergence.check trace;
-        s_weak = Rlist_spec.Weak_spec.check trace;
-        s_strong = Rlist_spec.Strong_spec.check trace;
-      }
+  | outcome -> Format.printf "%a@." Recorded.pp_outcome outcome
 
 let simulate_cmd =
   Cmd.v
@@ -248,42 +157,32 @@ let simulate_cmd =
     Term.(const simulate $ protocol_arg $ profile_arg $ clients_arg
           $ updates_arg $ seed_arg)
 
-let json_flag =
-  Arg.(value & flag
-       & info [ "json" ] ~doc:"Emit machine-readable JSON instead of text.")
+(* --- fuzz and soak ------------------------------------------------------ *)
 
-(* --- fuzz ------------------------------------------------------------- *)
-
-let pp_outcome (o : Recorded.outcome) =
-  Printf.printf "protocol:    %s\n" o.o_protocol;
-  Printf.printf "events:      %d\n" o.o_events;
-  Printf.printf "converged:   %b\n" o.o_converged;
-  (match o.o_finals with
-  | (_, doc) :: _ -> Printf.printf "final:       %S\n" doc
-  | [] -> ());
-  Printf.printf "OT calls:    %d\n" o.o_ots;
-  Printf.printf "metadata:    %d\n" o.o_metadata;
-  let show b = if b then "satisfied" else "VIOLATED" in
-  Printf.printf "convergence: %s\n" (show o.o_convergence);
-  Printf.printf "weak spec:   %s\n" (show o.o_weak);
-  Printf.printf "strong spec: %s\n" (show o.o_strong)
-
-let dump_recording ~spec ?outcome ?aborted recorder path =
-  let digest =
-    match outcome, aborted with
-    | Some o, _ -> Recorded.digest_of o
-    | None, Some msg -> [ "aborted", msg ]
-    | None, None -> []
+(* The body fuzz's seeds and soak's run share: refuse [spec] before it
+   starts (a usage error, leaving no recording behind), run it with
+   the flight recorder on, and return the outcome, or the message the
+   run aborted with, plus [save], which dumps the recording to [path]
+   (default <cmd>-<protocol>-<seed>.jfr) and returns the path written.
+   A dumped run re-executes bit-identically under `jupiter_sim replay`. *)
+let run_recorded ~cmd ?obs spec =
+  check_args cmd (fun () -> Recorded.check spec);
+  let recorder = Rlist_obs.Recorder.create () in
+  let result =
+    try Ok (Recorded.run ?obs ~recorder spec)
+    with Invalid_argument msg -> Error msg
   in
-  try
-    Rlist_obs.Recorder.dump
-      ~header:(Recorded.header_of spec)
-      ~digest recorder path;
-    true
-  with Sys_error msg ->
-    Printf.eprintf "cannot write recording %s: %s\n" path msg;
-    false
+  let save ?(path = Printf.sprintf "%s-%s-%d.jfr" cmd spec.Recorded.protocol
+                 spec.Recorded.seed) () =
+    match Recorded.save ~spec result recorder path with
+    | () -> Some path
+    | exception Sys_error msg ->
+      Printf.eprintf "cannot write recording %s: %s\n" path msg;
+      None
+  in
+  result, save
 
+let print_recording = Option.iter (Printf.printf "recording:   %s\n")
 
 let fuzz protocol profile nclients updates seeds gc =
   let violations = ref 0 in
@@ -293,26 +192,20 @@ let fuzz protocol profile nclients updates seeds gc =
       { (Recorded.default ~protocol) with profile; nclients; updates;
         seed; gc }
     in
-    let recorder = Rlist_obs.Recorder.create () in
-    match Recorded.run ~recorder spec with
-    | outcome ->
-      if not (Recorded.passed outcome) then begin
-        incr violations;
-        if !violations = 1 then begin
-          Printf.printf "first violation at seed %d:\n" seed;
-          pp_outcome outcome;
-          let path = Printf.sprintf "fuzz-%s-%d.jfr" protocol seed in
-          if dump_recording ~spec ~outcome recorder path then
-            Printf.printf "recording:   %s\n" path
-        end
+    match run_recorded ~cmd:"fuzz" spec with
+    | Ok outcome, _ when Recorded.passed outcome -> ()
+    | Ok outcome, save ->
+      incr violations;
+      if !violations = 1 then begin
+        Printf.printf "first violation at seed %d:\n" seed;
+        Format.printf "%a@." Recorded.pp_outcome outcome;
+        print_recording (save ())
       end
-    | exception Invalid_argument msg ->
+    | Error msg, save ->
       incr crashes;
       if !crashes = 1 then begin
         Printf.printf "first crash at seed %d: %s\n" seed msg;
-        let path = Printf.sprintf "fuzz-%s-%d.jfr" protocol seed in
-        if dump_recording ~spec ~aborted:msg recorder path then
-          Printf.printf "recording:   %s\n" path
+        print_recording (save ())
       end
   done;
   Printf.printf
@@ -331,16 +224,11 @@ let fuzz_cmd =
     Term.(const fuzz $ protocol_arg $ profile_arg $ clients_arg $ updates_arg
           $ seeds_arg $ gc_arg)
 
-(* --- soak ------------------------------------------------------------- *)
-
 (* Run one protocol through a random workload over an unreliable
-   network via the shared recorded-run driver (lib/run): a fault
-   specification plus (by default) the reliability shim that restores
-   the FIFO-exactly-once channels the protocols assume.  The flight
-   recorder rides along on every soak; the ring is dumped to disk when
-   the gate fails (or on demand with --record-out) so the failing run
-   can be re-executed bit-identically with `jupiter_sim replay`. *)
-
+   network: a fault specification plus (by default) the reliability
+   shim that restores the FIFO-exactly-once channels the protocols
+   assume.  The recording is dumped when the gate fails, or always with
+   --record-out. *)
 let soak protocol faults no_shim rto batching fastpath gc nclients
     profile updates seed record_out json =
   let shim = not no_shim in
@@ -359,75 +247,61 @@ let soak protocol faults no_shim rto batching fastpath gc nclients
       gc;
     }
   in
-  check_args "soak" (fun () -> Recorded.check spec);
   let obs = Rlist_obs.Obs.make () in
-  let recorder = Rlist_obs.Recorder.create () in
-  match Recorded.run ~obs ~recorder spec with
-  | exception Invalid_argument msg ->
+  let result, save = run_recorded ~cmd:"soak" ~obs spec in
+  let recording =
+    match record_out, result with
+    | Some path, _ -> save ~path ()
+    | None, Ok outcome when Recorded.passed outcome -> None
+    | None, _ -> save ()
+  in
+  let recording_json =
+    Option.fold recording ~none:[] ~some:(fun p -> [ "recording", Json.Str p ])
+  in
+  let faults = Rlist_net.Faults.to_string faults in
+  match result with
+  | Error msg ->
     (* a channel contract violation crashed the protocol, or the
        network could not quiesce: with the shim on neither happens *)
-    let dump_path =
-      Option.value record_out
-        ~default:(Printf.sprintf "soak-%s-%d.jfr" spec.Recorded.protocol seed)
-    in
-    let dumped = dump_recording ~spec ~aborted:msg recorder dump_path in
     if json then
       print_json
         Json.(
           Obj
-            ([ "faults", Str (Rlist_net.Faults.to_string faults);
-               "shim", Bool shim; "seed", Int seed; "aborted", Str msg ]
-            @ if dumped then [ "recording", Str dump_path ] else []))
+            ([ "faults", Str faults; "shim", Bool shim; "seed", Int seed;
+               "aborted", Str msg ]
+            @ recording_json))
     else begin
       Printf.printf "soak aborted: %s\n" msg;
-      if dumped then Printf.printf "recording:   %s\n" dump_path
+      print_recording recording
     end;
     exit 1
-  | outcome ->
-    let ok = Recorded.passed outcome in
-    let dump_path =
-      match record_out with
-      | Some path -> Some path
-      | None when not ok ->
-        Some (Printf.sprintf "soak-%s-%d.jfr" spec.Recorded.protocol seed)
-      | None -> None
-    in
-    let dumped =
-      match dump_path with
-      | Some path ->
-        if dump_recording ~spec ~outcome recorder path then dump_path
-        else None
-      | None -> None
-    in
+  | Ok o ->
+    let sat = Rlist_spec.Check.is_satisfied in
     if json then
-      let o = outcome in
       print_json
         Json.(
           Obj
-            ([ "protocol", Str o.Recorded.o_protocol;
-               "faults", Str (Rlist_net.Faults.to_string faults);
+            ([ "protocol", Str o.Recorded.o_protocol; "faults", Str faults;
                "shim", Bool shim; "batch", Bool batching;
                "fastpath", Bool fastpath; "seed", Int seed;
                "events", Int o.o_events; "converged", Bool o.o_converged;
-               "convergence", Bool o.o_convergence; "weak", Bool o.o_weak;
-               "strong", Bool o.o_strong;
+               "convergence", Bool (sat o.o_convergence);
+               "weak", Bool (sat o.o_weak); "strong", Bool (sat o.o_strong);
                "net", Rlist_net.Stats.to_json o.o_net;
                "metrics", Rlist_obs.Metrics.to_json obs.metrics ]
-            @ match dumped with Some p -> [ "recording", Str p ] | None -> []))
+            @ recording_json))
     else begin
-      pp_outcome outcome;
-      Printf.printf "faults:      %s\n" (Rlist_net.Faults.to_string faults);
+      Format.printf "%a@." Recorded.pp_outcome o;
+      Printf.printf "faults:      %s\n" faults;
       Printf.printf "shim:        %b\n" shim;
       if batching || fastpath then
         Printf.printf "batch:       %b  fastpath: %b\n" batching fastpath;
-      Format.printf "%a@." Rlist_net.Stats.pp outcome.Recorded.o_net;
-      match dumped with
-      | Some path -> Printf.printf "recording:   %s\n" path
-      | None -> ()
+      Format.printf "%a@." Rlist_net.Stats.pp o.o_net;
+      print_recording recording
     end;
     (* Strong-spec violations are a theorem for the OT protocols
        (Thm 8.1), so the gate is convergence + weak, like fuzz. *)
-    if not ok then exit 1
+    if not (Recorded.passed o) then exit 1
 
 let soak_protocol_arg =
   Arg.(required
@@ -864,10 +738,15 @@ let mc_cmd =
           $ Term.app (Term.const not) mc_no_por_arg
           $ mc_max_states_arg $ mc_batching_arg $ mc_expect_arg $ json_arg)
 
-(* --- viz ------------------------------------------------------------- *)
+(* --- figure scenarios ---------------------------------------------------- *)
 
-let viz name emit_dot =
+module Css = Rlist_sim.Engine.Make (Jupiter_css.Protocol)
+
+(* The figure scenario called [name]; an unknown name exits 1, listing
+   the available ones. *)
+let find_scenario name =
   match Rlist_sim.Figures.find name with
+  | Some scenario -> scenario
   | None ->
     Printf.eprintf "unknown scenario %S; available: %s\n" name
       (String.concat ", "
@@ -875,26 +754,58 @@ let viz name emit_dot =
             (fun (s : Rlist_sim.Figures.scenario) -> s.sname)
             Rlist_sim.Figures.all));
     exit 1
-  | Some scenario ->
-    let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
-    let t = E.create ~initial:scenario.initial ~nclients:scenario.nclients () in
-    E.run t scenario.schedule;
-    let space = Jupiter_css.Protocol.server_space (E.server t) in
-    Printf.printf "%s: %s\n\n" scenario.sname scenario.description;
-    print_string (Jupiter_css.Render.to_ascii space ~initial:scenario.initial);
-    if emit_dot then begin
-      let path = scenario.sname ^ ".dot" in
-      match open_out path with
-      | oc ->
-        output_string oc
-          (Jupiter_css.Render.to_dot space ~initial:scenario.initial
-             ~name:scenario.sname);
-        close_out oc;
-        Printf.printf "\nwrote %s\n" path
-      | exception Sys_error msg ->
-        Printf.eprintf "cannot write %s: %s\n" path msg;
-        exit 1
-    end
+
+(* The CSS run behind viz, stats and trace: replay [events] from
+   [initial].  With [obs] attached, every replica's state-space growth
+   lands in the trace too, level by level (the paper's Figure 4). *)
+let css_run ?obs ?batching ?fastpath ~initial ~nclients events =
+  let t = Css.create ~initial ?batching ?fastpath ~nclients () in
+  Option.iter
+    (fun obs ->
+      Css.attach_obs t obs;
+      let wire replica set =
+        set (fun ~level ~states ~transitions ~ots:_ ->
+            if Rlist_obs.Obs.tracing obs then
+              Rlist_obs.Obs.emit obs
+                (Rlist_obs.Event.State_space_grow
+                   { replica; level; states; transitions }))
+      in
+      wire "server"
+        (Jupiter_css.Protocol.server_set_space_observer (Css.server t));
+      for i = 1 to nclients do
+        wire
+          ("c" ^ string_of_int i)
+          (Jupiter_css.Protocol.client_set_space_observer (Css.client t i))
+      done)
+    obs;
+  Css.run t events;
+  t
+
+let server_space t = Jupiter_css.Protocol.server_space (Css.server t)
+
+(* --- viz ------------------------------------------------------------- *)
+
+let viz name emit_dot =
+  let scenario = find_scenario name in
+  let initial = scenario.initial in
+  let space =
+    server_space
+      (css_run ~initial ~nclients:scenario.nclients scenario.schedule)
+  in
+  Printf.printf "%s: %s\n\n" scenario.sname scenario.description;
+  print_string (Jupiter_css.Render.to_ascii space ~initial);
+  if emit_dot then begin
+    let path = scenario.sname ^ ".dot" in
+    match open_out path with
+    | oc ->
+      output_string oc
+        (Jupiter_css.Render.to_dot space ~initial ~name:scenario.sname);
+      close_out oc;
+      Printf.printf "\nwrote %s\n" path
+    | exception Sys_error msg ->
+      Printf.eprintf "cannot write %s: %s\n" path msg;
+      exit 1
+  end
 
 let viz_cmd =
   let name_arg =
@@ -912,7 +823,21 @@ let viz_cmd =
 (* --- record / replay --------------------------------------------------- *)
 
 let record profile nclients updates seed path =
-  record_schedule ~profile ~nclients ~updates ~seed ~path
+  check_args "record" (fun () ->
+      Recorded.check { (Recorded.default ~protocol:"css") with nclients });
+  let t = Css.create ~nclients () in
+  let rng = Random.State.make [| seed |] in
+  let intent =
+    Rlist_workload.Workload.intent_generator profile ~nclients ~rng
+  in
+  let params = Rlist_workload.Workload.params profile ~updates in
+  let schedule = Css.run_random ~intent t ~rng ~params in
+  (try Rlist_sim.Schedule_text.save ~path ~nclients schedule
+   with Sys_error msg ->
+     Printf.eprintf "cannot write %s: %s\n" path msg;
+     exit 1);
+  Printf.printf "recorded %d events to %s (generated under the css protocol)\n"
+    (List.length schedule) path
 
 let record_cmd =
   let path_arg =
@@ -942,7 +867,6 @@ let do_shrink (recording : Rlist_obs.Recorder.recording)
     Printf.eprintf "shrink: %s\n" msg;
     exit 1
   | Ok schedule ->
-    let sat = Rlist_spec.Check.is_satisfied in
     let still_fails events =
       match Rlist_sim.Schedule.validate ~nclients:spec.Recorded.nclients
               events with
@@ -953,8 +877,7 @@ let do_shrink (recording : Rlist_obs.Recorder.recording)
             ~nclients:spec.Recorded.nclients events,
           aborted
         with
-        | s, None ->
-          not (s.s_converged && sat s.s_convergence && sat s.s_weak)
+        | outcome, None -> not (Recorded.passed outcome)
         | _, Some _ -> false
         | exception Invalid_argument msg ->
           (* For an abort witness, a subset counts as failing only
@@ -1095,10 +1018,10 @@ let replay protocol path trace_out json shrink =
   if Rlist_obs.Recorder.is_recording path then
     replay_recording path trace_out json shrink
   else begin
-    if Option.is_some trace_out || shrink then begin
+    if Option.is_some trace_out || shrink || json then begin
       Printf.eprintf
-        "replay: --trace/--shrink apply to flight recordings (.jfr), not \
-         schedule files\n";
+        "replay: --trace/--shrink/--json apply to flight recordings (.jfr), \
+         not schedule files\n";
       exit 1
     end;
     match Rlist_sim.Schedule_text.load ~path with
@@ -1110,7 +1033,7 @@ let replay protocol path trace_out json shrink =
          replay_one protocol ~initial:file.initial ~nclients:file.nclients
            file.events
        with
-      | summary -> pp_summary summary
+      | outcome -> Format.printf "%a@." Recorded.pp_outcome outcome
       | exception Invalid_argument msg ->
         (* Replaying a Jupiter schedule on a non-equivalent protocol can
            go out of bounds; report rather than crash. *)
@@ -1148,7 +1071,7 @@ let replay_cmd =
           flight recording bit-identically and verify the outcome digest \
           and decision stream against it.  Exits non-zero when the replay \
           diverges.")
-    Term.(const replay $ protocol_arg $ path_arg $ trace_arg $ json_flag
+    Term.(const replay $ protocol_arg $ path_arg $ trace_arg $ json_arg
           $ shrink_arg)
 
 (* --- report ------------------------------------------------------------ *)
@@ -1221,7 +1144,7 @@ let report_cmd =
           per-replica staleness, transform-cost attribution, send/\
           retransmission amplification, and a wire-fault timeline, as \
           text or JSON.")
-    Term.(const report $ path_arg $ json_flag)
+    Term.(const report $ path_arg $ json_arg)
 
 (* --- stats ------------------------------------------------------------ *)
 
@@ -1242,40 +1165,34 @@ let stats_json ~source (st : Jupiter_css.Analysis.stats) ~lemmas ~fp =
             "generic_squares", Int fp.generic_squares ] ) ]
 
 let stats name schedule_file json =
-  let build source initial nclients events =
-    let fp = Rlist_ot.Fastpath.create () in
-    let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
-    let t = E.create ~initial ~fastpath:fp ~nclients () in
-    E.run t events;
-    let space = Jupiter_css.Protocol.server_space (E.server t) in
-    let st = Jupiter_css.Analysis.stats space in
-    let lemmas = Jupiter_css.Analysis.check_all space ~nclients ~initial in
-    if json then
-      print_json (stats_json ~source st ~lemmas:(Result.is_ok lemmas) ~fp)
-    else begin
-      Format.printf "%a@." Jupiter_css.Analysis.pp_stats st;
-      match lemmas with
-      | Ok () ->
-        print_endline "structural lemmas (6.1/6.3/8.4/8.5/8.7): all hold"
-      | Error e -> Printf.printf "structural lemma violated: %s\n" e
-    end;
-    if Result.is_error lemmas then exit 1
-  in
-  match schedule_file with
-  | Some path -> (
-    match Rlist_sim.Schedule_text.load ~path with
-    | Error msg ->
-      Printf.eprintf "cannot load %s: %s\n" path msg;
-      exit 1
-    | Ok file -> build path file.initial file.nclients file.events)
-  | None -> (
-    match Rlist_sim.Figures.find name with
+  let source, initial, nclients, events =
+    match schedule_file with
+    | Some path -> (
+      match Rlist_sim.Schedule_text.load ~path with
+      | Error msg ->
+        Printf.eprintf "cannot load %s: %s\n" path msg;
+        exit 1
+      | Ok file -> path, file.initial, file.nclients, file.events)
     | None ->
-      Printf.eprintf "unknown scenario %S\n" name;
-      exit 1
-    | Some scenario ->
-      build scenario.sname scenario.initial scenario.nclients
-        scenario.schedule)
+      let scenario = find_scenario name in
+      scenario.sname, scenario.initial, scenario.nclients, scenario.schedule
+  in
+  let fp = Rlist_ot.Fastpath.create () in
+  let space =
+    server_space (css_run ~fastpath:fp ~initial ~nclients events)
+  in
+  let st = Jupiter_css.Analysis.stats space in
+  let lemmas = Jupiter_css.Analysis.check_all space ~nclients ~initial in
+  if json then
+    print_json (stats_json ~source st ~lemmas:(Result.is_ok lemmas) ~fp)
+  else begin
+    Format.printf "%a@." Jupiter_css.Analysis.pp_stats st;
+    match lemmas with
+    | Ok () ->
+      print_endline "structural lemmas (6.1/6.3/8.4/8.5/8.7): all hold"
+    | Error e -> Printf.printf "structural lemma violated: %s\n" e
+  end;
+  if Result.is_error lemmas then exit 1
 
 let stats_cmd =
   let name_arg =
@@ -1293,100 +1210,72 @@ let stats_cmd =
          "Structural statistics and lemma checks of the CSS state-space \
           built by a figure scenario or a recorded schedule.  Exits \
           non-zero if a structural lemma fails.")
-    Term.(const stats $ name_arg $ file_arg $ json_flag)
+    Term.(const stats $ name_arg $ file_arg $ json_arg)
 
 (* --- trace ------------------------------------------------------------ *)
 
 (* Replay a figure scenario with the observability layer attached and
-   the JSONL sink pointed at [oc].  The CSS run additionally wires
-   [State_space.set_observer] on every replica, so the trace shows the
-   state-space growing level by level (the paper's Figure 4). *)
-let trace_css obs ~batching ~fastpath (scenario : Rlist_sim.Figures.scenario) =
-  let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
-  let t =
-    E.create ~initial:scenario.initial ~batching ~fastpath
-      ~nclients:scenario.nclients ()
-  in
-  E.attach_obs t obs;
-  let wire name set =
-    set (fun ~level ~states ~transitions ~ots ->
-        ignore ots;
-        if Rlist_obs.Obs.tracing obs then
-          Rlist_obs.Obs.emit obs
-            (Rlist_obs.Event.State_space_grow
-               { replica = name; level; states; transitions }))
-  in
-  wire "server" (Jupiter_css.Protocol.server_set_space_observer (E.server t));
-  for i = 1 to scenario.nclients do
-    wire
-      ("c" ^ string_of_int i)
-      (Jupiter_css.Protocol.client_set_space_observer (E.client t i))
-  done;
-  E.run t scenario.schedule;
-  let space = Jupiter_css.Protocol.server_space (E.server t) in
-  let st = Jupiter_css.Analysis.stats space in
-  E.converged t, E.total_ot_count t, E.total_metadata_size t, Some st
-
+   the JSONL sink pointed at the output; under css the trace also shows
+   the state space growing (see [css_run]).  A peer-to-peer protocol is
+   refused before the output file is opened. *)
 let trace name protocol batching fastpath out_file json =
-  match Rlist_sim.Figures.find name with
-  | None ->
-    Printf.eprintf "unknown scenario %S; available: %s\n" name
-      (String.concat ", "
-         (List.map
-            (fun (s : Rlist_sim.Figures.scenario) -> s.sname)
-            Rlist_sim.Figures.all));
-    exit 1
-  | Some scenario ->
-    let oc, close =
-      match out_file with
-      | None -> stdout, fun () -> flush stdout
-      | Some path -> (
-        try
-          let oc = open_out path in
-          oc, fun () -> close_out oc
-        with Sys_error msg ->
-          Printf.eprintf "cannot open %s: %s\n" path msg;
-          exit 1)
-    in
-    let sink = Rlist_obs.Sink.channel oc in
-    let obs = Rlist_obs.Obs.make ~sink () in
-    let fp = Rlist_ot.Fastpath.create ~enabled:fastpath () in
-    let run (converged, ots, metadata, space_stats) =
-      publish_fastpath fp obs.Rlist_obs.Obs.metrics;
-      let space (st : Jupiter_css.Analysis.stats) =
+  let scenario = find_scenario name in
+  (match lookup protocol with
+  | Protocols.Star _ -> ()
+  | Protocols.Mesh _ ->
+    prerr_endline
+      "trace: figure schedules are client/server shaped; peer-to-peer \
+       protocols cannot replay them";
+    exit 1);
+  let oc, close =
+    match out_file with
+    | None -> stdout, fun () -> flush stdout
+    | Some path -> (
+      try
+        let oc = open_out path in
+        oc, fun () -> close_out oc
+      with Sys_error msg ->
+        Printf.eprintf "cannot open %s: %s\n" path msg;
+        exit 1)
+  in
+  let obs = Rlist_obs.Obs.make ~sink:(Rlist_obs.Sink.channel oc) () in
+  let fp = Rlist_ot.Fastpath.create ~enabled:fastpath () in
+  let initial = scenario.initial and nclients = scenario.nclients in
+  let converged, ots, metadata, space =
+    if String.equal protocol "css" then
+      let t =
+        css_run ~obs ~batching ~fastpath:fp ~initial ~nclients
+          scenario.schedule
+      in
+      let st = Jupiter_css.Analysis.stats (server_space t) in
+      ( Css.converged t, Css.total_ot_count t, Css.total_metadata_size t,
         Json.
           [ "space_states", Int st.states;
             "space_transitions", Int st.transitions;
-            "space_depth", Int st.depth ]
-      in
-      if json then
-        Json.(
-          Obj
-            ([ "type", Str "summary"; "scenario", Str scenario.sname;
-               "converged", Bool converged; "total_transforms", Int ots;
-               "total_metadata", Int metadata ]
-            @ Option.fold space_stats ~none:[] ~some:space
-            @ [ "metrics", Rlist_obs.Metrics.to_json obs.metrics ])
-          |> to_string |> Printf.fprintf oc "%s\n")
-      else Format.eprintf "%a@." Rlist_obs.Obs.report obs;
-      close ();
-      if not converged then exit 1
-    in
-    (* css additionally traces its state-space growth *)
-    match protocol, lookup protocol with
-    | "css", _ -> run (trace_css obs ~batching ~fastpath:fp scenario)
-    | _, Protocols.Star _ ->
-      let s =
-        replay_one ~obs ~batching ~fastpath:fp protocol
-          ~initial:scenario.initial ~nclients:scenario.nclients
+            "space_depth", Int st.depth ] )
+    else
+      let o =
+        replay_one ~obs ~batching ~fastpath:fp protocol ~initial ~nclients
           scenario.schedule
       in
-      run (s.s_converged, s.s_ots, s.s_metadata, None)
-    | _, Protocols.Mesh _ ->
-      Printf.eprintf
-        "trace: figure schedules are client/server shaped; peer-to-peer \
-         protocols cannot replay them\n";
-      exit 1
+      o.Recorded.o_converged, o.o_ots, o.o_metadata, []
+  in
+  List.iter
+    (fun (name, v) ->
+      Rlist_obs.Metrics.add (Rlist_obs.Metrics.counter obs.metrics name) v)
+    (Rlist_ot.Fastpath.fields fp);
+  if json then
+    Json.(
+      Obj
+        ([ "type", Str "summary"; "scenario", Str scenario.sname;
+           "converged", Bool converged; "total_transforms", Int ots;
+           "total_metadata", Int metadata ]
+        @ space
+        @ [ "metrics", Rlist_obs.Metrics.to_json obs.metrics ])
+      |> to_string |> Printf.fprintf oc "%s\n")
+  else Format.eprintf "%a@." Rlist_obs.Obs.report obs;
+  close ();
+  if not converged then exit 1
 
 let trace_cmd =
   let name_arg =
@@ -1408,7 +1297,7 @@ let trace_cmd =
           counters; otherwise a human-readable metrics report goes to \
           stderr.")
     Term.(const trace $ name_arg $ protocol_arg $ batch_arg $ fastpath_arg
-          $ out_arg $ json_flag)
+          $ out_arg $ json_arg)
 
 (* --- figures ---------------------------------------------------------- *)
 
@@ -1416,14 +1305,14 @@ let figures () =
   List.iter
     (fun (scenario : Rlist_sim.Figures.scenario) ->
       let protocol = if scenario.sname = "figure8" then "naive" else "css" in
-      let s =
+      let o =
         replay_one protocol ~initial:scenario.initial
           ~nclients:scenario.nclients scenario.schedule
       in
       let show r = if Rlist_spec.Check.is_satisfied r then "yes" else "NO" in
       Printf.printf "%-8s [%-5s] converged=%-5b final=%-10S conv=%-3s weak=%-3s strong=%-3s\n"
-        scenario.sname protocol s.s_converged s.s_final (show s.s_convergence)
-        (show s.s_weak) (show s.s_strong))
+        scenario.sname protocol o.o_converged (snd (List.hd o.o_finals))
+        (show o.o_convergence) (show o.o_weak) (show o.o_strong))
     Rlist_sim.Figures.all
 
 let figures_cmd =

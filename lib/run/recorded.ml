@@ -40,9 +40,9 @@ type outcome = {
   o_finals : (string * string) list;
   o_ots : int;
   o_metadata : int;
-  o_convergence : bool;
-  o_weak : bool;
-  o_strong : bool;
+  o_convergence : Rlist_spec.Check.result;
+  o_weak : Rlist_spec.Check.result;
+  o_strong : Rlist_spec.Check.result;
   o_stats : (string * int) list;
   o_net : Rlist_net.Stats.t;
 }
@@ -78,6 +78,24 @@ let check spec =
   let (module E) = engine spec in
   ignore (E.create ~net:(wire spec) ~nclients:spec.nclients ())
 
+(* The one summary of a finished run, whatever drove it: the three
+   verdicts on its trace plus its counters. *)
+let summarize ~name ~events ~converged ~finals ~ots ~metadata ~trace ~stats
+    ~net =
+  {
+    o_protocol = name;
+    o_events = events;
+    o_converged = converged;
+    o_finals = List.map (fun (r, doc) -> r, Document.to_string doc) finals;
+    o_ots = ots;
+    o_metadata = metadata;
+    o_convergence = Rlist_spec.Convergence.check trace;
+    o_weak = Rlist_spec.Weak_spec.check trace;
+    o_strong = Rlist_spec.Strong_spec.check trace;
+    o_stats = stats;
+    o_net = net;
+  }
+
 let run ?obs ?recorder spec =
   let (module E) = engine spec in
   let net = wire spec in
@@ -94,30 +112,51 @@ let run ?obs ?recorder spec =
   in
   let params = Workload.params spec.profile ~updates:spec.updates in
   let events = E.run_random ~intent t ~rng ~params in
-  let trace = E.trace t in
-  let sat = Rlist_spec.Check.is_satisfied in
   publish obs net fp;
-  {
-    o_protocol = E.name;
-    o_events = events;
-    o_converged = E.converged t;
-    o_finals =
-      List.map (fun (r, doc) -> r, Document.to_string doc) (E.documents t);
-    o_ots = E.total_ot_count t;
-    o_metadata = E.total_metadata_size t;
-    o_convergence = sat (Rlist_spec.Convergence.check trace);
-    o_weak = sat (Rlist_spec.Weak_spec.check trace);
-    o_strong = sat (Rlist_spec.Strong_spec.check trace);
-    o_stats =
-      Rlist_net.Stats.fields (Rlist_net.Transport.stats net)
-      @ Rlist_ot.Fastpath.fields fp;
-    o_net = Rlist_net.Transport.stats net;
-  }
+  let net_stats = Rlist_net.Transport.stats net in
+  summarize ~name:E.name ~events ~converged:(E.converged t)
+    ~finals:(E.documents t) ~ots:(E.total_ot_count t)
+    ~metadata:(E.total_metadata_size t) ~trace:(E.trace t)
+    ~stats:(Rlist_net.Stats.fields net_stats @ Rlist_ot.Fastpath.fields fp)
+    ~net:net_stats
+
+let replay_schedule ?obs ?batching ?fastpath
+    (module P : Rlist_sim.Protocol_intf.PROTOCOL) ~initial ~nclients events =
+  let module E = Rlist_sim.Engine.Make (P) in
+  let t = E.create ~initial ?batching ?fastpath ~nclients () in
+  Option.iter (E.attach_obs t) obs;
+  E.run t events;
+  let clients =
+    List.init nclients (fun i ->
+        "c" ^ string_of_int (i + 1), E.client_document t (i + 1))
+  in
+  summarize ~name:P.name ~events:(List.length events)
+    ~converged:(E.converged t)
+    ~finals:
+      (if P.server_is_replica then ("server", E.server_document t) :: clients
+       else clients)
+    ~ots:(E.total_ot_count t) ~metadata:(E.total_metadata_size t)
+    ~trace:(E.trace t) ~stats:[] ~net:(Rlist_net.Stats.create ())
+
+let pp_outcome ppf o =
+  let check = Rlist_spec.Check.pp in
+  Format.fprintf ppf "@[<v>protocol:    %s@,events:      %d@,converged:   %b@,"
+    o.o_protocol o.o_events o.o_converged;
+  (match o.o_finals with
+  | (_, doc) :: _ -> Format.fprintf ppf "final:       %S@," doc
+  | [] -> ());
+  Format.fprintf ppf
+    "OT calls:    %d@,metadata:    %d@,convergence: %a@,weak spec:   %a@,\
+     strong spec: %a@]"
+    o.o_ots o.o_metadata check o.o_convergence check o.o_weak check
+    o.o_strong
 
 (* The soak gate: strong-spec violations are a theorem for the OT
    protocols (Thm 8.1), so a run "fails" on convergence or the weak
    spec only. *)
-let passed o = o.o_converged && o.o_convergence && o.o_weak
+let passed o =
+  let sat = Rlist_spec.Check.is_satisfied in
+  o.o_converged && sat o.o_convergence && sat o.o_weak
 
 (* --- header / digest ---------------------------------------------- *)
 
@@ -211,13 +250,14 @@ let spec_of_header header =
     }
 
 let digest_of outcome =
+  let sat r = string_of_bool (Rlist_spec.Check.is_satisfied r) in
   [
     "protocol", outcome.o_protocol;
     "events", string_of_int outcome.o_events;
     "converged", string_of_bool outcome.o_converged;
-    "convergence", string_of_bool outcome.o_convergence;
-    "weak", string_of_bool outcome.o_weak;
-    "strong", string_of_bool outcome.o_strong;
+    "convergence", sat outcome.o_convergence;
+    "weak", sat outcome.o_weak;
+    "strong", sat outcome.o_strong;
     "ots", string_of_int outcome.o_ots;
     "metadata", string_of_int outcome.o_metadata;
   ]
@@ -231,13 +271,13 @@ let record ?obs ?(capacity = Recorder.default_capacity) spec =
   let outcome = run ?obs ~recorder spec in
   outcome, recorder
 
-let save ~spec ~outcome ~capacity recorder path =
-  (* The stored capacity is the recorder's actual one, so a replay
-     aligns its window with the recording even if the default ever
-     changes. *)
-  Recorder.dump
-    ~header:(header_of ~capacity spec)
-    ~digest:(digest_of outcome) recorder path
+let save ~spec ?(capacity = Recorder.default_capacity) result recorder path =
+  let digest =
+    match result with
+    | Ok outcome -> digest_of outcome
+    | Error msg -> [ "aborted", msg ]
+  in
+  Recorder.dump ~header:(header_of ~capacity spec) ~digest recorder path
 
 type verdict = {
   v_spec : spec;
@@ -313,8 +353,6 @@ let verify ?obs (recording : Recorder.recording) =
           mismatches = [] && Option.is_none divergence
           && total_got = recording.Recorder.r_total;
       }
-
-let replay ?obs path = verify ?obs (Recorder.load path)
 
 (* --- schedule extraction (shrinker handoff) ----------------------- *)
 

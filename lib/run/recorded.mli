@@ -1,5 +1,6 @@
 (** Recorded runs: one driver for every protocol over the unreliable
-    network, shared by the CLI's soak/fuzz/replay commands, the
+    network, and the one summary and text report of a run, shared by
+    the CLI's simulate/fuzz/soak/replay and figure commands, the
     benchmarks, and the tests.
 
     A run here is fully determined by its {!spec}: the engine draws
@@ -39,7 +40,9 @@ type spec = {
     path, no GC. *)
 val default : protocol:string -> spec
 
-(** What a run produced — the replay digest is derived from this. *)
+(** What a run produced: the paper's three verdicts on its trace, its
+    final documents and its counters.  Every CLI report of a run and
+    the replay digest are read off this one record. *)
 type outcome = {
   o_protocol : string;
   o_events : int;  (** Schedule length. *)
@@ -50,14 +53,17 @@ type outcome = {
           peers. *)
   o_ots : int;
   o_metadata : int;
-  o_convergence : bool;
-  o_weak : bool;
-  o_strong : bool;
+  o_convergence : Rlist_spec.Check.result;
+  o_weak : Rlist_spec.Check.result;  (** The weak list specification. *)
+  o_strong : Rlist_spec.Check.result;
+      (** The strong list specification, which the OT protocols
+          violate (Thm 8.1). *)
   o_stats : (string * int) list;
-      (** Network counters plus the fast-path counters. *)
+      (** Network counters plus the fast-path counters; empty for a
+          schedule replay. *)
   o_net : Rlist_net.Stats.t;
       (** The live counter record, for {!Rlist_net.Stats.pp} /
-          [to_json]. *)
+          [to_json]; all zero for a schedule replay. *)
 }
 
 (** Run one spec.  [obs] attaches the observability bundle to the
@@ -68,6 +74,27 @@ type outcome = {
     [Invalid_argument] when a shim-less run violates a channel
     contract. *)
 val run : ?obs:Rlist_obs.Obs.t -> ?recorder:Recorder.t -> spec -> outcome
+
+(** Replay a concrete client/server schedule from [initial] on perfect
+    channels; [obs], [batching] and [fastpath] as in
+    {!Rlist_sim.Engine.Make.create} / [attach_obs].
+    @raise Invalid_argument when the schedule does not fit the protocol
+    (an empty channel, an out-of-bounds intent, a protocol crash). *)
+val replay_schedule :
+  ?obs:Rlist_obs.Obs.t ->
+  ?batching:bool ->
+  ?fastpath:Rlist_ot.Fastpath.t ->
+  (module Rlist_sim.Protocol_intf.PROTOCOL) ->
+  initial:Rlist_model.Document.t ->
+  nclients:int ->
+  Rlist_sim.Schedule.t ->
+  outcome
+
+(** The text report of a run, one field per line: the first replica's
+    final document, the counters, and each verdict as
+    {!Rlist_spec.Check.pp} renders it (a violation with its reason and
+    witnesses). *)
+val pp_outcome : Format.formatter -> outcome -> unit
 
 (** Refuse a spec the run would refuse before it starts: an unknown
     protocol, a replica count the engine rejects, a bad [rto].
@@ -94,9 +121,19 @@ val digest_of : outcome -> (string * string) list
 val record :
   ?obs:Rlist_obs.Obs.t -> ?capacity:int -> spec -> outcome * Recorder.t
 
-(** Dump a recorded run to [path] (see {!Recorder.dump}). *)
+(** Dump a recorded run to [path] (see {!Recorder.dump}): [result] is
+    the run's outcome, stored as its digest, or the message the run
+    aborted with, stored as the digest's ["aborted"] key.  [capacity]
+    (default {!Recorder.default_capacity}) must be the recorder's, so a
+    replay aligns its window with the recording.
+    @raise Sys_error when [path] cannot be written. *)
 val save :
-  spec:spec -> outcome:outcome -> capacity:int -> Recorder.t -> string -> unit
+  spec:spec ->
+  ?capacity:int ->
+  (outcome, string) result ->
+  Recorder.t ->
+  string ->
+  unit
 
 (** Replay verdict: the fresh outcome plus every digest mismatch
     [(key, expected, got)] and the first decision divergence
@@ -116,10 +153,6 @@ type verdict = {
     header. *)
 val verify :
   ?obs:Rlist_obs.Obs.t -> Recorder.recording -> (verdict, string) result
-
-(** [verify] on a recording loaded from disk.  Raises
-    [Recorder.Corrupt] / [Sys_error] as {!Recorder.load} does. *)
-val replay : ?obs:Rlist_obs.Obs.t -> string -> (verdict, string) result
 
 (** Reconstruct the engine schedule from a recording's decision stream
     for the ddmin shrinker.  [Error] when the ring wrapped (early

@@ -49,8 +49,7 @@ let verdict_ok what (v : Recorded.verdict) =
 let record_and_verify what spec =
   let outcome, recorder = Recorded.record spec in
   let path = Filename.temp_file "jupiter" ".jfr" in
-  Recorded.save ~spec ~outcome ~capacity:Recorder.default_capacity recorder
-    path;
+  Recorded.save ~spec (Ok outcome) recorder path;
   let recording = Recorder.load path in
   Sys.remove path;
   (match Recorded.verify recording with
@@ -151,8 +150,7 @@ let test_header_round_trips () =
 let test_recording_file_round_trips () =
   let outcome, recorder = Recorded.record chaos_spec in
   let path = Filename.temp_file "jupiter" ".jfr" in
-  Recorded.save ~spec:chaos_spec ~outcome
-    ~capacity:Recorder.default_capacity recorder path;
+  Recorded.save ~spec:chaos_spec (Ok outcome) recorder path;
   Alcotest.(check bool) "magic detected" true (Recorder.is_recording path);
   let r = Recorder.load path in
   Sys.remove path;
