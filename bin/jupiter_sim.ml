@@ -359,36 +359,46 @@ let soak_cmd =
    continuous GC keeps both flat where the unbounded run grows.  The
    digest line is the CI gate's handle for GC-on/GC-off equality. *)
 
-let longrun protocol profile nclients updates chunk seed faults gc
-    assert_flat max_meta json =
-  check_args "longrun" (fun () ->
+(* The body longrun and shard-smoke share: refuse the arguments before
+   the run starts, run, print the result (JSON or [pp]), then exit 1
+   naming every gate the result fails. *)
+let run_gated ~cmd ~protocol ~nclients ~updates ~chunk ~run ~to_json ~pp
+    ~gate json =
+  check_args cmd (fun () ->
       Rlist_run.Longrun.check ~protocol ~nclients ~updates ~chunk);
   let r =
-    match
-      Rlist_run.Longrun.run ?gc ~faults ~now:Unix.gettimeofday
-        ~protocol ~profile ~nclients ~updates ~chunk
-        ~seed ()
-    with
-    | r -> r
-    | exception Invalid_argument msg ->
-      Printf.eprintf "longrun: %s\n" msg;
+    try run ()
+    with Invalid_argument msg ->
+      Printf.eprintf "%s: %s\n" cmd msg;
       exit 1
   in
-  if json then print_json (Rlist_run.Longrun.result_to_json r)
-  else Format.printf "%a@." Rlist_run.Longrun.pp r;
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  if not r.Rlist_run.Longrun.l_converged then fail "run did not converge";
-  (match max_meta with
-  | Some bound when r.Rlist_run.Longrun.l_meta_peak > bound ->
-    fail "metadata peak %d exceeds --max-meta %d"
-      r.Rlist_run.Longrun.l_meta_peak bound
-  | _ -> ());
-  if assert_flat && r.Rlist_run.Longrun.l_flat_meta > 2.0 then
-    fail "metadata is not flat: late/early ratio %.2f > 2.0"
-      r.Rlist_run.Longrun.l_flat_meta;
-  List.iter (Printf.eprintf "longrun: GATE: %s\n") (List.rev !failures);
-  if !failures <> [] then exit 1
+  if json then print_json (to_json r) else Format.printf "%a@." pp r;
+  match gate r with
+  | [] -> ()
+  | failures ->
+    List.iter (Printf.eprintf "%s: GATE: %s\n" cmd) failures;
+    exit 1
+
+let longrun protocol profile nclients updates chunk seed faults gc
+    assert_flat max_meta json =
+  let module L = Rlist_run.Longrun in
+  let gate (r : L.result) =
+    let failures = ref [] in
+    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+    if not r.l_converged then fail "run did not converge";
+    (match max_meta with
+    | Some bound when r.l_meta_peak > bound ->
+      fail "metadata peak %d exceeds --max-meta %d" r.l_meta_peak bound
+    | _ -> ());
+    if assert_flat && r.l_flat_meta > 2.0 then
+      fail "metadata is not flat: late/early ratio %.2f > 2.0" r.l_flat_meta;
+    List.rev !failures
+  in
+  run_gated ~cmd:"longrun" ~protocol ~nclients ~updates ~chunk
+    ~run:(fun () ->
+      L.run ?gc ~faults ~now:Unix.gettimeofday ~protocol ~profile ~nclients
+        ~updates ~chunk ~seed ())
+    ~to_json:L.result_to_json ~pp:L.pp ~gate json
 
 let longrun_cmd =
   let updates_arg =
@@ -443,27 +453,17 @@ let longrun_cmd =
    reference run. *)
 
 let shard_smoke protocol profile nclients updates chunk seed gc json =
-  check_args "shard-smoke" (fun () ->
-      Rlist_run.Longrun.check ~protocol ~nclients ~updates ~chunk);
-  let r =
-    match
-      Rlist_run.Shard_smoke.run ?gc ~now:Unix.gettimeofday
-        ~protocol ~profile ~nclients ~updates ~chunk
-        ~seed ()
-    with
-    | r -> r
-    | exception Invalid_argument msg ->
-      Printf.eprintf "shard-smoke: %s\n" msg;
-      exit 1
-  in
-  if json then print_json (Rlist_run.Shard_smoke.result_to_json r)
-  else Format.printf "@[<v>%a@]@." Rlist_run.Shard_smoke.pp r;
-  if not r.Rlist_run.Shard_smoke.s_equal then begin
-    Printf.eprintf
-      "shard-smoke: GATE: two-domain digests differ from the \
-       single-domain run\n";
-    exit 1
-  end
+  let module S = Rlist_run.Shard_smoke in
+  run_gated ~cmd:"shard-smoke" ~protocol ~nclients ~updates ~chunk
+    ~run:(fun () ->
+      S.run ?gc ~now:Unix.gettimeofday ~protocol ~profile ~nclients ~updates
+        ~chunk ~seed ())
+    ~to_json:S.result_to_json
+    ~pp:(fun ppf r -> Format.fprintf ppf "@[<v>%a@]" S.pp r)
+    ~gate:(fun r ->
+      if r.S.s_equal then []
+      else [ "two-domain digests differ from the single-domain run" ])
+    json
 
 let shard_smoke_cmd =
   let updates_arg =
@@ -857,8 +857,10 @@ let record_cmd =
    the decision ring is the witness, not the driver) and check the
    fresh outcome digest and decision stream against the recording. *)
 
-let do_shrink (recording : Rlist_obs.Recorder.recording)
+let do_shrink ~json (recording : Rlist_obs.Recorder.recording)
     (spec : Recorded.spec) path =
+  (* Under --json, stdout holds only the verdict object. *)
+  let progress = if json then stderr else stdout in
   let aborted =
     List.assoc_opt "aborted" recording.Rlist_obs.Recorder.digest
   in
@@ -890,7 +892,7 @@ let do_shrink (recording : Rlist_obs.Recorder.recording)
           | None -> not (String.starts_with ~prefix:"Engine" msg)))
     in
     if not (still_fails schedule) then
-      Printf.printf
+      Printf.fprintf progress
         "shrink: the failure does not reproduce on perfect channels \
          (network-timing dependent); nothing to minimize\n"
     else begin
@@ -902,7 +904,7 @@ let do_shrink (recording : Rlist_obs.Recorder.recording)
        with Sys_error msg ->
          Printf.eprintf "cannot write %s: %s\n" out msg;
          exit 1);
-      Printf.printf "shrink: %d events -> %d minimal; wrote %s\n"
+      Printf.fprintf progress "shrink: %d events -> %d minimal; wrote %s\n"
         (List.length schedule) (List.length minimized) out
     end
 
@@ -960,20 +962,21 @@ let verdict_json path (v : Recorded.verdict) =
       "divergence", opt divergence v.Recorded.v_divergence;
       "ok", Bool v.Recorded.v_ok ]
 
-(* Load a recording for subcommand [cmd], which prefixes the error a
-   bad file exits with. *)
+(* Load a recording and the spec its header names for subcommand
+   [cmd], which prefixes the error a bad file exits with. *)
 let load_recording ~cmd path =
+  let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
   match Rlist_obs.Recorder.load path with
-  | recording -> recording
-  | exception Rlist_obs.Recorder.Corrupt msg ->
-    Printf.eprintf "%s: %s: %s\n" cmd path msg;
-    exit 1
-  | exception Sys_error msg ->
-    Printf.eprintf "%s: %s\n" cmd msg;
-    exit 1
+  | exception Rlist_obs.Recorder.Corrupt msg -> fail "%s: %s: %s" cmd path msg
+  | exception Sys_error msg -> fail "%s: %s" cmd msg
+  | recording -> (
+    match Recorded.spec_of_header recording.Rlist_obs.Recorder.header with
+    | Ok spec -> recording, spec
+    | Error msg -> fail "%s: %s" cmd msg)
 
 let replay_recording path trace_out json shrink =
-  let recording = load_recording ~cmd:"replay" path in
+  (* The header is checked before --trace creates its file. *)
+  let recording, spec = load_recording ~cmd:"replay" path in
   let oc =
     match trace_out with
     | None -> None
@@ -986,32 +989,34 @@ let replay_recording path trace_out json shrink =
   let obs =
     Option.map (fun oc -> Rlist_obs.Obs.make ~sink:(Rlist_obs.Sink.channel oc) ()) oc
   in
-  match Recorded.verify ?obs recording with
-  | exception Invalid_argument msg ->
-    Option.iter close_out oc;
+  let result =
+    try Ok (Recorded.verify ?obs spec recording)
+    with Invalid_argument msg -> Error msg
+  in
+  Option.iter close_out oc;
+  match result with
+  | Error msg ->
     (* The original run aborted too iff the stored digest says so with
        the same message — that is this path's bit-identical verdict. *)
-    (match List.assoc_opt "aborted" recording.Rlist_obs.Recorder.digest with
-    | Some original when String.equal original msg ->
-      Printf.printf "replay:      reproduced the recorded abort: %s\n" msg;
-      if shrink then begin
-        match Recorded.spec_of_header recording.Rlist_obs.Recorder.header with
-        | Ok spec -> do_shrink recording spec path
-        | Error msg ->
-          Printf.eprintf "shrink: %s\n" msg;
-          exit 1
-      end
-    | _ ->
-      Printf.printf "replay:      DIVERGED (fresh abort: %s)\n" msg;
-      exit 1)
-  | Error msg ->
-    Option.iter close_out oc;
-    Printf.eprintf "replay: %s\n" msg;
-    exit 1
+    let reproduced =
+      match List.assoc_opt "aborted" recording.Rlist_obs.Recorder.digest with
+      | Some original -> String.equal original msg
+      | None -> false
+    in
+    if json then
+      print_json
+        (Json.Obj
+           [ "recording", Str path; "protocol", Str spec.Recorded.protocol;
+             "seed", Int spec.Recorded.seed; "aborted", Str msg;
+             "ok", Bool reproduced ])
+    else if reproduced then
+      Printf.printf "replay:      reproduced the recorded abort: %s\n" msg
+    else Printf.printf "replay:      DIVERGED (fresh abort: %s)\n" msg;
+    if not reproduced then exit 1;
+    if shrink then do_shrink ~json recording spec path
   | Ok v ->
-    Option.iter close_out oc;
     if json then print_json (verdict_json path v) else pp_verdict path v;
-    if shrink then do_shrink recording v.Recorded.v_spec path;
+    if shrink then do_shrink ~json recording spec path;
     if not v.Recorded.v_ok then exit 1
 
 let replay protocol path trace_out json shrink =
@@ -1101,18 +1106,15 @@ let events_of_jsonl path =
 let report path json =
   let events =
     if Rlist_obs.Recorder.is_recording path then begin
-      let recording = load_recording ~cmd:"report" path in
+      let recording, spec = load_recording ~cmd:"report" path in
       let sink = Rlist_obs.Sink.memory () in
       let obs = Rlist_obs.Obs.make ~sink () in
-      match Recorded.verify ~obs recording with
-      | Error msg ->
-        Printf.eprintf "report: %s\n" msg;
-        exit 1
+      match Recorded.verify ~obs spec recording with
       | exception Invalid_argument msg ->
         Printf.eprintf "report: the recorded run aborts (%s); no trace\n"
           msg;
         exit 1
-      | Ok v ->
+      | v ->
         if not v.Recorded.v_ok then
           Printf.eprintf
             "report: warning: replay diverged from the recording; the \

@@ -1,5 +1,6 @@
 open Rlist_model
 open Rlist_ot
+module L = Rlist_sim.Line_format
 
 (* Line-oriented format:
 
@@ -15,157 +16,126 @@ open Rlist_ot
      tr <c> <s> nop
 
    A transition's target is implicit: source + its original operation.
-   Identifier tokens are "c.s"; initial elements use client 0. *)
+   Every snapshot is read through [Rlist_sim.Line_format]. *)
 
-let id_token id = Printf.sprintf "%d.%d" id.Op_id.client id.Op_id.seq
+(* --- tokens: each written and read in one place --------------------- *)
 
-let state_tokens state =
-  String.concat " " (List.map id_token (Op_id.Set.canonical state))
+(* An id is "c s", or "c.s" inside a state.  Initial elements use the
+   reserved client 0: [Op_id.make ~client:0 ~seq] is [Op_id.initial ~seq]. *)
+let id sep b (i : Op_id.t) = Printf.bprintf b "%d%c%d" i.client sep i.seq
 
-let form_tokens (form : Op.t) =
-  match form.Op.action with
-  | Op.Ins (e, p) ->
-    Printf.sprintf "ins %d %d %d %d" (Char.code e.Element.value)
-      e.Element.id.Op_id.client e.Element.id.Op_id.seq p
-  | Op.Del (e, p) ->
-    Printf.sprintf "del %d %d %d %d" (Char.code e.Element.value)
-      e.Element.id.Op_id.client e.Element.id.Op_id.seq p
-  | Op.Nop -> "nop"
+let id_of c s = Op_id.make ~client:(L.int c) ~seq:(L.int s)
+
+let state b s =
+  List.iteri
+    (fun k i ->
+      if k > 0 then Buffer.add_char b ' ';
+      id '.' b i)
+    (Op_id.Set.canonical s)
+
+let state_of tokens =
+  Op_id.Set.of_list
+    (List.map
+       (fun token ->
+         match String.split_on_char '.' token with
+         | [ c; s ] -> id_of c s
+         | _ -> L.fail "bad identifier token %S" token)
+       tokens)
+
+(* An element is "<char-code> <client> <seq>". *)
+let element b (e : Element.t) =
+  Printf.bprintf b "%d %a" (Char.code e.value) (id ' ') e.id
+
+let element_of code c s =
+  Element.make ~value:(Char.chr (L.int code)) ~id:(id_of c s)
+
+let form b (f : Op.t) =
+  match f.action with
+  | Op.Ins (e, p) -> Printf.bprintf b "ins %a %d" element e p
+  | Op.Del (e, p) -> Printf.bprintf b "del %a %d" element e p
+  | Op.Nop -> Buffer.add_string b "nop"
+
+let form_of orig = function
+  | [ "nop" ] -> Op.nop ~id:orig
+  | [ "ins"; code; c; s; pos ] ->
+    Op.make_ins ~id:orig (element_of code c s) (L.int pos)
+  | [ "del"; code; c; s; pos ] ->
+    Op.make_del ~id:orig (element_of code c s) (L.int pos)
+  | _ -> L.fail "bad transition form"
+
+(* Both snapshot kinds carry the document as one "delt" line per
+   element; any other line they do not know is an error. *)
+let doc_lines b doc =
+  Document.iter (fun e -> Printf.bprintf b "delt %a\n" element e) doc
+
+let doc_line elements = function
+  | [ "delt"; code; c; s ] -> elements := element_of code c s :: !elements
+  | tokens -> L.fail "unrecognized directive %S" (String.concat " " tokens)
+
+let doc_of elements =
+  let doc = Document.of_elements (List.rev elements) in
+  if Document.has_duplicates doc then L.fail "duplicate element id";
+  doc
+
+(* --- client snapshots ---------------------------------------------- *)
 
 let client_to_string client =
-  let id, next_seq, doc, serials = Protocol.client_state client in
+  let cid, next_seq, doc, serials = Protocol.client_state client in
   let space = Protocol.client_space client in
-  let buffer = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer (s ^ "\n")) fmt in
-  line "css-client 1";
-  line "client %d %d" id next_seq;
-  Document.iter
-    (fun e ->
-      line "delt %d %d %d" (Char.code e.Element.value) e.Element.id.Op_id.client
-        e.Element.id.Op_id.seq)
-    doc;
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "css-client 1\nclient %d %d\n" cid next_seq;
+  doc_lines b doc;
   List.iter
     (fun (op_id, serial) ->
-      line "serial %d %d %d" op_id.Op_id.client op_id.Op_id.seq serial)
-    (List.sort
-       (fun (a, _) (b, _) -> Op_id.compare a b)
-       serials);
-  line "root %s" (state_tokens (State_space.root space));
-  line "final %s" (state_tokens (State_space.final space));
+      Printf.bprintf b "serial %a %d\n" (id ' ') op_id serial)
+    (List.sort (fun (a, _) (b, _) -> Op_id.compare a b) serials);
+  Printf.bprintf b "root %a\nfinal %a\n" state (State_space.root space) state
+    (State_space.final space);
   List.iter
-    (fun (state, transitions) ->
-      line "node %s" (state_tokens state);
+    (fun (s, transitions) ->
+      Printf.bprintf b "node %a\n" state s;
       List.iter
-        (fun tr ->
-          line "tr %d %d %s" tr.State_space.orig.Op_id.client
-            tr.State_space.orig.Op_id.seq
-            (form_tokens tr.State_space.form))
+        (fun (tr : State_space.transition) ->
+          Printf.bprintf b "tr %a %a\n" (id ' ') tr.orig form tr.form)
         transitions)
     (List.sort
        (fun (s1, _) (s2, _) -> Op_id.Set.compare s1 s2)
        (State_space.listing space));
-  Buffer.contents buffer
+  Buffer.contents b
 
 let client_of_string text =
-  let fail lineno fmt =
-    Format.kasprintf
-      (fun s ->
-        invalid_arg (Printf.sprintf "Snapshot: line %d: %s" lineno s))
-      fmt
-  in
-  let parse_int lineno s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> fail lineno "bad integer %S" s
-  in
-  let parse_id lineno token =
-    match String.split_on_char '.' token with
-    | [ c; s ] -> (
-      let c = parse_int lineno c and s = parse_int lineno s in
-      if c = 0 then Op_id.initial ~seq:s else Op_id.make ~client:c ~seq:s)
-    | _ -> fail lineno "bad identifier token %S" token
-  in
-  let parse_state lineno tokens =
-    Op_id.Set.of_list (List.map (parse_id lineno) tokens)
-  in
-  let parse_form lineno orig tokens =
-    match tokens with
-    | [ "nop" ] -> Op.nop ~id:orig
-    | [ "ins"; code; ec; es; pos ] ->
-      let value = Char.chr (parse_int lineno code) in
-      let eid =
-        let c = parse_int lineno ec and s = parse_int lineno es in
-        if c = 0 then Op_id.initial ~seq:s else Op_id.make ~client:c ~seq:s
-      in
-      Op.make_ins ~id:orig (Element.make ~value ~id:eid) (parse_int lineno pos)
-    | [ "del"; code; ec; es; pos ] ->
-      let value = Char.chr (parse_int lineno code) in
-      let eid =
-        let c = parse_int lineno ec and s = parse_int lineno es in
-        if c = 0 then Op_id.initial ~seq:s else Op_id.make ~client:c ~seq:s
-      in
-      Op.make_del ~id:orig (Element.make ~value ~id:eid) (parse_int lineno pos)
-    | _ -> fail lineno "bad transition form"
-  in
-  let header = ref false in
-  let id = ref 0 in
-  let next_seq = ref 1 in
-  let doc_elements = ref [] in
-  let serials = ref [] in
-  let root = ref None in
-  let final = ref None in
+  let cid = ref 0 and next_seq = ref 1 and elements = ref [] in
+  let serials = ref [] and root = ref None and final = ref None in
   let nodes = ref [] in  (* (state, transitions rev) list, reversed *)
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let line = String.trim raw in
-      if line = "" || line.[0] = '#' then ()
-      else
-        match String.split_on_char ' ' line with
-        | [ "css-client"; "1" ] -> header := true
-        | "css-client" :: v -> fail lineno "unsupported version %s" (String.concat " " v)
-        | [ "client"; i; seq ] ->
-          id := parse_int lineno i;
-          next_seq := parse_int lineno seq
-        | [ "delt"; code; ec; es ] ->
-          let value = Char.chr (parse_int lineno code) in
-          let c = parse_int lineno ec and s = parse_int lineno es in
-          let eid =
-            if c = 0 then Op_id.initial ~seq:s else Op_id.make ~client:c ~seq:s
-          in
-          doc_elements := Element.make ~value ~id:eid :: !doc_elements
-        | [ "serial"; c; s; serial ] ->
-          serials :=
-            ( Op_id.make ~client:(parse_int lineno c) ~seq:(parse_int lineno s),
-              parse_int lineno serial )
-            :: !serials
-        | "root" :: tokens -> root := Some (parse_state lineno tokens)
-        | "final" :: tokens -> final := Some (parse_state lineno tokens)
-        | "node" :: tokens ->
-          nodes := (parse_state lineno tokens, []) :: !nodes
-        | "tr" :: c :: s :: form_tokens -> (
-          match !nodes with
-          | [] -> fail lineno "transition before any node"
-          | (state, transitions) :: rest ->
-            let orig =
-              Op_id.make ~client:(parse_int lineno c) ~seq:(parse_int lineno s)
-            in
-            let form = parse_form lineno orig form_tokens in
-            let target = Op_id.Set.add orig state in
-            nodes :=
-              (state, { State_space.orig; form; target } :: transitions)
-              :: rest)
-        | _ -> fail lineno "unrecognized directive %S" line)
-    (String.split_on_char '\n' text);
-  if not !header then invalid_arg "Snapshot: missing css-client header";
-  match !root, !final with
-  | None, _ | _, None -> invalid_arg "Snapshot: missing root or final state"
-  | Some root, Some final ->
-    Protocol.rebuild_client ~id:!id ~next_seq:!next_seq
-      ~doc:(Document.of_elements (List.rev !doc_elements))
-      ~serials:!serials
-      ~space:(List.rev_map (fun (s, trs) -> s, List.rev trs) !nodes)
-      ~root ~final
+  L.parse ~header:("css-client", "1") text
+    (function
+      | [ "client"; i; seq ] ->
+        cid := L.int i;
+        next_seq := L.int seq;
+        if !next_seq < 1 then L.fail "next sequence number %d < 1" !next_seq
+      | [ "serial"; c; s; serial ] ->
+        serials := (id_of c s, L.int serial) :: !serials
+      | "root" :: tokens -> root := Some (state_of tokens)
+      | "final" :: tokens -> final := Some (state_of tokens)
+      | "node" :: tokens -> nodes := (state_of tokens, []) :: !nodes
+      | "tr" :: c :: s :: form_tokens -> (
+        match !nodes with
+        | [] -> L.fail "transition before any node"
+        | (state, transitions) :: rest ->
+          let orig = id_of c s in
+          let form = form_of orig form_tokens in
+          let target = Op_id.Set.add orig state in
+          nodes :=
+            (state, { State_space.orig; form; target } :: transitions) :: rest)
+      | tokens -> doc_line elements tokens)
+    (fun () ->
+      match !root, !final with
+      | None, _ | _, None -> L.fail "missing root or final state"
+      | Some root, Some final ->
+        Protocol.rebuild_client ~id:!cid ~next_seq:!next_seq
+          ~doc:(doc_of !elements) ~serials:!serials
+          ~space:(List.rev_map (fun (s, trs) -> s, List.rev trs) !nodes)
+          ~root ~final)
 
 (* --- stable snapshots ---------------------------------------------- *)
 
@@ -185,67 +155,19 @@ type stable = {
 }
 
 let stable_to_string { at_serial; stable_doc } =
-  let buffer = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer (s ^ "\n")) fmt in
-  line "css-stable 1";
-  line "at %d" at_serial;
-  Document.iter
-    (fun e ->
-      line "delt %d %d %d" (Char.code e.Element.value) e.Element.id.Op_id.client
-        e.Element.id.Op_id.seq)
-    stable_doc;
-  Buffer.contents buffer
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "css-stable 1\nat %d\n" at_serial;
+  doc_lines b stable_doc;
+  Buffer.contents b
 
 let stable_of_string text =
-  let fail lineno fmt =
-    Format.kasprintf
-      (fun s -> invalid_arg (Printf.sprintf "Snapshot: line %d: %s" lineno s))
-      fmt
-  in
-  let parse_int lineno s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> fail lineno "bad integer %S" s
-  in
-  let header = ref false in
-  let at_serial = ref 0 in
-  let doc_elements = ref [] in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let line = String.trim raw in
-      if line = "" || line.[0] = '#' then ()
-      else
-        match String.split_on_char ' ' line with
-        | [ "css-stable"; "1" ] -> header := true
-        | "css-stable" :: v ->
-          fail lineno "unsupported version %s" (String.concat " " v)
-        | [ "at"; serial ] -> at_serial := parse_int lineno serial
-        | [ "delt"; code; ec; es ] ->
-          let value = Char.chr (parse_int lineno code) in
-          let c = parse_int lineno ec and s = parse_int lineno es in
-          let eid =
-            if c = 0 then Op_id.initial ~seq:s else Op_id.make ~client:c ~seq:s
-          in
-          doc_elements := Element.make ~value ~id:eid :: !doc_elements
-        | _ -> fail lineno "unrecognized directive %S" line)
-    (String.split_on_char '\n' text);
-  if not !header then invalid_arg "Snapshot: missing css-stable header";
-  {
-    at_serial = !at_serial;
-    stable_doc = Document.of_elements (List.rev !doc_elements);
-  }
+  let at_serial = ref 0 and elements = ref [] in
+  L.parse ~header:("css-stable", "1") text
+    (function
+      | [ "at"; serial ] -> at_serial := L.int serial
+      | tokens -> doc_line elements tokens)
+    (fun () -> { at_serial = !at_serial; stable_doc = doc_of !elements })
 
-let save_client ~path client =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (client_to_string client))
+let save_client ~path client = L.save ~path (client_to_string client)
 
-let load_client ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      client_of_string (really_input_string ic n))
+let load_client ~path = L.load ~path client_of_string

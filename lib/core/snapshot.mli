@@ -15,13 +15,14 @@
 
 val client_to_string : Protocol.client -> string
 
-(** @raise Invalid_argument on malformed input (message names the
-    offending line). *)
-val client_of_string : string -> Protocol.client
+(** [Error] on malformed input, naming the offending line when one is
+    at fault; never raises. *)
+val client_of_string : string -> (Protocol.client, string) result
 
 val save_client : path:string -> Protocol.client -> unit
 
-val load_client : path:string -> Protocol.client
+(** As {!client_of_string}; an unreadable file is an [Error] too. *)
+val load_client : path:string -> (Protocol.client, string) result
 
 (** A stable snapshot — the Raft-style compaction artifact the GC
     driver emits: the document at the acked-stable frontier together
@@ -36,6 +37,5 @@ type stable = {
 
 val stable_to_string : stable -> string
 
-(** @raise Invalid_argument on malformed input (message names the
-    offending line). *)
-val stable_of_string : string -> stable
+(** [Error] on malformed input, as {!client_of_string}. *)
+val stable_of_string : string -> (stable, string) result

@@ -12,5 +12,3 @@ let pp ppf = function
   | Insert (c, p) -> Format.fprintf ppf "Insert(%c, %d)" c p
   | Delete p -> Format.fprintf ppf "Delete(%d)" p
   | Read -> Format.pp_print_string ppf "Read"
-
-let to_string t = Format.asprintf "%a" pp t

@@ -18,5 +18,3 @@ type t =
 val valid_for : doc_length:int -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string

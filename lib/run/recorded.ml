@@ -312,58 +312,45 @@ let compare_decisions expected got =
   in
   go 0 (expected, got)
 
-let verify ?obs (recording : Recorder.recording) =
-  match spec_of_header recording.Recorder.header with
-  | Error msg -> Error msg
-  | Ok spec ->
-    let capacity =
-      match List.assoc_opt "capacity" recording.Recorder.header with
-      | Some v -> Option.value (int_of_string_opt v) ~default:Recorder.default_capacity
-      | None -> Recorder.default_capacity
-    in
-    let outcome, recorder = record ?obs ~capacity spec in
-    let fresh = digest_of outcome in
-    let mismatches =
-      List.filter_map
-        (fun (k, expected) ->
-          match List.assoc_opt k fresh with
-          | Some got when String.equal got expected -> None
-          | Some got -> Some (k, expected, got)
-          | None -> Some (k, expected, "<absent>"))
-        recording.Recorder.digest
-      @ List.filter_map
-          (fun (k, got) ->
-            if List.mem_assoc k recording.Recorder.digest then None
-            else Some (k, "<absent>", got))
-          fresh
-    in
-    let divergence =
-      compare_decisions recording.Recorder.r_window (Recorder.window recorder)
-    in
-    let total_got = Recorder.total recorder in
-    Ok
-      {
-        v_spec = spec;
-        v_outcome = outcome;
-        v_total_expected = recording.Recorder.r_total;
-        v_total_got = total_got;
-        v_mismatches = mismatches;
-        v_divergence = divergence;
-        v_ok =
-          mismatches = [] && Option.is_none divergence
-          && total_got = recording.Recorder.r_total;
-      }
+let verify ?obs spec (recording : Recorder.recording) =
+  let capacity =
+    match List.assoc_opt "capacity" recording.Recorder.header with
+    | Some v -> Option.value (int_of_string_opt v) ~default:Recorder.default_capacity
+    | None -> Recorder.default_capacity
+  in
+  let outcome, recorder = record ?obs ~capacity spec in
+  let fresh = digest_of outcome in
+  let mismatches =
+    List.filter_map
+      (fun (k, expected) ->
+        match List.assoc_opt k fresh with
+        | Some got when String.equal got expected -> None
+        | Some got -> Some (k, expected, got)
+        | None -> Some (k, expected, "<absent>"))
+      recording.Recorder.digest
+    @ List.filter_map
+        (fun (k, got) ->
+          if List.mem_assoc k recording.Recorder.digest then None
+          else Some (k, "<absent>", got))
+        fresh
+  in
+  let divergence =
+    compare_decisions recording.Recorder.r_window (Recorder.window recorder)
+  in
+  let total_got = Recorder.total recorder in
+  {
+    v_spec = spec;
+    v_outcome = outcome;
+    v_total_expected = recording.Recorder.r_total;
+    v_total_got = total_got;
+    v_mismatches = mismatches;
+    v_divergence = divergence;
+    v_ok =
+      mismatches = [] && Option.is_none divergence
+      && total_got = recording.Recorder.r_total;
+  }
 
 (* --- schedule extraction (shrinker handoff) ----------------------- *)
-
-let parse_intent s =
-  match String.split_on_char ' ' s with
-  | [ "read" ] -> Some Intent.Read
-  | [ "del"; p ] ->
-    Option.map (fun p -> Intent.Delete p) (int_of_string_opt p)
-  | [ "ins"; c; p ] when String.length c = 1 ->
-    Option.map (fun p -> Intent.Insert (c.[0], p)) (int_of_string_opt p)
-  | _ -> None
 
 let schedule_of_recording (recording : Recorder.recording) =
   if recording.Recorder.r_total > List.length recording.Recorder.r_window then
@@ -376,7 +363,10 @@ let schedule_of_recording (recording : Recorder.recording) =
       | d :: rest -> (
         match d with
         | Recorder.Generate { client; intent } -> (
-          match parse_intent intent with
+          match
+            Rlist_sim.Schedule_text.intent_of_tokens
+              (String.split_on_char ' ' intent)
+          with
           | Some i -> go (Rlist_sim.Schedule.Generate (client, i) :: acc) rest
           | None ->
             Error (Printf.sprintf "unparseable recorded intent %S" intent))

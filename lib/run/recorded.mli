@@ -148,11 +148,10 @@ type verdict = {
   v_ok : bool;
 }
 
-(** Re-execute a recording's spec and check the fresh run against the
-    stored digest and decision window.  [Error] on a malformed
-    header. *)
-val verify :
-  ?obs:Rlist_obs.Obs.t -> Recorder.recording -> (verdict, string) result
+(** Re-execute [spec] (read off the recording's header by
+    {!spec_of_header}) and check the fresh run against the recording's
+    stored digest and decision window. *)
+val verify : ?obs:Rlist_obs.Obs.t -> spec -> Recorder.recording -> verdict
 
 (** Reconstruct the engine schedule from a recording's decision stream
     for the ddmin shrinker.  [Error] when the ring wrapped (early

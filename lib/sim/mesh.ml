@@ -5,11 +5,6 @@ module Ev = Rlist_obs.Event
 module Recorder = Rlist_obs.Recorder
 module Transport = Rlist_net.Transport
 
-let intent_string = function
-  | Intent.Insert (c, p) -> Printf.sprintf "ins %c %d" c p
-  | Intent.Delete p -> Printf.sprintf "del %d" p
-  | Intent.Read -> "read"
-
 (* Channels stuck for this many consecutive virtual-clock ticks (no
    delivery possible anywhere, retransmission timers included) mean the
    network cannot quiesce — e.g. a permanent partition, or loss with
@@ -292,7 +287,9 @@ let meta_delta t os slot =
   Metrics.set_gauge os.g_metadata (float_of_int os.meta_total)
 
 let generate t ~client ~slot ~replica ?via intent gen =
-  record t (Recorder.Generate { client; intent = intent_string intent });
+  record t
+    (Recorder.Generate
+       { client; intent = Schedule_text.intent_to_string intent });
   let ((outcome : Protocol_intf.do_outcome), _) as result = gen () in
   if t.history then begin
     t.events <-

@@ -8,104 +8,76 @@ type file = {
 
 let printable c = c > ' ' && c < '\x7f'
 
+let intent_to_string = function
+  | Intent.Insert (c, p) -> Printf.sprintf "ins %c %d" c p
+  | Intent.Delete p -> Printf.sprintf "del %d" p
+  | Intent.Read -> "read"
+
+let intent_of_tokens = function
+  | [ "read" ] -> Some Intent.Read
+  | [ "del"; p ] -> Option.map (fun p -> Intent.Delete p) (int_of_string_opt p)
+  | [ "ins"; c; p ] when String.length c = 1 ->
+    Option.map (fun p -> Intent.Insert (c.[0], p)) (int_of_string_opt p)
+  | _ -> None
+
 let event_to_string = function
-  | Schedule.Generate (i, Intent.Insert (c, p)) ->
-    if not (printable c) then
-      invalid_arg "Schedule_text: unprintable character in insert";
-    Printf.sprintf "gen %d ins %c %d" i c p
-  | Schedule.Generate (i, Intent.Delete p) -> Printf.sprintf "gen %d del %d" i p
-  | Schedule.Generate (i, Intent.Read) -> Printf.sprintf "gen %d read" i
+  | Schedule.Generate (_, Intent.Insert (c, _)) when not (printable c) ->
+    invalid_arg "Schedule_text: unprintable character in insert"
+  | Schedule.Generate (i, intent) ->
+    Printf.sprintf "gen %d %s" i (intent_to_string intent)
   | Schedule.Deliver_to_server i -> Printf.sprintf "c2s %d" i
   | Schedule.Deliver_to_client i -> Printf.sprintf "s2c %d" i
 
+let printable_initial s =
+  if not (String.for_all printable s) then
+    invalid_arg "Schedule_text: unprintable initial document"
+
 let to_string ?(initial = Document.empty) ~nclients events =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "# jupiter schedule\n";
-  Buffer.add_string buffer (Printf.sprintf "clients %d\n" nclients);
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "# jupiter schedule\nclients %d\n" nclients;
   if not (Document.is_empty initial) then begin
     let s = Document.to_string initial in
-    String.iter
-      (fun c ->
-        if not (printable c) then
-          invalid_arg "Schedule_text: unprintable initial document")
-      s;
-    Buffer.add_string buffer (Printf.sprintf "initial %s\n" s)
+    printable_initial s;
+    Printf.bprintf b "initial %s\n" s
   end;
-  List.iter
-    (fun ev ->
-      Buffer.add_string buffer (event_to_string ev);
-      Buffer.add_char buffer '\n')
-    events;
-  Buffer.contents buffer
+  List.iter (fun ev -> Printf.bprintf b "%s\n" (event_to_string ev)) events;
+  Buffer.contents b
 
 let of_string text =
-  let exception Bad of string in
-  let fail lineno fmt =
-    Format.kasprintf (fun s -> raise (Bad (Printf.sprintf "line %d: %s" lineno s))) fmt
-  in
-  try
-    let nclients = ref None in
-    let initial = ref Document.empty in
-    let events = ref [] in
-    let lines = String.split_on_char '\n' text in
-    List.iteri
-      (fun idx line ->
-        let lineno = idx + 1 in
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then ()
-        else
-          match String.split_on_char ' ' line with
-          | [ "clients"; n ] -> (
-            match int_of_string_opt n with
-            | Some n when n >= 1 -> nclients := Some n
-            | _ -> fail lineno "bad client count %S" n)
-          | [ "initial"; s ] -> initial := Document.of_string s
-          | [ "gen"; i; "ins"; c; p ] -> (
-            match int_of_string_opt i, int_of_string_opt p with
-            | Some i, Some p when String.length c = 1 ->
-              events :=
-                Schedule.Generate (i, Intent.Insert (c.[0], p)) :: !events
-            | _ -> fail lineno "bad insert %S" line)
-          | [ "gen"; i; "del"; p ] -> (
-            match int_of_string_opt i, int_of_string_opt p with
-            | Some i, Some p ->
-              events := Schedule.Generate (i, Intent.Delete p) :: !events
-            | _ -> fail lineno "bad delete %S" line)
-          | [ "gen"; i; "read" ] -> (
-            match int_of_string_opt i with
-            | Some i -> events := Schedule.Generate (i, Intent.Read) :: !events
-            | None -> fail lineno "bad read %S" line)
-          | [ "c2s"; i ] -> (
-            match int_of_string_opt i with
-            | Some i -> events := Schedule.Deliver_to_server i :: !events
-            | None -> fail lineno "bad delivery %S" line)
-          | [ "s2c"; i ] -> (
-            match int_of_string_opt i with
-            | Some i -> events := Schedule.Deliver_to_client i :: !events
-            | None -> fail lineno "bad delivery %S" line)
-          | _ -> fail lineno "unrecognized directive %S" line)
-      lines;
-    match !nclients with
-    | None -> Error "missing 'clients' directive"
-    | Some nclients ->
-      let events = List.rev !events in
-      (match Schedule.validate ~nclients events with
-      | Ok () -> Ok { nclients; initial = !initial; events }
-      | Error e -> Error e)
-  with Bad msg -> Error msg
+  let int = Line_format.int and fail = Line_format.fail in
+  let nclients = ref None in
+  let initial = ref Document.empty in
+  let events = ref [] in
+  let event e = events := e :: !events in
+  Line_format.parse text
+    (function
+      | [ "clients"; n ] ->
+        let n = int n in
+        if n < 1 then fail "bad client count %d" n;
+        nclients := Some n
+      | [ "initial"; s ] ->
+        printable_initial s;
+        initial := Document.of_string s
+      | "gen" :: i :: intent -> (
+        match intent_of_tokens intent with
+        | Some (Intent.Insert (c, _)) when not (printable c) ->
+          fail "unprintable character in insert"
+        | Some intent -> event (Schedule.Generate (int i, intent))
+        | None -> fail "bad intent %S" (String.concat " " intent))
+      | [ "c2s"; i ] -> event (Schedule.Deliver_to_server (int i))
+      | [ "s2c"; i ] -> event (Schedule.Deliver_to_client (int i))
+      | tokens -> fail "unrecognized directive %S" (String.concat " " tokens))
+    (fun () ->
+      match !nclients with
+      | None -> Error "missing 'clients' directive"
+      | Some nclients ->
+        let events = List.rev !events in
+        Result.map
+          (fun () -> { nclients; initial = !initial; events })
+          (Schedule.validate ~nclients events))
+  |> Result.join
 
 let save ~path ?initial ~nclients events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?initial ~nclients events))
+  Line_format.save ~path (to_string ?initial ~nclients events)
 
-let load ~path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        of_string (really_input_string ic n))
+let load ~path = Line_format.load ~path of_string

@@ -16,7 +16,10 @@
     v}
 
     [initial] is optional (defaults to the empty document).  Inserted
-    characters must be printable and non-blank. *)
+    characters and the initial document must be printable and
+    non-blank.  This module owns the intent text after [gen i]; the
+    engines' flight recorder stores intents in the same text.  Files
+    are read through {!Line_format}. *)
 
 open Rlist_model
 
@@ -26,9 +29,16 @@ type file = {
   events : Schedule.t;
 }
 
+(** The intent text: [ins c p], [del p] or [read]. *)
+val intent_to_string : Intent.t -> string
+
+(** Parse an intent from its space-separated tokens; [None] if they do
+    not spell one. *)
+val intent_of_tokens : string list -> Intent.t option
+
 val to_string : ?initial:Document.t -> nclients:int -> Schedule.t -> string
 
-(** Parse; errors mention the offending line. *)
+(** Parse; errors mention the offending line.  Never raises. *)
 val of_string : string -> (file, string) result
 
 val save : path:string -> ?initial:Document.t -> nclients:int -> Schedule.t

@@ -44,3 +44,6 @@ pin replay -p cscw g.sched
 # naive foil aborts and dumps its recording.
 pin soak css --faults none --no-shim -u 60 -s 7
 pin soak naive --faults chaos -u 30 -s 3
+# Its replay reproduces the abort; under --json the verdict is one
+# JSON object.
+pin replay soak-naive-3.jfr --json

@@ -30,6 +30,9 @@ let check_violated what result =
   | Rlist_spec.Check.Satisfied ->
     Alcotest.failf "%s: expected a violation, got satisfied" what
 
+(* The value of an [Ok], failing the test with an [Error]'s message. *)
+let ok = function Ok v -> v | Error e -> Alcotest.failf "unexpected error: %s" e
+
 (* Substring search, for asserting on rendered output. *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

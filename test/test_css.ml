@@ -476,7 +476,7 @@ let prop_path_read_off_space =
            (fun i ->
              let c = Re.client t i in
              let rebuilt =
-               Jupiter_css.Snapshot.(client_of_string (client_to_string c))
+               Helpers.ok Jupiter_css.Snapshot.(client_of_string (client_to_string c))
              in
              check i (Recording.client_path c) (Recording.client_visible c)
              && List.equal Op_id.Set.equal

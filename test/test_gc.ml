@@ -281,17 +281,14 @@ let test_stable_snapshot_round_trip () =
   in
   let snap = { Jupiter_css.Snapshot.at_serial = 7; stable_doc = doc } in
   let s = Jupiter_css.Snapshot.stable_to_string snap in
-  let back = Jupiter_css.Snapshot.stable_of_string s in
+  let back = Helpers.ok (Jupiter_css.Snapshot.stable_of_string s) in
   Alcotest.(check int) "serial survives" 7 back.Jupiter_css.Snapshot.at_serial;
   Alcotest.(check string)
     "document survives" "jupiter"
     (Document.to_string back.Jupiter_css.Snapshot.stable_doc);
   Alcotest.(check bool)
     "malformed input rejected" true
-    (try
-       ignore (Jupiter_css.Snapshot.stable_of_string "stable nonsense");
-       false
-     with Invalid_argument _ -> true)
+    (Result.is_error (Jupiter_css.Snapshot.stable_of_string "stable nonsense"))
 
 (* The engine's GC driver emits the same artifact end to end. *)
 let test_engine_snapshot_artifact () =
@@ -301,7 +298,7 @@ let test_engine_snapshot_artifact () =
   match E.gc_last_snapshot t with
   | None -> Alcotest.fail "eager policy took no snapshot"
   | Some s ->
-    let snap = Jupiter_css.Snapshot.stable_of_string s in
+    let snap = Helpers.ok (Jupiter_css.Snapshot.stable_of_string s) in
     Alcotest.(check bool)
       "snapshot covers a pruned prefix" true
       (snap.Jupiter_css.Snapshot.at_serial >= 0)

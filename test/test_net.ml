@@ -495,7 +495,7 @@ let test_css_crash_reconnect () =
   let ck = ref (checkpoint ()) in
   let crash () =
     let snap, s, r = !ck in
-    client := Jupiter_css.Snapshot.client_of_string snap;
+    client := Helpers.ok (Jupiter_css.Snapshot.client_of_string snap);
     Transport.restore_sender c2s s;
     Transport.restore_receiver s2c r;
     Transport.drop_wire c2s;

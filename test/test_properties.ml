@@ -191,6 +191,174 @@ let test_shimless_diverges () =
         true (E.converged t))
     seeds
 
+(* --- Robustness: the text readers never raise (ROADMAP item 1) ----- *)
+
+module Snapshot = Jupiter_css.Snapshot
+module Schedule_text = Rlist_sim.Schedule_text
+
+(* The texts a seed's run writes: its schedule file, every client's
+   snapshot (plain CSS) and the last stable snapshot of an eager-GC
+   css-pruned run.  Even seeds start from a non-empty document, so the
+   initial elements' client-0 ids are in the texts. *)
+let texts_of seed =
+  let initial =
+    if seed mod 2 = 0 then Document.of_string "seed" else Document.empty
+  in
+  let rng () = Random.State.make [| seed; 0xFA17 |] in
+  let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
+  let t = E.create ~initial ~nclients:3 () in
+  let schedule = E.run_random t ~rng:(rng ()) ~params in
+  let module P = Rlist_sim.Engine.Make (Jupiter_css.Pruned_protocol) in
+  let gc = Result.get_ok (Rlist_gc.of_string "ops=4,retain=2,snap=1") in
+  let p = P.create ~gc ~initial ~nclients:3 () in
+  ignore (P.run_random p ~rng:(rng ()) ~params);
+  ( (initial, schedule),
+    List.map (fun i -> Snapshot.client_to_string (E.client t i)) [ 1; 2; 3 ],
+    P.gc_last_snapshot p )
+
+let readers =
+  [
+    "client snapshot", (fun s -> Result.is_ok (Snapshot.client_of_string s));
+    "stable snapshot", (fun s -> Result.is_ok (Snapshot.stable_of_string s));
+    "schedule", (fun s -> Result.is_ok (Schedule_text.of_string s));
+  ]
+
+(* Every reader returns on [text]; an escaping exception fails. *)
+let never_raises text =
+  List.for_all
+    (fun (what, read) ->
+      match read text with
+      | _ -> true
+      | exception e ->
+        QCheck2.Test.fail_reportf "%s reader raised %s on %S" what
+          (Printexc.to_string e) text)
+    readers
+
+let roundtrips seed =
+  let (initial, schedule), clients, stable = texts_of seed in
+  let again print parse s = Result.map print (parse s) = Ok s in
+  let text = Schedule_text.to_string ~initial ~nclients:3 schedule in
+  (match Schedule_text.of_string text with
+  | Ok f ->
+    f.nclients = 3 && f.events = schedule && Document.equal f.initial initial
+  | Error _ -> false)
+  && List.for_all
+       (again Snapshot.client_to_string Snapshot.client_of_string)
+       clients
+  && Option.fold ~none:false
+       ~some:(again Snapshot.stable_to_string Snapshot.stable_of_string)
+       stable
+
+(* Tokens a corrupted line is likely to carry: out-of-range char codes,
+   client 0 and negative ids, non-numbers, overflow, stray keywords. *)
+let bad_tokens =
+  [| "0"; "1"; "-1"; "300"; "-5"; "0.0"; "1.1"; "x"; ""; "nop"; "ins";
+     "del"; "4611686018427387904"; "99999999999999999999"; "\x01" |]
+
+(* Corrupt a valid text a few times: replace a token, drop, duplicate
+   or swap lines, or cut the text short. *)
+let mutate rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let n = Array.length lines in
+  for _ = 1 to 1 + Random.State.int rng 3 do
+    let i = Random.State.int rng n in
+    match Random.State.int rng 5 with
+    | 0 ->
+      let tokens = Array.of_list (String.split_on_char ' ' lines.(i)) in
+      tokens.(Random.State.int rng (Array.length tokens)) <-
+        bad_tokens.(Random.State.int rng (Array.length bad_tokens));
+      lines.(i) <- String.concat " " (Array.to_list tokens)
+    | 1 -> lines.(i) <- ""
+    | 2 -> lines.(i) <- lines.(i) ^ "\n" ^ lines.(i)
+    | 3 ->
+      let j = Random.State.int rng n in
+      let l = lines.(i) in
+      lines.(i) <- lines.(j);
+      lines.(j) <- l
+    | _ ->
+      let l = lines.(i) in
+      lines.(i) <- String.sub l 0 (Random.State.int rng (String.length l + 1))
+  done;
+  String.concat "\n" (Array.to_list lines)
+
+let mutants_never_raise seed =
+  let (initial, schedule), clients, stable = texts_of seed in
+  let rng = Random.State.make [| seed; 0x3A7E |] in
+  let valid =
+    (Schedule_text.to_string ~initial ~nclients:3 schedule :: clients)
+    @ Option.to_list stable
+  in
+  List.for_all
+    (fun text ->
+      List.for_all never_raises (List.init 20 (fun _ -> mutate rng text)))
+    valid
+
+(* Arbitrary short texts built from the formats' own vocabulary, after
+   an optional header, plus raw bytes. *)
+let gen_text =
+  let open QCheck2.Gen in
+  let keyword =
+    oneofl
+      [ "css-client"; "css-stable"; "client"; "delt"; "serial"; "root";
+        "final"; "node"; "tr"; "at"; "clients"; "initial"; "gen"; "c2s";
+        "s2c"; "ins"; "del"; "read"; "nop"; "#" ]
+  in
+  let line =
+    map2
+      (fun k ts -> String.concat " " (k :: ts))
+      keyword
+      (list_size (int_bound 6) (oneofl (Array.to_list bad_tokens)))
+  in
+  oneof
+    [
+      string;
+      map2 ( ^ )
+        (oneofl [ ""; "css-client 1\n"; "css-stable 1\n"; "clients 2\n" ])
+        (map (String.concat "\n") (list_size (int_bound 12) line));
+    ]
+
+(* Inputs a constructor rejects while a line is decoded ([Char.chr] on
+   code 300, [Op_id.make] on a negative id) or that break a snapshot's
+   own invariants must each be a line-numbered [Error], not an
+   exception or a success. *)
+let test_reader_regressions () =
+  let line_error what n result =
+    match result with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names line %d" what e n)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "line %d: " n) e)
+  in
+  let client = "css-client 1\nclient 1 1\nroot \nfinal \nnode \n" in
+  Alcotest.(check bool) "a minimal client snapshot reads" true
+    (Result.is_ok (Snapshot.client_of_string client));
+  line_error "char code 300" 3
+    (Snapshot.stable_of_string "css-stable 1\nat 1\ndelt 300 1 1\n");
+  line_error "negative client id" 3
+    (Snapshot.stable_of_string "css-stable 1\nat 1\ndelt 97 -1 1\n");
+  line_error "char code 300 (client)" 6
+    (Snapshot.client_of_string (client ^ "delt 300 1 1\n"));
+  line_error "negative state id" 4
+    (Snapshot.client_of_string
+       "css-client 1\nclient 1 1\nroot \nfinal -1.1\n");
+  line_error "next_seq 0" 2
+    (Snapshot.client_of_string
+       "css-client 1\nclient 1 0\nroot \nfinal \nnode \n");
+  line_error "unprintable initial" 2
+    (Schedule_text.of_string "clients 2\ninitial \x01\n");
+  line_error "unprintable insert" 2
+    (Schedule_text.of_string "clients 2\ngen 1 ins \x01 0\n");
+  let rejected what result =
+    Alcotest.(check bool) what true (Result.is_error result)
+  in
+  rejected "duplicate element ids (stable)"
+    (Snapshot.stable_of_string
+       "css-stable 1\nat 0\ndelt 97 1 1\ndelt 98 1 1\n");
+  rejected "duplicate element ids (client)"
+    (Snapshot.client_of_string (client ^ "delt 97 0 1\ndelt 98 0 1\n"))
+
 let () =
   Alcotest.run "properties"
     [
@@ -226,6 +394,18 @@ let () =
             (all_converge ~batching:true ~faulty:true);
           qtest ~count:10 "naive foil gets a clean channel" seed_gen
             naive_completes_cleanly;
+        ] );
+      ( "robustness",
+        [
+          qtest ~count:25 "snapshots and schedules round-trip" seed_gen
+            roundtrips;
+          qtest ~count:25 "mutated texts never raise" seed_gen
+            mutants_never_raise;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~name:"arbitrary texts never raise"
+               ~count:1000 ~print:(Printf.sprintf "%S") gen_text never_raises);
+          Alcotest.test_case "reader regressions" `Quick
+            test_reader_regressions;
         ] );
       ( "negative-control",
         [

@@ -448,8 +448,8 @@ let test_lib_census () =
   Alcotest.(check (list (pair string int)))
     "lib/sim allocation census"
     [
-      "stack-confined", 12;
-      "instance-confined", 20;
+      "stack-confined", 9;
+      "instance-confined", 23;
       "escaping", 0;
     ]
     (List.map
