@@ -14,8 +14,10 @@
 
    Exit 0 is clean, 64 is a usage error.  `--list-rules` documents the
    registry; `--rules a,b` restricts a run; `--baseline f` accepts the
-   findings recorded in [f] (one `path:rule` per line); `--json` emits
-   the machine-readable report for CI artifacts.
+   findings recorded in [f] (one `path:rule` per line; a malformed line
+   is a usage error) and reports each entry that matches none as
+   `unused-allow`; `--json` emits the machine-readable report for CI
+   artifacts.
 
    The typed layer (`--typed`) loads the [.cmt] artifacts dune saved
    under `--cmt-root` (default: `_build/default` when it exists),
@@ -112,11 +114,11 @@ let () =
       rules := Some names;
       parse rest
     | "--baseline" :: file :: rest ->
-      if not (Sys.file_exists file) then begin
-        Printf.eprintf "rlist_lint: baseline file %S not found\n" file;
-        exit 64
-      end;
-      baseline := Some (Lint.load_baseline file);
+      (match Lint.load_baseline file with
+      | Ok b -> baseline := Some b
+      | Error msg ->
+        Printf.eprintf "rlist_lint: baseline %s: %s\n" file msg;
+        exit 64);
       parse rest
     | ("--help" | "-h") :: _
     | ( "--rules" | "--baseline" | "--cmt-root" | "--entry" | "--domain-report"
@@ -203,7 +205,16 @@ let () =
   let findings =
     match !baseline with
     | None -> findings
-    | Some b -> Lint.apply_baseline b findings
+    | Some b ->
+      (* An entry is judged only when its rule ran over its file. *)
+      let files = Lint.walk roots in
+      let ran ~path ~rule =
+        List.mem path files
+        && (match !rules with None -> true | Some l -> List.mem rule l)
+        && (!typed
+           || match Rules.find rule with Some r -> not r.typed | None -> true)
+      in
+      Lint.apply_baseline ~ran b findings
   in
   if !json then print_endline (Json.to_string (Lint.report_json findings))
   else begin

@@ -112,23 +112,27 @@ let generate t intent =
     process t op ctx;
     outcome, Some (Op_msg { op; ctx; ts })
 
-let receive t ~from message =
-  match message with
-  | Clock c ->
-    t.heard.(from) <- max t.heard.(from) c;
-    t.clock <- max t.clock c;
-    integrate_stable t;
-    None
-  | Op_msg { op; ctx; ts } ->
-    t.heard.(from) <- max t.heard.(from) ts;
-    t.clock <- max t.clock ts + 1;
-    Op_id.Table.replace t.order op.Op.id (ts, from);
-    insert_buffered t { b_op = op; b_ctx = ctx; b_ts = ts; b_origin = from };
-    integrate_stable t;
-    (* Announce the advanced clock so the others' stability frontiers
-       move past [ts]; Clock messages trigger no reactions, so the
-       exchange quiesces. *)
-    Some (Clock t.clock)
+(* Integration is per operation, so a batch is handled message by
+   message, reactions collected in order. *)
+let receive t ~from messages =
+  List.filter_map
+    (function
+      | Clock c ->
+        t.heard.(from) <- max t.heard.(from) c;
+        t.clock <- max t.clock c;
+        integrate_stable t;
+        None
+      | Op_msg { op; ctx; ts } ->
+        t.heard.(from) <- max t.heard.(from) ts;
+        t.clock <- max t.clock ts + 1;
+        Op_id.Table.replace t.order op.Op.id (ts, from);
+        insert_buffered t { b_op = op; b_ctx = ctx; b_ts = ts; b_origin = from };
+        integrate_stable t;
+        (* Announce the advanced clock so the others' stability
+           frontiers move past [ts]; Clock messages trigger no
+           reactions, so the exchange quiesces. *)
+        Some (Clock t.clock))
+    messages
 
 let message_op_id = function
   | Op_msg { op; _ } -> Some op.Op.id
@@ -145,8 +149,3 @@ let metadata_size t = State_space.size t.space + List.length t.pending
 let buffered t = List.length t.pending
 
 let space t = t.space
-
-(* Batch delivery: integration is per operation here, so a batch is
-   the in-order fold, reactions collected in order. *)
-let receive_batch t ~from batch =
-  List.concat_map (fun msg -> Option.to_list (receive t ~from msg)) batch

@@ -1,6 +1,6 @@
 open Rlist_model
 open Rlist_ot
-module L = Rlist_sim.Line_format
+module L = Rlist_obs.Line_format
 
 (* Line-oriented format:
 
@@ -16,7 +16,7 @@ module L = Rlist_sim.Line_format
      tr <c> <s> nop
 
    A transition's target is implicit: source + its original operation.
-   Every snapshot is read through [Rlist_sim.Line_format]. *)
+   Every snapshot is read through [Rlist_obs.Line_format]. *)
 
 (* --- tokens: each written and read in one place --------------------- *)
 
@@ -108,7 +108,7 @@ let client_of_string text =
   let serials = ref [] and root = ref None and final = ref None in
   let nodes = ref [] in  (* (state, transitions rev) list, reversed *)
   L.parse ~header:("css-client", "1") text
-    (function
+    (fun ~line:_ -> function
       | [ "client"; i; seq ] ->
         cid := L.int i;
         next_seq := L.int seq;
@@ -163,7 +163,7 @@ let stable_to_string { at_serial; stable_doc } =
 let stable_of_string text =
   let at_serial = ref 0 and elements = ref [] in
   L.parse ~header:("css-stable", "1") text
-    (function
+    (fun ~line:_ -> function
       | [ "at"; serial ] -> at_serial := L.int serial
       | tokens -> doc_line elements tokens)
     (fun () -> { at_serial = !at_serial; stable_doc = doc_of !elements })

@@ -141,7 +141,7 @@ type t = {
   mutable epoch : int;
   mutable nops : int;
   (* Every identifier the space mentions has one index.  A space grown
-     by {!add_op} only ever meets an operation it does not hold yet
+     by {!add_run} only ever meets an operation it does not hold yet
      (its states lie within [final], the operation does not), so only
      an {!of_raw} space, whose states need not, looks identifiers up
      here. *)
@@ -164,8 +164,8 @@ type t = {
   mutable final_src : state;
   mutable final_node : int;
   mutable ot_count : int;
-  (* Growth observer (observability layer): called once per {!add_op}
-     with the new final level and the post-growth totals.  [None]
+  (* Growth observer (observability layer): called once per run with
+     the new final level and the post-growth totals.  [None]
      costs one branch per operation. *)
   mutable observer :
     (level:int -> states:int -> transitions:int -> ots:int -> unit) option;
@@ -556,10 +556,9 @@ let leftmost_path t state =
   in
   walk node state []
 
-(* Every operation's final node is made on the previous final node
-   (the context-match append, the last ladder square and a run's top
-   lane all build it so), so the final node's chain down to its base
-   visits every earlier final state. *)
+(* Every operation's final node is made on the previous final node (a
+   run's top lane builds it so), so the final node's chain down to its
+   base visits every earlier final state. *)
 let final_path t =
   let rec chain node above =
     if is_base t node then node :: above
@@ -573,8 +572,8 @@ let[@inline] xform t o1 o2 =
 
 (* The context of a quiescent replica's next operation is its current
    final state: the leftmost path is empty, no transformation can
-   happen, and the whole of Algorithm 1 collapses to appending one
-   transition at the final node.  The physical-equality test catches
+   happen, and the whole of Algorithm 1 collapses to appending the
+   run's lanes at the final node.  The physical-equality test catches
    the common case (protocols pass [final t] through) without paying
    the set comparison. *)
 let context_is_final t ctx = ctx == t.final || Op_id.Set.equal ctx t.final
@@ -592,70 +591,7 @@ let check_fresh t id =
       (Format.asprintf "State_space: operation %a already processed" Op_id.pp
          id)
 
-(* The final state gains [id]: one [Set.add], whatever the ladder
-   did. *)
-let grow_final t fnode id =
-  let final = Op_id.Set.add id t.final_src in
-  t.final <- final;
-  t.final_src <- final;
-  t.final_node <- fnode
-
-let add_op t { Context.op; ctx } =
-  let id = op.Op.id in
-  check_fresh t id;
-  new_epoch t;
-  let ot_before = t.ot_count in
-  if context_is_final t ctx then begin
-    (* Context-match fast path: O(1) node work, zero transformations,
-       and — by Lemma 6.4 — exactly what the generic walk below would
-       have produced from an empty leftmost path. *)
-    t.fp.Fastpath.context_hits <- t.fp.Fastpath.context_hits + 1;
-    let node = t.final_node in
-    let o = intern t id in
-    let fnode = fresh_node t ~up:node ~via:o in
-    insert_edge t node ~key:(t.key_of id) ~orig:o ~form:op ~dst:fnode;
-    grow_final t fnode id;
-    notify_growth t ~ot_before;
-    op
-  end
-  else begin
-    let entry = find_node t ctx in
-    check_leftmost t ~start:ctx entry;
-    let key = t.key_of id in
-    let oid = intern t id in
-    (* One "square" of the commuting ladder per leftmost step: from
-       the source [s] with leftmost edge [e : s -> s'], add
-       [s -o-> s+o] (in its order among the children of [s]) and
-       [s+o -e{o}-> s'+o], then continue from [s'] with [o{e}].  [s]'s
-       leftmost edge is read before [s] gains the new edge, which is
-       the path the walk checked above.  [s_plus] is [s + op]: fresh
-       in the first square, the previous square's upper target
-       afterwards.  At the final node the last op-labelled transition
-       gets the fully transformed form [o], which is returned. *)
-    let rec ladder s s_plus o =
-      let e = iget t.n_first s in
-      if e = none then begin
-        insert_edge t s ~key ~orig:oid ~form:o ~dst:s_plus;
-        grow_final t s_plus id;
-        o
-      end
-      else begin
-        let e_orig = iget t.e_orig e and e_dst = iget t.e_dst e in
-        let e_form = fget t.e_form e in
-        insert_edge t s ~key ~orig:oid ~form:o ~dst:s_plus;
-        let tgt_plus = fresh_node t ~up:e_dst ~via:oid in
-        insert_edge t s_plus ~key:(key_of_op t e_orig) ~orig:e_orig
-          ~form:(xform t e_form o) ~dst:tgt_plus;
-        t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1;
-        ladder e_dst tgt_plus (xform t o e_form)
-      end
-    in
-    let o = ladder entry (fresh_node t ~up:entry ~via:oid) op in
-    notify_growth t ~ot_before;
-    o
-  end
-
-(* --- Batched processing --------------------------------------------- *)
+(* --- Algorithm 1 ------------------------------------------------------ *)
 
 (* [extends_by ~prev ctx'] holds when [ctx'] is [prev]'s context
    extended by exactly [prev]'s operation — the shape of two
@@ -671,19 +607,14 @@ let extends_by ~prev ctx' =
   Op_id.Set.cardinal ctx' = Op_id.Set.cardinal ctx && Op_id.Set.subset ctx' ctx
 
 (* Maximal contiguous runs of a batch, order preserved. *)
-let segment_runs ops =
-  match ops with
+let rec segment_runs = function
   | [] -> []
   | first :: rest ->
-    let closed, last =
-      List.fold_left
-        (fun (closed, seg) oc ->
-          match seg with
-          | prev :: _ when extends_by ~prev oc.Context.ctx -> closed, oc :: seg
-          | _ -> List.rev seg :: closed, [ oc ])
-        ([], [ first ]) rest
+    let rec run prev seg = function
+      | oc :: rest when extends_by ~prev oc.Context.ctx -> run oc (oc :: seg) rest
+      | rest -> List.rev seg :: segment_runs rest
     in
-    List.rev (List.rev last :: closed)
+    run first [ first ] rest
 
 (* A pure append run: [k] insertions at consecutive ascending
    positions ([q] for the first, [q + i] for the [i]-th) — the shape
@@ -709,31 +640,107 @@ let shift_by d o =
   | Op.Del (e, p) -> Op.make_del ~id:o.Op.id e (p + d)
   | Op.Nop -> o
 
-(* Process one contiguous run of [k >= 2] operations with a single
-   leftmost-path walk.  The run enters the ladder as [k] stacked
-   lanes; every path step advances all lanes at once, inserting
-   exactly the transitions the operation-by-operation {!add_op} fold
-   would have inserted, with the same forms — the per-square
-   recurrences are identical, only their evaluation order changes
-   (level-major instead of operation-major), and each square depends
-   only on its own neighbours.  [ot_count] is therefore unchanged by
-   batching alone.
+(* The ladder levels of a run of [k] lanes, one per leftmost step [e].
+   [work] holds lane [i]'s interned operation at [i - 1] and two rows
+   of lane nodes, at offsets [prev] and [cur]: [prev] is the row above
+   [e]'s source ([work.(prev)] the source, [work.(prev + i)] its state
+   plus the run's first [i] operations), [cur] receives the row above
+   [e]'s target; the two swap roles level by level.  The target's
+   leftmost edge is read before its first lane edge joins its chain.
+   [keys] holds each lane's ordering key and [forms] its operation as
+   transformed so far; while [run_q] is [Some q], the lanes form a pure
+   append run starting at [q].  Returns the offset of the top row. *)
+let rec levels t ~work ~keys ~forms ~run_q prev cur e =
+  if e = none then prev
+  else begin
+    let k = Array.length forms in
+    let tgt = iget t.e_dst e and e_orig = iget t.e_orig e in
+    let e_form = fget t.e_form e in
+    let path = iget t.n_first tgt in
+    work.(cur) <- tgt;
+    let path_key = key_of_op t e_orig in
+    let fast =
+      match run_q with
+      | None -> None
+      | Some q -> (
+        match e_form.Op.action with
+        | Op.Nop -> Some (0, false)
+        | Op.Ins (_, r) ->
+          if r < q then Some (1, false)
+          else if r > q then Some (0, true)
+          else None (* position tie: element priority decides *)
+        | Op.Del (_, r) -> if r < q then Some (-1, false) else Some (0, true))
+    in
+    (* [f] is the path form as it crosses lane [i]. *)
+    let f = ref e_form in
+    for i = 1 to k do
+      let below = work.(cur + i - 1) and lane = forms.(i - 1) in
+      let node = fresh_node t ~up:below ~via:work.(i - 1) in
+      (match fast with
+      | Some (lane_shift, path_shifts) ->
+        (* Arithmetic square: the lanes shift together (or not at all),
+           and the path form accumulates one shift per insertion it
+           passes. *)
+        if lane_shift <> 0 then forms.(i - 1) <- shift_by lane_shift lane;
+        f := if path_shifts then shift_by i e_form else e_form
+      | None ->
+        let f' = xform t !f lane in
+        forms.(i - 1) <- xform t lane !f;
+        f := f';
+        t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1);
+      insert_edge t below ~key:keys.(i - 1) ~orig:work.(i - 1)
+        ~form:forms.(i - 1) ~dst:node;
+      insert_edge t work.(prev + i) ~key:path_key ~orig:e_orig ~form:!f
+        ~dst:node;
+      work.(cur + i) <- node
+    done;
+    let run_q =
+      match fast, run_q with
+      | Some (lane_shift, _), Some q ->
+        t.fp.Fastpath.append_hits <- t.fp.Fastpath.append_hits + k;
+        Some (q + lane_shift)
+      | _, None -> None
+      | None, Some _ ->
+        (* A tie level transforms lanes individually; the run shape
+           may or may not survive. *)
+        run_start_of forms
+    in
+    levels t ~work ~keys ~forms ~run_q cur prev path
+  end
+
+(* Algorithm 1 over one contiguous run of [k >= 1] operations, with a
+   single leftmost-path walk; a single operation is the run [k = 1].
+   The run enters the ladder as [k] stacked lanes, each operation
+   saved at its context along the transition of its order; every
+   leftmost step [e : s -> s'] is one level, and at each level lane
+   [i] makes one square: [s_i+o -e{o}-> s'_i+o] and [s'_i -o{e}-> s'_i+o],
+   continuing with [o{e}].  The squares of one level depend only on
+   their neighbours, so the level-major order inserts exactly the
+   transitions, with the same forms, that processing the operations one
+   at a time would; without the append specialization below,
+   [ot_count] therefore does not depend on how a batch is split into
+   runs.  When the context is the final state (a quiescent replica),
+   the path is empty and the walk is the context-match append: no
+   square, no transformation.
 
    The append specialization (enabled by the run's {!Fastpath.t}, valid
-   only for the standard view-position transform): when the lanes are
-   a pure append run starting at [q] and the path form acts strictly
-   outside the run — an insertion at [r <> q], any deletion, or a
-   no-op — the whole level resolves by position arithmetic, replacing
-   [2k] primitive transformations with [O(k)] shifts that reproduce
-   the transform's case analysis exactly (ties at [r = q], where
-   element priority decides, fall back to the generic squares). *)
+   only for the standard view-position transform, and only for runs of
+   [k >= 2], so a lone operation always takes the generic squares):
+   when the lanes are a pure append run starting at [q] and the path
+   form acts strictly outside the run — an insertion at [r <> q], any
+   deletion, or a no-op — the whole level resolves by position
+   arithmetic, replacing [2k] primitive transformations with [O(k)]
+   shifts that reproduce the transform's case analysis exactly (ties
+   at [r = q], where element priority decides, fall back to the
+   generic squares). *)
 let run_segment t seg =
-  List.iter (fun { Context.op; _ } -> check_fresh t op.Op.id) seg;
+  let forms = Array.of_list (List.map (fun oc -> oc.Context.op) seg) in
+  let k = Array.length forms in
+  for i = 0 to k - 1 do
+    check_fresh t forms.(i).Op.id
+  done;
   new_epoch t;
   let ot_before = t.ot_count in
-  let k = List.length seg in
-  let ids = Array.of_list (List.map (fun oc -> oc.Context.op.Op.id) seg) in
-  let forms = Array.of_list (List.map (fun oc -> oc.Context.op) seg) in
   let entry_ctx = (List.hd seg).Context.ctx in
   let quiescent = context_is_final t entry_ctx in
   let entry_node =
@@ -742,12 +749,16 @@ let run_segment t seg =
   if quiescent then
     t.fp.Fastpath.context_hits <- t.fp.Fastpath.context_hits + k
   else check_leftmost t ~start:entry_ctx entry_node;
-  let keys = Array.map t.key_of ids in
-  let oids = Array.map (intern t) ids in
-  (* While [Some q], the lanes form a pure append run starting at [q]. *)
+  (* One array for the walk's integers (see {!levels}), the entry row
+     at offset [k]: each allocation here is a C call, which a lone
+     operation would feel. *)
+  let keys = Array.map (fun o -> t.key_of o.Op.id) forms in
+  let work = Array.make ((3 * k) + 2) none in
+  for i = 0 to k - 1 do
+    work.(i) <- intern t forms.(i).Op.id
+  done;
   let run_q =
-    ref
-      (if t.fp.Fastpath.enabled then run_start_of forms else None)
+    if t.fp.Fastpath.enabled && k >= 2 then run_start_of forms else None
   in
   (* Entry row: lane nodes [ctx ∪ {o1..oi}], each original operation
      saved along its transition in order (Algorithm 1's first step,
@@ -756,90 +767,28 @@ let run_segment t seg =
      path node's leftmost edge is read before the first lane edge
      joins its chain. *)
   let path = iget t.n_first entry_node in
-  let entry = Array.make (k + 1) entry_node in
+  work.(k) <- entry_node;
   for i = 1 to k do
-    let below = entry.(i - 1) in
-    let node = fresh_node t ~up:below ~via:oids.(i - 1) in
-    insert_edge t below ~key:keys.(i - 1) ~orig:oids.(i - 1)
+    let below = work.(k + i - 1) in
+    let node = fresh_node t ~up:below ~via:work.(i - 1) in
+    insert_edge t below ~key:keys.(i - 1) ~orig:work.(i - 1)
       ~form:forms.(i - 1) ~dst:node;
-    entry.(i) <- node
+    work.(k + i) <- node
   done;
-  (* One level per leftmost step [e]: [prev] is the row of lane nodes
-     above [e]'s source ([prev.(0)] the source, [prev.(i)] its state
-     plus the run's first [i] operations), [cur] receives the row above
-     [e]'s target; the two arrays swap roles level by level.  The
-     target's leftmost edge is read before its first lane edge joins
-     its chain. *)
-  let rec levels prev cur e =
-    if e = none then prev
-    else begin
-      let tgt = iget t.e_dst e and e_orig = iget t.e_orig e in
-      let e_form = fget t.e_form e in
-      let path = iget t.n_first tgt in
-      cur.(0) <- tgt;
-      let path_key = key_of_op t e_orig in
-      let fast =
-        match !run_q with
-        | None -> None
-        | Some q -> (
-          match e_form.Op.action with
-          | Op.Nop -> Some (0, false)
-          | Op.Ins (_, r) ->
-            if r < q then Some (1, false)
-            else if r > q then Some (0, true)
-            else None (* position tie: element priority decides *)
-          | Op.Del (_, r) -> if r < q then Some (-1, false) else Some (0, true))
-      in
-      (match fast with
-      | Some (lane_shift, path_shifts) ->
-        (* Arithmetic level: the lanes shift together (or not at all)
-           and the path form crosses them accumulating one shift per
-           insertion it passes. *)
-        for i = 1 to k do
-          let below = cur.(i - 1) in
-          let node = fresh_node t ~up:below ~via:oids.(i - 1) in
-          if lane_shift <> 0 then
-            forms.(i - 1) <- shift_by lane_shift forms.(i - 1);
-          let f_i = if path_shifts then shift_by i e_form else e_form in
-          insert_edge t below ~key:keys.(i - 1) ~orig:oids.(i - 1)
-            ~form:forms.(i - 1) ~dst:node;
-          insert_edge t prev.(i) ~key:path_key ~orig:e_orig ~form:f_i ~dst:node;
-          cur.(i) <- node
-        done;
-        t.fp.Fastpath.append_hits <- t.fp.Fastpath.append_hits + k;
-        run_q := Option.map (fun q -> q + lane_shift) !run_q
-      | None ->
-        let f = ref e_form in
-        for i = 1 to k do
-          let below = cur.(i - 1) in
-          let node = fresh_node t ~up:below ~via:oids.(i - 1) in
-          let f' = xform t !f forms.(i - 1) in
-          forms.(i - 1) <- xform t forms.(i - 1) !f;
-          insert_edge t below ~key:keys.(i - 1) ~orig:oids.(i - 1)
-            ~form:forms.(i - 1) ~dst:node;
-          insert_edge t prev.(i) ~key:path_key ~orig:e_orig ~form:f' ~dst:node;
-          f := f';
-          cur.(i) <- node;
-          t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1
-        done;
-        (* A tie level transforms lanes individually; the run shape
-           may or may not survive. *)
-        if Option.is_some !run_q then run_q := run_start_of forms);
-      levels cur prev path
-    end
-  in
-  let last = levels entry (Array.make (k + 1) entry_node) path in
-  Array.iter (fun id -> grow_final t last.(k) id) ids;
+  let last = levels t ~work ~keys ~forms ~run_q k ((2 * k) + 1) path in
+  (* The final state gains the run: one [Set.add] per operation,
+     whatever the ladder did. *)
+  for i = 0 to k - 1 do
+    t.final_src <- Op_id.Set.add forms.(i).Op.id t.final_src
+  done;
+  t.final <- t.final_src;
+  t.final_node <- work.(last + k);
   notify_growth t ~ot_before;
   Array.to_list forms
 
-let add_run t ops =
-  match ops with
-  | [ single ] -> [ add_op t single ]
-  | ops ->
-    List.concat_map
-      (function [ single ] -> [ add_op t single ] | seg -> run_segment t seg)
-      (segment_runs ops)
+let add_op t oc = List.hd (run_segment t [ oc ])
+
+let add_run t ops = List.concat_map (run_segment t) (segment_runs ops)
 
 let ot_count t = t.ot_count
 

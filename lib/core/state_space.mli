@@ -10,12 +10,13 @@
     serialization order ({!Order_key}).  Unlike a 2D state-space, a
     state may have up to [n] children (Lemma 6.1).
 
-    {!add_op} implements Algorithm 1: look up the state matching the
-    operation's context, save the operation there along the transition
-    of the right order, transform it iteratively along the {e leftmost}
-    transitions to the final state — arranging every new transition in
-    its appropriate order — and return the fully transformed form for
-    execution.
+    {!add_op} and {!add_run} implement Algorithm 1: look up the state
+    matching the operation's context, save the operation there along
+    the transition of the right order, transform it iteratively along
+    the {e leftmost} transitions to the final state — arranging every
+    new transition in its appropriate order — and return the fully
+    transformed form for execution.  Both go through one walk over a
+    run of operations; a single operation is a one-operation run.
 
     Nodes do not store their states: a node created by a ladder square
     records the node it extends and the operation it adds, and a
@@ -119,12 +120,14 @@ val final_path : t -> state list
 
 (** [add_op t op_in_ctx] processes one operation per Algorithm 1 and
     returns its fully transformed form [o{L}], which the caller must
-    execute on its document.  The final state gains the operation.
+    execute on its document.  The final state gains the operation.  It
+    returns the one form of [add_run t [op_in_ctx]]: the run walk with
+    one lane.
 
     When the operation's context {e is} the current final state (a
     quiescent replica), the leftmost path is empty and the whole
     algorithm collapses to appending one transition — this
-    context-match fast path is taken unconditionally (it is a pure
+    context-match shortcut is taken unconditionally (it is a pure
     strength reduction) and counted in the space's {!Fastpath.t}.
 
     @raise Invalid_argument if no state matches the operation's
@@ -140,14 +143,15 @@ val add_op : t -> Context.op_in_context -> Op.t
     walked through Algorithm 1's ladder with a single leftmost-path
     lookup instead of one per operation.
 
-    The resulting space — states, transitions, forms, and {!ot_count}
-    — is identical to folding {!add_op} over the batch: the per-square
-    transformation recurrences are the same, only their evaluation
-    order changes.  Exception: when the space's {!Fastpath.t} is
-    enabled, runs of consecutive ascending insertions (pure appends)
-    resolve path steps by position arithmetic, skipping the primitive
-    transformations a fold would perform — forms and structure are
-    still identical, but {!ot_count} grows more slowly.
+    The resulting space — states, transitions and forms — is the one
+    Algorithm 1 builds processing the batch one operation at a time:
+    each run is walked level by level, every path step advancing all
+    of its operations, and each ladder square depends only on its
+    neighbours.  So is {!ot_count}, except when the space's
+    {!Fastpath.t} is enabled: then runs of at least two consecutive
+    ascending insertions (pure appends) resolve path steps by position
+    arithmetic, skipping primitive transformations — forms and
+    structure are still identical, but {!ot_count} grows more slowly.
 
     The growth observer is notified once per contiguous run, with the
     run's aggregate transformation count.
@@ -173,10 +177,11 @@ val fastpath : t -> Fastpath.t
 val ot_count : t -> int
 
 (** Install a growth observer (the observability layer's per-level
-    hook): after every {!add_op} it receives the new final level
-    (operations in the final state), the post-growth totals of states
-    and transitions, and the number of primitive OT calls that single
-    operation caused.  At most one observer; uninstalled spaces pay
+    hook): after every {!add_op}, and after every run of an
+    {!add_run}, it receives the new final level (operations in the
+    final state), the post-growth totals of states and transitions,
+    and the number of primitive OT calls that operation or run
+    caused.  At most one observer; uninstalled spaces pay
     one branch per operation. *)
 val set_observer :
   t ->

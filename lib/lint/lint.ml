@@ -97,11 +97,11 @@ let is_ctor (e : expression) =
 
 let exn_msg = function
   | "raise" | "raise_notrace" ->
-    "raise in a transform path; OT transforms must be total"
+    "raise in code that must not raise; return a total result instead"
   | "failwith" ->
-    "failwith in a transform path; return a total result instead"
+    "failwith in code that must not raise; return a total result instead"
   | "invalid_arg" ->
-    "invalid_arg in a transform path; validate at the API boundary"
+    "invalid_arg in code that must not raise; validate at the API boundary"
   | "List.hd" -> "List.hd raises on []; match the list instead"
   | "List.tl" -> "List.tl raises on []; match the list instead"
   | "Option.get" -> "Option.get raises on None; match instead"
@@ -313,8 +313,8 @@ let check_source ?(mli_exists = true) ?rules ?(tables = []) ~path source =
         { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ }
       ->
       report ~loc:e.pexp_loc "exn-partial"
-        "assert false in a transform path; make the case impossible by \
-         construction"
+        "assert false in code that must not raise; make the case \
+         impossible by construction"
     | _ -> ()
   in
   let with_allows attrs f =
@@ -469,33 +469,50 @@ let run ?rules roots =
   List.sort Finding.compare
     (List.concat_map (fun f -> check_file ?rules ~tables f) files)
 
-type baseline = (string * string) list
+(* The baseline file and its entries: line, path, rule. *)
+type baseline = string * (int * string * string) list
 
 let load_baseline file =
   let entries = ref [] in
-  String.split_on_char '\n' (read_file file)
-  |> List.iter (fun line ->
-       let line = String.trim line in
-       if (not (String.equal line "")) && line.[0] <> '#' then
-         match String.rindex_opt line ':' with
-         | Some i ->
-           let path = normalize (String.sub line 0 i) in
-           let rule =
-             String.sub line (i + 1) (String.length line - i - 1)
-           in
-           entries := (path, String.trim rule) :: !entries
-         | None -> ());
-  !entries
+  let entry ~line = function
+    | [ token ] -> (
+      match String.rindex_opt token ':' with
+      | Some i when i > 0 && i < String.length token - 1 ->
+        let path = normalize (String.sub token 0 i) in
+        let rule = String.sub token (i + 1) (String.length token - i - 1) in
+        entries := (line, path, rule) :: !entries
+      | _ -> Rlist_obs.Line_format.fail "expected path:rule, got %S" token)
+    | tokens ->
+      Rlist_obs.Line_format.fail "expected path:rule, got %S"
+        (String.concat " " tokens)
+  in
+  Rlist_obs.Line_format.load ~path:file (fun text ->
+      Rlist_obs.Line_format.parse text entry (fun () ->
+          normalize file, List.rev !entries))
 
-let apply_baseline baseline findings =
-  List.filter
-    (fun (f : Finding.t) ->
-      not
-        (List.exists
-           (fun (path, rule) ->
-             String.equal path f.file && String.equal rule f.rule)
-           baseline))
-    findings
+let apply_baseline ~ran (file, entries) findings =
+  let matches (_, path, rule) (f : Finding.t) =
+    String.equal path f.file && String.equal rule f.rule
+  in
+  let kept =
+    List.filter (fun f -> not (List.exists (fun e -> matches e f) entries))
+      findings
+  in
+  let stale =
+    List.filter_map
+      (fun ((line, path, rule) as e) ->
+        if (not (ran ~path ~rule)) || List.exists (matches e) findings then
+          None
+        else
+          Some
+            (Finding.v ~file ~line ~col:1 ~rule:"unused-allow"
+               (Printf.sprintf
+                  "baseline entry %s:%s matches no finding of this run; \
+                   delete it"
+                  path rule)))
+      entries
+  in
+  List.sort Finding.compare (kept @ stale)
 
 (* When the Parsetree and Typedtree passes flag the same site — e.g.
    [rand-global] and a [det-reach] whose sink is that same call — keep

@@ -54,8 +54,19 @@ type baseline
     Matching is by file and rule, not line number, so baselined
     findings survive unrelated edits. *)
 
-val load_baseline : string -> baseline
-val apply_baseline : baseline -> Finding.t list -> Finding.t list
+val load_baseline : string -> (baseline, string) result
+(** Read a baseline file through {!Rlist_obs.Line_format}: an
+    unreadable file, or a line that is not one [path:rule] token, is
+    an [Error] naming the line. *)
+
+val apply_baseline :
+  ran:(path:string -> rule:string -> bool) -> baseline -> Finding.t list ->
+  Finding.t list
+(** Drop the findings the baseline accepts.  A baseline entry is a
+    suppression, so an entry whose rule ran over its file
+    ([ran ~path ~rule]) but which matches none of the findings is
+    stale: it comes back as an [unused-allow] finding at its line of
+    the baseline file. *)
 
 val dedupe : Finding.t list -> Finding.t list
 (** Drop Parsetree findings that a typed finding at the same

@@ -39,9 +39,15 @@ let strict = Some [ "lib/core"; "lib/ot"; "lib/cscw" ]
 let deterministic =
   Some [ "lib/core"; "lib/ot"; "lib/cscw"; "lib/net"; "lib/mc"; "lib/sim" ]
 
-(* The OT core plus the CSCW 2-D transform path: the functions whose
-   totality Thm 7.1's differential evidence silently assumes. *)
-let transform_paths = Some [ "lib/ot"; "lib/cscw/two_d_space.ml" ]
+(* Code that must not raise.  The OT core plus the CSCW 2-D transform
+   path: the functions whose totality Thm 7.1's differential evidence
+   silently assumes.  And the readers of external text, which return an
+   error instead: the line reader, schedule files, CSS snapshots and
+   JSONL trace events. *)
+let total_paths =
+  Some
+    [ "lib/ot"; "lib/cscw/two_d_space.ml"; "lib/obs/line_format.ml";
+      "lib/sim/schedule_text.ml"; "lib/core/snapshot.ml"; "lib/obs/event.ml" ]
 
 let libraries = Some [ "lib" ]
 
@@ -99,10 +105,10 @@ let all =
        primitive (typed interprocedural pass over .cmt call graphs; \
        the finding prints the witness call chain)";
     (* -- Exception safety ------------------------------------------- *)
-    rule "exn-partial" Exception_safety transform_paths
-      "partial construct in a transform path (raise/failwith/\
-       invalid_arg/assert false/List.hd/Option.get/array access); \
-       OT transforms must be total";
+    rule "exn-partial" Exception_safety total_paths
+      "partial construct in code that must not raise (raise/failwith/\
+       invalid_arg/assert false/List.hd/Option.get/array access): OT \
+       transforms must be total, text parsers return an error";
     (* -- Interface completeness ------------------------------------- *)
     rule "missing-mli" Interface libraries
       "library module without a matching .mli";

@@ -14,8 +14,9 @@
 type t = {
   mutable enabled : bool;
       (** Switches the append specialization of
-          {!Jupiter_css.State_space.add_run} on.  The context-match
-          shortcut is a pure strength reduction and is always on. *)
+          {!Jupiter_css.State_space.add_run} on, for runs of two or
+          more operations.  The context-match shortcut is a pure
+          strength reduction and is always on. *)
   mutable context_hits : int;
       (** Operations whose context matched the final state (ladder
           collapsed to one appended transition). *)

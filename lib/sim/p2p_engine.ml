@@ -134,15 +134,11 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) = struct
       check_peer t src;
       check_peer t dst;
       let peer = t.peers.(dst - 1) in
-      let receive = function
-        | [ message ] -> Option.to_list (P.receive peer ~from:src message)
-        | batch -> P.receive_batch peer ~from:src batch
-      in
       match t.channels.(src - 1).(dst - 1) with
       | Some ch when Mesh.deliverable ch > 0 -> (
         match
           Mesh.deliver t.mesh ch ~slot:(dst - 1)
-            (Recorder.Deliver_peer { src; dst }) receive
+            (Recorder.Deliver_peer { src; dst }) (P.receive peer ~from:src)
         with
         | None -> ()
         | Some (_, reactions) ->

@@ -20,8 +20,7 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) : sig
       {!Engine.Make.create}: broadcasts accumulate in per-channel
       outboxes, flushed as one batch payload — one sequence number,
       one retransmission unit — when a delivery event targets the
-      channel; multi-message batches reach the protocol through
-      [receive_batch].
+      channel; the protocol's [receive] gets the batch whole.
 
       [gc], when given, runs the continuous compaction discipline at
       the shim level: peer-to-peer protocols have no ack-driven stable

@@ -34,17 +34,14 @@ module type P2P_PROTOCOL = sig
       @raise Invalid_argument on out-of-bounds positions. *)
   val generate : peer -> Intent.t -> Protocol_intf.do_outcome * message option
 
-  (** Receive one message from peer [from]; the returned message, if
-      any, is broadcast in reaction (e.g. a clock announcement for
-      stability detection).  Reactions to reactions must eventually
-      stop for executions to quiesce. *)
-  val receive : peer -> from:int -> message -> message option
-
-  (** Receive a coalesced batch of messages from one channel flush;
-      the returned reactions are broadcast in order.  Must be
-      observably identical to receiving the messages one by one.
-      Engines deliver singleton batches through {!receive}. *)
-  val receive_batch : peer -> from:int -> message list -> message list
+  (** Receive the messages of one channel delivery from peer [from], in
+      order: a single message, or a coalesced batch from one channel
+      flush.  The returned reactions (e.g. clock announcements for
+      stability detection) are broadcast in order.  A batch must be
+      observably identical to receiving its messages one by one.
+      Reactions to reactions must eventually stop for executions to
+      quiesce. *)
+  val receive : peer -> from:int -> message list -> message list
 
   (** The identifier of the operation a message carries, for trace
       labelling; [None] for control messages (clock announcements). *)

@@ -20,9 +20,13 @@ let intent_of_tokens = function
     Option.map (fun p -> Intent.Insert (c.[0], p)) (int_of_string_opt p)
   | _ -> None
 
+(* The two [invalid_arg]s below are {!to_string}'s documented refusal
+   of text it could not read back; inside {!of_string}, the line reader
+   turns [printable_initial]'s into an [Error]. *)
 let event_to_string = function
   | Schedule.Generate (_, Intent.Insert (c, _)) when not (printable c) ->
-    invalid_arg "Schedule_text: unprintable character in insert"
+    (invalid_arg "Schedule_text: unprintable character in insert")
+    [@lint.allow "exn-partial"]
   | Schedule.Generate (i, intent) ->
     Printf.sprintf "gen %d %s" i (intent_to_string intent)
   | Schedule.Deliver_to_server i -> Printf.sprintf "c2s %d" i
@@ -30,7 +34,8 @@ let event_to_string = function
 
 let printable_initial s =
   if not (String.for_all printable s) then
-    invalid_arg "Schedule_text: unprintable initial document"
+    (invalid_arg "Schedule_text: unprintable initial document")
+    [@lint.allow "exn-partial"]
 
 let to_string ?(initial = Document.empty) ~nclients events =
   let b = Buffer.create 1024 in
@@ -44,13 +49,13 @@ let to_string ?(initial = Document.empty) ~nclients events =
   Buffer.contents b
 
 let of_string text =
-  let int = Line_format.int and fail = Line_format.fail in
+  let int = Rlist_obs.Line_format.int and fail = Rlist_obs.Line_format.fail in
   let nclients = ref None in
   let initial = ref Document.empty in
   let events = ref [] in
   let event e = events := e :: !events in
-  Line_format.parse text
-    (function
+  Rlist_obs.Line_format.parse text
+    (fun ~line:_ -> function
       | [ "clients"; n ] ->
         let n = int n in
         if n < 1 then fail "bad client count %d" n;
@@ -78,6 +83,6 @@ let of_string text =
   |> Result.join
 
 let save ~path ?initial ~nclients events =
-  Line_format.save ~path (to_string ?initial ~nclients events)
+  Rlist_obs.Line_format.save ~path (to_string ?initial ~nclients events)
 
-let load ~path = Line_format.load ~path of_string
+let load ~path = Rlist_obs.Line_format.load ~path of_string

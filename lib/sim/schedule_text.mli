@@ -19,7 +19,7 @@
     characters and the initial document must be printable and
     non-blank.  This module owns the intent text after [gen i]; the
     engines' flight recorder stores intents in the same text.  Files
-    are read through {!Line_format}. *)
+    are read through {!Rlist_obs.Line_format}. *)
 
 open Rlist_model
 
@@ -36,11 +36,16 @@ val intent_to_string : Intent.t -> string
     not spell one. *)
 val intent_of_tokens : string list -> Intent.t option
 
+(** @raise Invalid_argument if an inserted character or the initial
+    document is not printable and non-blank: such a text would not
+    read back. *)
 val to_string : ?initial:Document.t -> nclients:int -> Schedule.t -> string
 
 (** Parse; errors mention the offending line.  Never raises. *)
 val of_string : string -> (file, string) result
 
+(** {!to_string} written to [path].
+    @raise Invalid_argument as {!to_string} does. *)
 val save : path:string -> ?initial:Document.t -> nclients:int -> Schedule.t
   -> unit
 

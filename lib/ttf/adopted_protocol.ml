@@ -93,11 +93,16 @@ let generate t intent =
     let vc = Array.copy t.vc in
     outcome, Some { op = model_op; ctx; vc; lamport; origin = t.id }
 
-let receive t ~from message =
+(* Integration is per operation, so a batch is handled message by
+   message; nothing is broadcast in reaction. *)
+let receive t ~from messages =
   ignore from;
-  t.pend <- message :: t.pend;
-  drain t;
-  None
+  List.iter
+    (fun message ->
+      t.pend <- message :: t.pend;
+      drain t)
+    messages;
+  []
 
 let message_op_id (m : message) = Some m.op.Op.id
 
@@ -115,8 +120,3 @@ let metadata_size t =
 let buffered t = List.length t.pend
 
 let tombstones t = Ttf_model.tombstones t.model
-
-(* Batch delivery: integration is per operation here, so a batch is
-   the in-order fold, reactions collected in order. *)
-let receive_batch t ~from batch =
-  List.concat_map (fun msg -> Option.to_list (receive t ~from msg)) batch

@@ -1,70 +1,152 @@
-(* Unit tests for batched operation processing: State_space.add_run
-   must be observationally identical to folding add_op (same states,
-   transitions, forms, and — with the append fast path off — the same
-   primitive transformation count), and each fast-path guard is pinned
-   individually (context match, pure-append run, position tie
-   fallback, mixed-batch splitting). *)
+(* Unit tests for State_space's Algorithm 1: add_op and add_run must
+   build exactly the space of a literal transcription of the paper's
+   Algorithm 1 (same states, transitions in the same order, same forms,
+   and — with the append fast path off — the same number of primitive
+   transformations), and each fast-path guard is pinned individually
+   (context match, pure-append run, position tie fallback, mixed-batch
+   splitting). *)
 
 open Rlist_model
 open Rlist_ot
 module Space = Jupiter_css.State_space
-
-let space_testable : Space.t Alcotest.testable =
-  Alcotest.testable Space.pp Space.equal
+module Order_key = Jupiter_css.Order_key
 
 let key_table () =
   let serials : (Op_id.t, int) Hashtbl.t = Hashtbl.create 8 in
   let key id =
     match Hashtbl.find_opt serials id with
-    | Some s -> Jupiter_css.Order_key.Serialized s
-    | None -> Jupiter_css.Order_key.Pending id.Op_id.seq
+    | Some s -> Order_key.Serialized s
+    | None -> Order_key.Pending id.Op_id.seq
   in
   serials, key
 
-(* Run the same (op, ctx) stream through two fresh spaces sharing a
-   serial table: one processes [batch] with a single {!add_run}, the
-   other folds {!add_op}.  Both first replay the [prefix]
-   operation-by-operation.  Returns (batched space, folded space,
-   add_run forms, fold forms). *)
+(* Algorithm 1 (paper, Section 6.2), transcribed literally: a state is
+   an explicit [Op_id.Set.t], each state's transitions are a list
+   ordered by key, and each step of the leftmost path is one square.
+   The reference State_space is checked against; it shares none of its
+   code. *)
+module Algorithm1 = struct
+  module States = Map.Make (Op_id.Set)
+
+  type t = {
+    key_of : Op_id.t -> Order_key.t;
+    mutable space : Space.transition list States.t;
+    mutable final : Op_id.Set.t;
+    mutable xforms : int;
+  }
+
+  let create key_of =
+    {
+      key_of;
+      space = States.singleton Op_id.Set.empty [];
+      final = Op_id.Set.empty;
+      xforms = 0;
+    }
+
+  let transitions r s = Option.value (States.find_opt s r.space) ~default:[]
+
+  (* Save [tr] at [s] "along the transition of the right order", and
+     make its target a state. *)
+  let save r s (tr : Space.transition) =
+    let before (x : Space.transition) =
+      Order_key.compare (r.key_of x.orig) (r.key_of tr.orig) < 0
+    in
+    let left, right = List.partition before (transitions r s) in
+    r.space <- States.add tr.target (transitions r tr.target) r.space;
+    r.space <- States.add s (left @ (tr :: right)) r.space
+
+  (* The leftmost path from [s] to the final state, as (source,
+     transition) steps. *)
+  let rec leftmost r s =
+    match transitions r s with
+    | [] -> []
+    | e :: _ -> (s, e) :: leftmost r e.Space.target
+
+  let xform r o1 o2 =
+    r.xforms <- r.xforms + 1;
+    Transform.xform o1 o2
+
+  let add_op r { Context.op; ctx } =
+    if not (States.mem ctx r.space) then invalid_arg "Algorithm1: no state";
+    let id = op.Op.id in
+    let plus s = Op_id.Set.add id s in
+    let path = leftmost r ctx in
+    save r ctx { orig = id; form = op; target = plus ctx };
+    let square o (s, (e : Space.transition)) =
+      let o' = xform r o e.form and e' = xform r e.form o in
+      save r (plus s) { orig = e.orig; form = e'; target = plus e.target };
+      save r e.target { orig = id; form = o'; target = plus e.target };
+      o'
+    in
+    let o = List.fold_left square op path in
+    r.final <- plus r.final;
+    o
+
+  (* Every state with its transitions, in state order. *)
+  let listing r = States.bindings r.space
+end
+
+(* A space's listing in state order, for comparison with
+   {!Algorithm1.listing}. *)
+let sorted_listing space =
+  List.sort (fun (s1, _) (s2, _) -> Op_id.Set.compare s1 s2) (Space.listing space)
+
+let listing : (Space.state * Space.transition list) list Alcotest.testable =
+  let transition ppf (tr : Space.transition) =
+    Fmt.pf ppf "-[%a %a]-> %a" Op_id.pp tr.orig Op.pp tr.form Space.pp_state
+      tr.target
+  in
+  let state ppf (s, trs) =
+    Fmt.pf ppf "@[<v 2>%a:@,%a@]" Space.pp_state s
+      Fmt.(list ~sep:cut transition)
+      trs
+  in
+  let transition_equal (a : Space.transition) (b : Space.transition) =
+    Op_id.equal a.orig b.orig && Op.equal a.form b.form
+    && Op_id.Set.equal a.target b.target
+  in
+  Alcotest.testable
+    Fmt.(vbox (list ~sep:cut state))
+    (List.equal (fun (s1, t1) (s2, t2) ->
+         Op_id.Set.equal s1 s2 && List.equal transition_equal t1 t2))
+
+(* Run the same (op, ctx) stream through a fresh space and through the
+   transcription, with every operation serialized in stream order: the
+   space replays the [prefix] with {!add_op} and then processes
+   [batch] with a single {!add_run}; the transcription processes the
+   whole stream one operation at a time.  Returns (space, transcription,
+   add_run forms, transcription forms). *)
 let differential ~fastpath ~prefix ~batch =
   let serials, key = key_table () in
   List.iteri
     (fun i oc -> Hashtbl.replace serials oc.Context.op.Op.id (i + 1))
     (prefix @ batch);
-  let run enabled ops_into =
-    (* A fresh per-space record: the counters below are exactly this
-       space's, nothing shared across test cases. *)
-    let fp = Space.Fastpath.create ~enabled () in
-    let space = Space.create ~fastpath:fp ~key_of:key () in
-    List.iter (fun oc -> ignore (Space.add_op space oc)) prefix;
-    let forms = ops_into space in
-    space, forms
-  in
-  let batched, batched_forms =
-    run fastpath (fun space -> Space.add_run space batch)
-  in
-  let folded, folded_forms =
-    run false (fun space -> List.map (Space.add_op space) batch)
-  in
-  batched, folded, batched_forms, folded_forms
+  (* A fresh per-space record: the counters below are exactly this
+     space's, nothing shared across test cases. *)
+  let fp = Space.Fastpath.create ~enabled:fastpath () in
+  let space = Space.create ~fastpath:fp ~key_of:key () in
+  List.iter (fun oc -> ignore (Space.add_op space oc)) prefix;
+  let forms = Space.add_run space batch in
+  let reference = Algorithm1.create key in
+  List.iter (fun oc -> ignore (Algorithm1.add_op reference oc)) prefix;
+  let expected = List.map (Algorithm1.add_op reference) batch in
+  space, reference, forms, expected
 
 let check_same ?(same_ot = true) ~fastpath ~prefix ~batch () =
-  let batched, folded, bf, ff = differential ~fastpath ~prefix ~batch in
-  Alcotest.check space_testable "spaces equal" folded batched;
-  Alcotest.(check int)
-    "transition counts equal"
-    (Space.num_transitions folded)
-    (Space.num_transitions batched);
-  Alcotest.(check (list Helpers.op)) "forms equal" ff bf;
-  if same_ot then
-    Alcotest.(check int) "ot counts equal" (Space.ot_count folded)
-      (Space.ot_count batched)
+  let space, reference, forms, expected =
+    differential ~fastpath ~prefix ~batch
+  in
+  Alcotest.check listing "states and transitions"
+    (Algorithm1.listing reference) (sorted_listing space);
+  Alcotest.check Helpers.op_id_set "final states" reference.final
+    (Space.final space);
+  Alcotest.(check (list Helpers.op)) "forms equal" expected forms;
+  let ot = Space.ot_count space and xforms = reference.Algorithm1.xforms in
+  if same_ot then Alcotest.(check int) "ot counts equal" xforms ot
   else
     Alcotest.(check bool)
-      (Printf.sprintf "batched ot (%d) <= folded ot (%d)"
-         (Space.ot_count batched) (Space.ot_count folded))
-      true
-      (Space.ot_count batched <= Space.ot_count folded)
+      (Printf.sprintf "ot count (%d) <= transcription's (%d)" ot xforms)
+      true (ot <= xforms)
 
 (* Chain contexts the way a replica generating back to back does. *)
 let chain ~ctx ops =
@@ -89,11 +171,11 @@ let test_quiescent_run () =
   check_same ~fastpath:false ~prefix:[] ~batch ();
   (* A quiescent run performs no transformation at all, and every
      operation of it lands on the context-match shortcut. *)
-  let batched, _, _, _ = differential ~fastpath:false ~prefix:[] ~batch in
+  let space, _, _, _ = differential ~fastpath:false ~prefix:[] ~batch in
   Alcotest.(check bool)
     "context hits counted" true
-    ((Space.fastpath batched).Space.Fastpath.context_hits > 0);
-  Alcotest.(check int) "no transformations" 0 (Space.ot_count batched)
+    ((Space.fastpath space).Space.Fastpath.context_hits > 0);
+  Alcotest.(check int) "no transformations" 0 (Space.ot_count space)
 
 (* --- Append fast path: one case per transform shape ------------------ *)
 
@@ -109,15 +191,15 @@ let test_cross_ins_before () =
   let prefix, batch = crossing_case (Helpers.ins ~client:2 'z' 1) in
   check_same ~same_ot:false ~fastpath:true ~prefix ~batch ();
   (* The arithmetic levels replace every crossing transformation. *)
-  let batched, folded, _, _ = differential ~fastpath:true ~prefix ~batch in
+  let space, reference, _, _ = differential ~fastpath:true ~prefix ~batch in
   Alcotest.(check bool)
     "append hits counted" true
-    ((Space.fastpath batched).Space.Fastpath.append_hits > 0);
+    ((Space.fastpath space).Space.Fastpath.append_hits > 0);
   Alcotest.(check bool)
     (Printf.sprintf "strictly fewer transformations (%d < %d)"
-       (Space.ot_count batched) (Space.ot_count folded))
+       (Space.ot_count space) reference.Algorithm1.xforms)
     true
-    (Space.ot_count batched < Space.ot_count folded)
+    (Space.ot_count space < reference.Algorithm1.xforms)
 
 let test_cross_ins_after () =
   let prefix, batch = crossing_case (Helpers.ins ~client:2 'z' 9) in
@@ -126,7 +208,8 @@ let test_cross_ins_after () =
 let test_cross_ins_tie () =
   (* Foreign insertion exactly at the run's start position: element
      priority decides, and the fast path must fall back to the
-     generic squares — the transformation count stays the fold's. *)
+     generic squares — the transformation count stays the
+     transcription's. *)
   let prefix, batch = crossing_case (Helpers.ins ~client:2 'z' 3) in
   check_same ~same_ot:true ~fastpath:true ~prefix ~batch ()
 
@@ -143,8 +226,8 @@ let test_cross_del_inside () =
   check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
 
 let test_fastpath_off_matches_ot () =
-  (* With the toggle off, batching alone never changes the
-     transformation count, whatever the run shape. *)
+  (* With the toggle off, the walk performs exactly the
+     transcription's transformations, whatever the run shape. *)
   List.iter
     (fun f ->
       let prefix, batch = crossing_case f in
@@ -156,6 +239,19 @@ let test_fastpath_off_matches_ot () =
       Helpers.del ~client:2 (Helpers.elt ~client:9 'q') 0;
       Helpers.del ~client:2 (Helpers.elt ~client:9 'q') 4;
     ]
+
+let test_lone_op_generic () =
+  (* The append arithmetic needs a run of two or more operations: a
+     lone insertion crossing a foreign one takes the generic squares
+     with the fast path on, so its transformation count is the
+     transcription's. *)
+  let f = Helpers.ins ~client:2 'z' 1 in
+  let prefix = [ Context.with_context f ~ctx:Context.empty ] in
+  let batch = chain ~ctx:Context.empty (appends ~client:1 ~seq0:1 ~pos0:3 1) in
+  check_same ~same_ot:true ~fastpath:true ~prefix ~batch ();
+  let space, _, _, _ = differential ~fastpath:true ~prefix ~batch in
+  Alcotest.(check int) "no append hits" 0
+    (Space.fastpath space).Space.Fastpath.append_hits
 
 (* --- Mixed batches --------------------------------------------------- *)
 
@@ -184,7 +280,7 @@ let test_mixed_batch_splits () =
 
 let test_non_insert_runs () =
   (* Runs containing deletions take the generic squares but must still
-     be fold-identical, fast path on or off. *)
+     match the transcription, fast path on or off. *)
   let seed = appends ~client:9 ~seq0:1 ~pos0:0 4 in
   let prefix = chain ~ctx:Context.empty seed in
   let seeded =
@@ -204,7 +300,7 @@ let test_non_insert_runs () =
   check_same ~same_ot:true ~fastpath:false ~prefix ~batch ();
   check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
 
-(* --- Randomized fold equivalence ------------------------------------- *)
+(* --- Randomized equivalence with the transcription -------------------- *)
 
 (* A synthetic server: a common seed prefix, then a burst of foreign
    operations, then one client's run arriving as a batch.  Each stream
@@ -247,11 +343,15 @@ let scenario_prop ~fastpath (seed_ops, foreign_ops, run_ops) =
     chain ~ctx:Context.empty seed_ops @ chain ~ctx:seeded foreign_ops
   in
   let batch = chain ~ctx:seeded run_ops in
-  let batched, folded, bf, ff = differential ~fastpath ~prefix ~batch in
-  Space.equal folded batched
-  && List.equal Op.equal ff bf
-  && (fastpath || Space.ot_count folded = Space.ot_count batched)
-  && Space.ot_count batched <= Space.ot_count folded
+  let space, reference, forms, expected =
+    differential ~fastpath ~prefix ~batch
+  in
+  let ot = Space.ot_count space and xforms = reference.Algorithm1.xforms in
+  Alcotest.equal listing (Algorithm1.listing reference) (sorted_listing space)
+  && Op_id.Set.equal reference.final (Space.final space)
+  && List.equal Op.equal expected forms
+  && (fastpath || ot = xforms)
+  && ot <= xforms
 
 (* --- Engine-level batching: what the wire sees ----------------------- *)
 
@@ -375,8 +475,9 @@ let qtest name gen prop =
 
 (* The benchmark's typing episode (4 clients, 2 rounds of 64-character
    bursts, batched, append fast path on) may allocate at most 10.4
-   minor words per ladder square, engine and protocol included (9.85
-   measured; 10.34 with each replica keeping its path as a list of
+   minor words per ladder square, engine and protocol included (9.83
+   measured; 9.85 when a single operation had a ladder walk of its own
+   beside the run walk; 10.34 with each replica keeping its path as a list of
    states, 10.38 with every node hashed into a table as well, 142.9 with
    a set per state, 77.0 with a record per node and edge).  OCaml 5
    without flambda counts allocations exactly, so the figure is the same
@@ -399,7 +500,7 @@ let test_words_per_square () =
 
 (* The same episode, run between two minor collections, may promote at
    most 7.8 words per ladder square: what the long-lived state spaces
-   retain, plus whatever a minor collection catches mid-flight (6.59
+   retain, plus whatever a minor collection catches mid-flight (6.60
    measured in the full suite; 7.08 with each replica keeping its path
    as a list of states, 7.12 with every node hashed into a table as
    well, and the budget set 10 % above that; 28.3 with a record per
@@ -538,6 +639,54 @@ let test_batch_contract (module P : Rlist_sim.Protocol_intf.PROTOCOL) () =
   Alcotest.check Helpers.op_id_set "client visible sets" (P.client_visible cf)
     (P.client_visible cb)
 
+(* The same contract on a mesh (P2p_protocol_intf): [receive] of a
+   batch from one peer leaves the same document and visible set, and
+   returns the same reactions, as receiving its messages one at a time.
+   Peer 2 inserts first and peer 1 receives that, so the stream from
+   peer 1 carries its reaction (a clock announcement for css-p2p)
+   ahead of a run of operations concurrent with peer 2's; the stream
+   goes to two fresh copies of peer 2. *)
+let mesh_protocols =
+  List.filter_map
+    (fun (key, p) -> Option.map (fun p -> key, p) (Helpers.mesh p))
+    Rlist_run.Protocols.all
+
+let test_mesh_batch_contract (module P : Rlist_sim.P2p_protocol_intf.P2P_PROTOCOL)
+    () =
+  let npeers = 2 and initial = Document.empty in
+  let peer id =
+    P.create_peer ~fastpath:(Fastpath.create ()) ~npeers ~id ~initial
+  in
+  let generate p intent = snd (P.generate p intent) in
+  let second () =
+    let p2 = peer 2 in
+    p2, Option.to_list (generate p2 (Intent.Insert ('y', 0)))
+  in
+  let p1 = peer 1 and (pb, y), (pf, _) = second (), second () in
+  let reactions = P.receive p1 ~from:2 y in
+  let run =
+    List.filter_map (generate p1)
+      Intent.
+        [
+          Insert ('a', 0); Insert ('b', 1); Insert ('c', 0); Delete 1;
+          Insert ('d', 2); Read; Delete 0;
+        ]
+  in
+  let stream = reactions @ run in
+  let got_b = P.receive pb ~from:1 stream in
+  let got_f = List.concat_map (fun m -> P.receive pf ~from:1 [ m ]) stream in
+  Alcotest.(check (list (option Helpers.op_id)))
+    "same reaction operations"
+    (List.map P.message_op_id got_f)
+    (List.map P.message_op_id got_b);
+  (* Messages are plain data (no closures, no sets built differently by
+     the two runs), so structural equality compares their payloads. *)
+  Alcotest.(check bool) "same reactions" true (got_f = got_b);
+  Alcotest.check Helpers.document "peer documents" (P.document pf)
+    (P.document pb);
+  Alcotest.check Helpers.op_id_set "peer visible sets" (P.visible pf)
+    (P.visible pb)
+
 (* css-pruned's batch handler folds a batch that interleaves updates
    with heartbeats one message at a time, so each [Deliver] carries the
    stable serial and base of its own moment.  Client 2 sends an update
@@ -615,12 +764,14 @@ let () =
             test_cross_del_inside;
           Alcotest.test_case "fast path off keeps ot count" `Quick
             test_fastpath_off_matches_ot;
+          Alcotest.test_case "lone operation takes generic squares" `Quick
+            test_lone_op_generic;
           Alcotest.test_case "mixed batch splits into runs" `Quick
             test_mixed_batch_splits;
           Alcotest.test_case "runs with deletions" `Quick test_non_insert_runs;
-          qtest "add_run = fold add_op (generic)" gen_scenario
+          qtest "add_run = transcription (generic)" gen_scenario
             (scenario_prop ~fastpath:false);
-          qtest "add_run = fold add_op (fast paths)" gen_scenario
+          qtest "add_run = transcription (fast paths)" gen_scenario
             (scenario_prop ~fastpath:true);
         ] );
       ( "contract",
@@ -634,7 +785,14 @@ let () =
         @ [
             Alcotest.test_case "css-pruned mixed batch = one by one" `Quick
               test_pruned_mixed_batch;
-          ] );
+            Alcotest.test_case "every mesh protocol" `Quick (fun () ->
+                Alcotest.(check int) "mesh keys" 2 (List.length mesh_protocols));
+          ]
+        @ List.map
+            (fun (key, p) ->
+              Alcotest.test_case ("mesh batch = one by one, " ^ key) `Quick
+                (test_mesh_batch_contract p))
+            mesh_protocols );
       ( "engine-wire",
         [
           Alcotest.test_case "one seqno per batch" `Quick

@@ -181,6 +181,16 @@ let test_exn_partial () =
     ~path:"lib/cscw/two_d_space.ml" "let f () = failwith \"no\"\n";
   check_rules "the rest of lib/cscw is not in the exn scope" []
     ~path:"lib/cscw/protocol.ml" "let f () = failwith \"no\"\n";
+  List.iter
+    (fun path ->
+      check_rules (path ^ " parses text and must not raise") [ "exn-partial" ]
+        ~path "let f l = List.hd l\n")
+    [
+      "lib/obs/line_format.ml"; "lib/sim/schedule_text.ml";
+      "lib/core/snapshot.ml"; "lib/obs/event.ml";
+    ];
+  check_rules "the rest of lib/obs is not in the exn scope" []
+    ~path:"lib/obs/json.ml" "let f l = List.hd l\n";
   check_rules "binding-scoped suppression silences a guard" []
     ~path:"lib/ot/fixture.ml"
     "let f pos =\n\
@@ -281,6 +291,16 @@ let test_locations () =
 
 (* --- baseline -------------------------------------------------------- *)
 
+(* [text] written to a temporary file and read back as a baseline. *)
+let load_baseline text =
+  let file = Filename.temp_file "lint_baseline" ".txt" in
+  Out_channel.with_open_text file (fun oc -> output_string oc text);
+  let baseline = Lint.load_baseline file in
+  Sys.remove file;
+  baseline
+
+let every_rule ~path:_ ~rule:_ = true
+
 let test_baseline () =
   let findings =
     Lint.check_source ~path:"lib/core/fixture.ml"
@@ -289,15 +309,59 @@ let test_baseline () =
   Alcotest.(check (list string))
     "both findings before the baseline" [ "poly-eq"; "poly-cmp" ]
     (rules_of findings);
-  let file = Filename.temp_file "lint_baseline" ".txt" in
-  Out_channel.with_open_text file (fun oc ->
-      output_string oc
-        "# accepted findings\n\nlib/core/fixture.ml:poly-eq\n");
-  let baseline = Lint.load_baseline file in
-  Sys.remove file;
+  let baseline =
+    load_baseline "# accepted findings\n\nlib/core/fixture.ml:poly-eq\n"
+  in
   Alcotest.(check (list string))
     "the baselined finding is accepted" [ "poly-cmp" ]
-    (rules_of (Lint.apply_baseline baseline findings))
+    (rules_of
+       (Lint.apply_baseline ~ran:every_rule (Helpers.ok baseline) findings))
+
+(* A baseline entry is a suppression: one that matches no finding of
+   its run comes back as [unused-allow] at its line of the baseline,
+   unless its rule did not run over its file. *)
+let test_baseline_stale () =
+  let findings =
+    Lint.check_source ~path:"lib/core/fixture.ml" "let f x = x = Some 1\n"
+  in
+  let baseline =
+    Helpers.ok
+      (load_baseline
+         "# accepted\nlib/core/fixture.ml:poly-eq\n\n\
+          lib/core/fixture.ml:poly-cmp\n")
+  in
+  let stale = Lint.apply_baseline ~ran:every_rule baseline findings in
+  Alcotest.(check (list (pair string int)))
+    "the stale entry, at its baseline line" [ "unused-allow", 4 ]
+    (List.map (fun (f : Finding.t) -> f.rule, f.line) stale);
+  Alcotest.(check (list string))
+    "not judged when its rule did not run" []
+    (rules_of
+       (Lint.apply_baseline
+          ~ran:(fun ~path:_ ~rule -> not (String.equal rule "poly-cmp"))
+          baseline findings))
+
+(* A line that is not one [path:rule] token is an error naming the
+   line, not an entry silently skipped. *)
+let test_baseline_malformed () =
+  List.iter
+    (fun (text, line) ->
+      match load_baseline text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names line %d" msg line)
+          true
+          (String.starts_with ~prefix:(Printf.sprintf "line %d:" line) msg))
+    [
+      "lib/core/fixture.ml poly-eq\n", 1;
+      "# ok\nlib/core/fixture.ml: poly-eq\n", 2;
+      "lib/core/fixture.ml\n", 1;
+      "lib/core/fixture.ml:\n", 1;
+      ":poly-eq\n", 1;
+    ];
+  Alcotest.(check bool) "a missing file is an error" true
+    (Result.is_error (Lint.load_baseline "no/such/baseline.txt"))
 
 (* --- report shape ---------------------------------------------------- *)
 
@@ -434,6 +498,9 @@ let () =
           Alcotest.test_case "parse errors surface" `Quick test_parse_error;
           Alcotest.test_case "locations are precise" `Quick test_locations;
           Alcotest.test_case "baseline" `Quick test_baseline;
+          Alcotest.test_case "stale baseline entry" `Quick test_baseline_stale;
+          Alcotest.test_case "malformed baseline line" `Quick
+            test_baseline_malformed;
         ] );
       ( "report",
         [
