@@ -20,10 +20,10 @@ type transition = {
 }
 
 (* The space is a struct-of-arrays store: nodes, edges and the
-   operations they mention are dense indices into growable arrays, so
-   a ladder square writes a handful of [int]s and one form instead of
-   allocating records and list cells, and the [int] arrays hold no
-   pointer for the major GC to follow.
+   operations they mention are dense indices into growable [int]
+   arrays, so a ladder square writes a handful of [int]s, allocates
+   nothing on the append path, and leaves no pointer per node or edge
+   for the major GC to follow.
 
    A node does not store its state.  Every state a ladder creates is a
    known node's state plus one operation, so a node records that node
@@ -35,11 +35,16 @@ type transition = {
 
    A node's ordered outgoing transitions are a chain of edges linked
    through [e_next] from [n_first], leftmost first.  An edge records
-   its operation ([e_orig]), its target node ([e_dst]) and its form
-   ([e_form], the one pointer array), so the ladder walks follow
-   indices and never touch a set.  Operations are interned: every
-   identifier the space mentions has one index into [op_ids], so
-   identifiers compare as [int]s.
+   its operation ([e_orig]), its target node ([e_dst]) and the
+   position of its form ([e_pos], [none] for [Nop]), so the ladder
+   walks follow indices and never touch a set.  Operations are
+   interned: every identifier the space mentions has one index into
+   [op_ids], so identifiers compare as [int]s.  A transformation moves
+   an operation or turns it into [Nop], but keeps its identifier and
+   element, so each interned operation keeps one form of its own
+   ([op_form], the original for every operation Algorithm 1 saves) and
+   an edge's form is that form at the edge's position, built only when
+   a reader asks for it (see {!form_at}).
 
    Only base nodes are indexed by state ([base_index]); every other
    node is found by walking down from a base (see {!descend}).  A
@@ -106,12 +111,6 @@ let[@inline] iget (c : int column) i =
 let[@inline] iset (c : int column) i v =
   c.(i lsr chunk_bits).(i land chunk_mask) <- v
 
-let[@inline] fget (c : Op.t column) i =
-  c.(i lsr chunk_bits).(i land chunk_mask)
-
-let[@inline] fset (c : Op.t column) i v =
-  c.(i lsr chunk_bits).(i land chunk_mask) <- v
-
 type t = {
   (* Nodes [0 .. nstates - 1]; a chain node's [n_up] is a smaller
      index, since it existed when the node was made. *)
@@ -128,10 +127,15 @@ type t = {
   mutable e_orig : int column;  (* an operation index *)
   mutable e_dst : int column;
   mutable e_next : int column;  (* the next edge from the source, or [none] *)
-  mutable e_form : Op.t column;
+  mutable e_pos : int column;  (* the form's position; [none] for [Nop] *)
   mutable ntransitions : int;
-  (* Interned operations [0 .. nops - 1]. *)
+  (* Interned operations [0 .. nops - 1], each with its form (see the
+     comment on the store). *)
   mutable op_ids : Op_id.t array;
+  mutable op_form : Op.t array;
+  (* Lane [i]'s form as the last generic square built it (see
+     {!levels}), reused from run to run. *)
+  mutable lanes : Op.t array;
   (* Each operation's ordering key, valid while [op_epoch] is [epoch]:
      [key_of] is asked once per operation processed, not once per
      edge compared (a key may turn from [Pending] to [Serialized]
@@ -193,9 +197,11 @@ let make ~key_of ~fp ~root ~final ~nodes ~op_index =
     e_orig = column none;
     e_dst = column none;
     e_next = column none;
-    e_form = column no_form;
+    e_pos = column none;
     ntransitions = 0;
     op_ids = Array.make cap no_id;
+    op_form = Array.make cap no_form;
+    lanes = [||];
     op_key = Array.make cap no_key;
     op_epoch = Array.make cap 0;
     epoch = 1;
@@ -237,30 +243,74 @@ let[@inline] key_of_op t o =
 (* Keys looked up from here on may differ from those cached so far. *)
 let new_epoch t = t.epoch <- t.epoch + 1
 
-(* A new index for [id]. *)
-let new_op t id =
+(* A new index for [f]'s operation, keeping [f] as its form. *)
+let new_op t (f : Op.t) =
   let o = t.nops in
   if o = Array.length t.op_ids then begin
     t.op_ids <- grown t.op_ids (2 * o) no_id;
+    t.op_form <- grown t.op_form (2 * o) no_form;
     t.op_key <- grown t.op_key (2 * o) no_key;
     t.op_epoch <- grown t.op_epoch (2 * o) 0
   end;
-  t.op_ids.(o) <- id;
+  t.op_ids.(o) <- f.id;
+  t.op_form.(o) <- f;
   t.op_epoch.(o) <- 0;
   t.nops <- o + 1;
   o
 
-(* The index of [id], interned on first sight. *)
-let intern t id =
+(* [f], a form of the already interned operation [o], becomes [o]'s
+   kept form unless it is a no-op; only its position may differ from
+   the form kept so far, unless that one is a no-op (an {!of_raw} space
+   may show an operation as [Nop] before, or without, any other
+   form). *)
+let keep_form t o (f : Op.t) =
+  let kept = t.op_form.(o) in
+  match kept.action, f.action with
+  | _, Op.Nop -> ()
+  | Op.Nop, (Op.Ins _ | Op.Del _) -> t.op_form.(o) <- f
+  | Op.Ins (e, _), Op.Ins (e', _) | Op.Del (e, _), Op.Del (e', _)
+    when Element.equal e e' ->
+    t.op_form.(o) <- f
+  | (Op.Ins _ | Op.Del _), (Op.Ins _ | Op.Del _) ->
+    invalid_arg
+      (Format.asprintf "State_space: operation %a has forms %a and %a" Op_id.pp
+         f.id Op.pp kept Op.pp f)
+
+(* The index of [f]'s operation, interned on first sight, with [f] as
+   a form of it. *)
+let intern t (f : Op.t) =
   match t.op_index with
-  | None -> new_op t id
+  | None -> new_op t f
   | Some index -> (
-    match Op_id.Table.find_opt index id with
-    | Some o -> o
+    match Op_id.Table.find_opt index f.id with
+    | Some o ->
+      keep_form t o f;
+      o
     | None ->
-      let o = new_op t id in
-      Op_id.Table.replace index id o;
+      let o = new_op t f in
+      Op_id.Table.replace index f.id o;
       o)
+
+(* The position of a form, [none] for [Nop]. *)
+let pos_of (f : Op.t) =
+  match f.action with Op.Ins (_, p) | Op.Del (_, p) -> p | Op.Nop -> none
+
+(* Operation [o]'s form at position [pos] ([none]: the no-op): the kept
+   form itself, no copy, when the position is its own. *)
+let form_at t o pos =
+  let kept = t.op_form.(o) in
+  match kept.action with
+  | Op.Ins (e, p) ->
+    if p = pos then kept
+    else if pos = none then Op.nop ~id:kept.id
+    else Op.make_ins ~id:kept.id e pos
+  | Op.Del (e, p) ->
+    if p = pos then kept
+    else if pos = none then Op.nop ~id:kept.id
+    else Op.make_del ~id:kept.id e pos
+  | Op.Nop -> kept
+
+let[@inline] is_ins t o = Op.is_ins t.op_form.(o)
 
 (* --- Nodes and edges ----------------------------------------------------- *)
 
@@ -296,18 +346,18 @@ let[@inline] fresh_node t ~up ~via =
   new_node t ~card:(iget t.n_card up + 1) ~up ~via
 
 (* An edge heading the chain [next]; the caller links it in. *)
-let[@inline] new_edge t ~orig ~form ~dst ~next =
+let[@inline] new_edge t ~orig ~pos ~dst ~next =
   let e = t.ntransitions in
   if not (has_room t.e_orig e) then begin
     t.e_orig <- extend t.e_orig e none;
     t.e_dst <- extend t.e_dst e none;
     t.e_next <- extend t.e_next e none;
-    t.e_form <- extend t.e_form e no_form
+    t.e_pos <- extend t.e_pos e none
   end;
   iset t.e_orig e orig;
   iset t.e_dst e dst;
   iset t.e_next e next;
-  fset t.e_form e form;
+  iset t.e_pos e pos;
   t.ntransitions <- e + 1;
   e
 
@@ -379,10 +429,12 @@ let target_of t ~src ~src_state e =
   if extends_by_edge t src dst orig then Op_id.Set.add (op_id t orig) src_state
   else state_of t dst
 
+let[@inline] edge_form t e = form_at t (iget t.e_orig e) (iget t.e_pos e)
+
 let transition_of t ~src ~src_state e =
   {
     orig = op_id t (iget t.e_orig e);
-    form = fget t.e_form e;
+    form = edge_form t e;
     target = target_of t ~src ~src_state e;
   }
 
@@ -489,7 +541,7 @@ let listing t =
       collect (iget t.e_next e)
         ({
            orig = op_id t (iget t.e_orig e);
-           form = fget t.e_form e;
+           form = edge_form t e;
            target = state_of (iget t.e_dst e);
          }
         :: acc)
@@ -512,7 +564,7 @@ let size t = num_states t + num_transitions t
    transition per state (Lemma 6.3's "parallel transitions" are at
    distinct states).  A toplevel recursion, so a splice allocates no
    closure. *)
-let rec splice t node ~key ~orig ~form ~dst prev cur =
+let rec splice t node ~key ~orig ~pos ~dst prev cur =
   if cur <> none && iget t.e_orig cur = orig then
     invalid_arg
       (Format.asprintf
@@ -521,13 +573,13 @@ let rec splice t node ~key ~orig ~form ~dst prev cur =
   else if
     cur = none || Order_key.compare key (key_of_op t (iget t.e_orig cur)) < 0
   then begin
-    let e = new_edge t ~orig ~form ~dst ~next:cur in
+    let e = new_edge t ~orig ~pos ~dst ~next:cur in
     if prev = none then iset t.n_first node e else iset t.e_next prev e
   end
-  else splice t node ~key ~orig ~form ~dst cur (iget t.e_next cur)
+  else splice t node ~key ~orig ~pos ~dst cur (iget t.e_next cur)
 
-let[@inline] insert_edge t node ~key ~orig ~form ~dst =
-  splice t node ~key ~orig ~form ~dst none (iget t.n_first node)
+let[@inline] insert_edge t node ~key ~orig ~pos ~dst =
+  splice t node ~key ~orig ~pos ~dst none (iget t.n_first node)
 
 (* Check that the leftmost path from [node] ends at the final node;
    the ladder walks below then follow it without re-checking. *)
@@ -616,96 +668,91 @@ let rec segment_runs = function
     in
     run first [ first ] rest
 
-(* A pure append run: [k] insertions at consecutive ascending
-   positions ([q] for the first, [q + i] for the [i]-th) — the shape
-   the append-log and typing workloads emit.  Returns the start
-   position. *)
-let run_start_of forms =
-  match forms.(0).Op.action with
-  | Op.Ins (_, q) ->
-    let k = Array.length forms in
-    let rec ok i =
-      if i >= k then Some q
-      else
-        match forms.(i).Op.action with
-        | Op.Ins (_, p) when p = q + i -> ok (i + 1)
-        | Op.Ins _ | Op.Del _ | Op.Nop -> None
-    in
-    ok 1
-  | Op.Del _ | Op.Nop -> None
-
-let shift_by d o =
-  match o.Op.action with
-  | Op.Ins (e, p) -> Op.make_ins ~id:o.Op.id e (p + d)
-  | Op.Del (e, p) -> Op.make_del ~id:o.Op.id e (p + d)
-  | Op.Nop -> o
+(* The start position of a pure append run — [k] insertions at
+   consecutive ascending positions, the shape the append-log and typing
+   workloads emit — if the [k] lanes of [work] (see {!levels}) form
+   one, or [none]. *)
+let run_start t ~k work =
+  let q = work.(k) in
+  let rec ok i =
+    i = k || (is_ins t work.(i) && work.(k + i) = q + i && ok (i + 1))
+  in
+  if ok 0 then q else none
 
 (* The ladder levels of a run of [k] lanes, one per leftmost step [e].
-   [work] holds lane [i]'s interned operation at [i - 1] and two rows
-   of lane nodes, at offsets [prev] and [cur]: [prev] is the row above
-   [e]'s source ([work.(prev)] the source, [work.(prev + i)] its state
-   plus the run's first [i] operations), [cur] receives the row above
-   [e]'s target; the two swap roles level by level.  The target's
-   leftmost edge is read before its first lane edge joins its chain.
-   [keys] holds each lane's ordering key and [forms] its operation as
-   transformed so far; while [run_q] is [Some q], the lanes form a pure
-   append run starting at [q].  Returns the offset of the top row. *)
-let rec levels t ~work ~keys ~forms ~run_q prev cur e =
+   [work] holds lane [i]'s interned operation at [i - 1], the position
+   of its form as transformed so far at [k + i - 1] ([none] once it is
+   a no-op), and two rows of lane nodes, at offsets [prev] and [cur]:
+   [prev] is the row above [e]'s source ([work.(prev)] the source,
+   [work.(prev + i)] its state plus the run's first [i] operations),
+   [cur] receives the row above [e]'s target; the two swap roles level
+   by level.  The target's leftmost edge is read before its first lane
+   edge joins its chain.  [keys] holds each lane's ordering key; while
+   [run_q] is not [none], the lanes form a pure append run starting at
+   [run_q].  [t.lanes.(i - 1)] is lane [i]'s form as the last generic
+   square built it: the next generic square reuses it while the
+   position is still its own (an arithmetic level moves the position
+   alone).  Returns the offset of the top row. *)
+let rec levels t ~k ~work ~keys ~run_q prev cur e =
   if e = none then prev
   else begin
-    let k = Array.length forms in
     let tgt = iget t.e_dst e and e_orig = iget t.e_orig e in
-    let e_form = fget t.e_form e in
+    let e_pos = iget t.e_pos e in
     let path = iget t.n_first tgt in
     work.(cur) <- tgt;
     let path_key = key_of_op t e_orig in
-    let fast =
-      match run_q with
-      | None -> None
-      | Some q -> (
-        match e_form.Op.action with
-        | Op.Nop -> Some (0, false)
-        | Op.Ins (_, r) ->
-          if r < q then Some (1, false)
-          else if r > q then Some (0, true)
-          else None (* position tie: element priority decides *)
-        | Op.Del (_, r) -> if r < q then Some (-1, false) else Some (0, true))
+    (* An arithmetic level: the path form acts strictly outside the
+       append run, so every lane shifts by [lane_shift] and the path
+       form, when [path_shifts], by one per insertion it passes. *)
+    let arithmetic, lane_shift, path_shifts =
+      if run_q = none then false, 0, false
+      else if e_pos = none then true, 0, false
+      else if is_ins t e_orig then
+        if e_pos < run_q then true, 1, false
+        else if e_pos > run_q then true, 0, true
+        else false, 0, false (* position tie: element priority decides *)
+      else if e_pos < run_q then true, -1, false
+      else true, 0, true
     in
-    (* [f] is the path form as it crosses lane [i]. *)
-    let f = ref e_form in
+    (* [f] is the path form as it crosses lane [i], on generic levels
+       only. *)
+    let f = ref (if arithmetic then no_form else form_at t e_orig e_pos) in
     for i = 1 to k do
-      let below = work.(cur + i - 1) and lane = forms.(i - 1) in
-      let node = fresh_node t ~up:below ~via:work.(i - 1) in
-      (match fast with
-      | Some (lane_shift, path_shifts) ->
-        (* Arithmetic square: the lanes shift together (or not at all),
-           and the path form accumulates one shift per insertion it
-           passes. *)
-        if lane_shift <> 0 then forms.(i - 1) <- shift_by lane_shift lane;
-        f := if path_shifts then shift_by i e_form else e_form
-      | None ->
-        let f' = xform t !f lane in
-        forms.(i - 1) <- xform t lane !f;
-        f := f';
-        t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1);
-      insert_edge t below ~key:keys.(i - 1) ~orig:work.(i - 1)
-        ~form:forms.(i - 1) ~dst:node;
-      insert_edge t work.(prev + i) ~key:path_key ~orig:e_orig ~form:!f
+      let below = work.(cur + i - 1) and o = work.(i - 1) in
+      let node = fresh_node t ~up:below ~via:o in
+      let lane_pos, path_pos =
+        if arithmetic then
+          ( work.(k + i - 1) + lane_shift,
+            if path_shifts then e_pos + i else e_pos )
+        else begin
+          let pos = work.(k + i - 1) and last = t.lanes.(i - 1) in
+          let lane = if pos_of last = pos then last else form_at t o pos in
+          let f' = xform t !f lane in
+          let lane' = xform t lane !f in
+          if lane' != last then t.lanes.(i - 1) <- lane';
+          f := f';
+          t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1;
+          pos_of lane', pos_of f'
+        end
+      in
+      work.(k + i - 1) <- lane_pos;
+      insert_edge t below ~key:keys.(i - 1) ~orig:o ~pos:lane_pos ~dst:node;
+      insert_edge t work.(prev + i) ~key:path_key ~orig:e_orig ~pos:path_pos
         ~dst:node;
       work.(cur + i) <- node
     done;
     let run_q =
-      match fast, run_q with
-      | Some (lane_shift, _), Some q ->
+      if run_q = none then none
+      else if arithmetic then begin
         t.fp.Fastpath.append_hits <- t.fp.Fastpath.append_hits + k;
-        Some (q + lane_shift)
-      | _, None -> None
-      | None, Some _ ->
+        run_q + lane_shift
+      end
+      else
         (* A tie level transforms lanes individually; the run shape
            may or may not survive. *)
-        run_start_of forms
+        run_start t ~k work
     in
-    levels t ~work ~keys ~forms ~run_q cur prev path
+    levels t ~k ~work ~keys ~run_q cur prev path
   end
 
 (* Algorithm 1 over one contiguous run of [k >= 1] operations, with a
@@ -729,16 +776,14 @@ let rec levels t ~work ~keys ~forms ~run_q prev cur e =
    when the lanes are a pure append run starting at [q] and the path
    form acts strictly outside the run — an insertion at [r <> q], any
    deletion, or a no-op — the whole level resolves by position
-   arithmetic, replacing [2k] primitive transformations with [O(k)]
-   shifts that reproduce the transform's case analysis exactly (ties
-   at [r = q], where element priority decides, fall back to the
-   generic squares). *)
+   arithmetic on the stored positions, replacing [2k] primitive
+   transformations with [O(k)] additions that reproduce the
+   transform's case analysis exactly (ties at [r = q], where element
+   priority decides, fall back to the generic squares) and building no
+   form at all. *)
 let run_segment t seg =
-  let forms = Array.of_list (List.map (fun oc -> oc.Context.op) seg) in
-  let k = Array.length forms in
-  for i = 0 to k - 1 do
-    check_fresh t forms.(i).Op.id
-  done;
+  let k = List.length seg in
+  List.iter (fun oc -> check_fresh t oc.Context.op.Op.id) seg;
   new_epoch t;
   let ot_before = t.ot_count in
   let entry_ctx = (List.hd seg).Context.ctx in
@@ -750,15 +795,20 @@ let run_segment t seg =
     t.fp.Fastpath.context_hits <- t.fp.Fastpath.context_hits + k
   else check_leftmost t ~start:entry_ctx entry_node;
   (* One array for the walk's integers (see {!levels}), the entry row
-     at offset [k]: each allocation here is a C call, which a lone
+     at offset [2k]: each allocation here is a C call, which a lone
      operation would feel. *)
-  let keys = Array.map (fun o -> t.key_of o.Op.id) forms in
-  let work = Array.make ((3 * k) + 2) none in
-  for i = 0 to k - 1 do
-    work.(i) <- intern t forms.(i).Op.id
-  done;
+  let keys = Array.make k no_key in
+  let work = Array.make ((4 * k) + 2) none in
+  if Array.length t.lanes < k then t.lanes <- Array.make (2 * k) no_form;
+  List.iteri
+    (fun i { Context.op; _ } ->
+      keys.(i) <- t.key_of op.Op.id;
+      work.(i) <- intern t op;
+      work.(k + i) <- pos_of op;
+      t.lanes.(i) <- op)
+    seg;
   let run_q =
-    if t.fp.Fastpath.enabled && k >= 2 then run_start_of forms else None
+    if t.fp.Fastpath.enabled && k >= 2 then run_start t ~k work else none
   in
   (* Entry row: lane nodes [ctx ∪ {o1..oi}], each original operation
      saved along its transition in order (Algorithm 1's first step,
@@ -767,24 +817,25 @@ let run_segment t seg =
      path node's leftmost edge is read before the first lane edge
      joins its chain. *)
   let path = iget t.n_first entry_node in
-  work.(k) <- entry_node;
+  let entry = 2 * k in
+  work.(entry) <- entry_node;
   for i = 1 to k do
-    let below = work.(k + i - 1) in
+    let below = work.(entry + i - 1) in
     let node = fresh_node t ~up:below ~via:work.(i - 1) in
     insert_edge t below ~key:keys.(i - 1) ~orig:work.(i - 1)
-      ~form:forms.(i - 1) ~dst:node;
-    work.(k + i) <- node
+      ~pos:work.(k + i - 1) ~dst:node;
+    work.(entry + i) <- node
   done;
-  let last = levels t ~work ~keys ~forms ~run_q k ((2 * k) + 1) path in
+  let last = levels t ~k ~work ~keys ~run_q entry (entry + k + 1) path in
   (* The final state gains the run: one [Set.add] per operation,
      whatever the ladder did. *)
   for i = 0 to k - 1 do
-    t.final_src <- Op_id.Set.add forms.(i).Op.id t.final_src
+    t.final_src <- Op_id.Set.add (op_id t work.(i)) t.final_src
   done;
   t.final <- t.final_src;
   t.final_node <- work.(last + k);
   notify_growth t ~ot_before;
-  Array.to_list forms
+  List.init k (fun i -> form_at t work.(i) work.(k + i))
 
 let add_op t oc = List.hd (run_segment t [ oc ])
 
@@ -847,7 +898,7 @@ let compact t ~stable ~base_doc =
             (Format.asprintf
                "State_space.compact: %a is not a prefix of the total order"
                Op_id.Set.pp stable)
-        else replay (Op.apply (fget t.e_form e) doc) dst
+        else replay (Op.apply (edge_form t e) doc) dst
   in
   let stable_doc = replay base_doc (find_node t t.root) in
   (* Drop every state that does not contain the stable set: no future
@@ -918,9 +969,13 @@ let compact t ~stable ~base_doc =
   let kept_ops = renumber op_map in
   for o = 0 to t.nops - 1 do
     let o' = op_map.(o) in
-    if o' <> none then t.op_ids.(o') <- t.op_ids.(o)
+    if o' <> none then begin
+      t.op_ids.(o') <- t.op_ids.(o);
+      t.op_form.(o') <- t.op_form.(o)
+    end
   done;
   Array.fill t.op_ids kept_ops (t.nops - kept_ops) no_id;
+  Array.fill t.op_form kept_ops (t.nops - kept_ops) no_form;
   t.nops <- kept_ops;
   Option.iter
     (fun index ->
@@ -936,11 +991,8 @@ let compact t ~stable ~base_doc =
       iset t.e_orig e' (op_map.(iget t.e_orig e));
       iset t.e_dst e' (node_map.(iget t.e_dst e));
       iset t.e_next e' (remap edge_map (iget t.e_next e));
-      fset t.e_form e' (fget t.e_form e)
+      iset t.e_pos e' (iget t.e_pos e)
     end
-  done;
-  for e = kept_edges to edges - 1 do
-    fset t.e_form e no_form
   done;
   t.ntransitions <- kept_edges;
   for i = 0 to nodes - 1 do
@@ -983,7 +1035,7 @@ let equal t1 t2 =
     if e = none || e' = none then e = none && e' = none
     else
       Op_id.equal (op_id t1 (iget t1.e_orig e)) (op_id t2 (iget t2.e_orig e'))
-      && Op.equal (fget t1.e_form e) (fget t2.e_form e')
+      && Op.equal (edge_form t1 e) (edge_form t2 e')
       && Op_id.Set.equal (state1 (iget t1.e_dst e)) (state2 (iget t2.e_dst e'))
       && chains_equal (iget t1.e_next e) (iget t2.e_next e')
   in
@@ -1029,8 +1081,13 @@ let of_raw ~key_of ~root ~final assoc =
       List.iter
         (fun (tr : transition) ->
           let dst = require tr.target in
-          insert_edge t node ~key:(t.key_of tr.orig) ~orig:(intern t tr.orig)
-            ~form:tr.form ~dst)
+          if not (Op_id.equal tr.form.id tr.orig) then
+            invalid_arg
+              (Format.asprintf
+                 "State_space.of_raw: the transition of %a carries form %a"
+                 Op_id.pp tr.orig Op.pp tr.form);
+          insert_edge t node ~key:(t.key_of tr.orig) ~orig:(intern t tr.form)
+            ~pos:(pos_of tr.form) ~dst)
         transitions)
     assoc;
   t

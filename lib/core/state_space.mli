@@ -20,12 +20,17 @@
 
     Nodes do not store their states: a node created by a ladder square
     records the node it extends and the operation it adds, and a
-    transition records its operation, its form and its target node.
-    Nodes, transitions and operations are indices into growable
-    [int] arrays (the forms into one array of their own), so a ladder
-    square writes a few integers and allocates little beyond its
-    transformed forms, and Algorithm 1 ({!add_op}, {!add_run}) never
-    builds a set beyond the final state.  The accessors that return
+    transition records its operation, the position of its form and its
+    target node.  A transformation only moves an operation or makes it
+    [Nop], so each operation keeps one form of its own (the original
+    for every operation Algorithm 1 saves) and a transition's form is
+    rebuilt from it and the position when read; a form at the kept
+    form's own position is returned as is, not copied.  Nodes,
+    transitions and operations are indices into growable [int] arrays,
+    so a ladder square writes a few integers, allocates nothing on the
+    append path and only its transient transformed forms otherwise, and
+    Algorithm 1 ({!add_op}, {!add_run}) never builds a set beyond the
+    final state.  The accessors that return
     states — {!states}, {!listing}, {!transitions}, {!leftmost_path},
     {!final_path}, and {!equal}, {!union}, {!pp} on top of them —
     materialize the sets on demand, at up to O(|state| log |state|) per
@@ -228,7 +233,10 @@ val equal : t -> t -> bool
     spaces are built through {!add_op}).  Transitions are re-sorted by
     [key_of].
     @raise Invalid_argument if [root], [final], or a transition target
-    is missing from [assoc], or if a state repeats. *)
+    is missing from [assoc], if a state repeats, if a transition's form
+    has another identifier than its operation, or if two forms of one
+    operation that are not [Nop] differ in anything but their
+    position. *)
 val of_raw :
   key_of:(Op_id.t -> Order_key.t) ->
   root:state ->

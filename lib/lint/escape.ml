@@ -28,7 +28,8 @@
    iteration.
 
    Soundness caveats (DESIGN.md §15): calls into functor parameters
-   and first-class modules are treated as external; external calls
+   and first-class modules are treated as external (a call through a
+   module alias is a call of the aliased module); external calls
    propagate their arguments to their result but are not assumed to
    stash them (the known stdlib mutators are modelled explicitly);
    higher-order uses of corpus functions (passing [create] itself
@@ -148,6 +149,9 @@ type st = {
   disp : (string, string) Hashtbl.t;  (* def id -> display name *)
   (* Ident.unique_name -> tokens carried by that variable *)
   env : (string, NodeSet.t) Hashtbl.t;
+  (* Ident.unique_name of a module alias ([module L = P], [let module
+     L = P in]) in the unit being walked -> [P] *)
+  aliases : (string, Path.t) Hashtbl.t;
 }
 
 (* Per-def walking context: where we are and which suppressions are in
@@ -251,6 +255,29 @@ let record_kind (fields : _ array) =
     in
     Printf.sprintf "mutable record %s" tyname
 
+(* The module path [me] names, if it is an alias of one. *)
+let rec aliased (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> aliased me
+  | _ -> None
+
+let add_alias st id me =
+  Option.iter
+    (fun p -> Hashtbl.replace st.aliases (Ident.unique_name id) p)
+    (aliased me)
+
+(* [p] with its leading module alias, if any, replaced by the path it
+   aliases, so a call through [L.f] resolves as one through [P.f]. *)
+let rec unalias st (p : Path.t) =
+  match p with
+  | Pident id -> (
+    match Hashtbl.find_opt st.aliases (Ident.unique_name id) with
+    | Some target -> unalias st target
+    | None -> p)
+  | Pdot (m, s) -> Pdot (unalias st m, s)
+  | _ -> p
+
 let resolve_head st p =
   match p with
   | Path.Pident id -> (
@@ -262,7 +289,7 @@ let resolve_head st p =
       | Some d_id -> `Corpus d_id
       | None -> `External))
   | _ -> (
-    let name = Cmt_loader.strip_stdlib (Path.name p) in
+    let name = Cmt_loader.strip_stdlib (Path.name (unalias st p)) in
     match allocator_kind name with
     | Some k -> `Allocator k
     | None -> (
@@ -432,6 +459,9 @@ let rec raw_tokens st ctx (e : Typedtree.expression) : NodeSet.t =
     ignore (tokens_of st ctx e);
     NodeSet.empty
   | Texp_open (_, body) -> tokens_of st ctx body
+  | Texp_letmodule (Some id, _, _, me, _) ->
+    add_alias st id me;
+    children_tokens st ctx e
   | _ -> children_tokens st ctx e
 
 (* Catch-all for constructs without a dedicated case (letop, objects,
@@ -648,7 +678,9 @@ let walk_unit st reached (u : Cmt_loader.unit_info) =
   and module_binding prefix (mb : Typedtree.module_binding) =
     match mb.mb_id with
     | None -> ()
-    | Some id -> module_expr (prefix @ [ Ident.name id ]) mb.mb_expr
+    | Some id ->
+      add_alias st id mb.mb_expr;
+      module_expr (prefix @ [ Ident.name id ]) mb.mb_expr
   and module_expr prefix (me : Typedtree.module_expr) =
     match me.mod_desc with
     | Tmod_structure str -> structure prefix str
@@ -657,6 +689,8 @@ let walk_unit st reached (u : Cmt_loader.unit_info) =
     | _ -> ()
   in
   ignore reached;
+  (* Stamps restart in every unit, so aliases are per unit. *)
+  Hashtbl.reset st.aliases;
   structure [] u.str
 
 (* --- verdicts ---------------------------------------------------------- *)
@@ -728,6 +762,7 @@ let analyze ?(reached = []) corpus =
       local = Hashtbl.create 512;
       disp = Hashtbl.create 512;
       env = Hashtbl.create 1024;
+      aliases = Hashtbl.create 16;
     }
   in
   (* pass 1: module-level binding idents -> def node ids, so same-unit

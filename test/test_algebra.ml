@@ -170,6 +170,154 @@ let prop_union_commutes_on_css_spaces =
       let c = Jupiter_css.Protocol.client_space (Css.client t 1) in
       Space.equal (Space.union s c) (Space.union c s))
 
+(* --- Form store ---------------------------------------------------------- *)
+
+(* An edge stores its form's position, and each operation one form of
+   its own; a form is rebuilt from the two when read. *)
+
+let transition_at space state orig =
+  List.find
+    (fun (tr : Space.transition) -> Op_id.equal tr.orig orig)
+    (Space.transitions space state)
+
+let test_nop_only_form () =
+  (* Two concurrent deletions of the same element: [o2] appears in the
+     first space only as the no-op it becomes after [o1], in the second
+     also as itself. *)
+  let serials = Hashtbl.create 4 in
+  let key = serial_key serials in
+  let e = Helpers.elt ~client:9 'a' in
+  let o1 = Helpers.del ~client:1 e 0 and o2 = Helpers.del ~client:2 e 0 in
+  Hashtbl.replace serials o1.Op.id 1;
+  Hashtbl.replace serials o2.Op.id 2;
+  let set ops = Op_id.Set.of_list (List.map (fun o -> o.Op.id) ops) in
+  let tr orig form target = { Space.orig = orig.Op.id; form; target } in
+  let nop2 = Op.nop ~id:o2.Op.id and nop1 = Op.nop ~id:o1.Op.id in
+  let raw =
+    [
+      Space.initial_state, [ tr o1 o1 (set [ o1 ]) ];
+      set [ o1 ], [ tr o2 nop2 (set [ o1; o2 ]) ];
+      set [ o1; o2 ], [];
+    ]
+  in
+  let make raw =
+    Space.of_raw ~key_of:key ~root:Space.initial_state ~final:(set [ o1; o2 ])
+      raw
+  in
+  let a = make raw in
+  Alcotest.check Helpers.op "the no-op reads back" nop2
+    (transition_at a (set [ o1 ]) o2.Op.id).form;
+  Alcotest.(check bool) "equal to its own rebuild" true (Space.equal a (make raw));
+  let moved =
+    make
+      [
+        Space.initial_state, [ tr o1 o1 (set [ o1 ]) ];
+        set [ o1 ], [ tr o2 o2 (set [ o1; o2 ]) ];
+        set [ o1; o2 ], [];
+      ]
+  in
+  Alcotest.(check bool) "unequal to a space with o2 itself there" false
+    (Space.equal a moved);
+  let b =
+    make
+      [
+        Space.initial_state, [ tr o2 o2 (set [ o2 ]) ];
+        set [ o2 ], [ tr o1 nop1 (set [ o1; o2 ]) ];
+        set [ o1; o2 ], [];
+      ]
+  in
+  List.iter
+    (fun (name, u) ->
+      Alcotest.check Helpers.op (name ^ ": o2 is a no-op after o1") nop2
+        (transition_at u (set [ o1 ]) o2.Op.id).form;
+      Alcotest.check Helpers.op (name ^ ": o1 is a no-op after o2") nop1
+        (transition_at u (set [ o2 ]) o1.Op.id).form;
+      Alcotest.check Helpers.op (name ^ ": o2 itself from the root") o2
+        (transition_at u Space.initial_state o2.Op.id).form;
+      Alcotest.check Helpers.op (name ^ ": o1 itself from the root") o1
+        (transition_at u Space.initial_state o1.Op.id).form)
+    [
+      "union a b", Space.union a b;
+      "union b a", Space.union b a;
+      (* the no-op listed before the deletion itself *)
+      ( "nop first",
+        make
+          [
+            set [ o1 ], [ tr o2 nop2 (set [ o1; o2 ]) ];
+            ( Space.initial_state,
+              [ tr o1 o1 (set [ o1 ]); tr o2 o2 (set [ o2 ]) ] );
+            set [ o2 ], [ tr o1 nop1 (set [ o1; o2 ]) ];
+            set [ o1; o2 ], [];
+          ] );
+    ];
+  Alcotest.(check bool) "union commutes" true
+    (Space.equal (Space.union a b) (Space.union b a))
+
+let test_forms_survive_compact () =
+  (* Compaction drops the oldest operations and renumbers the rest; every
+     surviving transition must still read the form it read before. *)
+  let params = { Rlist_sim.Schedule.default_params with updates = 30 } in
+  let t, _ = Helpers.Css_run.random ~nclients:3 ~params 7 in
+  let space = Jupiter_css.Protocol.server_space (Css.server t) in
+  let path = Space.leftmost_path space (Space.root space) in
+  let stable = (List.nth path (List.length path / 2)).Space.target in
+  let rebase s = Op_id.Set.diff s stable in
+  let before =
+    List.filter_map
+      (fun (s, trs) ->
+        if Op_id.Set.subset stable s then
+          Some
+            ( rebase s,
+              List.map
+                (fun (tr : Space.transition) ->
+                  { tr with Space.target = rebase tr.Space.target })
+                trs )
+        else None)
+      (Space.listing space)
+  in
+  let states = Space.num_states space in
+  ignore (Space.compact space ~stable ~base_doc:Document.empty);
+  let after = Space.listing space in
+  Alcotest.(check bool) "states dropped" true (Space.num_states space < states);
+  Alcotest.(check int) "survivors" (List.length before) (List.length after);
+  List.iter
+    (fun (s, trs) ->
+      Alcotest.(check (list Helpers.op))
+        (Format.asprintf "forms at %a" Space.pp_state s)
+        (List.map (fun (tr : Space.transition) -> tr.form) trs)
+        (List.map
+           (fun (tr : Space.transition) -> tr.form)
+           (Space.transitions space s)))
+    before
+
+let test_unshifted_form_is_original () =
+  (* [x] (client 2) is serialized first and [y] (client 1) concurrent
+     with it, both at position 0: [y] shifts past [x], [x] stays put.
+     Every place [x] reads unshifted is the operation itself, not a
+     copy; [y]'s shifted form is a new one. *)
+  let serials = Hashtbl.create 4 in
+  let key = serial_key serials in
+  let x = Helpers.ins ~client:2 'x' 0 and y = Helpers.ins ~client:1 'y' 0 in
+  Hashtbl.replace serials x.Op.id 1;
+  Hashtbl.replace serials y.Op.id 2;
+  let space = Space.create ~key_of:key () in
+  let fx = Space.add_op space (Context.with_context x ~ctx:Context.empty) in
+  let fy = Space.add_op space (Context.with_context y ~ctx:Context.empty) in
+  Alcotest.(check bool) "quiescent add_op returns x itself" true (fx == x);
+  Alcotest.check Helpers.op "y shifts past x" (Helpers.ins ~client:1 'y' 1) fy;
+  let sx = Op_id.Set.singleton x.Op.id and sy = Op_id.Set.singleton y.Op.id in
+  List.iter
+    (fun (name, form) -> Alcotest.(check bool) name true (form == x))
+    [
+      "x from the root", (transition_at space Space.initial_state x.Op.id).form;
+      "x after y", (transition_at space sy x.Op.id).form;
+      "x on the leftmost path", (List.hd (Space.leftmost_path space Space.initial_state)).form;
+    ];
+  Alcotest.(check bool) "y from the root is y itself" true
+    ((transition_at space Space.initial_state y.Op.id).form == y);
+  Alcotest.(check bool) "y after x is a new form" false
+    ((transition_at space sx y.Op.id).form == y)
+
 let () =
   Alcotest.run "algebra"
     [
@@ -182,6 +330,15 @@ let () =
           Alcotest.test_case "conflicts rejected" `Quick
             test_union_conflicting_transitions_rejected;
           prop_union_commutes_on_css_spaces;
+        ] );
+      ( "form store",
+        [
+          Alcotest.test_case "an operation seen only as a no-op" `Quick
+            test_nop_only_form;
+          Alcotest.test_case "forms survive compaction" `Quick
+            test_forms_survive_compact;
+          Alcotest.test_case "an unshifted form is the original" `Quick
+            test_unshifted_form_is_original;
         ] );
       ( "examples 8.2 / 8.3",
         [

@@ -307,33 +307,44 @@ let test_non_insert_runs () =
    is generated against the document it would actually see (ops must
    be contextually consistent — concurrent deletes of the same
    position on the same state delete the same element, which the
-   strict transform asserts). *)
+   strict transform asserts).  A third of the bursts carry a foreign
+   insertion exactly where the run's first operation stands by then,
+   the position tie the append arithmetic must leave to element
+   priority; the run's client is 1 or 3, so its elements lose such a
+   tie against client 2's or win it. *)
 let gen_scenario =
   QCheck2.Gen.(
-    let stream ~client ~n doc0 =
+    let stream ~client ~seq0 ~n doc0 =
       let rec go doc acc seq n =
-        if n = 0 then return (List.rev acc)
+        if n = 0 then return (doc, List.rev acc)
         else
           let* op = Helpers.gen_op_on ~client ~seq doc in
           go (Op.apply op doc) (op :: acc) (seq + 1) (n - 1)
       in
-      go doc0 [] 1 n
+      go doc0 [] seq0 n
     in
     let* nseed = int_range 0 3 in
-    let* nforeign = int_range 0 3 in
+    let* nbefore = int_range 0 3 in
+    let* tie = frequency [ 1, return true; 2, return false ] in
+    let* nafter = int_range 0 2 in
     let* nrun = int_range 2 6 in
     let* pure = frequency [ 2, return true; 1, return false ] in
-    let* seed_ops = stream ~client:9 ~n:nseed Document.empty in
-    let seed_doc =
-      List.fold_left (fun d op -> Op.apply op d) Document.empty seed_ops
-    in
-    let* foreign_ops = stream ~client:2 ~n:nforeign seed_doc in
+    let* client = oneofl [ 1; 3 ] in
+    let* seed_doc, seed_ops = stream ~client:9 ~seq0:1 ~n:nseed Document.empty in
     let* run_ops =
       if pure then
-        return (appends ~client:1 ~seq0:1 ~pos0:(Document.length seed_doc) nrun)
-      else stream ~client:1 ~n:nrun seed_doc
+        return (appends ~client ~seq0:1 ~pos0:(Document.length seed_doc) nrun)
+      else map snd (stream ~client ~seq0:1 ~n:nrun seed_doc)
     in
-    return (seed_ops, foreign_ops, run_ops))
+    let* doc, before = stream ~client:2 ~seq0:1 ~n:nbefore seed_doc in
+    let tie_op =
+      match Op.position (fst (Transform.xform_seq (List.hd run_ops) before)) with
+      | Some q when tie -> [ Helpers.ins ~client:2 ~seq:(nbefore + 1) 't' q ]
+      | Some _ | None -> []
+    in
+    let doc = List.fold_left (fun d op -> Op.apply op d) doc tie_op in
+    let* _, after = stream ~client:2 ~seq0:(nbefore + 2) ~n:nafter doc in
+    return (seed_ops, before @ tie_op @ after, run_ops))
 
 let scenario_prop ~fastpath (seed_ops, foreign_ops, run_ops) =
   let seeded =
@@ -474,15 +485,17 @@ let qtest name gen prop =
 (* --- Allocation budget of the batched fast path ------------------------ *)
 
 (* The benchmark's typing episode (4 clients, 2 rounds of 64-character
-   bursts, batched, append fast path on) may allocate at most 10.4
-   minor words per ladder square, engine and protocol included (9.83
-   measured; 9.85 when a single operation had a ladder walk of its own
-   beside the run walk; 10.34 with each replica keeping its path as a list of
-   states, 10.38 with every node hashed into a table as well, 142.9 with
-   a set per state, 77.0 with a record per node and edge).  OCaml 5
-   without flambda counts allocations exactly, so the figure is the same
-   on every run. *)
-let words_per_square_budget = 10.4
+   bursts, batched, append fast path on) may allocate at most 5.1
+   minor words per ladder square, engine and protocol included (5.05
+   measured; 6.23 when a generic square rebuilt each lane's form from
+   its position; 9.83 when every edge stored its form as an [Op.t] and
+   the lanes were carried as shifted copies; 9.85 when a single operation
+   had a ladder walk of its own beside the run walk; 10.34 with each
+   replica keeping its path as a list of states, 10.38 with every node
+   hashed into a table as well, 142.9 with a set per state, 77.0 with a
+   record per node and edge).  OCaml 5 without flambda counts
+   allocations exactly, so the figure is the same on every run. *)
+let words_per_square_budget = 5.1
 
 let test_words_per_square () =
   let fp = Space.Fastpath.create ~enabled:true () in
@@ -499,14 +512,16 @@ let test_words_per_square () =
     (per_square <= words_per_square_budget)
 
 (* The same episode, run between two minor collections, may promote at
-   most 7.8 words per ladder square: what the long-lived state spaces
-   retain, plus whatever a minor collection catches mid-flight (6.60
-   measured in the full suite; 7.08 with each replica keeping its path
-   as a list of states, 7.12 with every node hashed into a table as
-   well, and the budget set 10 % above that; 28.3 with a record per
-   node and edge).  The minor heap's size fixes when collections happen, so
-   the figure is the same on every run with the default settings. *)
-let promoted_per_square_budget = 7.8
+   most 0.62 words per ladder square: what the long-lived state spaces
+   retain, plus whatever a minor collection catches mid-flight (0.56
+   measured in the full suite, and the budget set 10 % above that; 0.57
+   when a generic square rebuilt each lane's form from its position; 6.60
+   when every edge stored its form as an [Op.t]; 7.08 with each replica
+   keeping its path as a list of states, 7.12 with every node hashed
+   into a table as well; 28.3 with a record per node and edge).  The
+   minor heap's size fixes when collections happen, so the figure is
+   the same on every run with the default settings. *)
+let promoted_per_square_budget = 0.62
 
 let test_promoted_per_square () =
   let fp = Space.Fastpath.create ~enabled:true () in
@@ -520,17 +535,18 @@ let test_promoted_per_square () =
   let squares = fp.Space.Fastpath.append_hits + fp.Space.Fastpath.generic_squares in
   let per_square = (after -. before) /. float_of_int squares in
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f promoted words per square (%d squares) <= %.1f"
+    (Printf.sprintf "%.2f promoted words per square (%d squares) <= %.2f"
        per_square squares promoted_per_square_budget)
     true
     (per_square <= promoted_per_square_budget)
 
 (* After the same episode, each replica's space may retain at most
-   18.6 words per state, everything the space reaches included (18.27
-   measured, bounded with 2 % headroom; 21.93 with every node hashed
-   into a table of its own).  Like the allocation counts, the figure is
-   the same on every run. *)
-let retained_per_node_budget = 18.6
+   12.5 words per state, everything the space reaches included (12.34
+   to 12.35 measured, bounded with 2 % headroom; 18.27 when every edge stored
+   its form as an [Op.t], 21.93 with every node hashed into a table of
+   its own as well).  Like the allocation counts, the figure is the same
+   on every run. *)
+let retained_per_node_budget = 12.5
 
 let test_retained_per_node () =
   let fp = Space.Fastpath.create ~enabled:true () in
@@ -554,11 +570,13 @@ let test_retained_per_node () =
 
 (* After the same episode, each css replica record — client or server,
    with its space, serial table and document — may retain at most
-   1819 words per operation it processed (1784.0 measured for every
-   replica, bounded with 2 % headroom; 1836.4 to 1837.8 when each
+   1234 words per operation it processed (1209.3 to 1210.0 measured,
+   bounded with 2 % headroom; 1209.0 for every replica when a generic
+   square rebuilt each lane's form from its position, 1784.0 when every
+   edge stored its form as an [Op.t], 1836.4 to 1837.8 when each
    replica also kept its path as a list of states).  Like the
    allocation counts, the figure is the same on every run. *)
-let retained_per_op_budget = 1819.
+let retained_per_op_budget = 1234.
 
 let test_retained_per_op () =
   let fp = Space.Fastpath.create ~enabled:true () in

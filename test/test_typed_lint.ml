@@ -4,13 +4,14 @@
    formatting), the domain-safety inventory and its shard-readiness
    report, and the graph exports.
 
-   The corpus is test/fixtures_typed/ — fourteen hand-written modules
+   The corpus is test/fixtures_typed/ — sixteen hand-written modules
    compiled with -bin-annot by a dune rule, carrying three seeded bugs
    (a 3-hop transitive Random chain, a module-level hashtable, and an
    entry point folding a Hashtbl.Make table), a clean module, a suppressed sink, and one module per escape-pass
    verdict (stack-confined, instance-confined, and the closure /
-   module-binding / container-nested escapes), and two units of
-   identical layout whose bindings share ident stamps. *)
+   module-binding / container-nested escapes), two units of identical
+   layout whose bindings share ident stamps, and a unit calling another
+   through module aliases. *)
 
 open Rlist_lint
 
@@ -31,11 +32,12 @@ let contains ~needle haystack =
 let test_loading () =
   let c = Lazy.force corpus in
   Alcotest.(check (list string))
-    "all fourteen fixture units load"
+    "all sixteen fixture units load"
     [
-      "Fx_allowed"; "Fx_clean"; "Fx_entry"; "Fx_esc_closure";
+      "Fx_allowed"; "Fx_clean"; "Fx_entry"; "Fx_esc_alias"; "Fx_esc_closure";
       "Fx_esc_instance"; "Fx_esc_module"; "Fx_esc_nested"; "Fx_esc_stack";
-      "Fx_ftable"; "Fx_leaf"; "Fx_mid"; "Fx_table"; "Fx_twin_a"; "Fx_twin_b";
+      "Fx_ftable"; "Fx_hold"; "Fx_leaf"; "Fx_mid"; "Fx_table"; "Fx_twin_a";
+      "Fx_twin_b";
     ]
     (List.map
        (fun (u : Cmt_loader.unit_info) -> u.modname)
@@ -315,6 +317,22 @@ let test_escape_instance () =
       ]
     ()
 
+let test_escape_alias () =
+  (* the call resolves through [module H = Fx_hold] and through
+     [let module L = Fx_hold in] alike *)
+  List.iter
+    (fun (line, def) ->
+      check_alloc ~file:"fx_esc_alias.ml" ~line ~kind:"ref"
+        ~verdict:"instance-confined"
+        ~chain:
+          [
+            Printf.sprintf "ref allocated in Fx_esc_alias.%s (fx_esc_alias.ml:%d)"
+              def line;
+            Printf.sprintf "passed to Fx_hold.keep (fx_esc_alias.ml:%d)" line;
+          ]
+        ())
+    [ 7, "keep_via_module"; 11, "keep_via_let_module" ]
+
 let test_escape_closure () =
   check_alloc ~file:"fx_esc_closure.ml" ~line:4 ~kind:"ref"
     ~verdict:"escaping"
@@ -495,6 +513,8 @@ let () =
         [
           Alcotest.test_case "stack-confined" `Quick test_escape_stack;
           Alcotest.test_case "instance-confined" `Quick test_escape_instance;
+          Alcotest.test_case "calls through module aliases" `Quick
+            test_escape_alias;
           Alcotest.test_case "closure-capture escape" `Quick
             test_escape_closure;
           Alcotest.test_case "module-binding escape" `Quick
