@@ -54,6 +54,32 @@ let test_of_raw_validation () =
     "leftmost path length" 1
     (List.length (Space.leftmost_path space Space.initial_state))
 
+(* The space stores positions in 32 bits: the largest int32 position
+   reads back unchanged, and the next one is refused rather than
+   wrapped. *)
+let test_of_raw_position_range () =
+  let build pos =
+    let o1 = Helpers.ins ~client:1 'a' pos in
+    let s1 = Op_id.Set.singleton o1.Op.id in
+    Space.of_raw
+      ~key_of:(fun _ -> Jupiter_css.Order_key.Serialized 1)
+      ~root:Space.initial_state ~final:s1
+      [
+        ( Space.initial_state,
+          [ { Space.orig = o1.Op.id; form = o1; target = s1 } ] );
+        s1, [];
+      ]
+  in
+  let top = Int32.to_int Int32.max_int in
+  (match Space.transitions (build top) Space.initial_state with
+  | [ tr ] ->
+    Alcotest.(check (option int)) "largest position kept" (Some top)
+      (Op.position tr.Space.form)
+  | trs -> Alcotest.failf "%d transitions" (List.length trs));
+  match build (top + 1) with
+  | _ -> Alcotest.fail "position 2^31 accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- union under Proposition 6.6 --------------------------------------- *)
 
 let test_union_idempotent_for_css () =
@@ -322,7 +348,11 @@ let () =
   Alcotest.run "algebra"
     [
       ( "of_raw",
-        [ Alcotest.test_case "validation" `Quick test_of_raw_validation ] );
+        [
+          Alcotest.test_case "validation" `Quick test_of_raw_validation;
+          Alcotest.test_case "positions beyond 32 bits" `Quick
+            test_of_raw_position_range;
+        ] );
       ( "union",
         [
           Alcotest.test_case "idempotent under Prop 6.6" `Quick

@@ -357,7 +357,22 @@ let test_reader_regressions () =
     (Snapshot.stable_of_string
        "css-stable 1\nat 0\ndelt 97 1 1\ndelt 98 1 1\n");
   rejected "duplicate element ids (client)"
-    (Snapshot.client_of_string (client ^ "delt 97 0 1\ndelt 98 0 1\n"))
+    (Snapshot.client_of_string (client ^ "delt 97 0 1\ndelt 98 0 1\n"));
+  (* A position is stored in 32 bits: the largest one round-trips, the
+     next one is refused, never wrapped. *)
+  let at pos =
+    Printf.sprintf
+      "css-client 1\nclient 1 2\nroot \nfinal 1.1\nnode \n\
+       tr 1 1 ins 97 1 1 %d\nnode 1.1\n"
+      pos
+  in
+  let top = Int32.to_int Int32.max_int in
+  (match Snapshot.client_of_string (at top) with
+  | Ok c ->
+    Alcotest.(check string) "largest position round-trips" (at top)
+      (Snapshot.client_to_string c)
+  | Error e -> Alcotest.failf "largest position: %s" e);
+  rejected "position 2^31" (Snapshot.client_of_string (at (top + 1)))
 
 let () =
   Alcotest.run "properties"
