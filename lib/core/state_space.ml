@@ -196,13 +196,12 @@ type t = {
      comment on the store). *)
   mutable op_ids : Op_id.t array;
   mutable op_form : Op.t array;
-  (* Lane [i]'s form as the last generic square built it (see
-     {!levels}), reused from run to run. *)
-  mutable lanes : Op.t array;
-  (* Each operation's ordering key, valid while [op_epoch] is [epoch]:
-     [key_of] is asked once per operation processed, not once per
-     edge compared (a key may turn from [Pending] to [Serialized]
-     between two operations, but never while one is processed). *)
+  (* Each operation's ordering key as last asked of [key_of] (see
+     {!key_of_op}): a [Serialized] key for as long as the operation is
+     in the space, a [Pending] one while [op_epoch] is [epoch].  A key
+     may turn from [Pending] to [Serialized] between two runs, but
+     never while one is processed, and a [Serialized] key never
+     changes (see {!create}). *)
   mutable op_key : Order_key.t array;
   mutable op_epoch : int array;
   mutable epoch : int;
@@ -264,7 +263,6 @@ let make ~key_of ~fp ~root ~final ~nodes ~op_index =
     ntransitions = 0;
     op_ids = Array.make cap no_id;
     op_form = Array.make cap no_form;
-    lanes = [||];
     op_key = Array.make cap no_key;
     op_epoch = Array.make cap 0;
     epoch = 1;
@@ -295,15 +293,22 @@ let base_state t node =
 
 let[@inline] op_id t o = t.op_ids.(o)
 
-(* The ordering key of operation [o] in the current epoch. *)
+(* The ordering key of operation [o]: [key_of] is asked once per
+   space for a serialized operation, and at most once per run for a
+   pending one. *)
 let[@inline] key_of_op t o =
-  if t.op_epoch.(o) <> t.epoch then begin
-    t.op_key.(o) <- t.key_of t.op_ids.(o);
-    t.op_epoch.(o) <- t.epoch
-  end;
-  t.op_key.(o)
+  let key = t.op_key.(o) in
+  match key with
+  | Order_key.Serialized _ -> key
+  | Order_key.Pending _ when t.op_epoch.(o) = t.epoch -> key
+  | Order_key.Pending _ ->
+    let key = t.key_of t.op_ids.(o) in
+    t.op_key.(o) <- key;
+    t.op_epoch.(o) <- t.epoch;
+    key
 
-(* Keys looked up from here on may differ from those cached so far. *)
+(* Pending keys looked up from here on may differ from those cached so
+   far. *)
 let new_epoch t = t.epoch <- t.epoch + 1
 
 (* A new index for [f]'s operation, keeping [f] as its form. *)
@@ -318,6 +323,7 @@ let new_op t (f : Op.t) =
   end;
   t.op_ids.(o) <- f.id;
   t.op_form.(o) <- f;
+  t.op_key.(o) <- no_key;
   t.op_epoch.(o) <- 0;
   t.nops <- o + 1;
   o
@@ -355,24 +361,10 @@ let intern t (f : Op.t) =
       Op_id.Table.replace index f.id o;
       o)
 
-(* The position of a form, [none] for [Nop]. *)
-let pos_of (f : Op.t) =
-  match f.action with Op.Ins (_, p) | Op.Del (_, p) -> p | Op.Nop -> none
-
-(* Operation [o]'s form at position [pos] ([none]: the no-op): the kept
-   form itself, no copy, when the position is its own. *)
-let form_at t o pos =
-  let kept = t.op_form.(o) in
-  match kept.action with
-  | Op.Ins (e, p) ->
-    if p = pos then kept
-    else if pos = none then Op.nop ~id:kept.id
-    else Op.make_ins ~id:kept.id e pos
-  | Op.Del (e, p) ->
-    if p = pos then kept
-    else if pos = none then Op.nop ~id:kept.id
-    else Op.make_del ~id:kept.id e pos
-  | Op.Nop -> kept
+(* Operation [o]'s form at position [pos] ([none], which is
+   [Op.no_pos]: the no-op): the kept form itself, no copy, when the
+   position is its own. *)
+let form_at t o pos = Op.at t.op_form.(o) pos
 
 let[@inline] is_ins t o = Op.is_ins t.op_form.(o)
 
@@ -558,13 +550,13 @@ let rec descend t s ~card node =
       let dst = iget t.e_dst e in
       if is_base t dst then none else descend t s ~card dst
 
-(* The node of [state], or [none]: a base node by its index entry, any
-   other by a descent from each base within [state], in index order. *)
-let find_node_opt t state =
+(* The node of [state], of [card] elements, or [none]: a base node by
+   its index entry, any other by a descent from each base within
+   [state], in index order. *)
+let find_node_sized t state ~card =
   match Op_id.State_table.find_opt t.base_index state with
   | Some node -> node
   | None ->
-    let card = Op_id.Set.cardinal state in
     let rec from k =
       if k = Array.length t.bases then none
       else
@@ -578,13 +570,17 @@ let find_node_opt t state =
     in
     from 0
 
-let find_node t state =
-  let node = find_node_opt t state in
+let find_node_opt t state =
+  find_node_sized t state ~card:(Op_id.Set.cardinal state)
+
+let check_found state node =
   if node = none then
     invalid_arg
       (Format.asprintf "State_space: no state matches context %a" Op_id.Set.pp
          state);
   node
+
+let find_node t state = check_found state (find_node_opt t state)
 
 let mem_state t state = find_node_opt t state <> none
 
@@ -627,7 +623,7 @@ let size t = num_states t + num_transitions t
 
 (* Splice a new edge into [node]'s ordered chain, before the first edge
    [cur] whose key exceeds [key], the ordering key of [orig]; the keys
-   of the edges passed come from the per-epoch cache ({!key_of_op}).
+   of the edges passed come from the key cache ({!key_of_op}).
    Equal keys cannot occur: an operation identifier labels at most one
    transition per state (Lemma 6.3's "parallel transitions" are at
    distinct states).  A toplevel recursion, so a splice allocates no
@@ -685,17 +681,23 @@ let final_path t =
   in
   List.map (materializer t) (chain t.final_node [])
 
-let[@inline] xform t o1 o2 =
-  t.ot_count <- t.ot_count + 1;
-  Transform.xform o1 o2
-
-(* The context of a quiescent replica's next operation is its current
-   final state: the leftmost path is empty, no transformation can
-   happen, and the whole of Algorithm 1 collapses to appending the
-   run's lanes at the final node.  The physical-equality test catches
-   the common case (protocols pass [final t] through) without paying
-   the set comparison. *)
-let context_is_final t ctx = ctx == t.final || Op_id.Set.equal ctx t.final
+(* The node of a run's context [ctx], of [card] elements ([none]: not
+   counted yet).  The context of a quiescent replica's next operation
+   is its current final state: the leftmost path is empty, no
+   transformation can happen, and the whole of Algorithm 1 collapses
+   to appending the run's lanes at the final node.  The
+   physical-equality test catches the common case (protocols pass
+   [final t] through) without paying the set comparison, and the
+   sizes, which allocate nothing to compare, rule out every context
+   smaller than the final state before [Op_id.Set.equal], which
+   allocates along both sets. *)
+let entry_node t ctx ~card =
+  if ctx == t.final then t.final_node
+  else
+    let card = if card = none then Op_id.Set.cardinal ctx else card in
+    if card = iget t.n_card t.final_node && Op_id.Set.equal ctx t.final then
+      t.final_node
+    else check_found ctx (find_node_sized t ctx ~card)
 
 let notify_growth t ~ot_before =
   match t.observer with
@@ -712,28 +714,43 @@ let check_fresh t id =
 
 (* --- Algorithm 1 ------------------------------------------------------ *)
 
-(* [extends_by ~prev ctx'] holds when [ctx'] is [prev]'s context
-   extended by exactly [prev]'s operation — the shape of two
-   operations generated back to back by one replica.  Within one FIFO
-   stream contexts grow monotonically, so this test is also how a
-   mixed batch is split back into contiguous runs.  Equality is
-   decided by cardinality and inclusion, which allocates nothing when
-   the two trees have the same shape — as they do when [ctx'] was
-   built by the same [Set.add] — where [Op_id.Set.equal] allocates
-   along both trees. *)
-let extends_by ~prev ctx' =
-  let ctx = Op_id.Set.add prev.Context.op.Op.id prev.Context.ctx in
-  Op_id.Set.cardinal ctx' = Op_id.Set.cardinal ctx && Op_id.Set.subset ctx' ctx
+(* [extends_by ~prev ~prev_card ~card oc] holds when [oc]'s context,
+   of [card] elements, is [prev]'s context, of [prev_card], extended by
+   exactly [prev]'s operation — the shape of two operations generated
+   back to back by one replica.  Within one FIFO stream contexts grow
+   monotonically, so this test is also how a mixed batch is split back
+   into contiguous runs.  The extended context has [prev_card + 1]
+   elements, since {!Context.with_context} refuses an operation inside
+   its own context, so each context is counted once, by
+   {!segment_runs}, and carried to the next comparison and, for a
+   run's first operation, to {!entry_node}.  Equality is then decided
+   by inclusion, which allocates nothing when the two trees have the
+   same shape — as they do when [oc]'s context was built by the same
+   [Set.add] — where [Op_id.Set.equal] allocates along both trees. *)
+let extends_by ~prev ~prev_card ~card (oc : Context.op_in_context) =
+  card = prev_card + 1
+  && Op_id.Set.subset oc.ctx
+       (Op_id.Set.add prev.Context.op.Op.id prev.Context.ctx)
 
-(* Maximal contiguous runs of a batch, order preserved. *)
-let rec segment_runs = function
+(* Maximal contiguous runs of a batch, order preserved, each with the
+   size of its context ([none] for a lone operation, which is compared
+   with nothing); [card] is the size of [first]'s context. *)
+let rec segment_from first ~card rest =
+  let rec run prev prev_card seg = function
+    | [] -> [ card, List.rev seg ]
+    | oc :: rest ->
+      let next = Op_id.Set.cardinal oc.Context.ctx in
+      if extends_by ~prev ~prev_card ~card:next oc then
+        run oc next (oc :: seg) rest
+      else (card, List.rev seg) :: segment_from oc ~card:next rest
+  in
+  run first card [ first ] rest
+
+let segment_runs = function
   | [] -> []
+  | [ oc ] -> [ none, [ oc ] ]
   | first :: rest ->
-    let rec run prev seg = function
-      | oc :: rest when extends_by ~prev oc.Context.ctx -> run oc (oc :: seg) rest
-      | rest -> List.rev seg :: segment_runs rest
-    in
-    run first [ first ] rest
+    segment_from first ~card:(Op_id.Set.cardinal first.Context.ctx) rest
 
 (* The start position of a pure append run — [k] insertions at
    consecutive ascending positions, the shape the append-log and typing
@@ -756,16 +773,17 @@ let run_start t ~k work =
    by level.  The target's leftmost edge is read before its first lane
    edge joins its chain.  [keys] holds each lane's ordering key; while
    [run_q] is not [none], the lanes form a pure append run starting at
-   [run_q].  [t.lanes.(i - 1)] is lane [i]'s form as the last generic
-   square built it: the next generic square reuses it while the
-   position is still its own (an arithmetic level moves the position
-   alone).  Returns the offset of the top row. *)
+   [run_q].  A square, generic or arithmetic, moves positions only: a
+   generic square transforms the path and lane positions with
+   {!Transform.xform_pos}, reading each operation's kind and element
+   from its kept form, so a level builds no form and allocates
+   nothing.  Returns the offset of the top row. *)
 let rec levels t ~k ~work ~keys ~run_q prev cur e =
   if e = none then prev
   else begin
     let tgt = iget t.e_dst e and e_orig = iget t.e_orig e in
     let e_pos = iget t.e_pos e in
-    let path = iget t.n_first tgt in
+    let next = iget t.n_first tgt in
     work.(cur) <- tgt;
     let path_key = key_of_op t e_orig in
     (* An arithmetic level: the path form acts strictly outside the
@@ -781,9 +799,9 @@ let rec levels t ~k ~work ~keys ~run_q prev cur e =
       else if e_pos < run_q then true, -1, false
       else true, 0, true
     in
-    (* [f] is the path form as it crosses lane [i], on generic levels
-       only. *)
-    let f = ref (if arithmetic then no_form else form_at t e_orig e_pos) in
+    (* [f] is the path form's position as it crosses lane [i], on
+       generic levels only. *)
+    let path = t.op_form.(e_orig) and f = ref e_pos in
     for i = 1 to k do
       let below = work.(cur + i - 1) and o = work.(i - 1) in
       let node = fresh_node t ~up:below ~via:o in
@@ -792,14 +810,14 @@ let rec levels t ~k ~work ~keys ~run_q prev cur e =
           ( work.(k + i - 1) + lane_shift,
             if path_shifts then e_pos + i else e_pos )
         else begin
-          let pos = work.(k + i - 1) and last = t.lanes.(i - 1) in
-          let lane = if pos_of last = pos then last else form_at t o pos in
-          let f' = xform t !f lane in
-          let lane' = xform t lane !f in
-          if lane' != last then t.lanes.(i - 1) <- lane';
+          (* One square is two primitive transformations. *)
+          let lane = t.op_form.(o) and pos = work.(k + i - 1) in
+          let f' = Transform.xform_pos path !f lane pos in
+          let lane' = Transform.xform_pos lane pos path !f in
           f := f';
+          t.ot_count <- t.ot_count + 2;
           t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1;
-          pos_of lane', pos_of f'
+          lane', f'
         end
       in
       work.(k + i - 1) <- lane_pos;
@@ -819,7 +837,7 @@ let rec levels t ~k ~work ~keys ~run_q prev cur e =
            may or may not survive. *)
         run_start t ~k work
     in
-    levels t ~k ~work ~keys ~run_q cur prev path
+    levels t ~k ~work ~keys ~run_q cur prev next
   end
 
 (* Algorithm 1 over one contiguous run of [k >= 1] operations, with a
@@ -847,17 +865,16 @@ let rec levels t ~k ~work ~keys ~run_q prev cur e =
    transformations with [O(k)] additions that reproduce the
    transform's case analysis exactly (ties at [r = q], where element
    priority decides, fall back to the generic squares) and building no
-   form at all. *)
-let run_segment t seg =
+   form at all.  [card] is the size of the run's context, [none] when
+   {!segment_runs} did not count it. *)
+let run_segment t ~card seg =
   let k = List.length seg in
   List.iter (fun oc -> check_fresh t oc.Context.op.Op.id) seg;
   new_epoch t;
   let ot_before = t.ot_count in
   let entry_ctx = (List.hd seg).Context.ctx in
-  let quiescent = context_is_final t entry_ctx in
-  let entry_node =
-    if quiescent then t.final_node else find_node t entry_ctx
-  in
+  let entry_node = entry_node t entry_ctx ~card in
+  let quiescent = entry_node = t.final_node in
   if quiescent then
     t.fp.Fastpath.context_hits <- t.fp.Fastpath.context_hits + k
   else check_leftmost t ~start:entry_ctx entry_node;
@@ -866,13 +883,12 @@ let run_segment t seg =
      operation would feel. *)
   let keys = Array.make k no_key in
   let work = Array.make ((4 * k) + 2) none in
-  if Array.length t.lanes < k then t.lanes <- Array.make (2 * k) no_form;
   List.iteri
     (fun i { Context.op; _ } ->
-      keys.(i) <- t.key_of op.Op.id;
-      work.(i) <- intern t op;
-      work.(k + i) <- pos_of op;
-      t.lanes.(i) <- op)
+      let o = intern t op in
+      keys.(i) <- key_of_op t o;
+      work.(i) <- o;
+      work.(k + i) <- Op.pos op)
     seg;
   let run_q =
     if t.fp.Fastpath.enabled && k >= 2 then run_start t ~k work else none
@@ -904,9 +920,12 @@ let run_segment t seg =
   notify_growth t ~ot_before;
   List.init k (fun i -> form_at t work.(i) work.(k + i))
 
-let add_op t oc = List.hd (run_segment t [ oc ])
+let add_op t oc = List.hd (run_segment t ~card:none [ oc ])
 
-let add_run t ops = List.concat_map (run_segment t) (segment_runs ops)
+let add_run t ops =
+  List.concat_map
+    (fun (card, seg) -> run_segment t ~card seg)
+    (segment_runs ops)
 
 let ot_count t = t.ot_count
 
@@ -1034,15 +1053,22 @@ let compact t ~stable ~base_doc =
   let survivors = renumber node_map in
   let kept_edges = renumber edge_map in
   let kept_ops = renumber op_map in
+  (* An operation's form and cached key move with it: a [Serialized]
+     key is never asked again, so one left behind would be read as the
+     key of the operation renumbered onto its slot. *)
   for o = 0 to t.nops - 1 do
     let o' = op_map.(o) in
     if o' <> none then begin
       t.op_ids.(o') <- t.op_ids.(o);
-      t.op_form.(o') <- t.op_form.(o)
+      t.op_form.(o') <- t.op_form.(o);
+      t.op_key.(o') <- t.op_key.(o);
+      t.op_epoch.(o') <- t.op_epoch.(o)
     end
   done;
   Array.fill t.op_ids kept_ops (t.nops - kept_ops) no_id;
   Array.fill t.op_form kept_ops (t.nops - kept_ops) no_form;
+  Array.fill t.op_key kept_ops (t.nops - kept_ops) no_key;
+  Array.fill t.op_epoch kept_ops (t.nops - kept_ops) 0;
   t.nops <- kept_ops;
   Option.iter
     (fun index ->
@@ -1153,8 +1179,9 @@ let of_raw ~key_of ~root ~final assoc =
               (Format.asprintf
                  "State_space.of_raw: the transition of %a carries form %a"
                  Op_id.pp tr.orig Op.pp tr.form);
-          insert_edge t node ~key:(t.key_of tr.orig) ~orig:(intern t tr.form)
-            ~pos:(pos_of tr.form) ~dst)
+          let o = intern t tr.form in
+          insert_edge t node ~key:(key_of_op t o) ~orig:o
+            ~pos:(Op.pos tr.form) ~dst)
         transitions)
     assoc;
   t

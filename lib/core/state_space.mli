@@ -26,16 +26,16 @@
     for every operation Algorithm 1 saves) and a transition's form is
     rebuilt from it and the position when read; a form at the kept
     form's own position is returned as is, not copied.  Nodes,
-    transitions and operations are indices into growable [int] arrays,
-    so a ladder square writes a few integers, allocates nothing on the
-    append path and only its transient transformed forms otherwise, and
-    Algorithm 1 ({!add_op}, {!add_run}) never builds a set beyond the
-    final state.  The accessors that return
-    states — {!states}, {!listing}, {!transitions}, {!leftmost_path},
-    {!final_path}, and {!equal}, {!union}, {!pp} on top of them —
-    materialize the sets on demand, at up to O(|state| log |state|) per
-    state returned.  They serve analysis, rendering and tests, not the
-    protocol hot path.
+    transitions and operations are indices into growable columns of
+    integers, and a ladder square transforms positions only
+    ({!Rlist_ot.Transform.xform_pos}), so a square writes a few
+    integers and allocates nothing, and Algorithm 1 ({!add_op},
+    {!add_run}) never builds a set beyond the final state.  The
+    accessors that return states — {!states}, {!listing},
+    {!transitions}, {!leftmost_path}, {!final_path}, and {!equal},
+    {!union}, {!pp} on top of them — materialize the sets on demand, at
+    up to O(|state| log |state|) per state returned.  They serve
+    analysis, rendering and tests, not the protocol hot path.
 
     A state given as an argument, an operation's context included, is
     found without a per-node index.  Only the root, the {!of_raw} nodes
@@ -61,9 +61,17 @@ type t
 
 (** [create ~key_of ()] builds a state-space containing only the
     initial state [{}].  [key_of] maps an operation identifier to its
-    current ordering key; it is consulted at every insertion, so it
-    may answer [Pending] early on and [Serialized] later (the relative
-    order never changes, see {!Order_key}).
+    current ordering key.  It may answer [Pending] early on and
+    [Serialized] later (the relative order never changes, see
+    {!Order_key}), but a [Serialized] key must never change while its
+    operation is in the space: the space asks for a serialized key once
+    and keeps it until {!compact} drops the operation, and asks for a
+    pending key again in each later {!add_op} or {!add_run} that
+    compares it.  Every replica honours this: css and css-seq key by
+    serial numbers assigned once, css-pruned forgets a serial only
+    after {!compact} has dropped its operation, css-p2p keys by the
+    timestamp fixed when the operation is generated or received, and a
+    rebuilt client keys by the serial table it was restored with.
 
     Algorithm 1's ladders transform with the Jupiter view-position
     functions, {!Rlist_ot.Transform.xform}.  (The adOPTed-style
@@ -231,7 +239,7 @@ val equal : t -> t -> bool
 (** [of_raw ~key_of ~root ~final assoc] builds a space from an explicit
     state/transition listing (analysis and testing only — protocol
     spaces are built through {!add_op}).  Transitions are re-sorted by
-    [key_of].
+    [key_of], which keeps {!create}'s contract.
     @raise Invalid_argument if [root], [final], or a transition target
     is missing from [assoc], if a state repeats, if a transition's form
     has another identifier than its operation, or if two forms of one

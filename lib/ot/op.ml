@@ -53,6 +53,25 @@ let position t =
   | Ins (_, p) | Del (_, p) -> Some p
   | Nop -> None
 
+let no_pos = -1
+
+let pos t =
+  match t.action with
+  | Ins (_, p) | Del (_, p) -> p
+  | Nop -> no_pos
+
+let at t p =
+  match t.action with
+  | Ins (e, q) ->
+    if p = q then t
+    else if p = no_pos then nop ~id:t.id
+    else make_ins ~id:t.id e p
+  | Del (e, q) ->
+    if p = q then t
+    else if p = no_pos then nop ~id:t.id
+    else make_del ~id:t.id e p
+  | Nop -> t
+
 let apply t doc =
   match t.action with
   | Nop -> doc

@@ -42,6 +42,19 @@ val element : t -> Element.t option
 (** The position an operation acts on; [None] for [Nop]. *)
 val position : t -> int option
 
+(** The position that stands for [Nop] where positions are plain
+    integers: [-1]. *)
+val no_pos : int
+
+(** [pos t] is [t]'s position, {!no_pos} for [Nop]. *)
+val pos : t -> int
+
+(** [at t p] is [t]'s form at position [p] ({!no_pos}: the no-op): the
+    same identity, kind and element.  It is [t] itself, not a copy,
+    when [p] is [t]'s own position, and whenever [t] is [Nop].
+    @raise Invalid_argument if [p] is negative and not {!no_pos}. *)
+val at : t -> int -> t
+
 (** [apply op doc] executes [op] on [doc].
 
     @raise Invalid_argument if the position is out of bounds, or if a

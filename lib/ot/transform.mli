@@ -25,6 +25,14 @@ open Rlist_model
     (Definition 4.6).  Written [o1' = OT(o1, o2)] in the paper. *)
 val xform : Op.t -> Op.t -> Op.t
 
+(** [xform_pos o1 p1 o2 p2] is {!xform} on positions: the position of
+    [xform (Op.at o1 p1) (Op.at o2 p2)], {!Op.no_pos} for [Nop].  The
+    kinds and elements are [o1]'s and [o2]'s, their positions [p1] and
+    [p2].  It allocates nothing; {!xform} is this case analysis
+    followed by {!Op.at}, so it returns [o1] itself whenever the
+    position does not move. *)
+val xform_pos : Op.t -> int -> Op.t -> int -> int
+
 (** [xform_pair o1 o2 = (xform o1 o2, xform o2 o1)], the paper's
     [(o1', o2') = OT(o1, o2)]. *)
 val xform_pair : Op.t -> Op.t -> Op.t * Op.t

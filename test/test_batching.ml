@@ -364,6 +364,122 @@ let scenario_prop ~fastpath (seed_ops, foreign_ops, run_ops) =
   && (fastpath || ot = xforms)
   && ot <= xforms
 
+(* --- Ordering keys ------------------------------------------------------ *)
+
+(* A key table whose [key_of] counts how often each identifier is
+   asked. *)
+let counting_keys () =
+  let serials, key = key_table () in
+  let asks : (Op_id.t, int) Hashtbl.t = Hashtbl.create 8 in
+  let key id =
+    let n = Option.value (Hashtbl.find_opt asks id) ~default:0 in
+    Hashtbl.replace asks id (n + 1);
+    key id
+  in
+  serials, asks, key
+
+(* Every operation serialized up front, so every key is [Serialized]:
+   client 1 appends ten characters, then client 2's five operations,
+   generated concurrently with all of them, each cross that path in a
+   run of their own — fifty generic levels that compare and splice
+   client 1's keys.  Each key is asked once in the space's lifetime. *)
+let test_serialized_key_asked_once () =
+  let serials, asks, key = counting_keys () in
+  let mine = chain ~ctx:Context.empty (appends ~client:1 ~seq0:1 ~pos0:0 10) in
+  let theirs = chain ~ctx:Context.empty (appends ~client:2 ~seq0:1 ~pos0:0 5) in
+  List.iteri
+    (fun i oc -> Hashtbl.replace serials oc.Context.op.Op.id (i + 1))
+    (mine @ theirs);
+  let space = Space.create ~key_of:key () in
+  List.iter (fun oc -> ignore (Space.add_op space oc)) (mine @ theirs);
+  Alcotest.(check int) "generic squares" 50
+    (Space.fastpath space).Space.Fastpath.generic_squares;
+  List.iter
+    (fun oc ->
+      let id = oc.Context.op.Op.id in
+      Alcotest.(check int)
+        (Format.asprintf "asks for %a" Op_id.pp id)
+        1
+        (Option.value (Hashtbl.find_opt asks id) ~default:0))
+    (mine @ theirs)
+
+(* A client's own operation [a] is pending when it is processed and
+   serialized (acknowledged) before the next run: that run asks for its
+   key again, and a foreign operation serialized after it is saved to
+   its right.  Once serialized, the key is not asked again. *)
+let test_pending_key_reread () =
+  let serials, asks, key = counting_keys () in
+  let space = Space.create ~key_of:key () in
+  let a = Helpers.ins ~client:1 'a' 0 in
+  let b = Helpers.ins ~client:2 'b' 0 in
+  let c = Helpers.ins ~client:3 'c' 0 in
+  ignore (Space.add_op space (Context.with_context a ~ctx:Context.empty));
+  Hashtbl.replace serials a.Op.id 1;
+  Hashtbl.replace serials b.Op.id 2;
+  Hashtbl.replace serials c.Op.id 3;
+  ignore (Space.add_op space (Context.with_context b ~ctx:Context.empty));
+  ignore (Space.add_op space (Context.with_context c ~ctx:Context.empty));
+  Alcotest.(check (list Helpers.op_id))
+    "root transitions in serial order" [ a.Op.id; b.Op.id; c.Op.id ]
+    (List.map
+       (fun (tr : Space.transition) -> tr.orig)
+       (Space.transitions space Context.empty));
+  Alcotest.(check int) "asks for a: pending, then serialized" 2
+    (Hashtbl.find asks a.Op.id);
+  (* The same stream through the transcription, keys asked fresh. *)
+  let reference = Algorithm1.create key in
+  List.iter
+    (fun op ->
+      let oc = Context.with_context op ~ctx:Context.empty in
+      ignore (Algorithm1.add_op reference oc))
+    [ a; b; c ];
+  Alcotest.check listing "states and transitions"
+    (Algorithm1.listing reference) (sorted_listing space)
+
+(* [compact] renumbers the operations it keeps, and their cached keys
+   move with them.  Client 1 processes foreign [f0], its own [a] (still
+   pending) and foreign [f1], concurrent with [a]; [a] is then
+   acknowledged after [g], which was generated on [{f0, f1}].  Once
+   [f0] is compacted away, [g] must be saved before [a]{f1} at
+   [{f1}], exactly where a space that never compacted saves it at
+   [{f0, f1}]. *)
+let test_compact_moves_keys () =
+  let build () =
+    let serials, key = key_table () in
+    let space = Space.create ~key_of:key () in
+    let f0 = Helpers.ins ~client:2 'p' 0 in
+    let f1 = Helpers.ins ~client:2 ~seq:2 'q' 1 in
+    let a = Helpers.ins ~client:1 'a' 0 in
+    let g = Helpers.ins ~client:3 'g' 2 in
+    let s0 = Context.extend Context.empty f0 in
+    Hashtbl.replace serials f0.Op.id 1;
+    ignore (Space.add_op space (Context.with_context f0 ~ctx:Context.empty));
+    ignore (Space.add_op space (Context.with_context a ~ctx:s0));
+    Hashtbl.replace serials f1.Op.id 2;
+    ignore (Space.add_op space (Context.with_context f1 ~ctx:s0));
+    Hashtbl.replace serials g.Op.id 3;
+    Hashtbl.replace serials a.Op.id 4;
+    space, f0, f1, g, s0
+  in
+  let order space state =
+    List.map
+      (fun (tr : Space.transition) -> tr.orig)
+      (Space.transitions space state)
+  in
+  let plain, f0, f1, g, s0 = build () in
+  let s01 = Context.extend s0 f1 in
+  ignore (Space.add_op plain (Context.with_context g ~ctx:s01));
+  let compacted, _, _, _, _ = build () in
+  ignore (Space.compact compacted ~stable:s0 ~base_doc:Document.empty);
+  let rebased = Op_id.Set.remove f0.Op.id s01 in
+  ignore (Space.add_op compacted (Context.with_context g ~ctx:rebased));
+  Alcotest.(check (list Helpers.op_id))
+    "g first, as without compaction" (order plain s01)
+    (order compacted rebased);
+  Alcotest.(check Helpers.op_id)
+    "g leftmost" g.Op.id
+    (List.hd (order plain s01))
+
 (* --- Engine-level batching: what the wire sees ----------------------- *)
 
 module Css_engine = Rlist_sim.Engine.Make (Jupiter_css.Protocol)
@@ -485,9 +601,12 @@ let qtest name gen prop =
 (* --- Allocation budget of the batched fast path ------------------------ *)
 
 (* The benchmark's typing episode (4 clients, 2 rounds of 64-character
-   bursts, batched, append fast path on) may allocate at most 5.06
-   minor words per ladder square, engine and protocol included (5.01
-   measured; 5.05 with [int array] columns in the state space, the
+   bursts, batched, append fast path on) may allocate at most 3.63
+   minor words per ladder square, engine and protocol included (3.60
+   measured, bounded with 1 % headroom; 5.01 when a generic square
+   built forms, each run asked every path operation's key again and
+   batch segmentation counted each context twice, the budget then
+   5.06; 5.05 with [int array] columns in the state space, the
    budget then 5.1; 6.23 when a generic square rebuilt each lane's form
    from its position; 9.83 when every edge stored its form as an [Op.t]
    and the lanes were carried as shifted copies; 9.85 when a single
@@ -496,7 +615,7 @@ let qtest name gen prop =
    hashed into a table as well, 142.9 with a set per state, 77.0 with a
    record per node and edge).  OCaml 5 without flambda counts
    allocations exactly, so the figure is the same on every run. *)
-let words_per_square_budget = 5.06
+let words_per_square_budget = 3.63
 
 let test_words_per_square () =
   let fp = Space.Fastpath.create ~enabled:true () in
@@ -511,6 +630,51 @@ let test_words_per_square () =
        per_square squares words_per_square_budget)
     true
     (per_square <= words_per_square_budget)
+
+(* A one-lane run crossing a leftmost path of generic levels allocates
+   nothing per level: each square moves two positions and writes a
+   node and two edges into column chunks that already exist, and every
+   key on the path was asked in its operation's own run.  Two copies of
+   one space (600 appended operations, past the first 512-entry column
+   chunk) take the same operation from two depths, 200 and 150 levels
+   below the final state; the runs must allocate the same minor words
+   (113 each, measured).  10.00 words per generic square when each
+   level rebuilt the path's form from its position and asked the path
+   operation's key again (with the context's comparison to the final
+   state, which then allocated along both sets, netted out); 4.00 with
+   positions alone. *)
+let one_lane_words ~depth =
+  let serials, key = key_table () in
+  let n = 600 in
+  let ops = chain ~ctx:Context.empty (appends ~client:1 ~seq0:1 ~pos0:0 n) in
+  let x = Helpers.ins ~client:2 'x' 0 in
+  List.iteri
+    (fun i oc -> Hashtbl.replace serials oc.Context.op.Op.id (i + 1))
+    ops;
+  Hashtbl.replace serials x.Op.id (n + 1);
+  let space = Space.create ~key_of:key () in
+  List.iter (fun oc -> ignore (Space.add_op space oc)) ops;
+  let oc = Context.with_context x ~ctx:(List.nth ops depth).Context.ctx in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Space.add_op space oc));
+  let words = Gc.minor_words () -. before in
+  words, (Space.fastpath space).Space.Fastpath.generic_squares
+
+let test_one_lane_words () =
+  let long, long_squares = one_lane_words ~depth:400 in
+  let short, short_squares = one_lane_words ~depth:450 in
+  Alcotest.(check (pair int int)) "generic levels" (200, 150)
+    (long_squares, short_squares);
+  let per_square =
+    (long -. short) /. float_of_int (long_squares - short_squares)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "%.2f minor words per generic square (%.0f words for %d levels, %.0f \
+        for %d)"
+       per_square long long_squares short short_squares)
+    true
+    (Float.equal long short)
 
 (* The same episode, run between two minor collections, may promote at
    most 0.62 words per ladder square: what the long-lived state spaces
@@ -817,6 +981,15 @@ let () =
               Alcotest.test_case ("mesh batch = one by one, " ^ key) `Quick
                 (test_mesh_batch_contract p))
             mesh_protocols );
+      ( "order keys",
+        [
+          Alcotest.test_case "serialized key asked once per space" `Quick
+            test_serialized_key_asked_once;
+          Alcotest.test_case "pending key read again in the next run" `Quick
+            test_pending_key_reread;
+          Alcotest.test_case "compact moves the cached keys" `Quick
+            test_compact_moves_keys;
+        ] );
       ( "engine-wire",
         [
           Alcotest.test_case "one seqno per batch" `Quick
@@ -830,6 +1003,8 @@ let () =
         [
           Alcotest.test_case "typing episode words per square" `Quick
             test_words_per_square;
+          Alcotest.test_case "one-lane run words per generic level" `Quick
+            test_one_lane_words;
           Alcotest.test_case "typing episode promoted words per square" `Quick
             test_promoted_per_square;
           Alcotest.test_case "typing episode retained words per state" `Quick
