@@ -911,12 +911,12 @@ let star_protocols : (module Rlist_sim.Protocol_intf.PROTOCOL) list =
     (module Jupiter_rga.Protocol) ]
 
 let leg (module P : Rlist_sim.Protocol_intf.PROTOCOL) ~faults ~batching
-    ~fastpath ~recorder workload : outcome Harness.leg =
+    ~recorder workload : outcome Harness.leg =
  fun () ->
   let module E = Rlist_sim.Engine.Make (P) in
-  (* One fast-path record per run: the counters cover exactly this
+  (* One ladder-counter record per run: the counters cover exactly this
      engine's replicas. *)
-  let fp = Rlist_ot.Fastpath.create ~enabled:fastpath () in
+  let fp = Rlist_ot.Fastpath.create () in
   let net = Rlist_net.Transport.config ~faults ~seed:42 () in
   let t = E.create ~net ~batching ~fastpath:fp ~nclients () in
   let sink = Rlist_obs.Sink.memory () in
@@ -981,8 +981,7 @@ let c15_network ?json_path ?(smoke = false) () =
     Harness.measure ~reps:(Harness.reps ~smoke)
       (List.map
          (fun (p, _, faults) ->
-           leg p ~faults ~batching:false ~fastpath:false ~recorder:Off
-             (Random updates))
+           leg p ~faults ~batching:false ~recorder:Off (Random updates))
          runs)
   in
   Printf.printf "  %-5s | %-26s | %5s %6s %7s %7s %8s %6s %8s\n" "proto"
@@ -1018,28 +1017,25 @@ let c15_network ?json_path ?(smoke = false) () =
      (retransmissions pay for reliability).\n";
   write_json json_path ~benchmark:"unreliable_network" [ "results", rows ]
 
-(* --- C16: per-channel batching + transform fast paths ------------------ *)
+(* --- C16: per-channel batching ------------------------------------------ *)
 
 (* Replays the C15 lossy profiles per protocol in two modes and
    reports throughput (generated updates per CPU second of engine
    time, from the median of the timed rounds):
 
-   - "unbatched": the current default wire, optimized space, fast
-     paths off;
-   - "batched": per-channel batching plus the leftmost-path fast
-     paths.
+   - "unbatched": the current default wire;
+   - "batched": per-channel batching, each batch's contiguous runs
+     walked through one ladder.
 
    Two workloads per profile: "random" is the C15 uniform-position
-   replay (coalescing and the context-match shortcut apply; pure
-   append runs are rare), and "typing" is the collaborative hot path
-   — each channel flush is one batch whose lanes form a pure append
-   run.  The unbatched leg attributes how much batching itself buys on
-   the optimized space.  Every run must converge, and the fast-path
-   counters must show the specialized paths actually fired.  Emits
-   BENCH_batch.json on request. *)
+   replay (coalescing and the context-match shortcut apply; long runs
+   are rare), and "typing" is the collaborative hot path — each
+   channel flush is one batch whose lanes form a pure append run.  The
+   unbatched leg attributes how much batching itself buys.  Every run
+   must converge.  Emits BENCH_batch.json on request. *)
 
 let c16_batching ?json_path ?(smoke = false) () =
-  section "C16 (batching): per-channel batches + transform fast paths";
+  section "C16 (batching): per-channel batches";
   let random = Random (if smoke then 150 else 300) in
   let typing = Typing (if smoke then 6 else 8) in
   let runs =
@@ -1058,8 +1054,8 @@ let c16_batching ?json_path ?(smoke = false) () =
     Harness.measure ~reps:(Harness.reps ~smoke)
       (List.map
          (fun (p, workload, loss, batched) ->
-           leg p ~faults:(lossy loss) ~batching:batched ~fastpath:batched
-             ~recorder:Off workload)
+           leg p ~faults:(lossy loss) ~batching:batched ~recorder:Off
+             workload)
          runs)
   in
   Printf.printf "  %-5s | %-6s | %5s | %-9s | %8s %8s %6s %10s\n" "proto"
@@ -1076,18 +1072,11 @@ let c16_batching ?json_path ?(smoke = false) () =
         let ops_per_cpu_s =
           float_of_int total /. (Harness.spread times).median
         in
-        let { Rlist_ot.Fastpath.context_hits; append_hits; _ } = o.fp in
+        let { Rlist_ot.Fastpath.context_hits; _ } = o.fp in
         let { Rlist_net.Stats.payloads; op_payloads; _ } = o.stats in
         Printf.printf "  %-5s | %-6s | %5.2f | %-9s | %8d %8d %6.2f %10.0f\n"
           (name_of p) workload_name loss mode_name payloads op_payloads
           amplification ops_per_cpu_s;
-        (* The batched CSS typing run on the first profile must take the
-           specialized paths. *)
-        if
-          name_of p = "css" && workload = typing
-          && loss = List.hd (losses ~smoke) && batched
-          && (context_hits = 0 || append_hits = 0)
-        then failwith "C16: fast paths never fired on the batched CSS typing run";
         Json.(
           Obj
             ([ "protocol", Str (name_of p); "workload", Str workload_name;
@@ -1096,8 +1085,7 @@ let c16_batching ?json_path ?(smoke = false) () =
                "updates", Int total; "converged", Bool true;
                "payloads", Int payloads; "op_payloads", Int op_payloads;
                "amplification", Fixed (3, amplification);
-               "context_hits", Int context_hits; "append_hits", Int append_hits
-             ]
+               "context_hits", Int context_hits ]
             @ Harness.timing_fields times
             @ [ "ops_per_cpu_s", Fixed (1, ops_per_cpu_s) ])))
       runs timed
@@ -1105,17 +1093,16 @@ let c16_batching ?json_path ?(smoke = false) () =
   Printf.printf
     "  claim: batching collapses each channel flush into one message \
      (amplification now counts ops, so reliability cost is comparable \
-     across modes), set-free unindexed nodes (a state is its parent's \
+     across modes), and set-free unindexed nodes (a state is its parent's \
      plus one op; edges point at nodes; a lookup descends from a base \
-     node) make a ladder square O(1) in the state size, and the \
-     leftmost-path fast paths turn appends into O(1) steps.\n";
+     node) make a ladder square O(1) in the state size.\n";
   write_json json_path ~benchmark:"batching" [ "results", rows ]
 
 (* --- C17: flight-recorder overhead + convergence-lag percentiles ------- *)
 
-(* Replays the C16 typing workload on CSS, batched with the fast paths
-   off, across the C15 loss profiles in three instrumentation modes
-   and reports the recorder's cost:
+(* Replays the C16 typing workload on CSS, batched, across the C15 loss
+   profiles in three instrumentation modes and reports the recorder's
+   cost:
 
    - "off": the bare engine (the production configuration);
    - "record": the flight recorder attached — every nondeterministic
@@ -1151,7 +1138,7 @@ let c17_trace ?json_path ?(smoke = false) () =
              (fun (recorder, _) ->
                leg
                  (module Jupiter_css.Protocol)
-                 ~faults:(lossy loss) ~batching:true ~fastpath:false ~recorder
+                 ~faults:(lossy loss) ~batching:true ~recorder
                  workload)
              modes)
          profiles)

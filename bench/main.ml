@@ -13,7 +13,7 @@
    BENCH_mc.json with --json at the full state budget).
    Pass --net to run only the C15 unreliable-network family
    (regenerates BENCH_net.json with --json).
-   Pass --batch to run only the C16 batching/fast-path family
+   Pass --batch to run only the C16 batching family
    (regenerates BENCH_batch.json with --json; the smoke bench always
    emits it).
    Pass --trace to run only the C17 flight-recorder family

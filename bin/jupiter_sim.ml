@@ -98,15 +98,6 @@ let batch_arg =
               (one sequence number, one retransmission unit), delivered \
               through the protocols' batch entry points.")
 
-let fastpath_arg =
-  Arg.(value & flag
-       & info [ "fastpath" ]
-           ~doc:
-             "Enable the CSS transform fast paths (pure-append run \
-              specialization) alongside the always-on context-match \
-              shortcut; the fastpath.* counters attribute the skipped \
-              ladder work.")
-
 let gc_conv =
   Arg.conv
     ( (fun s ->
@@ -229,7 +220,7 @@ let fuzz_cmd =
    shim that restores the FIFO-exactly-once channels the protocols
    assume.  The recording is dumped when the gate fails, or always with
    --record-out. *)
-let soak protocol faults no_shim rto batching fastpath gc nclients
+let soak protocol faults no_shim rto batching gc nclients
     profile updates seed record_out json =
   let shim = not no_shim in
   let spec =
@@ -243,7 +234,6 @@ let soak protocol faults no_shim rto batching fastpath gc nclients
       shim;
       rto;
       batching;
-      fastpath;
       gc;
     }
   in
@@ -282,8 +272,7 @@ let soak protocol faults no_shim rto batching fastpath gc nclients
         Json.(
           Obj
             ([ "protocol", Str o.Recorded.o_protocol; "faults", Str faults;
-               "shim", Bool shim; "batch", Bool batching;
-               "fastpath", Bool fastpath; "seed", Int seed;
+               "shim", Bool shim; "batch", Bool batching; "seed", Int seed;
                "events", Int o.o_events; "converged", Bool o.o_converged;
                "convergence", Bool (sat o.o_convergence);
                "weak", Bool (sat o.o_weak); "strong", Bool (sat o.o_strong);
@@ -294,8 +283,7 @@ let soak protocol faults no_shim rto batching fastpath gc nclients
       Format.printf "%a@." Recorded.pp_outcome o;
       Printf.printf "faults:      %s\n" faults;
       Printf.printf "shim:        %b\n" shim;
-      if batching || fastpath then
-        Printf.printf "batch:       %b  fastpath: %b\n" batching fastpath;
+      if batching then print_endline "batch:       true";
       Format.printf "%a@." Rlist_net.Stats.pp o.o_net;
       print_recording recording
     end;
@@ -349,7 +337,7 @@ let soak_cmd =
           suppressed duplicates, message amplification).  Exits non-zero \
           on a convergence or weak-specification violation.")
     Term.(const soak $ soak_protocol_arg $ faults_arg $ no_shim_arg $ rto_arg
-          $ batch_arg $ fastpath_arg $ gc_arg $ clients_arg $ profile_arg
+          $ batch_arg $ gc_arg $ clients_arg $ profile_arg
           $ updates_arg $ seed_arg $ record_out_arg $ json_arg)
 
 (* --- longrun ----------------------------------------------------------- *)
@@ -916,11 +904,9 @@ let pp_verdict path (v : Recorded.verdict) =
     spec.Recorded.protocol
     (Rlist_workload.Workload.profile_name spec.Recorded.profile)
     spec.Recorded.nclients spec.Recorded.updates spec.Recorded.seed;
-  Printf.printf "faults:      %s  shim: %b  rto: %d  batch: %b  \
-                 fastpath: %b  gc: %s\n"
+  Printf.printf "faults:      %s  shim: %b  rto: %d  batch: %b  gc: %s\n"
     (Rlist_net.Faults.to_string spec.Recorded.faults)
     spec.Recorded.shim spec.Recorded.rto spec.Recorded.batching
-    spec.Recorded.fastpath
     (match spec.Recorded.gc with
     | None -> "off"
     | Some p -> Rlist_gc.to_string p);
@@ -1161,9 +1147,7 @@ let stats_json ~source (st : Jupiter_css.Analysis.stats) ~lemmas ~fp =
       "lemmas_ok", Bool lemmas;
       ( "fastpath",
         Obj
-          [ "enabled", Bool fp.Rlist_ot.Fastpath.enabled;
-            "context_hits", Int fp.context_hits;
-            "append_hits", Int fp.append_hits;
+          [ "context_hits", Int fp.Rlist_ot.Fastpath.context_hits;
             "generic_squares", Int fp.generic_squares ] ) ]
 
 let stats name schedule_file json =
@@ -1220,7 +1204,7 @@ let stats_cmd =
    the JSONL sink pointed at the output; under css the trace also shows
    the state space growing (see [css_run]).  A peer-to-peer protocol is
    refused before the output file is opened. *)
-let trace name protocol batching fastpath out_file json =
+let trace name protocol batching out_file json =
   let scenario = find_scenario name in
   (match lookup protocol with
   | Protocols.Star _ -> ()
@@ -1241,7 +1225,7 @@ let trace name protocol batching fastpath out_file json =
         exit 1)
   in
   let obs = Rlist_obs.Obs.make ~sink:(Rlist_obs.Sink.channel oc) () in
-  let fp = Rlist_ot.Fastpath.create ~enabled:fastpath () in
+  let fp = Rlist_ot.Fastpath.create () in
   let initial = scenario.initial and nclients = scenario.nclients in
   let converged, ots, metadata, space =
     if String.equal protocol "css" then
@@ -1298,8 +1282,8 @@ let trace_cmd =
           $(b,--json), a final summary object carries the aggregated \
           counters; otherwise a human-readable metrics report goes to \
           stderr.")
-    Term.(const trace $ name_arg $ protocol_arg $ batch_arg $ fastpath_arg
-          $ out_arg $ json_arg)
+    Term.(const trace $ name_arg $ protocol_arg $ batch_arg $ out_arg
+          $ json_arg)
 
 (* --- figures ---------------------------------------------------------- *)
 

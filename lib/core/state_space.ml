@@ -1,14 +1,11 @@
 open Rlist_model
 open Rlist_ot
 
-(* Fast-path accounting and the opt-in toggle: an engine-scoped
-   record ({!Rlist_ot.Fastpath.t}) passed in at {!create} — the
-   engine hands the same record to every replica of one run, so the
-   counters aggregate per run, while nothing is shared across runs
-   (or, under the sharded server, across domains).  Only {!add_run}'s
-   append specialization changes any observable number (it skips
-   primitive transformations, so [ot_count] drops); the context-match
-   shortcut is a pure strength reduction and is always on. *)
+(* Ladder accounting: an engine-scoped record ({!Rlist_ot.Fastpath.t})
+   passed in at {!create} — the engine hands the same record to every
+   replica of one run, so the counters aggregate per run, while nothing
+   is shared across runs (or, under the sharded server, across
+   domains).  The counters change no other observable number. *)
 module Fastpath = Fastpath
 
 type state = Op_id.Set.t
@@ -22,8 +19,8 @@ type transition = {
 (* The space is a struct-of-arrays store: nodes, edges and the
    operations they mention are dense indices into growable columns of
    int32 entries, so a ladder square writes a handful of integers,
-   allocates nothing on the append path, and leaves nothing per node
-   or edge for the major GC to scan.
+   allocates nothing, and leaves nothing per node or edge for the
+   major GC to scan.
 
    A node does not store its state.  Every state a ladder creates is a
    known node's state plus one operation, so a node records that node
@@ -213,8 +210,8 @@ type t = {
      here. *)
   op_index : int Op_id.Table.t option;
   key_of : Op_id.t -> Order_key.t;
-  (* The run's fast-path switch and counters, shared with every other
-     space of the same engine run. *)
+  (* The run's ladder counters, shared with every other space of the
+     same engine run. *)
   fp : Fastpath.t;
   mutable root : state;
   (* [final] is the one state handed out on every operation (it
@@ -365,8 +362,6 @@ let intern t (f : Op.t) =
    [Op.no_pos]: the no-op): the kept form itself, no copy, when the
    position is its own. *)
 let form_at t o pos = Op.at t.op_form.(o) pos
-
-let[@inline] is_ins t o = Op.is_ins t.op_form.(o)
 
 (* --- Nodes and edges ----------------------------------------------------- *)
 
@@ -752,17 +747,6 @@ let segment_runs = function
   | first :: rest ->
     segment_from first ~card:(Op_id.Set.cardinal first.Context.ctx) rest
 
-(* The start position of a pure append run — [k] insertions at
-   consecutive ascending positions, the shape the append-log and typing
-   workloads emit — if the [k] lanes of [work] (see {!levels}) form
-   one, or [none]. *)
-let run_start t ~k work =
-  let q = work.(k) in
-  let rec ok i =
-    i = k || (is_ins t work.(i) && work.(k + i) = q + i && ok (i + 1))
-  in
-  if ok 0 then q else none
-
 (* The ladder levels of a run of [k] lanes, one per leftmost step [e].
    [work] holds lane [i]'s interned operation at [i - 1], the position
    of its form as transformed so far at [k + i - 1] ([none] once it is
@@ -771,14 +755,12 @@ let run_start t ~k work =
    [work.(prev + i)] its state plus the run's first [i] operations),
    [cur] receives the row above [e]'s target; the two swap roles level
    by level.  The target's leftmost edge is read before its first lane
-   edge joins its chain.  [keys] holds each lane's ordering key; while
-   [run_q] is not [none], the lanes form a pure append run starting at
-   [run_q].  A square, generic or arithmetic, moves positions only: a
-   generic square transforms the path and lane positions with
-   {!Transform.xform_pos}, reading each operation's kind and element
-   from its kept form, so a level builds no form and allocates
-   nothing.  Returns the offset of the top row. *)
-let rec levels t ~k ~work ~keys ~run_q prev cur e =
+   edge joins its chain.  [keys] holds each lane's ordering key.  A
+   square moves positions only: it transforms the path and lane
+   positions with {!Transform.xform_pos}, reading each operation's kind
+   and element from its kept form, so a level builds no form and
+   allocates nothing.  Returns the offset of the top row. *)
+let rec levels t ~k ~work ~keys prev cur e =
   if e = none then prev
   else begin
     let tgt = iget t.e_dst e and e_orig = iget t.e_orig e in
@@ -786,58 +768,25 @@ let rec levels t ~k ~work ~keys ~run_q prev cur e =
     let next = iget t.n_first tgt in
     work.(cur) <- tgt;
     let path_key = key_of_op t e_orig in
-    (* An arithmetic level: the path form acts strictly outside the
-       append run, so every lane shifts by [lane_shift] and the path
-       form, when [path_shifts], by one per insertion it passes. *)
-    let arithmetic, lane_shift, path_shifts =
-      if run_q = none then false, 0, false
-      else if e_pos = none then true, 0, false
-      else if is_ins t e_orig then
-        if e_pos < run_q then true, 1, false
-        else if e_pos > run_q then true, 0, true
-        else false, 0, false (* position tie: element priority decides *)
-      else if e_pos < run_q then true, -1, false
-      else true, 0, true
-    in
-    (* [f] is the path form's position as it crosses lane [i], on
-       generic levels only. *)
+    (* [f] is the path form's position as it crosses lane [i]. *)
     let path = t.op_form.(e_orig) and f = ref e_pos in
     for i = 1 to k do
       let below = work.(cur + i - 1) and o = work.(i - 1) in
       let node = fresh_node t ~up:below ~via:o in
-      let lane_pos, path_pos =
-        if arithmetic then
-          ( work.(k + i - 1) + lane_shift,
-            if path_shifts then e_pos + i else e_pos )
-        else begin
-          (* One square is two primitive transformations. *)
-          let lane = t.op_form.(o) and pos = work.(k + i - 1) in
-          let f' = Transform.xform_pos path !f lane pos in
-          let lane' = Transform.xform_pos lane pos path !f in
-          f := f';
-          t.ot_count <- t.ot_count + 2;
-          t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1;
-          lane', f'
-        end
-      in
+      (* One square is two primitive transformations. *)
+      let lane = t.op_form.(o) and pos = work.(k + i - 1) in
+      let path_pos = Transform.xform_pos path !f lane pos in
+      let lane_pos = Transform.xform_pos lane pos path !f in
+      f := path_pos;
+      t.ot_count <- t.ot_count + 2;
+      t.fp.Fastpath.generic_squares <- t.fp.Fastpath.generic_squares + 1;
       work.(k + i - 1) <- lane_pos;
       insert_edge t below ~key:keys.(i - 1) ~orig:o ~pos:lane_pos ~dst:node;
       insert_edge t work.(prev + i) ~key:path_key ~orig:e_orig ~pos:path_pos
         ~dst:node;
       work.(cur + i) <- node
     done;
-    let run_q =
-      if run_q = none then none
-      else if arithmetic then begin
-        t.fp.Fastpath.append_hits <- t.fp.Fastpath.append_hits + k;
-        run_q + lane_shift
-      end
-      else
-        (* A tie level transforms lanes individually; the run shape
-           may or may not survive. *)
-        run_start t ~k work
-    in
-    levels t ~k ~work ~keys ~run_q cur prev next
+    levels t ~k ~work ~keys cur prev next
   end
 
 (* Algorithm 1 over one contiguous run of [k >= 1] operations, with a
@@ -849,24 +798,11 @@ let rec levels t ~k ~work ~keys ~run_q prev cur e =
    continuing with [o{e}].  The squares of one level depend only on
    their neighbours, so the level-major order inserts exactly the
    transitions, with the same forms, that processing the operations one
-   at a time would; without the append specialization below,
-   [ot_count] therefore does not depend on how a batch is split into
-   runs.  When the context is the final state (a quiescent replica),
-   the path is empty and the walk is the context-match append: no
-   square, no transformation.
-
-   The append specialization (enabled by the run's {!Fastpath.t}, valid
-   only for the standard view-position transform, and only for runs of
-   [k >= 2], so a lone operation always takes the generic squares):
-   when the lanes are a pure append run starting at [q] and the path
-   form acts strictly outside the run — an insertion at [r <> q], any
-   deletion, or a no-op — the whole level resolves by position
-   arithmetic on the stored positions, replacing [2k] primitive
-   transformations with [O(k)] additions that reproduce the
-   transform's case analysis exactly (ties at [r = q], where element
-   priority decides, fall back to the generic squares) and building no
-   form at all.  [card] is the size of the run's context, [none] when
-   {!segment_runs} did not count it. *)
+   at a time would, and [ot_count] does not depend on how a batch is
+   split into runs.  When the context is the final state (a quiescent
+   replica), the path is empty and the walk is the context-match
+   append: no square, no transformation.  [card] is the size of the
+   run's context, [none] when {!segment_runs} did not count it. *)
 let run_segment t ~card seg =
   let k = List.length seg in
   List.iter (fun oc -> check_fresh t oc.Context.op.Op.id) seg;
@@ -890,9 +826,6 @@ let run_segment t ~card seg =
       work.(i) <- o;
       work.(k + i) <- Op.pos op)
     seg;
-  let run_q =
-    if t.fp.Fastpath.enabled && k >= 2 then run_start t ~k work else none
-  in
   (* Entry row: lane nodes [ctx ∪ {o1..oi}], each original operation
      saved along its transition in order (Algorithm 1's first step,
      once per operation of the run).  Every lane node is fresh: its
@@ -909,7 +842,7 @@ let run_segment t ~card seg =
       ~pos:work.(k + i - 1) ~dst:node;
     work.(entry + i) <- node
   done;
-  let last = levels t ~k ~work ~keys ~run_q entry (entry + k + 1) path in
+  let last = levels t ~k ~work ~keys entry (entry + k + 1) path in
   (* The final state gains the run: one [Set.add] per operation,
      whatever the ladder did. *)
   for i = 0 to k - 1 do

@@ -160,11 +160,8 @@ val add_op : t -> Context.op_in_context -> Op.t
     Algorithm 1 builds processing the batch one operation at a time:
     each run is walked level by level, every path step advancing all
     of its operations, and each ladder square depends only on its
-    neighbours.  So is {!ot_count}, except when the space's
-    {!Fastpath.t} is enabled: then runs of at least two consecutive
-    ascending insertions (pure appends) resolve path steps by position
-    arithmetic, skipping primitive transformations — forms and
-    structure are still identical, but {!ot_count} grows more slowly.
+    neighbours.  So is {!ot_count}: every ladder square is two
+    primitive transformations, however the batch splits into runs.
 
     The growth observer is notified once per contiguous run, with the
     run's aggregate transformation count.
@@ -172,16 +169,13 @@ val add_op : t -> Context.op_in_context -> Op.t
     @raise Invalid_argument under the same conditions as {!add_op}. *)
 val add_run : t -> Context.op_in_context list -> Op.t list
 
-(** Fast-path configuration and accounting, re-exported from
-    {!Rlist_ot.Fastpath}: an engine-scoped record passed to {!create}
-    and shared by every space of one engine run — [enabled] switches
-    the append specialization of {!add_run} on; the counters attribute
-    the speedup ([context_hits] and [append_hits] count operations
-    that skipped ladder work, [generic_squares] counts ladder squares
-    processed the ordinary way). *)
+(** Ladder accounting, re-exported from {!Rlist_ot.Fastpath}: an
+    engine-scoped record passed to {!create} and shared by every space
+    of one engine run ([context_hits] counts operations that skipped
+    the ladder, [generic_squares] the ladder squares processed). *)
 module Fastpath = Rlist_ot.Fastpath
 
-(** The fast-path record this space was created with ({!create}'s
+(** The accounting record this space was created with ({!create}'s
     [?fastpath], or a private fresh record when none was passed). *)
 val fastpath : t -> Fastpath.t
 

@@ -14,7 +14,6 @@ type spec = {
   shim : bool;
   rto : int;
   batching : bool;
-  fastpath : bool;
   gc : Rlist_gc.policy option;
 }
 
@@ -29,7 +28,6 @@ let default ~protocol =
     shim = true;
     rto = 12;
     batching = false;
-    fastpath = false;
     gc = None;
   }
 
@@ -47,10 +45,10 @@ type outcome = {
   o_net : Rlist_net.Stats.t;
 }
 
-(* The CSS append fast path is an engine-scoped record: one fresh
-   record per run, handed to the engine's constructor, so the
-   counters cover exactly this run and nothing leaks across runs (or,
-   under the sharded server, across domains). *)
+(* The ladder counters are an engine-scoped record: one fresh record
+   per run, handed to the engine's constructor, so the counters cover
+   exactly this run and nothing leaks across runs (or, under the
+   sharded server, across domains). *)
 let publish obs net fp =
   match obs with
   | None -> ()
@@ -99,7 +97,7 @@ let summarize ~name ~events ~converged ~finals ~ots ~metadata ~trace ~stats
 let run ?obs ?recorder spec =
   let (module E) = engine spec in
   let net = wire spec in
-  let fp = Rlist_ot.Fastpath.create ~enabled:spec.fastpath () in
+  let fp = Rlist_ot.Fastpath.create () in
   let t =
     E.create ~net ~batching:spec.batching ?gc:spec.gc ~fastpath:fp
       ~nclients:spec.nclients ()
@@ -172,7 +170,6 @@ let header_of ?(capacity = Recorder.default_capacity) spec =
     "shim", string_of_bool spec.shim;
     "rto", string_of_int spec.rto;
     "batching", string_of_bool spec.batching;
-    "fastpath", string_of_bool spec.fastpath;
     "capacity", string_of_int capacity;
   ]
   @ match spec.gc with
@@ -233,7 +230,14 @@ let spec_of_header header =
   let* rto = int "rto" 12 in
   let* shim = bool "shim" true in
   let* batching = bool "batching" false in
-  let* fastpath = bool "fastpath" false in
+  let* () =
+    match bool "fastpath" false with
+    | Ok true ->
+      Error
+        "recording header: fastpath true names the removed append fast \
+         path, whose OT counts a replay would not reproduce"
+    | other -> Result.map ignore other
+  in
   Ok
     {
       protocol;
@@ -245,7 +249,6 @@ let spec_of_header header =
       shim;
       rto;
       batching;
-      fastpath;
       gc;
     }
 

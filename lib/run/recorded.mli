@@ -26,7 +26,6 @@ type spec = {
   shim : bool;  (** Reliability shim on the wire. *)
   rto : int;  (** Retransmission timeout (ticks). *)
   batching : bool;
-  fastpath : bool;  (** CSS append fast path. *)
   gc : Rlist_gc.policy option;
       (** Continuous metadata GC; [None] (the default) runs
           unbounded.  GC cycles are out of band, so the decision
@@ -36,8 +35,7 @@ type spec = {
 }
 
 (** A spec with the soak defaults: uniform profile, 4 clients, 100
-    updates, seed 1, no faults, shim on, rto 12, no batching, no fast
-    path, no GC. *)
+    updates, seed 1, no faults, shim on, rto 12, no batching, no GC. *)
 val default : protocol:string -> spec
 
 (** What a run produced: the paper's three verdicts on its trace, its
@@ -59,7 +57,7 @@ type outcome = {
       (** The strong list specification, which the OT protocols
           violate (Thm 8.1). *)
   o_stats : (string * int) list;
-      (** Network counters plus the fast-path counters; empty for a
+      (** Network counters plus the ladder counters; empty for a
           schedule replay. *)
   o_net : Rlist_net.Stats.t;
       (** The live counter record, for {!Rlist_net.Stats.pp} /
@@ -67,7 +65,7 @@ type outcome = {
 }
 
 (** Run one spec.  [obs] attaches the observability bundle to the
-    engine and the wire (and publishes the network and fast-path
+    engine and the wire (and publishes the network and ladder
     counters into its metrics registry after the run); [recorder]
     attaches the flight recorder to both.  Raises [Invalid_argument]
     on an unknown protocol name, and propagates the engine's
@@ -110,7 +108,10 @@ val passed : outcome -> bool
     the recorder capacity (default {!Recorder.default_capacity}). *)
 val header_of : ?capacity:int -> spec -> (string * string) list
 
-(** Inverse of {!header_of}; missing keys take the soak defaults. *)
+(** Inverse of {!header_of}; missing keys take the soak defaults.  A
+    [fastpath true] key, written by builds that had an append fast
+    path, is refused: the replay would not reproduce its OT counts.
+    [fastpath false] is read and ignored. *)
 val spec_of_header : (string * string) list -> (spec, string) result
 
 (** The outcome rendered as key/value pairs: verdicts, counters, and

@@ -158,7 +158,8 @@ let observe_send t os ch batch () =
       h.h_batch_size;
     let depth = Transport.pending ch.wire in
     Metrics.observe h.h_depth (float_of_int depth);
-    Metrics.observe os.h_msg_bytes (float_of_int (batch_bytes batch));
+    let bytes = batch_bytes batch in
+    Metrics.observe os.h_msg_bytes (float_of_int bytes);
     if Obs.tracing os.obs then
       Obs.emit os.obs
         (Ev.Send
@@ -166,7 +167,7 @@ let observe_send t os ch batch () =
              src = ch.src;
              dst = ch.dst;
              op_id = label ch batch;
-             bytes = batch_bytes batch;
+             bytes;
              queue = depth;
              tick = t.clock;
            })
@@ -287,9 +288,13 @@ let meta_delta t os slot =
   Metrics.set_gauge os.g_metadata (float_of_int os.meta_total)
 
 let generate t ~client ~slot ~replica ?via intent gen =
-  record t
-    (Recorder.Generate
-       { client; intent = Schedule_text.intent_to_string intent });
+  (* The intent text is built only for a recorder that stores it. *)
+  (match t.recorder with
+  | Some r ->
+    Recorder.record r
+      (Recorder.Generate
+         { client; intent = Schedule_text.intent_to_string intent })
+  | None -> ());
   let ((outcome : Protocol_intf.do_outcome), _) as result = gen () in
   if t.history then begin
     t.events <-

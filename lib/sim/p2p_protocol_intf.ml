@@ -19,7 +19,7 @@ module type P2P_PROTOCOL = sig
 
   type message
 
-  (** [fastpath] is the engine run's fast-path configuration record
+  (** [fastpath] is the engine run's ladder accounting record
       ({!Rlist_ot.Fastpath}), one record shared by every peer of a
       run; peers without Algorithm 1 ladders ignore it. *)
   val create_peer :

@@ -73,7 +73,7 @@ module type PROTOCOL = sig
   type s2c
   (** Server-to-client message. *)
 
-  (** [fastpath] is the engine run's fast-path configuration record
+  (** [fastpath] is the engine run's ladder accounting record
       ({!Rlist_ot.Fastpath}): the engine passes the {e same} record to
       the server and every client, so its counters aggregate per run.
       Protocols without Algorithm 1 ladders (the CRDT baselines, the

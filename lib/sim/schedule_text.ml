@@ -27,10 +27,13 @@ let event_to_string = function
   | Schedule.Generate (_, Intent.Insert (c, _)) when not (printable c) ->
     (invalid_arg "Schedule_text: unprintable character in insert")
     [@lint.allow "exn-partial"]
-  | Schedule.Generate (i, intent) ->
-    Printf.sprintf "gen %d %s" i (intent_to_string intent)
-  | Schedule.Deliver_to_server i -> Printf.sprintf "c2s %d" i
-  | Schedule.Deliver_to_client i -> Printf.sprintf "s2c %d" i
+  | ev ->
+    Rlist_obs.Recorder.decision_to_string
+      (match ev with
+      | Schedule.Generate (client, intent) ->
+        Generate { client; intent = intent_to_string intent }
+      | Schedule.Deliver_to_server i -> Deliver_to_server i
+      | Schedule.Deliver_to_client i -> Deliver_to_client i)
 
 let printable_initial s =
   if not (String.for_all printable s) then

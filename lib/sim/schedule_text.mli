@@ -18,8 +18,10 @@
     [initial] is optional (defaults to the empty document).  Inserted
     characters and the initial document must be printable and
     non-blank.  This module owns the intent text after [gen i]; the
-    engines' flight recorder stores intents in the same text.  Files
-    are read through {!Rlist_obs.Line_format}. *)
+    engines' flight recorder stores intents in the same text, and an
+    event line is printed as the recorder prints the same decision
+    ({!Rlist_obs.Recorder.decision_to_string}).  Files are read through
+    {!Rlist_obs.Line_format}. *)
 
 open Rlist_model
 

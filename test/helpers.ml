@@ -184,8 +184,8 @@ end
 
 (* The benchmark's typing-burst episode: each round, every one of 4
    clients types a 64-character slice of [text] at the end of its own
-   view, then the round quiesces.  Batching and the append fast path
-   ([fp], which must be enabled) are on; the wire is perfect. *)
+   view, then the round quiesces.  Batching is on, [fp] collects the
+   ladder counters, and the wire is perfect. *)
 module Css_engine = Rlist_sim.Engine.Make (Jupiter_css.Protocol)
 
 let typing_clients = 4

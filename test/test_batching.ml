@@ -1,10 +1,9 @@
 (* Unit tests for State_space's Algorithm 1: add_op and add_run must
    build exactly the space of a literal transcription of the paper's
-   Algorithm 1 (same states, transitions in the same order, same forms,
-   and — with the append fast path off — the same number of primitive
-   transformations), and each fast-path guard is pinned individually
-   (context match, pure-append run, position tie fallback, mixed-batch
-   splitting). *)
+   Algorithm 1 (same states, transitions in the same order, same forms
+   and the same number of primitive transformations), whatever the
+   shape of the batch (context match, a run crossing each kind of
+   foreign operation, a position tie, mixed-batch splitting). *)
 
 open Rlist_model
 open Rlist_ot
@@ -116,15 +115,14 @@ let listing : (Space.state * Space.transition list) list Alcotest.testable =
    [batch] with a single {!add_run}; the transcription processes the
    whole stream one operation at a time.  Returns (space, transcription,
    add_run forms, transcription forms). *)
-let differential ~fastpath ~prefix ~batch =
+let differential ~prefix ~batch =
   let serials, key = key_table () in
   List.iteri
     (fun i oc -> Hashtbl.replace serials oc.Context.op.Op.id (i + 1))
     (prefix @ batch);
-  (* A fresh per-space record: the counters below are exactly this
-     space's, nothing shared across test cases. *)
-  let fp = Space.Fastpath.create ~enabled:fastpath () in
-  let space = Space.create ~fastpath:fp ~key_of:key () in
+  (* No record passed: the space keeps a private one, so the counters
+     below are exactly this space's. *)
+  let space = Space.create ~key_of:key () in
   List.iter (fun oc -> ignore (Space.add_op space oc)) prefix;
   let forms = Space.add_run space batch in
   let reference = Algorithm1.create key in
@@ -132,21 +130,15 @@ let differential ~fastpath ~prefix ~batch =
   let expected = List.map (Algorithm1.add_op reference) batch in
   space, reference, forms, expected
 
-let check_same ?(same_ot = true) ~fastpath ~prefix ~batch () =
-  let space, reference, forms, expected =
-    differential ~fastpath ~prefix ~batch
-  in
+let check_same ~prefix ~batch () =
+  let space, reference, forms, expected = differential ~prefix ~batch in
   Alcotest.check listing "states and transitions"
     (Algorithm1.listing reference) (sorted_listing space);
   Alcotest.check Helpers.op_id_set "final states" reference.final
     (Space.final space);
   Alcotest.(check (list Helpers.op)) "forms equal" expected forms;
-  let ot = Space.ot_count space and xforms = reference.Algorithm1.xforms in
-  if same_ot then Alcotest.(check int) "ot counts equal" xforms ot
-  else
-    Alcotest.(check bool)
-      (Printf.sprintf "ot count (%d) <= transcription's (%d)" ot xforms)
-      true (ot <= xforms)
+  Alcotest.(check int) "ot counts equal" reference.Algorithm1.xforms
+    (Space.ot_count space)
 
 (* Chain contexts the way a replica generating back to back does. *)
 let chain ~ctx ops =
@@ -168,20 +160,20 @@ let appends ~client ~seq0 ~pos0 n =
 
 let test_quiescent_run () =
   let batch = chain ~ctx:Context.empty (appends ~client:1 ~seq0:1 ~pos0:0 5) in
-  check_same ~fastpath:false ~prefix:[] ~batch ();
+  check_same ~prefix:[] ~batch ();
   (* A quiescent run performs no transformation at all, and every
      operation of it lands on the context-match shortcut. *)
-  let space, _, _, _ = differential ~fastpath:false ~prefix:[] ~batch in
+  let space, _, _, _ = differential ~prefix:[] ~batch in
   Alcotest.(check bool)
     "context hits counted" true
     ((Space.fastpath space).Space.Fastpath.context_hits > 0);
   Alcotest.(check int) "no transformations" 0 (Space.ot_count space)
 
-(* --- Append fast path: one case per transform shape ------------------ *)
+(* --- Crossing a foreign operation: one case per transform shape ------- *)
 
 (* One concurrent foreign operation [f] (serialized first) forms a
    one-step leftmost path that a run of appends at positions 3..6 must
-   cross; each foreign shape exercises one arithmetic case. *)
+   cross; each foreign shape exercises one case of the transform. *)
 let crossing_case f =
   let prefix = [ Context.with_context f ~ctx:Context.empty ] in
   let batch = chain ~ctx:Context.empty (appends ~client:1 ~seq0:1 ~pos0:3 4) in
@@ -189,69 +181,40 @@ let crossing_case f =
 
 let test_cross_ins_before () =
   let prefix, batch = crossing_case (Helpers.ins ~client:2 'z' 1) in
-  check_same ~same_ot:false ~fastpath:true ~prefix ~batch ();
-  (* The arithmetic levels replace every crossing transformation. *)
-  let space, reference, _, _ = differential ~fastpath:true ~prefix ~batch in
-  Alcotest.(check bool)
-    "append hits counted" true
-    ((Space.fastpath space).Space.Fastpath.append_hits > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "strictly fewer transformations (%d < %d)"
-       (Space.ot_count space) reference.Algorithm1.xforms)
-    true
-    (Space.ot_count space < reference.Algorithm1.xforms)
+  check_same ~prefix ~batch ()
 
 let test_cross_ins_after () =
   let prefix, batch = crossing_case (Helpers.ins ~client:2 'z' 9) in
-  check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
+  check_same ~prefix ~batch ()
 
 let test_cross_ins_tie () =
   (* Foreign insertion exactly at the run's start position: element
-     priority decides, and the fast path must fall back to the
-     generic squares — the transformation count stays the
-     transcription's. *)
+     priority decides. *)
   let prefix, batch = crossing_case (Helpers.ins ~client:2 'z' 3) in
-  check_same ~same_ot:true ~fastpath:true ~prefix ~batch ()
+  check_same ~prefix ~batch ()
 
 let test_cross_del_before () =
   let prefix, batch =
     crossing_case (Helpers.del ~client:2 (Helpers.elt ~client:9 'q') 0)
   in
-  check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
+  check_same ~prefix ~batch ()
 
 let test_cross_del_inside () =
   let prefix, batch =
     crossing_case (Helpers.del ~client:2 (Helpers.elt ~client:9 'q') 4)
   in
-  check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
-
-let test_fastpath_off_matches_ot () =
-  (* With the toggle off, the walk performs exactly the
-     transcription's transformations, whatever the run shape. *)
-  List.iter
-    (fun f ->
-      let prefix, batch = crossing_case f in
-      check_same ~same_ot:true ~fastpath:false ~prefix ~batch ())
-    [
-      Helpers.ins ~client:2 'z' 1;
-      Helpers.ins ~client:2 'z' 3;
-      Helpers.ins ~client:2 'z' 9;
-      Helpers.del ~client:2 (Helpers.elt ~client:9 'q') 0;
-      Helpers.del ~client:2 (Helpers.elt ~client:9 'q') 4;
-    ]
+  check_same ~prefix ~batch ()
 
 let test_lone_op_generic () =
-  (* The append arithmetic needs a run of two or more operations: a
-     lone insertion crossing a foreign one takes the generic squares
-     with the fast path on, so its transformation count is the
-     transcription's. *)
+  (* A lone insertion crossing a foreign one is a one-lane run: one
+     square, two transformations. *)
   let f = Helpers.ins ~client:2 'z' 1 in
   let prefix = [ Context.with_context f ~ctx:Context.empty ] in
   let batch = chain ~ctx:Context.empty (appends ~client:1 ~seq0:1 ~pos0:3 1) in
-  check_same ~same_ot:true ~fastpath:true ~prefix ~batch ();
-  let space, _, _, _ = differential ~fastpath:true ~prefix ~batch in
-  Alcotest.(check int) "no append hits" 0
-    (Space.fastpath space).Space.Fastpath.append_hits
+  check_same ~prefix ~batch ();
+  let space, _, _, _ = differential ~prefix ~batch in
+  Alcotest.(check int) "one square" 1
+    (Space.fastpath space).Space.Fastpath.generic_squares
 
 (* --- Mixed batches --------------------------------------------------- *)
 
@@ -275,12 +238,10 @@ let test_mixed_batch_splits () =
       Context.with_context c ~ctx:ctx_c;
     ]
   in
-  check_same ~same_ot:true ~fastpath:false ~prefix ~batch ();
-  check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
+  check_same ~prefix ~batch ()
 
 let test_non_insert_runs () =
-  (* Runs containing deletions take the generic squares but must still
-     match the transcription, fast path on or off. *)
+  (* Runs containing deletions must match the transcription too. *)
   let seed = appends ~client:9 ~seq0:1 ~pos0:0 4 in
   let prefix = chain ~ctx:Context.empty seed in
   let seeded =
@@ -297,8 +258,7 @@ let test_non_insert_runs () =
     ]
   in
   let batch = chain ~ctx:seeded run in
-  check_same ~same_ot:true ~fastpath:false ~prefix ~batch ();
-  check_same ~same_ot:false ~fastpath:true ~prefix ~batch ()
+  check_same ~prefix ~batch ()
 
 (* --- Randomized equivalence with the transcription -------------------- *)
 
@@ -309,9 +269,9 @@ let test_non_insert_runs () =
    position on the same state delete the same element, which the
    strict transform asserts).  A third of the bursts carry a foreign
    insertion exactly where the run's first operation stands by then,
-   the position tie the append arithmetic must leave to element
-   priority; the run's client is 1 or 3, so its elements lose such a
-   tie against client 2's or win it. *)
+   a position tie that element priority decides; the run's client is 1
+   or 3, so its elements lose such a tie against client 2's or win
+   it. *)
 let gen_scenario =
   QCheck2.Gen.(
     let stream ~client ~seq0 ~n doc0 =
@@ -346,7 +306,7 @@ let gen_scenario =
     let* _, after = stream ~client:2 ~seq0:(nbefore + 2) ~n:nafter doc in
     return (seed_ops, before @ tie_op @ after, run_ops))
 
-let scenario_prop ~fastpath (seed_ops, foreign_ops, run_ops) =
+let scenario_prop (seed_ops, foreign_ops, run_ops) =
   let seeded =
     List.fold_left (fun ctx op -> Context.extend ctx op) Context.empty seed_ops
   in
@@ -354,15 +314,11 @@ let scenario_prop ~fastpath (seed_ops, foreign_ops, run_ops) =
     chain ~ctx:Context.empty seed_ops @ chain ~ctx:seeded foreign_ops
   in
   let batch = chain ~ctx:seeded run_ops in
-  let space, reference, forms, expected =
-    differential ~fastpath ~prefix ~batch
-  in
-  let ot = Space.ot_count space and xforms = reference.Algorithm1.xforms in
+  let space, reference, forms, expected = differential ~prefix ~batch in
   Alcotest.equal listing (Algorithm1.listing reference) (sorted_listing space)
   && Op_id.Set.equal reference.final (Space.final space)
   && List.equal Op.equal expected forms
-  && (fastpath || ot = xforms)
-  && ot <= xforms
+  && Space.ot_count space = reference.Algorithm1.xforms
 
 (* --- Ordering keys ------------------------------------------------------ *)
 
@@ -598,13 +554,15 @@ let test_batch_checkpoint_recovery () =
 let qtest name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:300 gen prop)
 
-(* --- Allocation budget of the batched fast path ------------------------ *)
+(* --- Allocation budget of the batched ladder --------------------------- *)
 
 (* The benchmark's typing episode (4 clients, 2 rounds of 64-character
-   bursts, batched, append fast path on) may allocate at most 3.63
-   minor words per ladder square, engine and protocol included (3.60
-   measured, bounded with 1 % headroom; 5.01 when a generic square
-   built forms, each run asked every path operation's key again and
+   bursts, batched) may allocate at most 3.51 minor words per ladder
+   square, engine and protocol included (3.47 measured, bounded with
+   1 % headroom; 3.60 when pure append runs crossed levels by position
+   arithmetic beside the squares, the budget then 3.63; 5.01 when a
+   generic square built forms, each run asked every path operation's
+   key again and
    batch segmentation counted each context twice, the budget then
    5.06; 5.05 with [int array] columns in the state space, the
    budget then 5.1; 6.23 when a generic square rebuilt each lane's form
@@ -615,15 +573,15 @@ let qtest name gen prop =
    hashed into a table as well, 142.9 with a set per state, 77.0 with a
    record per node and edge).  OCaml 5 without flambda counts
    allocations exactly, so the figure is the same on every run. *)
-let words_per_square_budget = 3.63
+let words_per_square_budget = 3.51
 
 let test_words_per_square () =
-  let fp = Space.Fastpath.create ~enabled:true () in
+  let fp = Space.Fastpath.create () in
   let text = Helpers.typing_text 3 in
   let before = Gc.minor_words () in
   ignore (Helpers.typing_episode ~fp text);
   let words = Gc.minor_words () -. before in
-  let squares = fp.Space.Fastpath.append_hits + fp.Space.Fastpath.generic_squares in
+  let squares = fp.Space.Fastpath.generic_squares in
   let per_square = words /. float_of_int squares in
   Alcotest.(check bool)
     (Printf.sprintf "%.2f minor words per square (%d squares) <= %.2f"
@@ -692,7 +650,7 @@ let test_one_lane_words () =
 let promoted_per_square_budget = 0.62
 
 let test_promoted_per_square () =
-  let fp = Space.Fastpath.create ~enabled:true () in
+  let fp = Space.Fastpath.create () in
   let text = Helpers.typing_text 3 in
   Gc.minor ();
   let _, before, _ = Gc.counters () in
@@ -700,7 +658,7 @@ let test_promoted_per_square () =
   Gc.minor ();
   let _, after, _ = Gc.counters () in
   ignore (Sys.opaque_identity t);
-  let squares = fp.Space.Fastpath.append_hits + fp.Space.Fastpath.generic_squares in
+  let squares = fp.Space.Fastpath.generic_squares in
   let per_square = (after -. before) /. float_of_int squares in
   Alcotest.(check bool)
     (Printf.sprintf "%.2f promoted words per square (%d squares) <= %.2f"
@@ -718,7 +676,7 @@ let test_promoted_per_square () =
 let retained_per_node_budget = 6.5
 
 let test_retained_per_node () =
-  let fp = Space.Fastpath.create ~enabled:true () in
+  let fp = Space.Fastpath.create () in
   let t = Helpers.typing_episode ~fp (Helpers.typing_text 3) in
   let module Css = Helpers.Css_engine in
   let spaces =
@@ -749,7 +707,7 @@ let test_retained_per_node () =
 let retained_per_op_budget = 643.
 
 let test_retained_per_op () =
-  let fp = Space.Fastpath.create ~enabled:true () in
+  let fp = Space.Fastpath.create () in
   let t = Helpers.typing_episode ~fp (Helpers.typing_text 3) in
   let module Css = Helpers.Css_engine in
   let module P = Jupiter_css.Protocol in
@@ -944,23 +902,19 @@ let () =
             test_cross_ins_before;
           Alcotest.test_case "crossing insert after run" `Quick
             test_cross_ins_after;
-          Alcotest.test_case "crossing insert at tie falls back" `Quick
+          Alcotest.test_case "crossing insert at tie" `Quick
             test_cross_ins_tie;
           Alcotest.test_case "crossing delete before run" `Quick
             test_cross_del_before;
           Alcotest.test_case "crossing delete inside run" `Quick
             test_cross_del_inside;
-          Alcotest.test_case "fast path off keeps ot count" `Quick
-            test_fastpath_off_matches_ot;
           Alcotest.test_case "lone operation takes generic squares" `Quick
             test_lone_op_generic;
           Alcotest.test_case "mixed batch splits into runs" `Quick
             test_mixed_batch_splits;
           Alcotest.test_case "runs with deletions" `Quick test_non_insert_runs;
           qtest "add_run = transcription (generic)" gen_scenario
-            (scenario_prop ~fastpath:false);
-          qtest "add_run = transcription (fast paths)" gen_scenario
-            (scenario_prop ~fastpath:true);
+            scenario_prop;
         ] );
       ( "contract",
         Alcotest.test_case "every star protocol" `Quick (fun () ->

@@ -133,7 +133,6 @@ let test_header_round_trips () =
       shim = true;
       rto = 20;
       batching = true;
-      fastpath = true;
       gc = Some { Rlist_gc.default with Rlist_gc.snapshot_every = 2 };
     }
   in
@@ -145,6 +144,25 @@ let test_header_round_trips () =
     Alcotest.(check bool)
       "whole spec survives" true
       (Recorded.header_of spec = Recorded.header_of spec')
+
+(* Recordings made while the append fast path existed carry a
+   [fastpath] header key.  [false] reads as if it were absent; [true]
+   is refused in one line, since a replay would not reproduce the
+   recorded OT counts. *)
+let test_fastpath_header () =
+  let header = Recorded.header_of chaos_spec in
+  let read key_value = Recorded.spec_of_header (header @ key_value) in
+  Alcotest.(check bool)
+    "fastpath false reads" true
+    (Recorded.header_of (Helpers.ok (read [ "fastpath", "false" ])) = header);
+  match read [ "fastpath", "true" ] with
+  | Ok _ -> Alcotest.fail "fastpath true read"
+  | Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "one-line header error: %S" msg)
+      true
+      (String.starts_with ~prefix:"recording header: " msg
+      && not (String.contains msg '\n'))
 
 let test_recording_file_round_trips () =
   let outcome, recorder = Recorded.record chaos_spec in
@@ -313,6 +331,8 @@ let () =
         [
           Alcotest.test_case "header round-trips" `Quick
             test_header_round_trips;
+          Alcotest.test_case "fastpath true refused" `Quick
+            test_fastpath_header;
           Alcotest.test_case "recording file round-trips" `Quick
             test_recording_file_round_trips;
           Alcotest.test_case "ring wraps" `Quick test_ring_wraps;

@@ -5,8 +5,8 @@
    ordered outgoing transitions (original operation, form, and the
    target's index in that order), followed by the leftmost path from
    the root.
-   The runs cover the benchmark-shaped typing episode (batched, append
-   fast path on), an unbatched hotspot run over a lossy wire behind the
+   The runs cover the benchmark-shaped typing episode (batched), an
+   unbatched hotspot run over a lossy wire behind the
    reliability shim, and the eager-GC css-pruned rows of the engine pin
    suite, digested after every compaction.
 
@@ -95,7 +95,7 @@ let replica_digests t =
          space_digest (Jupiter_css.Protocol.client_space (Css.client t (i + 1))))
 
 let typing () =
-  let fp = Rlist_ot.Fastpath.create ~enabled:true () in
+  let fp = Rlist_ot.Fastpath.create () in
   replica_digests (Helpers.typing_episode ~fp (Helpers.typing_text 7))
 
 let hotspot () =
