@@ -9,11 +9,12 @@
    linked-list representation (kept as {!Document_reference}, the
    testing oracle).
 
-   Alongside the tree we maintain a persistent index keyed by element
-   identity ([Op_id]): a multiset of the identifiers present in the
-   document.  [mem], and through it [compatible], become O(log n) per
-   query instead of a linear scan, and [has_duplicates] is O(1) via a
-   cached count of identifiers appearing more than once. *)
+   Alongside the tree each version carries a lazy index keyed by
+   element identity ([Op_id]): a multiset of the identifiers present in
+   the document.  Only the checkers read it ([mem], [compatible],
+   [has_duplicates]), so editing never touches it: a version builds its
+   own index in O(n log n) on its first query and answers later queries
+   in O(log n). *)
 
 module Tree = struct
   type t =
@@ -139,10 +140,9 @@ module Tree = struct
 end
 
 (* Identifier multiset: id -> number of occurrences, plus the number
-   of identifiers occurring more than once ([has_duplicates] in O(1)).
-   Well-formed documents never hold duplicates (Lemma 6.3), but
-   [of_elements] is unrestricted and [has_duplicates] must observe
-   them. *)
+   of identifiers occurring more than once.  Well-formed documents
+   never hold duplicates (Lemma 6.3), but [of_elements] is unrestricted
+   and [has_duplicates] must observe them. *)
 type index = {
   ids : int Op_id.Map.t;
   dups : int;
@@ -150,11 +150,8 @@ type index = {
 
 type t = {
   tree : Tree.t;
-  (* Lazy so that [of_elements] — called per read by the CRDT
-     protocols to expose their native state as a document — stays a
-     plain O(n) tree build.  [insert]/[delete] keep an already-forced
-     index up to date ([Lazy.from_val]), so the OT hot path never
-     re-indexes and no thunk chains accumulate. *)
+  (* Built from [tree] on the first query of this version; edits
+     derive new versions without forcing it. *)
   index : index Lazy.t;
 }
 
@@ -171,26 +168,16 @@ let add_id idx id =
       dups = (if n = 1 then idx.dups + 1 else idx.dups);
     }
 
-let remove_id idx id =
-  match Op_id.Map.find_opt id idx.ids with
-  | None -> assert false
-  | Some 1 -> { idx with ids = Op_id.Map.remove id idx.ids }
-  | Some n ->
-    {
-      ids = Op_id.Map.add id (n - 1) idx.ids;
-      dups = (if n = 2 then idx.dups - 1 else idx.dups);
-    }
-
 let empty_index = { ids = Op_id.Map.empty; dups = 0 }
 
 let index_of_tree tree =
   Tree.fold (fun idx e -> add_id idx e.Element.id) empty_index tree
 
+let with_tree tree = { tree; index = lazy (index_of_tree tree) }
+
 let empty = { tree = Tree.Empty; index = Lazy.from_val empty_index }
 
-let of_array a =
-  let tree = Tree.of_array a in
-  { tree; index = lazy (index_of_tree tree) }
+let of_array a = with_tree (Tree.of_array a)
 
 let of_string s =
   of_array
@@ -224,10 +211,7 @@ let insert t ~pos e =
     invalid_arg
       (Printf.sprintf "Document.insert: position %d out of bounds (length %d)"
          pos (length t));
-  {
-    tree = Tree.insert_at t.tree pos e;
-    index = Lazy.from_val (add_id (Lazy.force t.index) e.Element.id);
-  }
+  with_tree (Tree.insert_at t.tree pos e)
 
 let delete t ~pos =
   if pos < 0 || pos >= length t then
@@ -235,18 +219,14 @@ let delete t ~pos =
       (Printf.sprintf "Document.delete: position %d out of bounds (length %d)"
          pos (length t));
   let deleted, tree = Tree.delete_at t.tree pos in
-  ( deleted,
-    {
-      tree;
-      index = Lazy.from_val (remove_id (Lazy.force t.index) deleted.Element.id);
-    } )
+  deleted, with_tree tree
 
 let mem t e = Op_id.Map.mem e.Element.id (Lazy.force t.index).ids
 
 let index_of t e =
   if not (mem t e) then None
   else
-    (* The id index answers presence in O(log n); recovering the
+    (* The version's id index answers presence; recovering the
        position still walks the sequence, but only when the element is
        actually there. *)
     let rec go offset = function

@@ -6,11 +6,15 @@
     updated list).
 
     The representation is a balanced rope (size-annotated balanced
-    tree) plus a persistent identifier index: {!insert}, {!delete} and
-    {!nth} are O(log n); {!to_string}, {!elements}, {!iter} and
-    {!fold} are single O(n) traversals; {!mem} is O(log n) and
-    {!has_duplicates} O(1).  {!Document_reference} keeps the original
-    linked-list implementation as a differential-testing oracle. *)
+    tree) plus a per-version identifier index built on demand:
+    {!insert}, {!delete} and {!nth} are O(log n) and never touch the
+    index; {!to_string}, {!elements}, {!iter} and {!fold} are single
+    O(n) traversals.  The first {!mem}, {!index_of}, {!compatible} or
+    {!has_duplicates} query on a version builds its index in
+    O(n log n); later queries on that version cost O(log n) for {!mem}
+    and O(1) for {!has_duplicates}.  {!Document_reference} keeps the
+    original linked-list implementation as a differential-testing
+    oracle. *)
 
 type t
 

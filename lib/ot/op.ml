@@ -33,11 +33,6 @@ let is_nop t =
   | Nop -> true
   | Ins _ | Del _ -> false
 
-let is_ins t =
-  match t.action with
-  | Ins _ -> true
-  | Del _ | Nop -> false
-
 let is_del t =
   match t.action with
   | Del _ -> true

@@ -32,8 +32,6 @@ val nop : id:Op_id.t -> t
 
 val is_nop : t -> bool
 
-val is_ins : t -> bool
-
 val is_del : t -> bool
 
 (** The element an operation inserts or deletes; [None] for [Nop]. *)

@@ -38,7 +38,11 @@ let test_apply_nop () =
 
 let test_accessors () =
   let i = Helpers.ins 'x' 2 in
-  Alcotest.(check bool) "is_ins" true (Op.is_ins i);
+  Alcotest.(check bool)
+    "is_ins" true
+    (match i.Op.action with
+    | Op.Ins _ -> true
+    | Op.Del _ | Op.Nop -> false);
   Alcotest.(check bool) "not del" false (Op.is_del i);
   Alcotest.(check (option int)) "position" (Some 2) (Op.position i);
   let n = Op.nop ~id:(Op_id.make ~client:1 ~seq:1) in
@@ -277,8 +281,10 @@ let prop_xform_preserves_kind =
   Helpers.qtest "transformation preserves operation kind"
     Helpers.gen_cp1_instance (fun (_, o1, o2) ->
       let o1' = Transform.xform o1 o2 in
-      (Op.is_ins o1 && Op.is_ins o1')
-      || (Op.is_del o1 && (Op.is_del o1' || Op.is_nop o1')))
+      match o1.Op.action, o1'.Op.action with
+      | Op.Ins _, Op.Ins _ -> true
+      | Op.Del _, (Op.Del _ | Op.Nop) -> true
+      | _ -> false)
 
 let prop_xform_preserves_element =
   Helpers.qtest "transformation preserves the element"

@@ -221,6 +221,8 @@ let readers =
     "client snapshot", (fun s -> Result.is_ok (Snapshot.client_of_string s));
     "stable snapshot", (fun s -> Result.is_ok (Snapshot.stable_of_string s));
     "schedule", (fun s -> Result.is_ok (Schedule_text.of_string s));
+    "fault spec", (fun s -> Result.is_ok (Faults.of_string s));
+    "gc policy", (fun s -> Result.is_ok (Rlist_gc.of_string s));
   ]
 
 (* Every reader returns on [text]; an escaping exception fails. *)
@@ -294,7 +296,9 @@ let mutants_never_raise seed =
     valid
 
 (* Arbitrary short texts built from the formats' own vocabulary, after
-   an optional header, plus raw bytes. *)
+   an optional header, plus raw bytes.  Fault specs and gc policies are
+   comma-separated [key=value] fields, whose values may be NaN,
+   infinite, overflowing or a [PERIOD:DOWN] window. *)
 let gen_text =
   let open QCheck2.Gen in
   let keyword =
@@ -309,9 +313,28 @@ let gen_text =
       keyword
       (list_size (int_bound 6) (oneofl (Array.to_list bad_tokens)))
   in
+  let number =
+    oneofl
+      [ "0"; "1"; "-1"; "0.5"; "1.5"; "nan"; "-nan"; "inf"; "-inf";
+        "infinity"; "1e400"; "4611686018427387904"; "-4611686018427387905";
+        "99999999999999999999"; "0x7fffffffffffffff"; ""; "x" ]
+  in
+  let field =
+    oneof
+      [
+        map2 ( ^ )
+          (oneofl
+             [ "drop="; "dup="; "duplicate="; "reorder="; "delay="; "ops=";
+               "meta="; "lag="; "retain="; "snap="; "="; "" ])
+          number;
+        map2 (fun a b -> "partition=" ^ a ^ ":" ^ b) number number;
+        oneofl [ "none"; "chaos"; "heavy-loss"; "default"; " drop = 0.1 " ];
+      ]
+  in
   oneof
     [
       string;
+      map (String.concat ",") (list_size (int_bound 6) field);
       map2 ( ^ )
         (oneofl [ ""; "css-client 1\n"; "css-stable 1\n"; "clients 2\n" ])
         (map (String.concat "\n") (list_size (int_bound 12) line));
