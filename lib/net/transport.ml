@@ -41,13 +41,15 @@ let set_recorder cfg recorder = cfg.recorder <- recorder
 
 (* A payload the sender has stamped.  [i_copies] counts its copies on
    the wire — queued or jittered, not yet delivered or lost — so "is
-   it still in flight?" is a field read. *)
+   it still in flight?" is a field read.  [i_held] says the last ack
+   consumed listed it as buffered at the receiver. *)
 type 'a inflight = {
   i_seq : int;
   i_payload : 'a;
   mutable i_last_sent : int;
   mutable i_attempts : int;
   mutable i_copies : int;
+  mutable i_held : bool;
 }
 
 (* One copy on the wire.  It keeps its own seq and payload (after a
@@ -73,12 +75,19 @@ type 'a lossy = {
   mutable ack_wire : int;
       (* the one ack in flight (cumulative seq), or -1: an ack leaves on
          a tick and arrives on the next, so there is never a second *)
+  mutable ack_sack : (int * 'a) list;
+      (* its selective part: the receiver's resequencer as the ack left
+         (shared, not copied — the list is immutable) *)
   mutable next_seq : int;  (* sender: next sequence number to assign *)
   mutable max_sent : int;  (* sender: highest seq ever sent *)
   unacked : 'a inflight Queue.t;  (* sender retransmit buffer, by seq *)
+  mutable held : int;  (* sender: records in [unacked] marked [i_held] *)
+  mutable cursor : (int * 'a) list;
+      (* a walk's position in a selective ack, kept here so the walk's
+         step function closes over nothing and allocates nothing *)
   mutable next_due : int;
       (* no retransmission is due before this tick: a lower bound on the
-         deadlines of unacked payloads with no copy on the wire *)
+         deadlines of idle unacked payloads (see [idle]) *)
   mutable expected : int;  (* receiver: next seq to hand to the app *)
   mutable resequencer : (int * 'a) list;  (* receiver buffer, by seq *)
   mutable ack_pending : bool;
@@ -106,9 +115,12 @@ let create ?(key = no_key) ?(weight = fun _ -> 1) ?(name = "wire") cfg =
       ready = Queue.create ();
       delayed = [];
       ack_wire = -1;
+      ack_sack = [];
       next_seq = 1;
       max_sent = 0;
       unacked = Queue.create ();
+      held = 0;
+      cursor = [];
       next_due = max_int;
       expected = 1;
       resequencer = [];
@@ -148,12 +160,22 @@ let timeout cfg attempts =
 
 let deadline l i = i.i_last_sent + timeout l.cfg i.i_attempts
 
-(* The earliest tick at which an unacked payload with no copy on the
-   wire times out. *)
-let earliest_due l =
-  Queue.fold
-    (fun due i -> if i.i_copies = 0 then Int.min due (deadline l i) else due)
-    max_int l.unacked
+(* An unacked payload is idle when no copy of it is on the wire and
+   the receiver is not known to hold it: only an idle payload can time
+   out. *)
+let idle i = i.i_copies = 0 && not i.i_held
+
+(* Fold steps over [unacked] take the channel as their accumulator, so
+   they close over nothing and a walk allocates nothing. *)
+let lower_due l i =
+  if idle i then l.next_due <- Int.min l.next_due (deadline l i);
+  l
+
+(* Recompute [next_due] exactly: the earliest deadline of an idle
+   payload. *)
+let reset_due l =
+  l.next_due <- max_int;
+  ignore (Queue.fold lower_due l l.unacked)
 
 let iter_wire f l =
   Queue.iter f l.ready;
@@ -171,9 +193,8 @@ let adopt_copies l i =
       end)
     l
 
-(* Once [i] has no copy on the wire, its deadline bounds [next_due]. *)
-let note_idle l i =
-  if i.i_copies = 0 then l.next_due <- Int.min l.next_due (deadline l i)
+(* Once [i] is idle, its deadline bounds [next_due]. *)
+let note_idle l i = ignore (lower_due l i)
 
 (* A copy left the wire (delivered or lost). *)
 let release_copy l w =
@@ -251,7 +272,7 @@ let transmit l i =
 
 let inflight l seq payload =
   { i_seq = seq; i_payload = payload; i_last_sent = l.now; i_attempts = 1;
-    i_copies = 0 }
+    i_copies = 0; i_held = false }
 
 let send t payload =
   match t with
@@ -350,7 +371,10 @@ let deliver t =
               emit_wire l ~action:"dup_drop" ~wseq:item.w_seq ~info:0
             end
             else begin
+              (* The sender learns of it from the next ack's selective
+                 part, so an out-of-order arrival is acknowledged too. *)
               s.Stats.out_of_order <- s.Stats.out_of_order + 1;
+              l.ack_pending <- true;
               emit_wire l ~action:"ooo" ~wseq:item.w_seq ~info:0;
               let rec insert = function
                 | [] -> [ item.w_seq, item.w_payload ]
@@ -401,6 +425,45 @@ let retransmit l i =
        { channel = l.name; seq = i.i_seq; attempts = i.i_attempts });
   transmit l i
 
+(* Advance a walk's cursor in a selective ack past [seq], and say
+   whether the ack lists [seq]. *)
+let rec listed l seq = function
+  | (s, _) :: rest when s < seq -> listed l seq rest
+  | (s, _) :: rest when s = seq ->
+    l.cursor <- rest;
+    true
+  | sack ->
+    l.cursor <- sack;
+    false
+
+(* One step of the merge walk that applies a consumed ack's selective
+   part ([l.cursor]) to [i]: the ack's list replaces [i]'s mark.  The
+   head of [unacked] is never marked, so whatever a reneging receiver
+   forgot, the payload it waits for next still times out; a listed
+   head restarts its timer instead.  A hole — a payload the ack does
+   not list, below one it does, with no copy left on the wire — is
+   retransmitted now rather than at its deadline. *)
+let mark_step l i =
+  let listed = listed l i.i_seq l.cursor in
+  let head = i == Queue.peek l.unacked in
+  if listed && head then i.i_last_sent <- l.now;
+  let held = listed && not head in
+  if held <> i.i_held then begin
+    i.i_held <- held;
+    l.held <- (if held then l.held + 1 else l.held - 1)
+  end;
+  if (not listed) && l.cursor <> [] && i.i_copies = 0 then retransmit l i;
+  note_idle l i;
+  l
+
+(* One step of the timeout scan, walking the selective part of the
+   ack now on the wire ([l.cursor]) alongside. *)
+let due_step l i =
+  let listed = listed l i.i_seq l.cursor in
+  if idle i && i.i_seq > l.ack_wire && (not listed) && l.now >= deadline l i
+  then retransmit l i;
+  lower_due l i
+
 let tick t =
   match t with
   | Perfect _ -> ()
@@ -413,19 +476,28 @@ let tick t =
       s.Stats.partitions_healed <- s.Stats.partitions_healed + 1;
     l.was_down <- d;
     release_delayed l;
-    (* 1. Consume the acknowledgement sent last tick; it is cumulative,
-       so it retires the unacked prefix up to its seq. *)
+    (* 1. Consume the acknowledgement sent last tick.  Its cumulative
+       part retires the unacked prefix up to its seq; its selective
+       part replaces the marks on the rest.  A channel with nothing
+       buffered and nothing marked skips the walk. *)
     if l.ack_wire >= 0 then begin
       let acked = l.ack_wire in
       l.ack_wire <- -1;
       while
         (not (Queue.is_empty l.unacked)) && (Queue.peek l.unacked).i_seq <= acked
       do
-        ignore (Queue.pop l.unacked)
-      done
+        if (Queue.pop l.unacked).i_held then l.held <- l.held - 1
+      done;
+      if l.ack_sack <> [] || l.held > 0 then begin
+        l.cursor <- l.ack_sack;
+        ignore (Queue.fold mark_step l l.unacked);
+        l.cursor <- []
+      end;
+      l.ack_sack <- []
     end;
-    (* 2. Flush the receiver's pending cumulative ack through the same
-       fault model (acks travel the reverse link). *)
+    (* 2. Flush the receiver's pending ack through the same fault model
+       (acks travel the reverse link): the cumulative seq plus the
+       seqs the resequencer holds. *)
     if l.ack_pending then begin
       l.ack_pending <- false;
       let cum = l.expected - 1 in
@@ -440,20 +512,25 @@ let tick t =
         emit_wire l ~action:"ack" ~wseq:cum ~info:0;
         record_decision l
           (Rlist_obs.Recorder.Ack { channel = l.name; seq = cum; dropped = false });
-        l.ack_wire <- cum
+        l.ack_wire <- cum;
+        l.ack_sack <- l.resequencer
       end
     end;
-    (* 3. Retransmit whatever timed out.  The timer models an ideal
-       RTT estimator rather than a fixed TCP-style clock: a payload
-       still physically in flight (neither dropped nor delivered) is
-       never retransmitted, because the virtual wire also absorbs the
-       engine scheduler's choice latency, which a fixed timeout would
-       misread as loss.  Before [next_due] nothing can be due. *)
+    (* 3. Retransmit whatever timed out.  The timer is a fixed timeout
+       with capped backoff, not an RTT estimator; what keeps it from
+       firing on a copy that is merely slow is an oracle no real sender
+       has: a payload still physically in flight (neither dropped nor
+       delivered) is never retransmitted, because the virtual wire also
+       absorbs the engine scheduler's choice latency, which the fixed
+       timeout would misread as loss.  A marked payload waits for an
+       ack that stops listing it, and one the ack now on the wire
+       covers waits a tick for that ack.  Before [next_due] nothing can
+       be due. *)
     if l.now >= l.next_due then begin
-      Queue.iter
-        (fun i -> if i.i_copies = 0 && l.now >= deadline l i then retransmit l i)
-        l.unacked;
-      l.next_due <- earliest_due l
+      l.next_due <- max_int;
+      l.cursor <- l.ack_sack;
+      ignore (Queue.fold due_step l l.unacked);
+      l.cursor <- []
     end
 
 let now = function Perfect _ -> 0 | Lossy l -> l.now
@@ -514,13 +591,14 @@ let restore_sender t ck =
   let l = lossy_of "restore_sender" t in
   l.next_seq <- ck.ck_next_seq;
   Queue.clear l.unacked;
+  l.held <- 0;
   List.iter
     (fun (seq, payload) ->
       let i = inflight l seq payload in
       adopt_copies l i;
       Queue.push i l.unacked)
     ck.ck_unacked;
-  l.next_due <- earliest_due l
+  reset_due l
 
 let receiver_checkpoint t =
   let l = lossy_of "receiver_checkpoint" t in
@@ -562,4 +640,5 @@ let drop_wire t =
     l;
   Queue.clear l.ready;
   l.delayed <- [];
-  l.ack_wire <- -1
+  l.ack_wire <- -1;
+  l.ack_sack <- []

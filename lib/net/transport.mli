@@ -6,11 +6,15 @@
     buffers unacknowledged payloads at the sender, retransmits them on
     a backed-off timeout, resequences out-of-order arrivals, suppresses
     duplicates (by sequence number, plus an application-supplied
-    operation-identifier guard), and returns cumulative
-    acknowledgements over the equally unreliable reverse link.  As
-    long as the fault model lets some transmission through eventually
-    (drop < 1, partitions heal), every payload is delivered exactly
-    once, in order — the FIFO-exactly-once contract restored.
+    operation-identifier guard), and returns acknowledgements over the
+    equally unreliable reverse link.  An ack is cumulative plus
+    selective, in the manner of TCP SACK: it also lists the payloads
+    the receiver holds out of order, which the sender then does not
+    resend, and a hole below a listed payload is resent as soon as
+    the ack arrives.  As long as the fault model lets some
+    transmission through eventually (drop < 1, partitions heal),
+    every payload is delivered exactly once, in order — the
+    FIFO-exactly-once contract restored.
 
     Time is a per-channel virtual clock advanced by {!tick}; the
     simulation engines tick every channel once per scheduler step.
@@ -83,9 +87,10 @@ val deliver : 'a t -> 'a option
     delivers until [pending = 0] terminates with probability 1. *)
 val pending : 'a t -> int
 
-(** Advance the virtual clock one step: move acknowledgements, flush
-    the receiver's pending cumulative ack, and retransmit whatever
-    timed out. *)
+(** Advance the virtual clock one step: consume the ack that arrived
+    (retiring its cumulative prefix, marking what it lists and
+    resending the holes it exposes), flush the receiver's pending ack,
+    and retransmit whatever timed out. *)
 val tick : 'a t -> unit
 
 val now : 'a t -> int
@@ -120,7 +125,11 @@ val dedup_keys : 'a t -> int
     connection reset.  Recovery is complete as long as checkpoints
     follow write-ahead discipline: a replica checkpoints {e before}
     its next cumulative ack leaves (acks only leave on {!tick}), so
-    the peer still buffers everything past the checkpoint. *)
+    the peer still buffers everything past the checkpoint.  A restored
+    receiver may forget payloads it held out of order that an ack has
+    already listed; the sender's marks are replaced by every ack and
+    never cover the payload the receiver waits for next, so those
+    payloads are resent as well. *)
 
 type 'a sender_state
 

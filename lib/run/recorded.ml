@@ -160,7 +160,7 @@ let passed o =
 
 let header_of ?(capacity = Recorder.default_capacity) spec =
   [
-    "version", "1";
+    "version", "2";
     "protocol", spec.protocol;
     "profile", Workload.profile_name spec.profile;
     "nclients", string_of_int spec.nclients;
@@ -237,6 +237,19 @@ let spec_of_header header =
         "recording header: fastpath true names the removed append fast \
          path, whose OT counts a replay would not reproduce"
     | other -> Result.map ignore other
+  in
+  (* Version 2 is the first whose shim sends selective acks; an older
+     shimmed recording took other retransmission decisions. *)
+  let* () =
+    let predates version =
+      Error
+        ("recording header: shim true at " ^ version
+       ^ " predates selective acks; its wire decisions would not replay")
+    in
+    match find "shim", find "version" with
+    | Some "true", None -> predates "no version"
+    | Some "true", Some "1" -> predates "version 1"
+    | _ -> Ok ()
   in
   Ok
     {

@@ -104,14 +104,18 @@ val check : spec -> unit
     fail a run. *)
 val passed : outcome -> bool
 
-(** Header key/value pairs stored in a recording: the full spec plus
-    the recorder capacity (default {!Recorder.default_capacity}). *)
+(** Header key/value pairs stored in a recording: its format version
+    (2), the full spec and the recorder capacity (default
+    {!Recorder.default_capacity}). *)
 val header_of : ?capacity:int -> spec -> (string * string) list
 
 (** Inverse of {!header_of}; missing keys take the soak defaults.  A
     [fastpath true] key, written by builds that had an append fast
     path, is refused: the replay would not reproduce its OT counts.
-    [fastpath false] is read and ignored. *)
+    [fastpath false] is read and ignored.  So is a [shim true] key
+    in a header of version 1 or with no version: those builds' shim
+    sent cumulative acks only, and a replay would not reproduce their
+    retransmissions. *)
 val spec_of_header : (string * string) list -> (spec, string) result
 
 (** The outcome rendered as key/value pairs: verdicts, counters, and

@@ -235,7 +235,10 @@ let test_determinism () =
    whose copies are still on the wire must keep deferring their
    retransmission, as they did when "on the wire" was a scan by
    sequence number.  The expected digests come from the list-based
-   wire that preceded the copy-counted one. *)
+   wire that preceded the copy-counted one, except the shimmed rows
+   of the presets that lose or reorder payloads (drop, reorder,
+   partition, chaos, heavy-loss): they were re-taken when acks gained
+   their selective part, which changes what is retransmitted. *)
 let pin_run ~faults ~shim ~seed ~crash =
   let cfg = Transport.config ~shim ~faults ~seed () in
   let recorder = Rlist_obs.Recorder.create () in
@@ -294,17 +297,17 @@ let pin_expected =
   [
     "none", true, "904129a422f2859e4595ac3de13b15eb";
     "none", false, "2ad534543b750401406b7726394330bc";
-    "drop", true, "0b39639e7e495707b526714d40036c3a";
+    "drop", true, "e7a5494fdac5b9fa90f5850e38c87e6e";
     "drop", false, "1db1ab8fec1c402d3ff4762038c21fc1";
     "dup", true, "1fe6409fc2b20986213755dc260b3d90";
     "dup", false, "44a49001bceb89616ebb657c6b95b2aa";
-    "reorder", true, "ea7ab191de0f3768451139dc968a671d";
+    "reorder", true, "7faf3a676e470848fa7bbc5a655e8a1a";
     "reorder", false, "c25888ef69fd152e4239ccfbd6664764";
-    "partition", true, "b2ff68a070e99ad587a4c40f6728168f";
+    "partition", true, "13908974ed94d337b082799803b73010";
     "partition", false, "5e69946f4ac4a6003c8f103ec1db3c56";
-    "chaos", true, "401ab6ce17660e0a16713d8fcaaf5696";
+    "chaos", true, "108a1b48b8823f00287bbdc01f67e600";
     "chaos", false, "c82cec376f7e1fc61cbad218e9e628ed";
-    "heavy-loss", true, "619a16301e7c4247ceefa045a18ae783";
+    "heavy-loss", true, "af09f4a6f07cd9039316d6b7a472fd93";
     "heavy-loss", false, "3ddef44042b9a6e4b374b0f8d219c9ae";
   ]
 
@@ -353,6 +356,144 @@ let test_idle_tick_allocation () =
     (ticking -. idle);
   Alcotest.(check int) "nothing retransmitted" 0
     (Transport.stats cfg).Stats.retransmits
+
+(* Selective acks.  Each case runs one fault-free channel whose
+   partition clock is down at tick 0 only, so exactly what is sent
+   before the first tick is lost, and a recorder lists what the shim
+   retransmitted. *)
+let sack_channel () =
+  let faults =
+    { Faults.none with partition_period = 1_000; partition_down = 1 }
+  in
+  let cfg = Transport.config ~faults ~seed:1 () in
+  let recorder = Rlist_obs.Recorder.create () in
+  Transport.set_recorder cfg (Some recorder);
+  let retransmitted () =
+    List.filter_map
+      (function
+        | Rlist_obs.Recorder.Retransmit { seq; _ } -> Some seq | _ -> None)
+      (Rlist_obs.Recorder.window recorder)
+  in
+  cfg, Transport.create cfg, retransmitted
+
+let deliver_all ch =
+  while Transport.deliverable ch > 0 do
+    ignore (Transport.deliver ch)
+  done
+
+let ticks ch n =
+  for _ = 1 to n do
+    Transport.tick ch
+  done
+
+(* Lose seq 1, send 2..k: the receiver buffers 2..k out of order.  The
+   ack listing them marks them, so none is ever retransmitted, and it
+   exposes seq 1 as a hole: seq 1 goes out again the tick that ack is
+   consumed, long before its deadline (tick 12). *)
+let test_sack_hole () =
+  let k = 6 in
+  let _, ch, retransmitted = sack_channel () in
+  Transport.send ch 1;
+  Transport.tick ch;
+  List.iter (Transport.send ch) (List.init (k - 1) (fun i -> i + 2));
+  deliver_all ch;
+  Transport.tick ch;
+  Alcotest.(check (list int)) "nothing resent while the ack is in flight" []
+    (retransmitted ());
+  Transport.tick ch;
+  Alcotest.(check (list int)) "the hole goes out as the ack lands" [ 1 ]
+    (retransmitted ());
+  Alcotest.(check int) "on tick 3" 3 (Transport.now ch);
+  ticks ch 60;
+  Alcotest.(check (list int)) "buffered payloads are never resent" [ 1 ]
+    (retransmitted ());
+  Alcotest.(check (list int)) "exactly once, in order"
+    (List.init k (fun i -> i + 1))
+    (drive ch);
+  Alcotest.(check (list int)) "nothing else was resent" [ 1 ]
+    (retransmitted ())
+
+(* A dropped ack changes no mark.  After the first ack marks 2 and 3,
+   the connection resets (seq 1's second copy is lost), seq 4 arrives
+   out of order and the ack listing it is lost to the partition (tick
+   1 000).  Past every deadline, 2 and 3 are still not resent, while 1
+   and 4 — which no ack that arrived ever listed — time out. *)
+let test_sack_dropped_ack () =
+  let cfg, ch, retransmitted = sack_channel () in
+  Transport.send ch 1;
+  Transport.tick ch;
+  Transport.send ch 2;
+  Transport.send ch 3;
+  deliver_all ch;
+  ticks ch 2;
+  Alcotest.(check (list int)) "the hole went out" [ 1 ] (retransmitted ());
+  ticks ch (999 - Transport.now ch);
+  Transport.drop_wire ch;
+  Transport.send ch 4;
+  deliver_all ch;
+  let dropped = (Transport.stats cfg).Stats.acks_dropped in
+  Transport.tick ch;
+  Alcotest.(check int) "the ack listing 4 was dropped" (dropped + 1)
+    (Transport.stats cfg).Stats.acks_dropped;
+  ticks ch 60;
+  Alcotest.(check (list int)) "2 and 3 stay marked; 1 and 4 timed out"
+    [ 1; 4 ]
+    (List.sort_uniq compare (retransmitted ()));
+  Alcotest.(check (list int)) "exactly once, in order" [ 1; 2; 3; 4 ]
+    (drive ch)
+
+(* Reneging: the receiver crashes back to a checkpoint taken before it
+   buffered 2..k, after an ack listing them reached the sender, and the
+   connection resets.  The receiver no longer holds what the sender
+   has marked; the unmarked head times out, its delivery is acked, and
+   that ack replaces the stale marks, so 2..k go out again and the
+   channel quiesces with every payload delivered once, in order. *)
+let test_sack_reneging () =
+  let k = 6 in
+  let _, ch, retransmitted = sack_channel () in
+  Transport.send ch 1;
+  let ck = Transport.receiver_checkpoint ch in
+  Transport.tick ch;
+  List.iter (Transport.send ch) (List.init (k - 1) (fun i -> i + 2));
+  deliver_all ch;
+  ticks ch 2;
+  Alcotest.(check (list int)) "2..k were marked" [ 1 ] (retransmitted ());
+  Transport.restore_receiver ch ck;
+  Transport.drop_wire ch;
+  Alcotest.(check (list int)) "exactly once, in order"
+    (List.init k (fun i -> i + 1))
+    (drive ch);
+  Alcotest.(check (list int)) "the forgotten payloads were resent"
+    (List.init (k - 1) (fun i -> i + 2))
+    (List.sort_uniq compare
+       (List.filter (fun seq -> seq > 1) (retransmitted ())))
+
+(* The head of the unacked queue is never marked, even when an ack
+   lists it.  The receiver delivers 1 and checkpoints (expected 2),
+   then rolls back to an older checkpoint (expected 1): 2 arrives out
+   of order, 1 is resent as a hole and delivered, and the next ack
+   lists 2, now the sender's head, sitting deliverable.  Restoring the
+   newer checkpoint forgets 2 again.  Had that ack marked 2, nothing
+   would ever resend it; instead its timer restarts, it times out and
+   the channel quiesces. *)
+let test_sack_head_unmarked () =
+  let cfg = Transport.config ~faults:Faults.none ~seed:1 () in
+  let ch = Transport.create cfg in
+  Transport.send ch 1;
+  Transport.send ch 2;
+  let older = Transport.receiver_checkpoint ch in
+  Alcotest.(check (option int)) "1 delivered" (Some 1) (Transport.deliver ch);
+  let newer = Transport.receiver_checkpoint ch in
+  Transport.restore_receiver ch older;
+  Alcotest.(check (option int)) "2 buffered" None (Transport.deliver ch);
+  ticks ch 2;
+  Alcotest.(check int) "1 resent as a hole" 1
+    (Transport.stats cfg).Stats.retransmits;
+  Alcotest.(check (option int)) "1 delivered again" (Some 1)
+    (Transport.deliver ch);
+  ticks ch 2;
+  Transport.restore_receiver ch newer;
+  Alcotest.(check (list int)) "2 still arrives" [ 2 ] (drive ~fuel:1_000 ch)
 
 (* Sender crash: restore the last checkpointed sender state, reset the
    wire; retransmission resynchronises and the receiver's sequence
@@ -577,6 +718,14 @@ let () =
             test_decision_pin;
           Alcotest.test_case "idle ticks allocate nothing" `Quick
             test_idle_tick_allocation;
+          Alcotest.test_case "sack: buffered kept, hole resent at once" `Quick
+            test_sack_hole;
+          Alcotest.test_case "sack: a dropped ack keeps the marks" `Quick
+            test_sack_dropped_ack;
+          Alcotest.test_case "sack: reneging receiver still quiesces" `Quick
+            test_sack_reneging;
+          Alcotest.test_case "sack: a listed head is never marked" `Quick
+            test_sack_head_unmarked;
         ] );
       ( "crash-reconnect",
         [

@@ -164,6 +164,42 @@ let test_fastpath_header () =
       (String.starts_with ~prefix:"recording header: " msg
       && not (String.contains msg '\n'))
 
+(* Recordings made before the shim sent selective acks carry version
+   1 (or no version at all).  With the shim off their wire decisions
+   still replay; with it on they are refused in one line, since a
+   replay would not reproduce their retransmissions. *)
+let test_version1_shim_header () =
+  let header = Recorded.header_of chaos_spec in
+  let with_version v =
+    List.filter_map
+      (fun (k, x) ->
+        if k <> "version" then Some (k, x)
+        else Option.map (fun v -> k, v) v)
+      header
+  in
+  let no_shim h =
+    List.map (fun (k, x) -> if k = "shim" then k, "false" else k, x) h
+  in
+  Alcotest.(check (option string))
+    "header_of writes version 2" (Some "2")
+    (List.assoc_opt "version" header);
+  List.iter
+    (fun (what, v) ->
+      (match Recorded.spec_of_header (with_version v) with
+      | Ok _ -> Alcotest.failf "%s, shim true: read" what
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: one-line header error: %S" what msg)
+          true
+          (String.starts_with ~prefix:"recording header: " msg
+          && Helpers.contains msg "predates selective acks"
+          && not (String.contains msg '\n')));
+      Alcotest.(check bool)
+        (what ^ ", shim false: reads")
+        true
+        (Result.is_ok (Recorded.spec_of_header (no_shim (with_version v)))))
+    [ "version 1", Some "1"; "no version", None ]
+
 let test_recording_file_round_trips () =
   let outcome, recorder = Recorded.record chaos_spec in
   let path = Filename.temp_file "jupiter" ".jfr" in
@@ -333,6 +369,8 @@ let () =
             test_header_round_trips;
           Alcotest.test_case "fastpath true refused" `Quick
             test_fastpath_header;
+          Alcotest.test_case "shimmed version 1 refused" `Quick
+            test_version1_shim_header;
           Alcotest.test_case "recording file round-trips" `Quick
             test_recording_file_round_trips;
           Alcotest.test_case "ring wraps" `Quick test_ring_wraps;

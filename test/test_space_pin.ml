@@ -12,7 +12,11 @@
 
    The engine pins fix documents, traces and metadata totals; these
    digests fix the states and transitions themselves, so a change to
-   the space's representation must rebuild exactly the same space. *)
+   the space's representation must rebuild exactly the same space.
+   The rows behind a lossy wire (hotspot, and the chaos compaction
+   rows) were re-taken when the shim's acks gained a selective part:
+   the wire then retransmits less, which reorders deliveries and so
+   builds other spaces. *)
 
 open Rlist_model
 open Rlist_ot
@@ -169,16 +173,16 @@ let test_typing () =
 
 let test_hotspot () =
   Alcotest.(check (list string)) "hotspot replicas"
-    (List.init 5 (fun _ -> "2124df1eba53fc01"))
+    (List.init 5 (fun _ -> "090fddc12c60ff12"))
     (hotspot ())
 
 (* (batching, chaos) -> compactions:digest of the per-compaction log *)
 let pruned_expected =
   [
     (false, false), "60:36e0540705c9d59bc5f6f4761dd399ac";
-    (false, true), "31:d899e36fa4b92ebadb7f5761ed570ff2";
+    (false, true), "30:573705ac9c4065a553da46fd63c8b14d";
     (true, false), "47:b688e35cb4ae9aa96f878cedf64c1a81";
-    (true, true), "29:8d25472a91471d6f040c3c28fa45942d";
+    (true, true), "29:3bb37ccab5a28a560bba89c84ef61d46";
   ]
 
 let pruned_case (batching, chaos) =
