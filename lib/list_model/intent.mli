@@ -17,4 +17,12 @@ type t =
     bounds for a document of the given length. *)
 val valid_for : doc_length:int -> t -> bool
 
+(** The intent text of schedule files and flight recordings: [ins c p]
+    (with [c] the raw byte), [del p] or [read]. *)
+val to_string : t -> string
+
+(** Read {!to_string}'s text by position, so any character, a blank
+    included, reads back; [None] if the text spells no intent. *)
+val of_string : string -> t option
+
 val pp : Format.formatter -> t -> unit

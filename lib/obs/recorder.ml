@@ -10,7 +10,7 @@ type outcome =
 type decision =
   | Generate of {
       client : int;
-      intent : string;
+      intent : Rlist_model.Intent.t;
     }
   | Deliver_to_server of int
   | Deliver_to_client of int
@@ -86,11 +86,6 @@ let window t =
     !out
   end
 
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
-  t.head <- 0;
-  t.total <- 0
-
 let outcome_to_string = function
   | Sent -> "sent"
   | Dropped -> "dropped"
@@ -99,7 +94,8 @@ let outcome_to_string = function
   | Delayed j -> Printf.sprintf "delayed+%d" j
 
 let decision_to_string = function
-  | Generate { client; intent } -> Printf.sprintf "gen %d %s" client intent
+  | Generate { client; intent } ->
+    Printf.sprintf "gen %d %s" client (Rlist_model.Intent.to_string intent)
   | Deliver_to_server i -> Printf.sprintf "c2s %d" i
   | Deliver_to_client i -> Printf.sprintf "s2c %d" i
   | Deliver_peer { src; dst } -> Printf.sprintf "p2p %d %d" src dst
@@ -168,7 +164,7 @@ let put_decision b = function
   | Generate { client; intent } ->
     Buffer.add_char b '\001';
     put_varint b client;
-    put_string b intent
+    put_string b (Rlist_model.Intent.to_string intent)
   | Deliver_to_server i ->
     Buffer.add_char b '\002';
     put_varint b i
@@ -258,15 +254,18 @@ let get_varint c =
   in
   loop 0 0
 
+let get_count c =
+  match get_varint c with n when n < 0 -> corrupt "negative count" | n -> n
+
 let get_string c =
-  let len = get_varint c in
-  if c.pos + len > String.length c.data then corrupt "truncated string";
+  let len = get_count c in
+  if len > String.length c.data - c.pos then corrupt "truncated string";
   let s = String.sub c.data c.pos len in
   c.pos <- c.pos + len;
   s
 
 let get_pairs c =
-  let n = get_varint c in
+  let n = get_count c in
   List.init n (fun _ ->
       let k = get_string c in
       let v = get_string c in
@@ -285,8 +284,10 @@ let get_decision c =
   match get_byte c with
   | 1 ->
     let client = get_varint c in
-    let intent = get_string c in
-    Generate { client; intent }
+    let text = get_string c in
+    (match Rlist_model.Intent.of_string text with
+    | Some intent -> Generate { client; intent }
+    | None -> corrupt (Printf.sprintf "bad intent %S" text))
   | 2 -> Deliver_to_server (get_varint c)
   | 3 -> Deliver_to_client (get_varint c)
   | 4 ->
@@ -326,7 +327,7 @@ let decode data =
   let header = get_pairs c in
   let digest = get_pairs c in
   let r_total = get_varint c in
-  let stored = get_varint c in
+  let stored = get_count c in
   let r_window = List.init stored (fun _ -> get_decision c) in
   { header; digest; r_total; r_window }
 

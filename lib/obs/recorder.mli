@@ -32,7 +32,9 @@ type outcome =
 type decision =
   | Generate of {
       client : int;
-      intent : string;  (** Schedule-text syntax: ["ins c 3"], ["del 0"], ["read"]. *)
+      intent : Rlist_model.Intent.t;
+          (** Stored as the engine generated it; the text and the dump
+              spell it with {!Rlist_model.Intent.to_string}. *)
     }
   | Deliver_to_server of int
   | Deliver_to_client of int
@@ -90,10 +92,6 @@ val wrapped : t -> bool
 (** The retained decisions, oldest first. *)
 val window : t -> decision list
 
-val clear : t -> unit
-
-val outcome_to_string : outcome -> string
-
 val decision_to_string : decision -> string
 
 (** [encode ~header ~digest t] renders the full binary recording. *)
@@ -120,6 +118,10 @@ type recording = {
 (** Raised by {!decode}/{!load} on malformed input, with a reason. *)
 exception Corrupt of string
 
+(** Parse a binary recording; each intent is read back with
+    {!Rlist_model.Intent.of_string}.
+    @raise Corrupt on any malformed input, an intent text that spells
+    no intent included, and never raises anything else. *)
 val decode : string -> recording
 
 (** [is_recording path] — whether the file starts with the "JFR1"

@@ -378,14 +378,8 @@ let schedule_of_recording (recording : Recorder.recording) =
       | [] -> Ok (List.rev acc)
       | d :: rest -> (
         match d with
-        | Recorder.Generate { client; intent } -> (
-          match
-            Rlist_sim.Schedule_text.intent_of_tokens
-              (String.split_on_char ' ' intent)
-          with
-          | Some i -> go (Rlist_sim.Schedule.Generate (client, i) :: acc) rest
-          | None ->
-            Error (Printf.sprintf "unparseable recorded intent %S" intent))
+        | Recorder.Generate { client; intent } ->
+          go (Rlist_sim.Schedule.Generate (client, intent) :: acc) rest
         | Recorder.Deliver_to_server i ->
           go (Rlist_sim.Schedule.Deliver_to_server i :: acc) rest
         | Recorder.Deliver_to_client i ->

@@ -118,10 +118,6 @@ val header_of : ?capacity:int -> spec -> (string * string) list
     retransmissions. *)
 val spec_of_header : (string * string) list -> (spec, string) result
 
-(** The outcome rendered as key/value pairs: verdicts, counters, and
-    one ["final.<replica>"] entry per replica. *)
-val digest_of : outcome -> (string * string) list
-
 (** Run a spec with a fresh recorder attached. *)
 val record :
   ?obs:Rlist_obs.Obs.t -> ?capacity:int -> spec -> outcome * Recorder.t

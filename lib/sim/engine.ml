@@ -320,6 +320,8 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           && Random.State.float rng 1.0 < params.t_delete_fraction
         then Intent.Delete (Random.State.int rng doc_length)
         else
+          (* Not [Mesh.random_intent]: arguments evaluate right to
+             left, so the timed pins draw the position first. *)
           Intent.Insert
             ( Char.chr (Char.code 'a' + Random.State.int rng 26),
               Random.State.int rng (doc_length + 1) )

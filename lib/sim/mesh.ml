@@ -288,12 +288,8 @@ let meta_delta t os slot =
   Metrics.set_gauge os.g_metadata (float_of_int os.meta_total)
 
 let generate t ~client ~slot ~replica ?via intent gen =
-  (* The intent text is built only for a recorder that stores it. *)
   (match t.recorder with
-  | Some r ->
-    Recorder.record r
-      (Recorder.Generate
-         { client; intent = Schedule_text.intent_to_string intent })
+  | Some r -> Recorder.record r (Recorder.Generate { client; intent })
   | None -> ());
   let ((outcome : Protocol_intf.do_outcome), _) as result = gen () in
   if t.history then begin

@@ -8,18 +8,6 @@ type file = {
 
 let printable c = c > ' ' && c < '\x7f'
 
-let intent_to_string = function
-  | Intent.Insert (c, p) -> Printf.sprintf "ins %c %d" c p
-  | Intent.Delete p -> Printf.sprintf "del %d" p
-  | Intent.Read -> "read"
-
-let intent_of_tokens = function
-  | [ "read" ] -> Some Intent.Read
-  | [ "del"; p ] -> Option.map (fun p -> Intent.Delete p) (int_of_string_opt p)
-  | [ "ins"; c; p ] when String.length c = 1 ->
-    Option.map (fun p -> Intent.Insert (c.[0], p)) (int_of_string_opt p)
-  | _ -> None
-
 (* The two [invalid_arg]s below are {!to_string}'s documented refusal
    of text it could not read back; inside {!of_string}, the line reader
    turns [printable_initial]'s into an [Error]. *)
@@ -30,8 +18,7 @@ let event_to_string = function
   | ev ->
     Rlist_obs.Recorder.decision_to_string
       (match ev with
-      | Schedule.Generate (client, intent) ->
-        Generate { client; intent = intent_to_string intent }
+      | Schedule.Generate (client, intent) -> Generate { client; intent }
       | Schedule.Deliver_to_server i -> Deliver_to_server i
       | Schedule.Deliver_to_client i -> Deliver_to_client i)
 
@@ -67,11 +54,12 @@ let of_string text =
         printable_initial s;
         initial := Document.of_string s
       | "gen" :: i :: intent -> (
-        match intent_of_tokens intent with
+        let intent = String.concat " " intent in
+        match Intent.of_string intent with
         | Some (Intent.Insert (c, _)) when not (printable c) ->
           fail "unprintable character in insert"
         | Some intent -> event (Schedule.Generate (int i, intent))
-        | None -> fail "bad intent %S" (String.concat " " intent))
+        | None -> fail "bad intent %S" intent)
       | [ "c2s"; i ] -> event (Schedule.Deliver_to_server (int i))
       | [ "s2c"; i ] -> event (Schedule.Deliver_to_client (int i))
       | tokens -> fail "unrecognized directive %S" (String.concat " " tokens))

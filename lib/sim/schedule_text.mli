@@ -17,11 +17,12 @@
 
     [initial] is optional (defaults to the empty document).  Inserted
     characters and the initial document must be printable and
-    non-blank.  This module owns the intent text after [gen i]; the
-    engines' flight recorder stores intents in the same text, and an
-    event line is printed as the recorder prints the same decision
-    ({!Rlist_obs.Recorder.decision_to_string}).  Files are read through
-    {!Rlist_obs.Line_format}. *)
+    non-blank.  The intent text after [gen i] is
+    {!Rlist_model.Intent.to_string}'s, read back with
+    {!Rlist_model.Intent.of_string}, the codec the flight recorder's
+    dumps use too; an event line is printed as the recorder prints the
+    same decision ({!Rlist_obs.Recorder.decision_to_string}).  Files
+    are read through {!Rlist_obs.Line_format}. *)
 
 open Rlist_model
 
@@ -30,13 +31,6 @@ type file = {
   initial : Document.t;
   events : Schedule.t;
 }
-
-(** The intent text: [ins c p], [del p] or [read]. *)
-val intent_to_string : Intent.t -> string
-
-(** Parse an intent from its space-separated tokens; [None] if they do
-    not spell one. *)
-val intent_of_tokens : string list -> Intent.t option
 
 (** @raise Invalid_argument if an inserted character or the initial
     document is not printable and non-blank: such a text would not

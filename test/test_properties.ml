@@ -340,6 +340,136 @@ let gen_text =
         (map (String.concat "\n") (list_size (int_bound 12) line));
     ]
 
+(* --- Robustness: the binary and trace readers never raise ----------- *)
+
+module Recorded = Rlist_run.Recorded
+module Recorder = Rlist_obs.Recorder
+module Event = Rlist_obs.Event
+
+(* One recorded chaos soak gives a fresh recording and its JSONL
+   trace; the two committed seeds were made by earlier builds. *)
+let fresh_run =
+  lazy
+    (let spec =
+       {
+         (Recorded.default ~protocol:"css") with
+         Recorded.faults = Option.get (Faults.preset "chaos");
+         nclients = 3;
+         updates = 20;
+         seed = 7;
+       }
+     in
+     let sink = Rlist_obs.Sink.memory () in
+     let obs = Rlist_obs.Obs.make ~sink () in
+     let _, recorder = Recorded.record ~obs spec in
+     ( Recorder.encode ~header:(Recorded.header_of spec) ~digest:[] recorder,
+       List.mapi
+         (fun i e -> Event.to_jsonl ~seq:i e)
+         (Rlist_obs.Sink.events sink) ))
+
+let recordings =
+  lazy
+    (fst (Lazy.force fresh_run)
+    :: List.map
+         (fun f ->
+           In_channel.with_open_bin ("seeds/" ^ f) In_channel.input_all)
+         [ "css-batch-chaos-gc.jfr"; "p2p-batch-chaos.jfr" ])
+
+(* Cut the bytes short, flip one to three bits, or overwrite a run of
+   up to ten bytes with 0xff (an overlong varint: a huge or negative
+   count). *)
+let damage rng data =
+  let n = String.length data in
+  let b = Bytes.of_string data in
+  let i = Random.State.int rng n in
+  match Random.State.int rng 3 with
+  | 0 -> String.sub data 0 i
+  | 1 ->
+    for _ = 0 to Random.State.int rng 3 do
+      let i = Random.State.int rng n in
+      Bytes.set b i
+        (Char.chr
+           (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int rng 8)))
+    done;
+    Bytes.to_string b
+  | _ ->
+    Bytes.fill b i (min (n - i) (1 + Random.State.int rng 10)) '\xff';
+    Bytes.to_string b
+
+let damaged_recordings_decode_or_corrupt seed =
+  let rng = Random.State.make [| seed; 0x1F2 |] in
+  List.for_all
+    (fun data ->
+      List.for_all
+        (fun _ ->
+          let data = damage rng data in
+          match Recorder.decode data with
+          | _ | (exception Recorder.Corrupt _) -> true
+          | exception e ->
+            QCheck2.Test.fail_reportf "decode raised %s on %d damaged bytes"
+              (Printexc.to_string e) (String.length data))
+        (List.init 10 Fun.id))
+    (Lazy.force recordings)
+
+let jsonl_never_raises line =
+  match Event.of_jsonl line with
+  | _ -> true
+  | exception e ->
+    QCheck2.Test.fail_reportf "of_jsonl raised %s on %S"
+      (Printexc.to_string e) line
+
+(* JSON fragments a damaged trace line is likely to carry. *)
+let json_bits =
+  [ "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; "\\u"; "\\ud800"; "null";
+    "true"; "-"; "-1"; "0"; "1.5"; "1e400"; "nan"; "4611686018427387904";
+    "99999999999999999999"; "\"seq\""; "\"type\""; "\"send\"";
+    "\"op\""; "\"tick\""; "\x00"; "\xff" ]
+
+let mutate_line rng line =
+  let bit () =
+    List.nth json_bits (Random.State.int rng (List.length json_bits))
+  in
+  let line = ref line in
+  for _ = 0 to Random.State.int rng 3 do
+    let l = !line in
+    let n = String.length l in
+    let i = Random.State.int rng (n + 1) in
+    line :=
+      match Random.State.int rng 3 with
+      | 0 -> String.sub l 0 i
+      | 1 -> String.sub l 0 i ^ bit () ^ String.sub l i (n - i)
+      | _ ->
+        let j = min n (i + 1 + Random.State.int rng 8) in
+        String.sub l 0 i ^ String.sub l j (n - j)
+  done;
+  !line
+
+let mutated_trace_lines_never_raise seed =
+  let rng = Random.State.make [| seed; 0x75 |] in
+  List.for_all
+    (fun line -> List.for_all jsonl_never_raises [ line; mutate_line rng line ])
+    (snd (Lazy.force fresh_run))
+
+let gen_jsonl =
+  let open QCheck2.Gen in
+  oneof
+    [
+      string;
+      map (String.concat "") (list_size (int_bound 24) (oneofl json_bits));
+    ]
+
+(* [Intent.of_string] inverts [Intent.to_string] for every character
+   byte, at any position. *)
+let intent_round_trips p =
+  List.for_all
+    (fun i -> Intent.of_string (Intent.to_string i) = Some i)
+    (Intent.Read :: Intent.Delete p
+    :: List.init 256 (fun c -> Intent.Insert (Char.chr c, p)))
+
+let gen_position =
+  QCheck2.Gen.(
+    oneof [ int; int_range (-3) 300; oneofl [ min_int; max_int; -1; 0 ] ])
+
 (* Inputs a constructor rejects while a line is decoded ([Char.chr] on
    code 300, [Op_id.make] on a negative id) or that break a snapshot's
    own invariants must each be a line-numbered [Error], not an
@@ -444,6 +574,17 @@ let () =
                ~count:1000 ~print:(Printf.sprintf "%S") gen_text never_raises);
           Alcotest.test_case "reader regressions" `Quick
             test_reader_regressions;
+          qtest ~count:25 "damaged recordings decode or are Corrupt" seed_gen
+            damaged_recordings_decode_or_corrupt;
+          qtest ~count:25 "mutated trace lines never raise" seed_gen
+            mutated_trace_lines_never_raise;
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~name:"arbitrary trace lines never raise"
+               ~count:1000 ~print:(Printf.sprintf "%S") gen_jsonl
+               jsonl_never_raises);
+          QCheck_alcotest.to_alcotest
+            (QCheck2.Test.make ~name:"intent text round-trips" ~count:500
+               ~print:string_of_int gen_position intent_round_trips);
         ] );
       ( "negative-control",
         [

@@ -268,6 +268,42 @@ let test_schedule_extraction () =
     Alcotest.(check bool)
       "replaying it on perfect channels converges" true (E.converged t)
 
+(* On a perfect wire (no faults, no shim) every decision the engine
+   makes is a schedule event or a tick, so the schedule extracted from
+   the recording — through its binary form — is exactly the one the
+   run returns. *)
+let test_perfect_wire_extraction () =
+  let module E = Rlist_sim.Engine.Make (Jupiter_css.Protocol) in
+  let t = E.create ~nclients:3 () in
+  let recorder = Recorder.create () in
+  E.attach_recorder t recorder;
+  let performed =
+    E.run_random t ~rng:(Random.State.make [| 17 |])
+      ~params:{ Rlist_sim.Schedule.default_params with updates = 40 }
+  in
+  let recording =
+    Recorder.decode (Recorder.encode ~header:[] ~digest:[] recorder)
+  in
+  Alcotest.check
+    (Alcotest.testable Rlist_sim.Schedule.pp ( = ))
+    "extracted schedule = performed schedule" performed
+    (Helpers.ok (Recorded.schedule_of_recording recording))
+
+(* A recorded intent that spells no intent is a corrupt recording. *)
+let test_bad_intent_corrupt () =
+  let r = Recorder.create () in
+  Recorder.record r
+    (Recorder.Generate { client = 1; intent = Intent.Insert ('a', 0) });
+  let data = Recorder.encode ~header:[] ~digest:[] r in
+  Alcotest.(check bool)
+    "the window ends with the intent text" true
+    (String.ends_with ~suffix:"ins a 0" data);
+  let bad = String.sub data 0 (String.length data - 7) ^ "inz a 0" in
+  match Recorder.decode bad with
+  | _ -> Alcotest.fail "inz a 0 decoded"
+  | exception Recorder.Corrupt msg ->
+    Alcotest.(check string) "reason" "bad intent \"inz a 0\"" msg
+
 (* --- the batching audit (attach_obs coverage of batched paths) ------- *)
 
 module Css_engine = Rlist_sim.Engine.Make (Jupiter_css.Protocol)
@@ -380,6 +416,10 @@ let () =
         [
           Alcotest.test_case "schedule extraction replays" `Quick
             test_schedule_extraction;
+          Alcotest.test_case "perfect wire: extraction is the run" `Quick
+            test_perfect_wire_extraction;
+          Alcotest.test_case "bad intent is Corrupt" `Quick
+            test_bad_intent_corrupt;
         ] );
       ( "batching-audit",
         [
