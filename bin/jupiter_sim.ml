@@ -120,8 +120,10 @@ let gc_arg =
        & info [ "gc" ] ~docv:"POLICY"
            ~doc:
              "Continuous metadata GC: $(b,default) or a field list like \
-              $(b,ops=64,meta=4096,lag=256,retain=64,snap=4) (at least one \
-              of ops/meta/lag).  Compaction cycles run out of band, so the \
+              $(b,ops=64,retain=64,snap=4): a compaction cycle every ops \
+              operations ($(b,ops) is required), the dedup keys each shim \
+              receiver retains, and a snapshot every snap-th cycle (0: \
+              none).  Compaction cycles run out of band, so the \
               run's schedule, digest, and final documents are bit-identical \
               to the same seed without GC — it just retains less metadata.")
 

@@ -305,10 +305,6 @@ let client_pruned_to t = t.client_layer.pruned_to
 
 let server_pruned_to t = t.server_layer.pruned_to
 
-(* The server logs every serial it stamps and drops each one it
-   prunes. *)
-let server_log_length t = Hashtbl.length t.server_layer.by_serial
-
 (* The server's stable snapshot: the document at the space's root (the
    stable state — every replica has executed everything in it) plus
    the serial it covers.  This is the Raft snapshot at the
@@ -327,6 +323,5 @@ let gc_support =
       Rlist_sim.Protocol_intf.gc_heartbeat = client_heartbeat;
       gc_client_frontier = client_pruned_to;
       gc_server_frontier = server_pruned_to;
-      gc_server_lag = server_log_length;
       gc_snapshot = server_snapshot;
     }

@@ -75,12 +75,3 @@ val client_pruned_to : client -> int
 
 val server_pruned_to : server -> int
 
-(** Serials past the stable frontier — the length of the retained
-    serialization log (the WAL suffix that survives truncation). *)
-val server_log_length : server -> int
-
-(** The server's stable snapshot ({!Snapshot.stable_to_string}): the
-    document at the acked-stable frontier plus the serial it covers.
-    The GC driver persists this as the Raft-style compaction
-    artifact. *)
-val server_snapshot : server -> string

@@ -1,31 +1,14 @@
-type trigger =
-  | Every_ops of int
-  | Metadata_above of int
-  | Ack_lag of int
-
 type policy = {
-  triggers : trigger list;
+  every_ops : int;
   retain_keys : int;
   snapshot_every : int;
 }
 
-let default =
-  { triggers = [ Every_ops 64 ]; retain_keys = 64; snapshot_every = 4 }
-
-let trigger_name = function
-  | Every_ops n -> Printf.sprintf "ops=%d" n
-  | Metadata_above n -> Printf.sprintf "meta=%d" n
-  | Ack_lag n -> Printf.sprintf "lag=%d" n
+let default = { every_ops = 64; retain_keys = 64; snapshot_every = 4 }
 
 let to_string p =
-  let fields =
-    List.map trigger_name p.triggers
-    @ [
-        Printf.sprintf "retain=%d" p.retain_keys;
-        Printf.sprintf "snap=%d" p.snapshot_every;
-      ]
-  in
-  String.concat "," fields
+  Printf.sprintf "ops=%d,retain=%d,snap=%d" p.every_ops p.retain_keys
+    p.snapshot_every
 
 let of_string s =
   let s = String.trim s in
@@ -35,7 +18,7 @@ let of_string s =
     let parse acc field =
       match acc with
       | Error _ as e -> e
-      | Ok (triggers, retain, snap) -> (
+      | Ok (ops, retain, snap) -> (
         match String.index_opt field '=' with
         | None -> Error (Printf.sprintf "gc policy: expected key=value in %S" field)
         | Some i -> (
@@ -48,23 +31,19 @@ let of_string s =
             Error (Printf.sprintf "gc policy: %s must be non-negative" key)
           | Some n -> (
             match String.trim key with
-            | "ops" when n > 0 -> Ok (Every_ops n :: triggers, retain, snap)
-            | "meta" when n > 0 -> Ok (Metadata_above n :: triggers, retain, snap)
-            | "lag" when n > 0 -> Ok (Ack_lag n :: triggers, retain, snap)
-            | ("ops" | "meta" | "lag") as k ->
-              Error (Printf.sprintf "gc policy: %s must be positive" k)
-            | "retain" -> Ok (triggers, Some n, snap)
-            | "snap" -> Ok (triggers, retain, Some n)
+            | "ops" when n > 0 -> Ok (Some n, retain, snap)
+            | "ops" -> Error "gc policy: ops must be positive"
+            | "retain" -> Ok (ops, Some n, snap)
+            | "snap" -> Ok (ops, retain, Some n)
             | k -> Error (Printf.sprintf "gc policy: unknown key %S" k))))
     in
-    match List.fold_left parse (Ok ([], None, None)) fields with
+    match List.fold_left parse (Ok (None, None, None)) fields with
     | Error _ as e -> e
-    | Ok ([], _, _) ->
-      Error "gc policy: at least one trigger (ops=/meta=/lag=) is required"
-    | Ok (triggers, retain, snap) ->
+    | Ok (None, _, _) -> Error "gc policy: ops= is required"
+    | Ok (Some every_ops, retain, snap) ->
       Ok
         {
-          triggers = List.rev triggers;
+          every_ops;
           retain_keys = Option.value retain ~default:default.retain_keys;
           snapshot_every = Option.value snap ~default:default.snapshot_every;
         }
@@ -140,17 +119,9 @@ module Driver = struct
     t.ops_since <- t.ops_since + n;
     t.ops_since_snapshot <- t.ops_since_snapshot + n
 
-  let due t ~meta ~lag =
-    if t.in_cycle then None
-    else
-      List.find_opt
-        (function
-          | Every_ops n -> t.ops_since >= n
-          | Metadata_above n -> meta > n
-          | Ack_lag n -> lag > n)
-        t.d_policy.triggers
+  let due t = (not t.in_cycle) && t.ops_since >= t.d_policy.every_ops
 
-  let begin_cycle t _trigger =
+  let begin_cycle t =
     t.in_cycle <- true;
     t.ops_since <- 0;
     t.s <- { t.s with cycles = t.s.cycles + 1 };

@@ -9,39 +9,30 @@
     with [State_space.compact], [Snapshot] serializes the stable
     document, and the shim ack-prunes its retransmission buffer — but a
     *discipline* has to decide when to run them.  This module is that
-    discipline: a declarative {!policy} (which triggers fire, how much
-    dedup history to retain, how often to snapshot) and a {!Driver}
-    that owns the trigger state and the reclaimed-metadata counters.
+    discipline: a declarative {!policy} (how many operations between
+    cycles, how much dedup history to retain, how often to snapshot)
+    and a {!Driver} that owns the operation counter and the
+    reclaimed-metadata counters.
 
     The module is deliberately dependency-free: the engines in
     [lib/sim] consume it, the CLI parses it, and recording headers
     round-trip it through {!to_string}/{!of_string}, so it must sit
     below all of them.
 
-    Determinism contract: a GC cycle is driven entirely by simulation
-    state (op counts, metadata sizes, ack lag) — never by wall-clock
-    time or randomness — and the engines run cycles *out of band*
+    Determinism contract: a GC cycle is driven entirely by the
+    simulation's operation count — never by wall-clock time or
+    randomness — and the engines run cycles *out of band*
     (direct protocol calls on empty channels, no transport sends, no
     RNG draws).  Two runs of the same seed with GC on and off therefore
     produce bit-identical schedules, behaviours, and final documents;
     the GC-on run just carries less metadata.  [test/test_gc.ml] holds
     this differentially over ~300 seeded workloads. *)
 
-(** When to start a compaction cycle.  A policy may carry several
-    triggers; a cycle starts as soon as any of them fires. *)
-type trigger =
-  | Every_ops of int
-      (** after every [n] list operations applied anywhere in the
-          system (generates and op-bearing deliveries both count) *)
-  | Metadata_above of int
-      (** whenever the total live metadata (summed state-space sizes)
-          exceeds [n] nodes *)
-  | Ack_lag of int
-      (** whenever the server's serialization log runs more than [n]
-          serials ahead of the stable frontier *)
-
 type policy = {
-  triggers : trigger list;
+  every_ops : int;
+      (** start a compaction cycle after every [n] list operations
+          applied anywhere in the system (generates and op-bearing
+          deliveries both count) *)
   retain_keys : int;
       (** how many most-recently-delivered dedup keys each shim
           receiver keeps when pruning; the window must cover the
@@ -53,21 +44,16 @@ type policy = {
 }
 
 val default : policy
-(** [Every_ops 64], [retain_keys = 64], [snapshot_every = 4]. *)
-
-val trigger_name : trigger -> string
-(** ["ops=64"], ["meta=4096"], ["lag=256"] — also the concrete syntax
-    accepted by {!of_string}. *)
+(** [every_ops = 64], [retain_keys = 64], [snapshot_every = 4]. *)
 
 val to_string : policy -> string
 (** Canonical comma-separated form, e.g. ["ops=64,retain=64,snap=4"].
     Round-trips through {!of_string}; recording headers store this. *)
 
 val of_string : string -> (policy, string) result
-(** Parse ["ops=N" | "meta=N" | "lag=N" | "retain=N" | "snap=N"]
-    comma-separated, any order; unset fields take {!default}'s values,
-    but at least one trigger must be given.  ["default"] is accepted
-    as a synonym for {!default}. *)
+(** Parse ["ops=N" | "retain=N" | "snap=N"] comma-separated, any
+    order; [ops=] is required, the others take {!default}'s values when
+    unset.  ["default"] is accepted as a synonym for {!default}. *)
 
 val pp : Format.formatter -> policy -> unit
 
@@ -95,7 +81,7 @@ type stats = {
 val stats_fields : stats -> (string * int) list
 (** Stable field-name/value pairs, for JSON rendering and reports. *)
 
-(** The mutable per-run trigger state and counters.  One driver per
+(** The mutable per-run operation counter and stats.  One driver per
     engine; the engine consults {!Driver.due} after every applied
     event and brackets each cycle with {!Driver.begin_cycle} /
     {!Driver.end_cycle}. *)
@@ -106,16 +92,15 @@ module Driver : sig
   val policy : t -> policy
 
   val note_ops : t -> int -> unit
-  (** Count [n] list operations toward the [Every_ops] trigger. *)
+  (** Count [n] list operations toward the next cycle. *)
 
-  val due : t -> meta:int -> lag:int -> trigger option
-  (** The first firing trigger, if any.  [meta] is the system's total
-      live metadata, [lag] the server's serial-past-stable distance.
-      Pure with respect to simulation state: no clock, no RNG. *)
+  val due : t -> bool
+  (** Whether [every_ops] operations have been counted since the last
+      cycle began, and no cycle is running.  No clock, no RNG. *)
 
-  val begin_cycle : t -> trigger -> int
+  val begin_cycle : t -> int
   (** Start a cycle; returns its 1-based index and resets the
-      [Every_ops] counter. *)
+      operation counter. *)
 
   val note_heartbeat : t -> unit
   val note_skipped_heartbeat : t -> unit

@@ -24,21 +24,11 @@ val load_dir : ?roots:string list -> string -> t
     source path lies under one of the given '/'-separated prefixes
     (e.g. [["lib"]]). *)
 
-val load_files : ?roots:string list -> string list -> t
-(** Load an explicit list of [.cmt] paths (same filtering). *)
-
 val units : t -> unit_info list
 (** Loaded units, sorted by unit name. *)
 
 val errors : t -> string list
 (** Files that could not be read as [.cmt] implementations. *)
-
-val mem_unit : t -> string -> bool
-(** Is this flat unit name in the corpus? *)
-
-val find_type : t -> string -> Types.type_declaration option
-(** Look up a type declaration by its corpus key
-    (["Unit.Sub.t"], flat unit name first). *)
 
 val resolve_qualified : t -> string list -> (string * string list) option
 (** Map the dot-components of a path as spelled at a use site

@@ -33,18 +33,14 @@ val check_source :
     are those of the unit's own [Hashtbl.Make] modules.
     Findings come back sorted. *)
 
-val check_file :
-  ?rules:string list -> ?tables:string list list -> string -> Finding.t list
-(** Read a file from disk and {!check_source} it; [mli_exists] is
-    taken from the file system. *)
-
 val walk : string list -> string list
 (** All [.ml]/[.mli] files under the given roots (files are accepted
     as roots too), sorted, [_build] and dot-directories excluded. *)
 
 val run : ?rules:string list -> string list -> Finding.t list
 (** [run roots] — {!walk}, collect the [Hashtbl.Make] modules of every
-    [.ml] file, then {!check_file} everything against them, sorted. *)
+    [.ml] file, then read and {!check_source} every file against them
+    ([mli_exists] taken from the file system), sorted. *)
 
 (** {1 Baselines} *)
 

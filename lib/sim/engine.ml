@@ -141,11 +141,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
 
   (* --- continuous GC: the ack-driven heartbeat step ------------------ *)
 
-  let gc_lag t =
-    match P.gc_support with
-    | None -> 0
-    | Some s -> s.gc_server_lag t.server
-
   let frontier_sum t
       (s : (P.client, P.server, P.c2s) Protocol_intf.gc_support) =
     Array.fold_left
@@ -264,7 +259,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
      any point of the execution — which is what "continuous" means. *)
   let apply_event t ev =
     apply_one t ev;
-    Mesh.maybe_gc t.mesh ~lag:gc_lag ~compact t
+    Mesh.maybe_gc t.mesh ~compact t
 
   let run t schedule = List.iter (apply_event t) schedule
 

@@ -30,9 +30,10 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       order is preserved because the outbox drains entirely, in send
       order, before the payload behind it is delivered.
 
-      [gc], when given, runs the continuous compaction discipline: the
-      policy's triggers are checked after every applied event, and a
-      firing trigger runs one cycle — an out-of-band heartbeat
+      [gc], when given, runs the continuous compaction discipline:
+      after every applied event the engine checks whether the policy's
+      [every_ops] operations have passed since the last cycle, and if
+      so runs one cycle — an out-of-band heartbeat
       exchange on the empty channels (protocols with
       [Protocol_intf.gc_support]; others degrade to shim-level
       pruning), dedup-key pruning in the reliability shim, and a

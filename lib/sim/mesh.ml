@@ -387,16 +387,17 @@ let emit_traced t ev = if tracing t then emit t ev
    (DESIGN.md section 14).  Acked retransmission entries are already
    dropped by [Transport.tick]; what the shim-pruning step bounds is
    the receiver-side dedup tables. *)
-let run_gc_cycle t d trigger ~meta_before ~compact x =
+let run_gc_cycle t d ~compact x =
   let (before : Rlist_gc.stats) = Rlist_gc.Driver.stats d in
-  let cycle = Rlist_gc.Driver.begin_cycle d trigger in
-  let trigger_s = Rlist_gc.trigger_name trigger in
-  record t (Recorder.Gc { cycle; trigger = trigger_s });
+  let meta_before = total_meta t in
+  let cycle = Rlist_gc.Driver.begin_cycle d in
+  let policy = Rlist_gc.Driver.policy d in
+  let trigger = Printf.sprintf "ops=%d" policy.Rlist_gc.every_ops in
+  record t (Recorder.Gc { cycle; trigger });
   emit_traced t
-    (Ev.Gc_begin
-       { cycle; trigger = trigger_s; meta = meta_before; tick = t.clock });
+    (Ev.Gc_begin { cycle; trigger; meta = meta_before; tick = t.clock });
   let reclaimed_log, snapshot_bytes = compact x d in
-  let retain = (Rlist_gc.Driver.policy d).Rlist_gc.retain_keys in
+  let retain = policy.Rlist_gc.retain_keys in
   let reclaimed_keys =
     sum_chans t (fun (Any ch) -> Transport.prune_delivered ch.wire ~retain)
   in
@@ -428,14 +429,10 @@ let run_gc_cycle t d trigger ~meta_before ~compact x =
          tick = t.clock;
        })
 
-let maybe_gc t ~lag ~compact x =
+let maybe_gc t ~compact x =
   match t.gc with
-  | None -> ()
-  | Some d -> (
-    let meta = total_meta t in
-    match Rlist_gc.Driver.due d ~meta ~lag:(lag x) with
-    | None -> ()
-    | Some trigger -> run_gc_cycle t d trigger ~meta_before:meta ~compact x)
+  | Some d when Rlist_gc.Driver.due d -> run_gc_cycle t d ~compact x
+  | _ -> ()
 
 (* --- drivers --------------------------------------------------------- *)
 

@@ -138,18 +138,13 @@ val emit : t -> Rlist_obs.Event.t -> unit
 
 val gc_stats : t -> Rlist_gc.stats option
 
-(** Run a GC cycle if the policy is due.  [lag x] feeds the ack-lag
-    trigger; [compact x driver] runs the protocol's own compaction and
-    returns the log entries it truncated and the size of any snapshot
-    taken.  The cycle then prunes every channel's dedup table and
-    re-baselines the metadata snapshots.  Out of band: no sends, no
-    RNG draws. *)
+(** Run a GC cycle if the policy's operation count is due.
+    [compact x driver] runs the protocol's own compaction and returns
+    the log entries it truncated and the size of any snapshot taken.
+    The cycle then prunes every channel's dedup table and re-baselines
+    the metadata snapshots.  Out of band: no sends, no RNG draws. *)
 val maybe_gc :
-  t ->
-  lag:('a -> int) ->
-  compact:('a -> Rlist_gc.Driver.t -> int * int option) ->
-  'a ->
-  unit
+  t -> compact:('a -> Rlist_gc.Driver.t -> int * int option) -> 'a -> unit
 
 (** {1 Drivers} *)
 

@@ -152,7 +152,7 @@ module Make (P : P2p_protocol_intf.P2P_PROTOCOL) = struct
 
   let apply_event t ev =
     apply_one t ev;
-    Mesh.maybe_gc t.mesh ~lag:(fun _ -> 0) ~compact:(fun _ _ -> 0, None) t
+    Mesh.maybe_gc t.mesh ~compact:(fun _ _ -> 0, None) t
 
   let run t events = List.iter (apply_event t) events
 

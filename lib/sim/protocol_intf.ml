@@ -24,7 +24,9 @@ type do_outcome = {
 }
 
 (** The hooks a protocol exposes to the continuous GC driver
-    ([Rlist_gc], wired in by the engines).  Only protocols with an
+    ([Rlist_gc], wired in by the engines): what a cycle needs to move
+    the stable frontier and take a snapshot.  When a cycle runs is the
+    policy's operation count alone.  Only protocols with an
     ack-driven stable frontier (css-pruned) provide them; everything
     else sets {!PROTOCOL.gc_support} to [None] and a GC-enabled run
     degrades to shim-level pruning only.
@@ -47,9 +49,6 @@ type ('client, 'server, 'c2s) gc_support = {
       (** The serial the client has pruned to. *)
   gc_server_frontier : 'server -> int;
       (** The serial the server has pruned to. *)
-  gc_server_lag : 'server -> int;
-      (** Serials past the stable frontier — the retained log length,
-          the [Ack_lag] trigger input. *)
   gc_snapshot : 'server -> string;
       (** Serialized stable snapshot ([Snapshot.stable_to_string]). *)
 }

@@ -42,5 +42,3 @@ val is_update : t -> bool
 val is_read : t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-val pp_operation : Format.formatter -> operation -> unit

@@ -109,17 +109,9 @@ let timed_params profile ~nclients ~updates =
     | Churn -> 0.4
   in
   let latency = utilization *. think /. Float.of_int (max 1 nclients) in
-  let base =
-    {
-      Rlist_sim.Schedule.default_timed_params with
-      t_updates = updates;
-      t_think_time = think;
-      t_mean_latency = latency;
-    }
-  in
-  match profile with
-  | Uniform -> base
-  | Typing -> { base with t_read_fraction = 0.05 }
-  | Hotspot -> { base with t_read_fraction = 0.05 }
-  | Append_log -> { base with t_read_fraction = 0.0 }
-  | Churn -> { base with t_delete_fraction = 0.5 }
+  {
+    Rlist_sim.Schedule.default_timed_params with
+    t_updates = updates;
+    t_think_time = think;
+    t_mean_latency = latency;
+  }

@@ -47,6 +47,9 @@ val params : profile -> updates:int -> Rlist_sim.Schedule.random_params
     model's arrival discipline — stays stable.  An unstable channel's
     backlog, and with it the transform lattice, would grow linearly
     with the horizon; a stable one keeps the in-flight window at a
-    bounded steady state over millions of operations. *)
+    bounded steady state over millions of operations.  The read and
+    delete fractions stay {!Rlist_sim.Schedule.default_timed_params}'s:
+    a profile's operation mix comes from {!intent_generator}, passed
+    to [Engine.run_timed] as [~intent]. *)
 val timed_params :
   profile -> nclients:int -> updates:int -> Rlist_sim.Schedule.timed_params

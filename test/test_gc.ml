@@ -30,15 +30,11 @@ let net_for seed =
   let _, faults = List.nth fault_models (seed mod List.length fault_models) in
   Transport.config ~faults ~seed ()
 
-(* An aggressive policy so that short random runs still cycle: every
-   trigger kind armed, tiny thresholds, snapshots on. *)
+(* The most eager policy there is, so that short random runs cycle
+   after every operation-bearing event (the only points where any
+   policy can start a cycle): a tiny dedup window, snapshots on. *)
 let eager_policy =
-  {
-    Rlist_gc.triggers =
-      [ Rlist_gc.Every_ops 8; Rlist_gc.Metadata_above 64; Rlist_gc.Ack_lag 8 ];
-    retain_keys = 16;
-    snapshot_every = 1;
-  }
+  { Rlist_gc.every_ops = 1; retain_keys = 16; snapshot_every = 1 }
 
 type outcome = {
   schedule : Rlist_sim.Schedule.t;
@@ -150,9 +146,7 @@ let test_policy_round_trip () =
     [
       "default";
       "ops=64";
-      "meta=4096";
-      "lag=256";
-      "ops=64,meta=4096,lag=256,retain=64,snap=4";
+      "ops=64,retain=64,snap=4";
       "snap=0,ops=1";
     ]
 
@@ -162,33 +156,34 @@ let test_policy_rejects () =
       match Rlist_gc.of_string s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S should not parse" s)
-    [ ""; "retain=64"; "ops=0"; "meta=-3"; "ops=sixty"; "bogus=1"; "ops" ]
+    [
+      "";
+      "retain=64";
+      "ops=0";
+      "meta=-3";
+      "ops=sixty";
+      "bogus=1";
+      "ops";
+      "meta=4096";
+      "lag=256";
+      "ops=64,lag=256";
+    ]
 
 (* --- driver unit tests ------------------------------------------------ *)
 
 let test_driver_triggers () =
   let d =
     Rlist_gc.Driver.create
-      {
-        Rlist_gc.triggers = [ Rlist_gc.Every_ops 10; Rlist_gc.Ack_lag 5 ];
-        retain_keys = 4;
-        snapshot_every = 1;
-      }
+      { Rlist_gc.every_ops = 10; retain_keys = 4; snapshot_every = 1 }
   in
-  let due ~meta ~lag = Rlist_gc.Driver.due d ~meta ~lag in
-  Alcotest.(check bool) "quiet start" true (due ~meta:0 ~lag:0 = None);
+  let due () = Rlist_gc.Driver.due d in
+  Alcotest.(check bool) "quiet start" false (due ());
   Rlist_gc.Driver.note_ops d 9;
-  Alcotest.(check bool) "one short of ops" true (due ~meta:0 ~lag:0 = None);
-  Alcotest.(check bool)
-    "lag fires first" true
-    (due ~meta:0 ~lag:6 = Some (Rlist_gc.Ack_lag 5));
+  Alcotest.(check bool) "one short of ops" false (due ());
   Rlist_gc.Driver.note_ops d 1;
-  Alcotest.(check bool)
-    "ops trigger fires" true
-    (due ~meta:0 ~lag:0 = Some (Rlist_gc.Every_ops 10));
-  let cycle = Rlist_gc.Driver.begin_cycle d (Rlist_gc.Every_ops 10) in
+  Alcotest.(check bool) "ops trigger fires" true (due ());
+  let cycle = Rlist_gc.Driver.begin_cycle d in
   Alcotest.(check int) "first cycle" 1 cycle;
-  Alcotest.(check bool) "no reentrant cycle" true (due ~meta:0 ~lag:99 = None);
   Rlist_gc.Driver.end_cycle d ~reclaimed_states:3 ~reclaimed_log:2
     ~reclaimed_keys:1 ~snapshot_bytes:(Some 10) ~meta:7;
   let s = Rlist_gc.Driver.stats d in
@@ -199,9 +194,10 @@ let test_driver_triggers () =
   Alcotest.(check int) "snapshots" 1 s.Rlist_gc.snapshots;
   Alcotest.(check int) "snapshot bytes" 10 s.Rlist_gc.last_snapshot_bytes;
   Alcotest.(check int) "meta peak" 7 s.Rlist_gc.meta_peak;
-  Alcotest.(check bool)
-    "ops counter reset by begin_cycle" true
-    (due ~meta:0 ~lag:0 = None)
+  Alcotest.(check bool) "ops counter reset by begin_cycle" false (due ());
+  ignore (Rlist_gc.Driver.begin_cycle d);
+  Rlist_gc.Driver.note_ops d 10;
+  Alcotest.(check bool) "no reentrant cycle" false (due ())
 
 (* A snapshot is only due once enough operations have passed to pay
    for the previous one's bytes — the amortization that keeps per-op
@@ -209,16 +205,12 @@ let test_driver_triggers () =
 let test_driver_snapshot_amortization () =
   let d =
     Rlist_gc.Driver.create
-      {
-        Rlist_gc.triggers = [ Rlist_gc.Every_ops 1 ];
-        retain_keys = 4;
-        snapshot_every = 1;
-      }
+      { Rlist_gc.every_ops = 1; retain_keys = 4; snapshot_every = 1 }
   in
   Alcotest.(check bool)
     "first snapshot free" true
     (Rlist_gc.Driver.snapshot_due d);
-  ignore (Rlist_gc.Driver.begin_cycle d (Rlist_gc.Every_ops 1));
+  ignore (Rlist_gc.Driver.begin_cycle d);
   (* A huge snapshot: 6400 bytes = 100 ops of budget at 64 bytes/op. *)
   Rlist_gc.Driver.end_cycle d ~reclaimed_states:0 ~reclaimed_log:0
     ~reclaimed_keys:0 ~snapshot_bytes:(Some 6400) ~meta:0;

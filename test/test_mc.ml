@@ -196,13 +196,7 @@ let test_workload_clamp () =
    [~por:false]; the POR run cross-checks that the reduction does not
    change any verdict. *)
 let test_compaction_race_clean () =
-  let gc =
-    {
-      Rlist_gc.triggers = [ Rlist_gc.Every_ops 1 ];
-      retain_keys = 2;
-      snapshot_every = 1;
-    }
-  in
+  let gc = { Rlist_gc.every_ops = 1; retain_keys = 2; snapshot_every = 1 } in
   let specs = [ Mc.Convergence; Mc.Weak ] in
   let equiv = ("equiv-css", Mc.behavior_of (module Jupiter_css.Protocol)) in
   (* Naive enumeration is only tractable on a two-client slice of the
