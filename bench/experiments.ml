@@ -1106,12 +1106,13 @@ let c16_batching ?json_path ?(smoke = false) () =
 
    - "off": the bare engine (the production configuration);
    - "record": the flight recorder attached — every nondeterministic
-     decision lands in the ring buffer, nothing else changes;
+     decision is appended to its log as dump bytes, nothing else
+     changes;
    - "record+trace": recorder plus the full tracer into a memory sink
      (the configuration `soak --record-out --trace` runs with).
 
-   The recorder's real cost is one ring-buffer store per engine
-   decision (the decision values themselves are built eagerly at the
+   The recorder's real cost is encoding each engine decision into a
+   byte chunk (the decision values themselves are built eagerly at the
    call sites, recorder or not), far below the run-to-run drift of a
    shared machine.  So the three modes of a profile run back to back
    in every timed round, and a mode's overhead is the median over the
@@ -1200,8 +1201,8 @@ let c17_trace ?json_path ?(smoke = false) () =
          "C17: record-only overhead %.2f%% breaches the 5%% acceptance bar"
          worst);
   Printf.printf
-    "  claim: the flight recorder is a ring-buffer write per engine \
-     decision — always-on recording costs < 5%% ops/sec on the batched \
+    "  claim: the flight recorder appends each engine decision's dump \
+     bytes to a chunk — always-on recording costs < 5%% ops/sec on the batched \
      typing workload at every C15 loss rate, so soaks and fuzz runs keep \
      it armed and dump a replayable witness only on failure; convergence \
      lag grows with the loss rate (retransmission round trips), which the \

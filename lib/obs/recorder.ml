@@ -43,49 +43,6 @@ type decision =
       trigger : string;
     }
 
-type t = {
-  capacity : int;
-  mutable buf : decision option array;
-      (* empty until the first [record], then [capacity] slots *)
-  mutable head : int;  (* next write slot *)
-  mutable total : int;  (* decisions ever recorded *)
-}
-
-let default_capacity = 1 lsl 18
-
-let create ?(capacity = default_capacity) () =
-  let capacity = max 1 capacity in
-  { capacity; buf = [||]; head = 0; total = 0 }
-
-(* The ring is allocated whole at the first decision, not at [create]:
-   a recorder made per run then pays for its ring inside the run.  It
-   is not grown in steps either: one big allocation costs a major-heap
-   slice outside every handler, while a doubling ring spreads that
-   work into minor collections inside the handlers. *)
-let record t d =
-  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
-  t.buf.(t.head) <- Some d;
-  t.head <- (t.head + 1) mod t.capacity;
-  t.total <- t.total + 1
-
-let total t = t.total
-
-let wrapped t = t.total > t.capacity
-
-let window t =
-  if t.total = 0 then []
-  else begin
-    let stored = min t.total t.capacity in
-    let start = (t.head - stored + t.capacity) mod t.capacity in
-    let out = ref [] in
-    for i = stored - 1 downto 0 do
-      match t.buf.((start + i) mod t.capacity) with
-      | Some d -> out := d :: !out
-      | None -> ()
-    done;
-    !out
-  end
-
 let outcome_to_string = function
   | Sent -> "sent"
   | Dropped -> "dropped"
@@ -205,23 +162,6 @@ let put_decision b = function
     put_varint b cycle;
     put_string b trigger
 
-let encode ~header ~digest t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  put_pairs b header;
-  put_pairs b digest;
-  put_varint b t.total;
-  let w = window t in
-  put_varint b (List.length w);
-  List.iter (put_decision b) w;
-  Buffer.contents b
-
-let dump ~header ~digest t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (encode ~header ~digest t))
-
 (* --- decoding ------------------------------------------------------ *)
 
 type recording = {
@@ -319,6 +259,106 @@ let get_decision c =
     let trigger = get_string c in
     Gc { cycle; trigger }
   | n -> corrupt (Printf.sprintf "unknown decision tag %d" n)
+
+(* --- the log ---------------------------------------------------------
+
+   A recorder keeps each decision as its JFR1 bytes, written by
+   [put_decision] at [record] time into the open chunk, a [Buffer.t]
+   reused from chunk to chunk.  A chunk holds [chunk] decisions; a full
+   one is copied out into an immutable string.  Chunk storage is bytes,
+   so the major GC never scans it, and a decision value is garbage as
+   soon as [record] returns: it dies in the minor heap instead of being
+   boxed and promoted.  Chunks start at multiples of [chunk], and the
+   oldest is dropped whole once every decision in it lies outside the
+   newest [capacity], so a recorder retains fewer than
+   [capacity + chunk] decisions and grows with the run instead of
+   allocating for its capacity. *)
+
+type t = {
+  capacity : int;
+  chunk : int;  (* decisions per chunk: [min capacity 4096] *)
+  sealed : string Queue.t;  (* full chunks, oldest first *)
+  open_chunk : Buffer.t;  (* the bytes of the decisions after them *)
+  mutable first : int;  (* index of the oldest decision kept *)
+  mutable total : int;  (* decisions ever recorded *)
+}
+
+let default_capacity = 1 lsl 18
+
+let create ?(capacity = default_capacity) () =
+  let capacity = max 1 capacity in
+  {
+    capacity;
+    chunk = min capacity 4096;
+    sealed = Queue.create ();
+    open_chunk = Buffer.create 256;
+    first = 0;
+    total = 0;
+  }
+
+let record t d =
+  put_decision t.open_chunk d;
+  t.total <- t.total + 1;
+  if t.total mod t.chunk = 0 then begin
+    Queue.push (Buffer.contents t.open_chunk) t.sealed;
+    Buffer.clear t.open_chunk
+  end;
+  if t.first + t.chunk <= t.total - t.capacity then begin
+    ignore (Queue.pop t.sealed);
+    t.first <- t.first + t.chunk
+  end
+
+let total t = t.total
+
+let wrapped t = t.total > t.capacity
+
+(* One cursor per kept chunk, oldest first, the first one moved past
+   the decisions that fell out of the window (fewer than [chunk]). *)
+let retained t =
+  let chunks =
+    List.of_seq (Queue.to_seq t.sealed) @ [ Buffer.contents t.open_chunk ]
+  in
+  let skip = t.total - min t.total t.capacity - t.first in
+  List.mapi
+    (fun i data ->
+      let c = { data; pos = 0 } in
+      if i = 0 then
+        for _ = 1 to skip do
+          ignore (get_decision c)
+        done;
+      c)
+    chunks
+
+let window t =
+  let out = ref [] in
+  List.iter
+    (fun c ->
+      while c.pos < String.length c.data do
+        out := get_decision c :: !out
+      done)
+    (retained t);
+  List.rev !out
+
+let encode ~header ~digest t =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b magic;
+  put_pairs b header;
+  put_pairs b digest;
+  put_varint b t.total;
+  put_varint b (min t.total t.capacity);
+  List.iter
+    (fun c ->
+      Buffer.add_substring b c.data c.pos (String.length c.data - c.pos))
+    (retained t);
+  Buffer.contents b
+
+let dump ~header ~digest t path =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc (encode ~header ~digest t))
+
+(* --- reading a recording --------------------------------------------- *)
 
 let decode data =
   if String.length data < 4 || not (String.equal (String.sub data 0 4) magic)

@@ -1,6 +1,6 @@
 (** The deterministic flight recorder.
 
-    A recorder is a fixed-capacity ring buffer of {e decisions} — one
+    A recorder keeps a fixed-capacity window of {e decisions} — one
     entry per nondeterministic choice a simulation run makes: which
     client generates which intent, which channel delivers next, where
     each batch flush falls, what the fault-injected wire did to each
@@ -11,11 +11,15 @@
     plus the outcome digest are the {e witness} the replay is checked
     against, step by step.
 
-    Recording is designed to be cheap: {!record} stores the boxed
-    decision in the ring and bumps two integers — encoding happens
-    only at {!dump} time.  When the ring wraps, the oldest decisions
-    are overwritten but {!total} keeps counting, so a replay can still
-    verify the retained suffix.
+    Recording is designed to be cheap on the heap: {!record} appends
+    the decision's dump bytes (the encoding below) to a chunk of
+    [min capacity 4096] decisions and keeps nothing else of it, so the
+    major GC never scans what a recorder holds and the decision value
+    dies young.  A recorder grows with the run, not with its capacity.
+    Once the newest [capacity] decisions no longer reach into the
+    oldest chunk, that chunk is dropped whole, but {!total} keeps
+    counting, so a replay can still verify the retained suffix.
+    {!window} decodes the retained bytes; {!encode} copies them.
 
     The dump format ("JFR1") is a compact binary layout: magic,
     header key/value pairs (run configuration), digest key/value pairs
@@ -33,7 +37,7 @@ type decision =
   | Generate of {
       client : int;
       intent : Rlist_model.Intent.t;
-          (** Stored as the engine generated it; the text and the dump
+          (** The engine's intent; the recorder, the text and the dump
               spell it with {!Rlist_model.Intent.to_string}. *)
     }
   | Deliver_to_server of int
@@ -80,10 +84,10 @@ val create : ?capacity:int -> unit -> t
 
 val record : t -> decision -> unit
 
-(** Decisions ever recorded, including ones the ring has discarded. *)
+(** Decisions ever recorded, including ones the window has dropped. *)
 val total : t -> int
 
-(** Whether the ring has overwritten old decisions ([total > capacity]).
+(** Whether old decisions have left the window ([total > capacity]).
     A wrapped recording still replays — only the witness comparison is
     restricted to the retained suffix — but schedule extraction for
     the shrinker needs the full window. *)

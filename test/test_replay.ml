@@ -244,6 +244,342 @@ let test_ring_wraps () =
     [ "tick 7"; "tick 8"; "tick 9"; "tick 10" ]
     (List.map Recorder.decision_to_string (Recorder.window r))
 
+(* --- the decision log against the boxed ring ------------------------- *)
+
+(* A transcription of the recorder as it was before it kept decisions
+   as their bytes: a ring of [capacity] boxed slots, allocated at the
+   first decision, and an encoder that writes the window at dump time.
+   It is the reference the chunked log must match on [total],
+   [wrapped], [window] and every byte of [encode]. *)
+module Ring = struct
+  type t = {
+    capacity : int;
+    mutable buf : Recorder.decision option array;
+    mutable head : int;
+    mutable total : int;
+  }
+
+  let create capacity = { capacity; buf = [||]; head = 0; total = 0 }
+
+  let record t d =
+    if Array.length t.buf = 0 then t.buf <- Array.make t.capacity None;
+    t.buf.(t.head) <- Some d;
+    t.head <- (t.head + 1) mod t.capacity;
+    t.total <- t.total + 1
+
+  let wrapped t = t.total > t.capacity
+
+  let window t =
+    if t.total = 0 then []
+    else begin
+      let stored = min t.total t.capacity in
+      let start = (t.head - stored + t.capacity) mod t.capacity in
+      let out = ref [] in
+      for i = stored - 1 downto 0 do
+        match t.buf.((start + i) mod t.capacity) with
+        | Some d -> out := d :: !out
+        | None -> ()
+      done;
+      !out
+    end
+
+  let put_varint b n =
+    let n = ref n in
+    let continue = ref true in
+    while !continue do
+      let byte = !n land 0x7f in
+      n := !n lsr 7;
+      if !n = 0 then begin
+        Buffer.add_char b (Char.chr byte);
+        continue := false
+      end
+      else Buffer.add_char b (Char.chr (byte lor 0x80))
+    done
+
+  let put_string b s =
+    put_varint b (String.length s);
+    Buffer.add_string b s
+
+  let put_pairs b pairs =
+    put_varint b (List.length pairs);
+    List.iter
+      (fun (k, v) ->
+        put_string b k;
+        put_string b v)
+      pairs
+
+  let put_decision b (d : Recorder.decision) =
+    match d with
+    | Generate { client; intent } ->
+      Buffer.add_char b '\001';
+      put_varint b client;
+      put_string b (Intent.to_string intent)
+    | Deliver_to_server i ->
+      Buffer.add_char b '\002';
+      put_varint b i
+    | Deliver_to_client i ->
+      Buffer.add_char b '\003';
+      put_varint b i
+    | Deliver_peer { src; dst } ->
+      Buffer.add_char b '\004';
+      put_varint b src;
+      put_varint b dst
+    | Flush { channel; ops } ->
+      Buffer.add_char b '\005';
+      put_string b channel;
+      put_varint b ops
+    | Transmit { channel; seq; outcome } ->
+      Buffer.add_char b '\006';
+      put_string b channel;
+      put_varint b seq;
+      (match outcome with
+      | Sent -> put_varint b 0
+      | Dropped -> put_varint b 1
+      | Partition_dropped -> put_varint b 2
+      | Duplicated -> put_varint b 3
+      | Delayed j ->
+        put_varint b 4;
+        put_varint b j)
+    | Retransmit { channel; seq; attempts } ->
+      Buffer.add_char b '\007';
+      put_string b channel;
+      put_varint b seq;
+      put_varint b attempts
+    | Ack { channel; seq; dropped } ->
+      Buffer.add_char b '\008';
+      put_string b channel;
+      put_varint b seq;
+      put_varint b (if dropped then 1 else 0)
+    | Tick n ->
+      Buffer.add_char b '\009';
+      put_varint b n
+    | Gc { cycle; trigger } ->
+      Buffer.add_char b '\010';
+      put_varint b cycle;
+      put_string b trigger
+
+  let encode ~header ~digest t =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "JFR1";
+    put_pairs b header;
+    put_pairs b digest;
+    put_varint b t.total;
+    let w = window t in
+    put_varint b (List.length w);
+    List.iter (put_decision b) w;
+    Buffer.contents b
+end
+
+(* Decisions per chunk of a recorder whose capacity is at least this. *)
+let chunk = 4096
+
+(* Random decisions of every constructor: channel strings of several
+   shapes (empty, long enough for a two-byte length, every byte value),
+   extreme and negative ints in every int field, and intents over all
+   256 characters. *)
+let random_decision rng : Recorder.decision =
+  let channels =
+    [|
+      "";
+      "c2s:0";
+      "s2c:2";
+      "p2p:1>0";
+      String.make 200 'x';
+      String.init 256 Char.chr;
+    |]
+  in
+  let int () =
+    match Random.State.int rng 8 with
+    | 0 -> min_int
+    | 1 -> max_int
+    | 2 -> -1
+    | 3 -> -(Random.State.bits rng)
+    | 4 -> Random.State.int rng 128
+    | 5 -> 127 + Random.State.int rng 3
+    | 6 -> Random.State.bits rng
+    | _ -> Random.State.bits rng lsl 31 lor Random.State.bits rng
+  in
+  let channel () = channels.(Random.State.int rng (Array.length channels)) in
+  match Random.State.int rng 10 with
+  | 0 ->
+    let intent =
+      match Random.State.int rng 4 with
+      | 0 -> Intent.Delete (int ())
+      | 1 -> Intent.Read
+      | _ -> Intent.Insert (Char.chr (Random.State.int rng 256), int ())
+    in
+    Generate { client = int (); intent }
+  | 1 -> Deliver_to_server (int ())
+  | 2 -> Deliver_to_client (int ())
+  | 3 -> Deliver_peer { src = int (); dst = int () }
+  | 4 -> Flush { channel = channel (); ops = int () }
+  | 5 ->
+    let outcome : Recorder.outcome =
+      match Random.State.int rng 5 with
+      | 0 -> Sent
+      | 1 -> Dropped
+      | 2 -> Partition_dropped
+      | 3 -> Duplicated
+      | _ -> Delayed (int ())
+    in
+    Transmit { channel = channel (); seq = int (); outcome }
+  | 6 ->
+    Retransmit { channel = channel (); seq = int (); attempts = int () }
+  | 7 ->
+    Ack { channel = channel (); seq = int (); dropped = Random.State.bool rng }
+  | 8 -> Tick (int ())
+  | _ -> Gc { cycle = int (); trigger = channel () }
+
+let decision_t =
+  Alcotest.testable
+    (fun ppf d -> Format.pp_print_string ppf (Recorder.decision_to_string d))
+    ( = )
+
+(* Every intent character and every int extreme round-trips through the
+   bytes: one decision per intent byte, then each extreme in each int
+   field. *)
+let every_field_extreme () : Recorder.decision list =
+  let ints = [ min_int; max_int; -1; 0; 127; 128 ] in
+  List.init 256 (fun c ->
+      Recorder.Generate { client = c; intent = Intent.Insert (Char.chr c, c) })
+  @ List.concat_map
+      (fun n : Recorder.decision list ->
+        [
+          Generate { client = n; intent = Intent.Delete n };
+          Generate { client = n; intent = Intent.Insert (' ', n) };
+          Deliver_to_server n;
+          Deliver_to_client n;
+          Deliver_peer { src = n; dst = n };
+          Flush { channel = "c"; ops = n };
+          Transmit { channel = "c"; seq = n; outcome = Delayed n };
+          Retransmit { channel = "c"; seq = n; attempts = n };
+          Ack { channel = "c"; seq = n; dropped = n < 0 };
+          Tick n;
+          Gc { cycle = n; trigger = "ops=64" };
+        ])
+      ints
+
+let test_log_matches_ring () =
+  let header = [ "capacity", "x"; "k", "" ] and digest = [ "d", "v" ] in
+  List.iter
+    (fun capacity ->
+      let rng = Random.State.make [| capacity |] in
+      let log = Recorder.create ~capacity () and ring = Ring.create capacity in
+      (* Compared quietly; a mismatch is then reported field by field. *)
+      let checkpoints = ref 0 in
+      let check_at n =
+        incr checkpoints;
+        let window = Recorder.window log
+        and bytes = Recorder.encode ~header ~digest log in
+        let ring_window = Ring.window ring
+        and ring_bytes = Ring.encode ~header ~digest ring in
+        if
+          not
+            (ring.Ring.total = Recorder.total log
+            && Ring.wrapped ring = Recorder.wrapped log
+            && ring_window = window
+            && String.equal ring_bytes bytes)
+        then begin
+          let what = Printf.sprintf "capacity %d after %d" capacity n in
+          Alcotest.(check int) (what ^ ": total") ring.Ring.total
+            (Recorder.total log);
+          Alcotest.(check bool) (what ^ ": wrapped") (Ring.wrapped ring)
+            (Recorder.wrapped log);
+          Alcotest.(check (list decision_t))
+            (what ^ ": window") ring_window window;
+          Alcotest.(check string) (what ^ ": encode") ring_bytes bytes
+        end
+      in
+      (* Checkpoints at both sides of every point where the ring wraps,
+         a chunk fills or a chunk leaves the window, plus random ones. *)
+      let length = (3 * capacity) + (2 * chunk) + 7 in
+      let near_multiple n m =
+        let r = ((n mod m) + m) mod m in
+        r <= 1 || r = m - 1
+      in
+      let checkpoint n =
+        n <= 10
+        || near_multiple n capacity
+        || near_multiple n chunk
+        || near_multiple (n - capacity) chunk
+        || Random.State.int rng 2000 = 0
+      in
+      check_at 0;
+      let extremes = every_field_extreme () in
+      let n = ref 0 in
+      let push d =
+        Recorder.record log d;
+        Ring.record ring d;
+        incr n;
+        if checkpoint !n then check_at !n
+      in
+      List.iter push extremes;
+      while !n < length do
+        push (random_decision rng)
+      done;
+      check_at !n;
+      Alcotest.(check bool)
+        (Printf.sprintf "capacity %d: %d checkpoints agree, the last wrapped"
+           capacity !checkpoints)
+        true (Recorder.wrapped log))
+    [ 1; 4; chunk - 1; chunk; chunk + 1; (3 * chunk) + 5 ]
+
+(* --- what recording costs the heap ----------------------------------- *)
+
+(* The non-generate decisions of a lossy run, the bulk of any recording
+   (hotspot-lossy makes about 40 per operation, one of them a generate). *)
+let wire_decision i : Recorder.decision =
+  match i mod 4 with
+  | 0 -> Transmit { channel = "c2s:1"; seq = i; outcome = Sent }
+  | 1 -> Ack { channel = "s2c:0"; seq = i; dropped = false }
+  | 2 -> Deliver_to_server (i land 3)
+  | _ -> Tick i
+
+(* A recorder keeps its decisions' bytes, not the decisions: 1 000 of
+   them reach 944 words (the bytes of the open chunk, which doubles as
+   it fills).  The boxed ring reached 274 146: its 2^18 slots alone are
+   262 145 words, whatever it holds. *)
+let test_retained_words () =
+  let r = Recorder.create () in
+  for i = 0 to 999 do
+    Recorder.record r (wire_decision i)
+  done;
+  let words = Obj.reachable_words (Obj.repr r) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words reachable from 1 000 decisions <= 4 096" words)
+    true (words <= 4096)
+
+(* Recording moves nothing into the major heap but the chunks
+   themselves (strings, which the GC never scans, allocated there
+   directly) and one queue cell each.  Reading over 100 000 decisions:
+   0.00 words promoted per decision (6.00 with the boxed ring: the
+   option box and the decision), and 0.00 minor words per recorded,
+   already built decision (2.00: the option box). *)
+let test_record_allocation () =
+  let n = 100_000 in
+  let r = Recorder.create () in
+  Gc.minor ();
+  let _, before, _ = Gc.counters () in
+  for i = 0 to n - 1 do
+    Recorder.record r (wire_decision i)
+  done;
+  Gc.minor ();
+  let _, after, _ = Gc.counters () in
+  let promoted = (after -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f promoted words per decision < 0.1" promoted)
+    true (promoted < 0.1);
+  let built = Array.init 1000 wire_decision in
+  let r = Recorder.create () in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Recorder.record r built.(i mod 1000)
+  done;
+  let minor = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per recorded decision < 0.1" minor)
+    true (minor < 0.1)
+
 (* Extract the engine schedule from a recording and replay it on
    perfect channels: the feasible prefix the engine executed is a real
    schedule, so the correct protocol must still converge under it. *)
@@ -410,7 +746,15 @@ let () =
           Alcotest.test_case "recording file round-trips" `Quick
             test_recording_file_round_trips;
           Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
+          Alcotest.test_case "log matches the boxed ring" `Quick
+            test_log_matches_ring;
           Alcotest.test_case "registry keys" `Quick test_registry;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "retained words" `Quick test_retained_words;
+          Alcotest.test_case "record allocates nothing it keeps" `Quick
+            test_record_allocation;
         ] );
       ( "extraction",
         [
