@@ -20,9 +20,29 @@ module L = Rlist_obs.Line_format
 
 (* --- tokens: each written and read in one place --------------------- *)
 
+(* The writers put their bytes straight into the buffer: the integer
+   writer prints what "%d" prints and allocates nothing, so a snapshot
+   costs its buffer and its string, whatever the document's length. *)
+
+(* [n <= 0]: digits of [-n], most significant first.  Working on the
+   negative side covers [min_int]. *)
+let rec neg_digits b n =
+  if n <= -10 then neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    neg_digits b n
+  end
+  else neg_digits b (-n)
+
 (* An id is "c s", or "c.s" inside a state.  Initial elements use the
    reserved client 0: [Op_id.make ~client:0 ~seq] is [Op_id.initial ~seq]. *)
-let id sep b (i : Op_id.t) = Printf.bprintf b "%d%c%d" i.client sep i.seq
+let id sep b (i : Op_id.t) =
+  int b i.client;
+  Buffer.add_char b sep;
+  int b i.seq
 
 let id_of c s = Op_id.make ~client:(L.int c) ~seq:(L.int s)
 
@@ -44,15 +64,23 @@ let state_of tokens =
 
 (* An element is "<char-code> <client> <seq>". *)
 let element b (e : Element.t) =
-  Printf.bprintf b "%d %a" (Char.code e.value) (id ' ') e.id
+  int b (Char.code e.value);
+  Buffer.add_char b ' ';
+  id ' ' b e.id
 
 let element_of code c s =
   Element.make ~value:(Char.chr (L.int code)) ~id:(id_of c s)
 
+let edit b name e p =
+  Buffer.add_string b name;
+  element b e;
+  Buffer.add_char b ' ';
+  int b p
+
 let form b (f : Op.t) =
   match f.action with
-  | Op.Ins (e, p) -> Printf.bprintf b "ins %a %d" element e p
-  | Op.Del (e, p) -> Printf.bprintf b "del %a %d" element e p
+  | Op.Ins (e, p) -> edit b "ins " e p
+  | Op.Del (e, p) -> edit b "del " e p
   | Op.Nop -> Buffer.add_string b "nop"
 
 let form_of orig = function
@@ -66,7 +94,12 @@ let form_of orig = function
 (* Both snapshot kinds carry the document as one "delt" line per
    element; any other line they do not know is an error. *)
 let doc_lines b doc =
-  Document.iter (fun e -> Printf.bprintf b "delt %a\n" element e) doc
+  Document.iter
+    (fun e ->
+      Buffer.add_string b "delt ";
+      element b e;
+      Buffer.add_char b '\n')
+    doc
 
 let doc_line elements = function
   | [ "delt"; code; c; s ] -> elements := element_of code c s :: !elements
@@ -83,20 +116,37 @@ let client_to_string client =
   let cid, next_seq, doc, serials = Protocol.client_state client in
   let space = Protocol.client_space client in
   let b = Buffer.create 4096 in
-  Printf.bprintf b "css-client 1\nclient %d %d\n" cid next_seq;
+  let line directive write x =
+    Buffer.add_string b directive;
+    write b x;
+    Buffer.add_char b '\n'
+  in
+  Buffer.add_string b "css-client 1\nclient ";
+  int b cid;
+  Buffer.add_char b ' ';
+  int b next_seq;
+  Buffer.add_char b '\n';
   doc_lines b doc;
   List.iter
     (fun (op_id, serial) ->
-      Printf.bprintf b "serial %a %d\n" (id ' ') op_id serial)
+      Buffer.add_string b "serial ";
+      id ' ' b op_id;
+      Buffer.add_char b ' ';
+      int b serial;
+      Buffer.add_char b '\n')
     (List.sort (fun (a, _) (b, _) -> Op_id.compare a b) serials);
-  Printf.bprintf b "root %a\nfinal %a\n" state (State_space.root space) state
-    (State_space.final space);
+  line "root " state (State_space.root space);
+  line "final " state (State_space.final space);
   List.iter
     (fun (s, transitions) ->
-      Printf.bprintf b "node %a\n" state s;
+      line "node " state s;
       List.iter
         (fun (tr : State_space.transition) ->
-          Printf.bprintf b "tr %a %a\n" (id ' ') tr.orig form tr.form)
+          Buffer.add_string b "tr ";
+          id ' ' b tr.orig;
+          Buffer.add_char b ' ';
+          form b tr.form;
+          Buffer.add_char b '\n')
         transitions)
     (List.sort
        (fun (s1, _) (s2, _) -> Op_id.Set.compare s1 s2)
@@ -154,9 +204,12 @@ type stable = {
   stable_doc : Document.t;
 }
 
+(* About 20 bytes a line: "delt 97 3 1234567\n" is 18. *)
 let stable_to_string { at_serial; stable_doc } =
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "css-stable 1\nat %d\n" at_serial;
+  let b = Buffer.create (32 + (20 * Document.length stable_doc)) in
+  Buffer.add_string b "css-stable 1\nat ";
+  int b at_serial;
+  Buffer.add_char b '\n';
   doc_lines b stable_doc;
   Buffer.contents b
 

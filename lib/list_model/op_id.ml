@@ -25,7 +25,10 @@ let pp ppf t =
   if is_initial t then Format.fprintf ppf "init.%d" t.seq
   else Format.fprintf ppf "%d.%d" t.client t.seq
 
-let to_string t = Format.asprintf "%a" pp t
+(* The bytes of [pp], built without a formatter. *)
+let to_string t =
+  if is_initial t then "init." ^ string_of_int t.seq
+  else string_of_int t.client ^ "." ^ string_of_int t.seq
 
 module Ord = struct
   type nonrec t = t

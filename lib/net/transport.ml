@@ -8,6 +8,8 @@
    (Section 4.4 of the paper; DESIGN.md section 9 has the argument and
    the wire's layout). *)
 
+module Op_id = Rlist_model.Op_id
+
 type config = {
   faults : Faults.spec;
   shim : bool;
@@ -65,7 +67,7 @@ type 'a wire_item = {
 type 'a lossy = {
   cfg : config;
   name : string;  (* channel label for wire trace events *)
-  key : 'a -> string option;
+  key : 'a -> Op_id.t option;
   weight : 'a -> int;  (* operations carried by a payload *)
   mutable now : int;
   ready : 'a wire_item Queue.t;
@@ -91,8 +93,8 @@ type 'a lossy = {
   mutable expected : int;  (* receiver: next seq to hand to the app *)
   mutable resequencer : (int * 'a) list;  (* receiver buffer, by seq *)
   mutable ack_pending : bool;
-  seen_keys : (string, unit) Hashtbl.t;
-  seen_order : (int * string) Queue.t;
+  seen_keys : unit Op_id.Table.t;
+  seen_order : (int * Op_id.t) Queue.t;
       (* the same keys in delivery (seq) order, so the GC driver can
          prune the oldest without iterating the hash table *)
   mutable was_down : bool;
@@ -125,7 +127,7 @@ let create ?(key = no_key) ?(weight = fun _ -> 1) ?(name = "wire") cfg =
       expected = 1;
       resequencer = [];
       ack_pending = false;
-      seen_keys = Hashtbl.create 64;
+      seen_keys = Op_id.Table.create 64;
       seen_order = Queue.create ();
       was_down = false;
     }
@@ -326,7 +328,7 @@ let pop_ready l =
 let accept_app l ~seq payload =
   let s = l.cfg.stats in
   match l.key payload with
-  | Some k when Hashtbl.mem l.seen_keys k ->
+  | Some k when Op_id.Table.mem l.seen_keys k ->
     (* Belt-and-braces guard: the payload's operation identifier was
        already delivered on this channel (possible after a reconnect
        with rolled-back sequence numbers). *)
@@ -335,7 +337,7 @@ let accept_app l ~seq payload =
   | key ->
     (match key with
     | Some k ->
-      Hashtbl.replace l.seen_keys k ();
+      Op_id.Table.replace l.seen_keys k ();
       Queue.push (seq, k) l.seen_order
     | None -> ());
     s.Stats.delivered <- s.Stats.delivered + 1;
@@ -554,7 +556,7 @@ let prune_delivered t ~retain =
       match Queue.peek_opt l.seen_order with
       | Some (seq, key) when seq <= cutoff ->
         ignore (Queue.pop l.seen_order);
-        Hashtbl.remove l.seen_keys key;
+        Op_id.Table.remove l.seen_keys key;
         incr removed
       | _ -> continue := false
     done;
@@ -562,7 +564,7 @@ let prune_delivered t ~retain =
 
 let dedup_keys = function
   | Perfect _ -> 0
-  | Lossy l -> Hashtbl.length l.seen_keys
+  | Lossy l -> Op_id.Table.length l.seen_keys
 
 (* --- crash / reconnect ------------------------------------------------- *)
 
@@ -571,7 +573,7 @@ type 'a sender_state = { ck_next_seq : int; ck_unacked : (int * 'a) list }
 type 'a receiver_state = {
   ck_expected : int;
   ck_resequencer : (int * 'a) list;
-  ck_keys : (int * string) list;  (* (delivery seq, key), seq-sorted *)
+  ck_keys : (int * Op_id.t) list;  (* (delivery seq, key), seq-sorted *)
 }
 
 let lossy_of name = function
@@ -619,11 +621,11 @@ let restore_receiver t ck =
   l.expected <- ck.ck_expected;
   l.resequencer <- ck.ck_resequencer;
   l.ack_pending <- false;
-  Hashtbl.reset l.seen_keys;
+  Op_id.Table.reset l.seen_keys;
   Queue.clear l.seen_order;
   List.iter
     (fun (seq, k) ->
-      Hashtbl.replace l.seen_keys k ();
+      Op_id.Table.replace l.seen_keys k ();
       Queue.push (seq, k) l.seen_order)
     ck.ck_keys
 

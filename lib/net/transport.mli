@@ -54,15 +54,16 @@ type 'a t
 val perfect : unit -> 'a t
 
 (** A channel under [config]'s fault model.  [key], when given, names
-    each payload's operation identifier; the shim refuses to deliver
-    the same key twice on one channel (defense in depth for
-    reconnects).  [weight] is the number of operations a payload
+    each payload by an operation identifier; the shim refuses to
+    deliver the same key twice on one channel (defense in depth for
+    reconnects), so no two distinct payloads on one channel may share
+    a key.  [weight] is the number of operations a payload
     carries (default 1) — batching engines pass [List.length] so
     {!Stats.t}'s per-operation counters ([op_payloads],
     [op_transmissions]) stay meaningful.  [name] labels the channel in
     wire trace events and recorder decisions (default ["wire"]). *)
 val create :
-  ?key:('a -> string option) ->
+  ?key:('a -> Rlist_model.Op_id.t option) ->
   ?weight:('a -> int) ->
   ?name:string ->
   config ->

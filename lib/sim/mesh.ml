@@ -11,8 +11,7 @@ module Transport = Rlist_net.Transport
    the shim disabled. *)
 let quiesce_fuel = 100_000
 
-(* A retransmitted batch is suppressed as a unit, and a singleton's key
-   is the operation's own. *)
+(* A batch's trace label: its operations' identifiers, joined by "+". *)
 let batch_key ids =
   match List.filter_map (Option.map Op_id.to_string) ids with
   | [] -> None
@@ -120,7 +119,13 @@ let chan t ~src ~dst ~op_id tap =
     match t.net with
     | None -> Transport.perfect ()
     | Some cfg ->
-      let key batch = batch_key (List.map op_id batch) in
+      (* The shim's dedup key is a payload's first operation id.  Every
+         operation is flushed in exactly one batch, and retransmissions
+         and checkpoint restores resend that same batch, so the first
+         id names a batch on its channel as uniquely as all of its ids
+         would; a retransmitted batch is suppressed as a unit, and a
+         singleton's key is the operation's own. *)
+      let key batch = List.find_map op_id batch in
       Transport.create ~key ~weight:List.length ~name cfg
   in
   let ch = { wire; outbox = []; src; dst; name; op_id; tap; handles = None } in

@@ -508,7 +508,10 @@ let test_batch_checkpoint_recovery () =
   let cfg =
     Transport.config ~faults:(Option.get (Faults.preset "chaos")) ~seed:13 ()
   in
-  let key b = Some (String.concat "+" (List.map string_of_int b)) in
+  (* A batch is keyed by its first operation, as the engines key it. *)
+  let key b =
+    List.find_map (fun i -> Some (Op_id.make ~client:1 ~seq:(i + 1))) b
+  in
   let ch = Transport.create ~key ~weight:List.length cfg in
   let got = ref [] in
   let drain () =
@@ -550,6 +553,51 @@ let test_batch_checkpoint_recovery () =
   Alcotest.(check bool)
     "op transmissions cover the retransmits" true
     (st.Stats.op_transmissions >= st.Stats.op_payloads)
+
+(* The engines key a batch by its first operation.  A sender restored
+   from a checkpoint that still buffers a delivered batch resends it
+   under its old sequence number, and an application that re-sends the
+   batch after the reconnect puts it under a fresh one: the sequence
+   check drops the first copy, the key guard drops the second, once,
+   and the batch after it still arrives. *)
+let test_resent_batch_suppressed_once () =
+  let cfg = Transport.config ~faults:Faults.none ~seed:3 () in
+  let op i = Op_id.make ~client:1 ~seq:(i + 1) in
+  let ch =
+    Transport.create
+      ~key:(function [] -> None | i :: _ -> Some (op i))
+      ~weight:List.length cfg
+  in
+  let got = ref [] in
+  (* Long enough for a buffered payload to time out and be resent. *)
+  let settle () =
+    for _ = 1 to 32 do
+      while Transport.deliverable ch > 0 do
+        match Transport.deliver ch with
+        | Some b -> got := !got @ b
+        | None -> ()
+      done;
+      Transport.tick ch
+    done
+  in
+  Transport.send ch [ 0; 1 ];
+  let ck = Transport.sender_checkpoint ch in
+  settle ();
+  Transport.drop_wire ch;
+  Transport.restore_sender ch ck;
+  settle ();
+  Transport.send ch [ 0; 1 ];
+  Transport.send ch [ 2 ];
+  settle ();
+  Alcotest.(check (list int)) "each op exactly once" [ 0; 1; 2 ] !got;
+  Alcotest.(check int) "pending" 0 (Transport.pending ch);
+  let st = Transport.stats cfg in
+  Alcotest.(check int) "the restored copy fell to the sequence check" 1
+    st.Stats.dup_dropped;
+  Alcotest.(check int) "the re-sent batch fell to the key guard once" 1
+    st.Stats.opid_dup_dropped;
+  Alcotest.(check int) "one key per delivered batch" 2
+    (Transport.dedup_keys ch)
 
 let qtest name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:300 gen prop)
@@ -952,6 +1000,8 @@ let () =
             test_batch_retransmit_dedup;
           Alcotest.test_case "checkpoint recovery with batches" `Quick
             test_batch_checkpoint_recovery;
+          Alcotest.test_case "re-sent batch suppressed once" `Quick
+            test_resent_batch_suppressed_once;
         ] );
       ( "allocation",
         [

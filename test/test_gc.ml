@@ -236,7 +236,7 @@ let test_transport_prune_delivered () =
   let faults = Option.get (Faults.preset "dup") in
   let cfg = Transport.config ~shim:true ~faults ~seed:5 () in
   let ch =
-    Transport.create ~key:(fun i -> Some (string_of_int i)) cfg
+    Transport.create ~key:(fun i -> Some (Op_id.make ~client:1 ~seq:i)) cfg
   in
   for i = 1 to 40 do
     Transport.send ch i;

@@ -48,6 +48,18 @@ let test_op_id_initial () =
     (Op_id.is_initial (Op_id.make ~client:1 ~seq:1));
   Alcotest.(check string) "pp" "init.3" (Op_id.to_string id)
 
+(* [to_string] builds its bytes without a formatter; they must stay
+   those of [pp]. *)
+let test_op_id_to_string () =
+  let via_pp id = Format.asprintf "%a" Op_id.pp id in
+  List.iter
+    (fun (id : Op_id.t) ->
+      Alcotest.(check string) (via_pp id) (via_pp id) (Op_id.to_string id))
+    [ Op_id.initial ~seq:1; Op_id.initial ~seq:42; Op_id.initial ~seq:max_int;
+      Op_id.make ~client:1 ~seq:1; Op_id.make ~client:7 ~seq:1_000_003;
+      Op_id.make ~client:12_345 ~seq:max_int;
+      Op_id.make ~client:max_int ~seq:9_999_999_999 ]
+
 let test_op_id_order () =
   let a = Op_id.make ~client:1 ~seq:2 in
   let b = Op_id.make ~client:2 ~seq:1 in
@@ -253,6 +265,7 @@ let () =
         [
           Alcotest.test_case "construction" `Quick test_op_id_make;
           Alcotest.test_case "initial ids" `Quick test_op_id_initial;
+          Alcotest.test_case "to_string matches pp" `Quick test_op_id_to_string;
           Alcotest.test_case "ordering" `Quick test_op_id_order;
           Alcotest.test_case "canonical sets" `Quick test_op_id_set_canonical;
           Alcotest.test_case "hash table" `Quick test_op_id_table;

@@ -244,7 +244,9 @@ let pin_run ~faults ~shim ~seed ~crash =
   let recorder = Rlist_obs.Recorder.create () in
   Transport.set_recorder cfg (Some recorder);
   let ch =
-    Transport.create ~key:(fun x -> Some (string_of_int x)) ~name:"pin" cfg
+    Transport.create
+      ~key:(fun x -> Some (Op_id.make ~client:1 ~seq:(x + 1)))
+      ~name:"pin" cfg
   in
   let script = Random.State.make [| seed; 0x5C |] in
   let out = Buffer.create 1024 in
@@ -573,7 +575,8 @@ let test_receiver_crash_reconnect () =
    outcome) is suppressed at the receiver. *)
 let test_opid_guard () =
   let cfg = Transport.config ~faults:Faults.none ~seed:1 () in
-  let ch = Transport.create ~key:(fun s -> Some s) cfg in
+  let key s = Some (Op_id.make ~client:1 ~seq:(Char.code s.[0])) in
+  let ch = Transport.create ~key cfg in
   Transport.send ch "a";
   Alcotest.(check (list string)) "first copy delivered" [ "a" ] (drive ch);
   Transport.send ch "a";
@@ -614,14 +617,10 @@ let test_css_crash_reconnect () =
     Transport.config ~faults:(Option.get (Faults.preset "chaos")) ~seed:21 ()
   in
   let c2s =
-    Transport.create
-      ~key:(fun m -> Option.map Op_id.to_string (P.c2s_op_id m))
-      cfg
+    Transport.create ~key:P.c2s_op_id cfg
   in
   let s2c =
-    Transport.create
-      ~key:(fun m -> Option.map Op_id.to_string (P.s2c_op_id m))
-      cfg
+    Transport.create ~key:P.s2c_op_id cfg
   in
   let fp = Rlist_ot.Fastpath.create () in
   let client =

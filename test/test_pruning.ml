@@ -292,6 +292,211 @@ let test_rejects_unknown_serials () =
     (Invalid_argument "css-pruned: deliver base 2 references an unknown serial 1")
     (fun () -> P.client_receive (client ()) deliver)
 
+(* --- snapshot writer bytes ------------------------------------------ *)
+
+(* The snapshot writers as they were written with Printf, transcribed:
+   the buffer writers must produce these bytes exactly.  The engine pin
+   prints stable snapshots, and the GC driver paces snapshots by their
+   length. *)
+module Printf_writer = struct
+  let id sep b (i : Op_id.t) = Printf.bprintf b "%d%c%d" i.client sep i.seq
+
+  let state b s =
+    List.iteri
+      (fun k i ->
+        if k > 0 then Buffer.add_char b ' ';
+        id '.' b i)
+      (Op_id.Set.canonical s)
+
+  let element b (e : Element.t) =
+    Printf.bprintf b "%d %a" (Char.code e.value) (id ' ') e.id
+
+  let form b (f : Op.t) =
+    match f.action with
+    | Op.Ins (e, p) -> Printf.bprintf b "ins %a %d" element e p
+    | Op.Del (e, p) -> Printf.bprintf b "del %a %d" element e p
+    | Op.Nop -> Buffer.add_string b "nop"
+
+  let doc_lines b doc =
+    Document.iter (fun e -> Printf.bprintf b "delt %a\n" element e) doc
+
+  let client_to_string client =
+    let cid, next_seq, doc, serials =
+      Jupiter_css.Protocol.client_state client
+    in
+    let space = Jupiter_css.Protocol.client_space client in
+    let b = Buffer.create 4096 in
+    Printf.bprintf b "css-client 1\nclient %d %d\n" cid next_seq;
+    doc_lines b doc;
+    List.iter
+      (fun (op_id, serial) ->
+        Printf.bprintf b "serial %a %d\n" (id ' ') op_id serial)
+      (List.sort (fun (a, _) (b, _) -> Op_id.compare a b) serials);
+    Printf.bprintf b "root %a\nfinal %a\n" state (Space.root space) state
+      (Space.final space);
+    List.iter
+      (fun (s, transitions) ->
+        Printf.bprintf b "node %a\n" state s;
+        List.iter
+          (fun (tr : Space.transition) ->
+            Printf.bprintf b "tr %a %a\n" (id ' ') tr.orig form tr.form)
+          transitions)
+      (List.sort
+         (fun (s1, _) (s2, _) -> Op_id.Set.compare s1 s2)
+         (Space.listing space));
+    Buffer.contents b
+
+  let stable_to_string { Jupiter_css.Snapshot.at_serial; stable_doc } =
+    let b = Buffer.create 1024 in
+    Printf.bprintf b "css-stable 1\nat %d\n" at_serial;
+    doc_lines b stable_doc;
+    Buffer.contents b
+end
+
+let same_stable at_serial stable_doc =
+  let snap = { Jupiter_css.Snapshot.at_serial; stable_doc } in
+  String.equal
+    (Printf_writer.stable_to_string snap)
+    (Jupiter_css.Snapshot.stable_to_string snap)
+
+let same_client client =
+  String.equal
+    (Printf_writer.client_to_string client)
+    (Jupiter_css.Snapshot.client_to_string client)
+
+(* A client around [space], with every operation in it serialized in
+   identifier order: the writer reads the space back as it stands. *)
+let client_of_space ?(serials = []) ~doc space =
+  let listing = Space.listing space in
+  let ids =
+    List.sort_uniq Op_id.compare
+      (List.concat_map
+         (fun (_, trs) -> List.map (fun (tr : Space.transition) -> tr.orig) trs)
+         listing)
+  in
+  Jupiter_css.Protocol.rebuild_client ~id:1 ~next_seq:1 ~doc
+    ~serials:(serials @ List.mapi (fun k id -> id, k + 1) ids)
+    ~space:listing ~root:(Space.root space) ~final:(Space.final space)
+
+(* Small and huge sequence numbers and client numbers, and client 0
+   (the initial document's elements). *)
+let gen_op_id =
+  QCheck2.Gen.(
+    let* client =
+      frequency
+        [ 1, return 0; 3, int_range 1 9; 1, int_range 10 max_int ]
+    in
+    let* seq = frequency [ 3, int_range 1 1000; 1, int_range 1 max_int ] in
+    return (Op_id.make ~client ~seq))
+
+let gen_element =
+  QCheck2.Gen.(
+    let* code = int_range 0 255 in
+    let* id = gen_op_id in
+    return (Element.make ~value:(Char.chr code) ~id))
+
+let gen_doc =
+  QCheck2.Gen.(map Document.of_elements (list_size (int_range 0 60) gen_element))
+
+(* Every character code, each under a client-0 and a client id. *)
+let all_codes =
+  Document.of_elements
+    (List.concat_map
+       (fun code ->
+         [ Element.make ~value:(Char.chr code) ~id:(Op_id.initial ~seq:(code + 1));
+           Element.make ~value:(Char.chr code)
+             ~id:(Op_id.make ~client:(code + 1) ~seq:(max_int - code)) ])
+       (List.init 256 Fun.id))
+
+let test_writer_bytes_fixed () =
+  List.iter
+    (fun at ->
+      Alcotest.(check bool)
+        (Printf.sprintf "stable at %d" at)
+        true (same_stable at all_codes))
+    [ 0; 7; -1; 1_000_000_007; max_int; min_int ];
+  Alcotest.(check bool) "empty stable" true (same_stable 0 Document.empty);
+  Alcotest.(check bool)
+    "client over every code" true
+    (same_client
+       (client_of_space ~doc:all_codes
+          (Space.create ~key_of:(fun _ -> Jupiter_css.Order_key.Pending 1) ())));
+  (* The compaction tests' square, before and after each compaction. *)
+  List.iter
+    (fun stable ->
+      let space, o1, o2, o3 = build_square () in
+      let pick = List.map (fun (o : Op.t) -> o.id) in
+      let base_doc =
+        Space.compact space
+          ~stable:(Op_id.Set.of_list (pick (stable o1 o2 o3)))
+          ~base_doc:Document.empty
+      in
+      Alcotest.(check bool)
+        "compacted square" true
+        (same_client (client_of_space ~doc:base_doc space)))
+    [ (fun _ _ _ -> []); (fun o1 _ _ -> [ o1 ]);
+      (fun o1 o2 o3 -> [ o1; o2; o3 ]) ]
+
+let prop_writer_bytes_random_docs =
+  Helpers.qtest ~count:200
+    "snapshot writers print the Printf bytes on random documents"
+    QCheck2.Gen.(
+      tup4 gen_doc
+        (oneof [ int; return min_int; return max_int ])
+        (list_size (int_range 0 8) (pair gen_op_id nat))
+        (int_range 1 max_int))
+    (fun (doc, at, serials, next_seq) ->
+      let client =
+        Jupiter_css.Protocol.rebuild_client ~id:1 ~next_seq ~doc ~serials
+          ~space:[ Space.initial_state, [] ] ~root:Space.initial_state
+          ~final:Space.initial_state
+      in
+      same_stable at doc && same_client client)
+
+(* The spaces this file's sessions build: plain CSS clients over an
+   initial document (client-0 elements in the forms), and the pruned
+   protocol's compacted client and server spaces. *)
+let prop_writer_bytes_sessions =
+  Helpers.qtest ~count:30 "snapshot writers print the Printf bytes on sessions"
+    gen_seed (fun seed ->
+      let initial = Document.of_string "jupiter" in
+      let css, schedule = Helpers.Css_run.random ~params ~initial seed in
+      let pruned = Pruned.create ~initial ~nclients:4 () in
+      Pruned.run pruned schedule;
+      let module P = Jupiter_css.Pruned_protocol in
+      let doc = Pruned.server_document pruned in
+      List.for_all (fun i -> same_client (Css.client css i)) [ 1; 2; 3; 4 ]
+      && List.for_all
+           (fun i ->
+             same_client
+               (client_of_space ~doc (P.client_space (Pruned.client pruned i))))
+           [ 1; 2; 3; 4 ]
+      && same_client
+           (client_of_space ~doc (P.server_space (Pruned.server pruned)))
+      && same_stable (P.server_pruned_to (Pruned.server pruned)) doc)
+
+(* Writing a stable snapshot allocates its buffer and its string, both
+   too large for the minor heap here, and nothing per element. *)
+let test_stable_writer_allocation () =
+  let n = 20_000 in
+  let doc =
+    Document.of_elements
+      (List.init n (fun k ->
+           Element.make
+             ~value:(Char.chr (k mod 256))
+             ~id:(Op_id.make ~client:(k mod 7) ~seq:(k + 1))))
+  in
+  let snap = { Jupiter_css.Snapshot.at_serial = n; stable_doc = doc } in
+  ignore (Jupiter_css.Snapshot.stable_to_string snap);
+  let before = Gc.minor_words () in
+  let s = Jupiter_css.Snapshot.stable_to_string snap in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "wrote every element" true (String.length s > 10 * n);
+  let per_element = words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per element <= 1" per_element)
+    true (per_element <= 1.0)
+
 let () =
   Alcotest.run "pruning"
     [
@@ -324,5 +529,14 @@ let () =
             test_heartbeat_through_partitions;
           Alcotest.test_case "unknown serials are rejected" `Quick
             test_rejects_unknown_serials;
+        ] );
+      ( "snapshot writer",
+        [
+          Alcotest.test_case "Printf bytes on fixed documents" `Quick
+            test_writer_bytes_fixed;
+          prop_writer_bytes_random_docs;
+          prop_writer_bytes_sessions;
+          Alcotest.test_case "stable writer allocation" `Quick
+            test_stable_writer_allocation;
         ] );
     ]
