@@ -439,7 +439,7 @@ let test_writer_bytes_fixed () =
 
 let prop_writer_bytes_random_docs =
   Helpers.qtest ~count:200
-    "snapshot writers print the Printf bytes on random documents"
+    "random documents: snapshot writers print the Printf bytes"
     QCheck2.Gen.(
       tup4 gen_doc
         (oneof [ int; return min_int; return max_int ])
@@ -457,7 +457,7 @@ let prop_writer_bytes_random_docs =
    initial document (client-0 elements in the forms), and the pruned
    protocol's compacted client and server spaces. *)
 let prop_writer_bytes_sessions =
-  Helpers.qtest ~count:30 "snapshot writers print the Printf bytes on sessions"
+  Helpers.qtest ~count:30 "sessions: snapshot writers print the Printf bytes"
     gen_seed (fun seed ->
       let initial = Document.of_string "jupiter" in
       let css, schedule = Helpers.Css_run.random ~params ~initial seed in
@@ -530,7 +530,7 @@ let () =
           Alcotest.test_case "unknown serials are rejected" `Quick
             test_rejects_unknown_serials;
         ] );
-      ( "snapshot writer",
+      ( "writer",
         [
           Alcotest.test_case "Printf bytes on fixed documents" `Quick
             test_writer_bytes_fixed;
