@@ -29,7 +29,6 @@ type s2c =
 type layer = {
   css : Protocol.replica;
   by_serial : (int, Op_id.t) Hashtbl.t;
-  mutable base_doc : Document.t;  (* document at the space's root *)
   mutable pruned_to : int;
   (* Per-client stable watermarks: client [c]'s operations with
      sequence number <= [stable_seqs.(c)] have been compacted into the
@@ -51,13 +50,13 @@ type server = {
   server : Protocol.server;
   server_layer : layer;
   client_acked : int array;  (* per-client acknowledged serial *)
+  mutable base_doc : Document.t;  (* read by the stable snapshot only *)
 }
 
-let make_layer css ~nclients ~initial =
+let make_layer css ~nclients =
   {
     css;
     by_serial = Hashtbl.create 64;
-    base_doc = initial;
     pruned_to = 0;
     stable_seqs = Array.make (nclients + 1) 0;
   }
@@ -80,17 +79,18 @@ let logged r ~what ~upto =
    space's root contains every operation with serial <= stable, so no
    retained transition has one as its original operation, and [prune]
    itself only ever walks serials from [pruned_to + 1] up — the
-   truncated entries can never be consulted again. *)
-let prune r ~stable =
-  if stable > r.pruned_to then begin
+   truncated entries can never be consulted again.  Given the document
+   at the old root (the server's), it returns the one at the new root. *)
+let prune ?base_doc r ~stable =
+  if stable <= r.pruned_to then None
+  else begin
     let ids = logged r ~what:"stable serial" ~upto:stable in
     let space = Protocol.space r.css in
     let stable_state =
       List.fold_left (fun s id -> Op_id.Set.add id s) (State_space.root space)
         ids
     in
-    r.base_doc <-
-      State_space.compact space ~stable:stable_state ~base_doc:r.base_doc;
+    let doc = State_space.compact ?base_doc space ~stable:stable_state in
     List.iteri
       (fun i (id : Op_id.t) ->
         (* FIFO serialization: per client the seqs arrive in order, so
@@ -99,7 +99,8 @@ let prune r ~stable =
         Hashtbl.remove r.by_serial (r.pruned_to + 1 + i);
         Protocol.forget r.css id)
       ids;
-    r.pruned_to <- stable
+    r.pruned_to <- stable;
+    doc
   end
 
 (* --- context translation across compaction frontiers ----------------
@@ -132,13 +133,14 @@ let widen_ctx r ctx ~base =
 
 let create_client ~fastpath ~nclients ~id ~initial =
   let client = Protocol.create_client ~fastpath ~nclients ~id ~initial in
-  let layer = make_layer (Protocol.client_replica client) ~nclients ~initial in
+  let layer = make_layer (Protocol.client_replica client) ~nclients in
   { client; client_layer = layer; acked = 0 }
 
 let create_server ~fastpath ~nclients ~initial =
   let server = Protocol.create_server ~fastpath ~nclients ~initial in
-  let layer = make_layer (Protocol.server_replica server) ~nclients ~initial in
-  { server; server_layer = layer; client_acked = Array.make (nclients + 1) 0 }
+  let server_layer = make_layer (Protocol.server_replica server) ~nclients in
+  let client_acked = Array.make (nclients + 1) 0 in
+  { server; server_layer; client_acked; base_doc = initial }
 
 let client_generate t intent =
   match Protocol.client_generate t.client intent with
@@ -193,7 +195,7 @@ let serve_updates t ~from updates =
     (fun ((op : Op.t), _, serial) -> Hashtbl.replace r.by_serial serial op.id)
     stamped;
   let stable = stable_serial t in
-  prune r ~stable;
+  Option.iter (fun d -> t.base_doc <- d) (prune ~base_doc:t.base_doc r ~stable);
   List.concat_map
     (fun (op, ctx, serial) ->
       broadcast t (Deliver { op; ctx; serial; origin = from; stable; base }))
@@ -201,9 +203,10 @@ let serve_updates t ~from updates =
 
 let heartbeat t ~from acked =
   ack t ~from acked;
-  let stable = stable_serial t in
-  if stable > t.server_layer.pruned_to then begin
-    prune t.server_layer ~stable;
+  let stable = stable_serial t and r = t.server_layer in
+  if stable > r.pruned_to then begin
+    Option.iter (fun d -> t.base_doc <- d)
+      (prune ~base_doc:t.base_doc r ~stable);
     broadcast t (Stable { stable })
   end
   else []
@@ -222,18 +225,23 @@ let server_receive_batch t ~from batch =
 
 let server_receive t ~from msg = server_receive_batch t ~from [ msg ]
 
-(* Every serial of the batch is logged before any context is widened
-   (an own operation's context is widened too, and css ignores it);
-   css then records the serials and processes the foreign operations
-   as one run, and the replica prunes once, to the batch's highest
-   stable serial. *)
+(* Every serial of the batch is logged, and the batch's highest stable
+   serial found, before any context is widened (an own operation's
+   context is widened too, and css ignores it); css then records the
+   serials and processes the foreign operations as one run, and the
+   replica prunes once. *)
 let client_receive_batch t batch =
   let r = t.client_layer in
-  List.iter
-    (function
-      | Deliver { op; serial; _ } -> Hashtbl.replace r.by_serial serial op.Op.id
-      | Stable _ -> ())
-    batch;
+  let stable =
+    List.fold_left
+      (fun acc -> function
+        | Deliver { op; serial; stable; _ } ->
+          Hashtbl.replace r.by_serial serial op.Op.id;
+          t.acked <- max t.acked serial;
+          max acc stable
+        | Stable { stable } -> max acc stable)
+      r.pruned_to batch
+  in
   Protocol.client_receive_batch t.client
     (List.filter_map
        (function
@@ -241,16 +249,7 @@ let client_receive_batch t batch =
            Some { Protocol.op; ctx = widen_ctx r ctx ~base; serial; origin }
          | Stable _ -> None)
        batch);
-  let stable =
-    List.fold_left
-      (fun acc -> function
-        | Deliver { serial; stable; _ } ->
-          t.acked <- max t.acked serial;
-          max acc stable
-        | Stable { stable } -> max acc stable)
-      r.pruned_to batch
-  in
-  prune r ~stable
+  ignore (prune r ~stable : Document.t option)
 
 let client_receive t msg = client_receive_batch t [ msg ]
 
@@ -314,7 +313,7 @@ let server_snapshot t =
   Snapshot.stable_to_string
     {
       Snapshot.at_serial = t.server_layer.pruned_to;
-      stable_doc = t.server_layer.base_doc;
+      stable_doc = t.base_doc;
     }
 
 let gc_support =

@@ -879,32 +879,34 @@ let renumber keep =
     keep;
   !n
 
-let compact t ~stable ~base_doc =
+let compact ?base_doc t ~stable =
+  let refuse fmt =
+    Format.kasprintf invalid_arg ("State_space.compact: " ^^ fmt)
+  in
   let stable_node = find_node_opt t stable in
-  if stable_node = none then
-    invalid_arg
-      (Format.asprintf "State_space.compact: %a is not a state" Op_id.Set.pp
-         stable);
+  if stable_node = none then refuse "%a is not a state" Op_id.Set.pp stable;
   if not (Op_id.Set.subset t.root stable) then
-    invalid_arg "State_space.compact: stable state below the current root";
+    refuse "stable state below the current root";
   let k = Op_id.Set.cardinal stable in
-  (* The document at the stable state: the stable operations are the
-     first ones in total order, so the leftmost path from the root
-     passes through [stable] (Lemma 6.4); replay its prefix.  Every
-     state on the way must lie within [stable]: the root does, and a
-     step whose chains show it adds one operation stays within iff
-     that operation is stable, so only the other steps materialize
-     their target. *)
-  let rec replay doc node =
+  (* The stable operations are the first ones in total order, so the
+     leftmost path from the root passes through [stable] (Lemma 6.4);
+     walk its prefix, replaying it into [base_doc] when one is given.
+     Every state on the way must lie within [stable]: the root does,
+     and a step whose chains show it adds one operation stays within
+     iff that operation is stable, so only the other steps materialize
+     their target.  [replay] closes over nothing, so it allocates no
+     closure per compaction. *)
+  let replay t e = function
+    | None -> None
+    | Some doc -> Some (Op.apply (edge_form t e) doc)
+  in
+  let rec walk doc node =
     if node = stable_node then doc
     else
       let e = iget t.n_first node in
       if e = none then
-        invalid_arg
-          (Format.asprintf
-             "State_space.compact: stable state %a not reachable along the \
-              leftmost path"
-             Op_id.Set.pp stable)
+        refuse "stable state %a not reachable along the leftmost path"
+          Op_id.Set.pp stable
       else
         let orig = iget t.e_orig e and dst = iget t.e_dst e in
         let within =
@@ -913,13 +915,10 @@ let compact t ~stable ~base_doc =
           else Op_id.Set.subset (state_of t dst) stable
         in
         if not within then
-          invalid_arg
-            (Format.asprintf
-               "State_space.compact: %a is not a prefix of the total order"
-               Op_id.Set.pp stable)
-        else replay (Op.apply (edge_form t e) doc) dst
+          refuse "%a is not a prefix of the total order" Op_id.Set.pp stable
+        else walk (replay t e doc) dst
   in
-  let stable_doc = replay base_doc (find_node t t.root) in
+  let stable_doc = walk base_doc (find_node t t.root) in
   (* Drop every state that does not contain the stable set: no future
      context can match it.  A transition from a surviving state
      targets a superset of it, hence also survives; so do the
@@ -972,11 +971,8 @@ let compact t ~stable ~base_doc =
         end
       in
       mark (iget t.n_first i);
-      if is_base t i then begin
-        Bytes.set rebased i '\001';
-        new_bases := (i, Op_id.Set.diff (base_state t i) stable) :: !new_bases
-      end
-      else if Op_id.Set.mem (op_id t (iget t.n_via i)) stable then begin
+      if is_base t i || Op_id.Set.mem (op_id t (iget t.n_via i)) stable
+      then begin
         Bytes.set rebased i '\001';
         new_bases := (i, Op_id.Set.diff (state_of t i) stable) :: !new_bases
       end

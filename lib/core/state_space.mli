@@ -195,7 +195,7 @@ val set_observer :
   (level:int -> states:int -> transitions:int -> ots:int -> unit) ->
   unit
 
-(** [compact t ~stable ~base_doc] prunes every state that is not a
+(** [compact ?base_doc t ~stable] prunes every state that is not a
     superset of [stable], then {e rebases} the survivors: [stable] is
     subtracted from every retained state and transition target, so the
     root returns to the empty set and set sizes track the live window
@@ -208,13 +208,16 @@ val set_observer :
     the pruning protocol, the set of operations acknowledged by every
     client), and after the rebase such contexts must be translated to
     the new frontier before lookup — the pruning protocol's job.
-    [base_doc] is the document at the current root; the document at
-    the new root is returned.
 
-    @raise Invalid_argument if [stable] is not a state of the space or
-    is not reachable from the root along serialized operations. *)
-val compact : t -> stable:state -> base_doc:Rlist_model.Document.t ->
-  Rlist_model.Document.t
+    Given [base_doc], the document at the current root, the leftmost
+    path to [stable] is replayed into it and [Some] document at the new
+    root is returned; without one the path is only checked, and [None]
+    is returned.
+
+    @raise Invalid_argument unless [stable] is a state above the root
+    that the leftmost path reaches as a prefix of the total order. *)
+val compact : ?base_doc:Rlist_model.Document.t -> t -> stable:state ->
+  Rlist_model.Document.t option
 
 (** Structural equality: same states, and the same ordered transition
     lists (identity, form, and target) at every state.  This is the

@@ -37,26 +37,38 @@ let build_square () =
   ignore (Space.add_op space (Context.with_context o3 ~ctx:ctx12));
   space, o1, o2, o3
 
+(* [compact] replaying the stable prefix into an empty document: the
+   document at the new root. *)
+let compact_doc space ~stable =
+  match Space.compact space ~stable ~base_doc:Document.empty with
+  | Some doc -> doc
+  | None -> Alcotest.fail "compact returned no document for a given one"
+
+let compact_text space ~stable =
+  Document.to_string (compact_doc space ~stable)
+
+(* [build_square]'s ordering keys: client [c]'s operation has serial
+   [c]. *)
+let square_key (id : Op_id.t) = Jupiter_css.Order_key.Serialized id.client
+
 let test_compact_noop () =
   let space, _, _, _ = build_square () in
   let before = Space.num_states space in
-  let doc =
-    Space.compact space ~stable:Space.initial_state ~base_doc:Document.empty
-  in
+  let doc = compact_text space ~stable:Space.initial_state in
   Alcotest.(check int) "nothing pruned" before (Space.num_states space);
-  Alcotest.(check string) "base doc unchanged" "" (Document.to_string doc)
+  Alcotest.(check string) "base doc unchanged" "" doc
 
 let test_compact_one_op () =
   let space, o1, o2, o3 = build_square () in
   let stable = Op_id.Set.singleton o1.Op.id in
-  let doc = Space.compact space ~stable ~base_doc:Document.empty in
+  let doc = compact_text space ~stable in
   (* States dropped: {} and {2}; kept: {1}, {1,2}, {1,2,3} — then the
      survivors are rebased by subtracting the stable set, so the space
      holds {}, {2}, {2,3} and the root is the initial state again. *)
   Alcotest.(check int) "three states left" 3 (Space.num_states space);
   Alcotest.check Helpers.op_id_set "root rebased to empty"
     Space.initial_state (Space.root space);
-  Alcotest.(check string) "doc at new root" "a" (Document.to_string doc);
+  Alcotest.(check string) "doc at new root" "a" doc;
   Alcotest.(check bool)
     "rebased survivor present" true
     (Space.mem_state space (Op_id.Set.singleton o2.Op.id));
@@ -70,38 +82,98 @@ let test_compact_one_op () =
 let test_compact_to_final () =
   let space, o1, o2, o3 = build_square () in
   let stable = Op_id.Set.of_list [ o1.Op.id; o2.Op.id; o3.Op.id ] in
-  let doc = Space.compact space ~stable ~base_doc:Document.empty in
+  let doc = compact_text space ~stable in
   Alcotest.(check int) "single state left" 1 (Space.num_states space);
   (* b (client 2) outranks a, c (client 3) outranks both at position 0. *)
-  Alcotest.(check string) "final document" "cba" (Document.to_string doc)
+  Alcotest.(check string) "final document" "cba" doc
+
+(* The same compactions with no document: nothing is replayed and none
+   is returned, and the space ends as the replaying compaction leaves
+   it. *)
+let test_compact_without_document () =
+  List.iter
+    (fun pick ->
+      let replayed, o1, o2, o3 = build_square () in
+      let stable = Op_id.Set.of_list (pick o1.Op.id o2.Op.id o3.Op.id) in
+      ignore (compact_text replayed ~stable);
+      let space, _, _, _ = build_square () in
+      Alcotest.(check bool)
+        "no document returned" true
+        (Option.is_none (Space.compact space ~stable));
+      Alcotest.(check bool)
+        "same space as the replaying compaction" true
+        (Space.equal replayed space))
+    [ (fun _ _ _ -> []);
+      (fun o1 _ _ -> [ o1 ]);
+      (fun o1 o2 o3 -> [ o1; o2; o3 ]) ]
+
+(* Every check of [compact] raises the same error whether or not the
+   walk replays a document: a pruned client compacts without one, and
+   its walk must keep the checks.  [build] makes a fresh space and the
+   stable state to refuse; [reason] is part of the message. *)
+let check_refused what ~reason build =
+  let refusal ?base_doc () =
+    let space, stable = build () in
+    match Space.compact ?base_doc space ~stable with
+    | _ -> Alcotest.failf "%s: compact accepted the stable state" what
+    | exception Invalid_argument msg -> msg
+  in
+  let replaying = refusal ~base_doc:Document.empty () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %S names %S" what replaying reason)
+    true
+    (Helpers.contains replaying reason);
+  Alcotest.(check string)
+    (what ^ ": the same refusal without a document")
+    replaying (refusal ())
 
 let test_compact_rejects_non_state () =
-  let space, o1, _, _ = build_square () in
-  let ghost = Op_id.Set.of_list [ o1.Op.id; Op_id.make ~client:9 ~seq:9 ] in
-  Alcotest.(check bool)
-    "unknown stable state rejected" true
-    (try
-       ignore (Space.compact space ~stable:ghost ~base_doc:Document.empty);
-       false
-     with Invalid_argument _ -> true)
+  check_refused "unknown stable state" ~reason:"is not a state" (fun () ->
+      let space, o1, _, _ = build_square () in
+      space, Op_id.Set.of_list [ o1.Op.id; Op_id.make ~client:9 ~seq:9 ])
+
+(* The square's listing rebuilt with its root at {1}: {2} is one of its
+   states, but it does not contain the root. *)
+let test_compact_rejects_below_root () =
+  check_refused "stable state below the root" ~reason:"below the current root"
+    (fun () ->
+      let square, o1, o2, _ = build_square () in
+      let space =
+        Space.of_raw ~key_of:square_key
+          ~root:(Op_id.Set.singleton o1.Op.id)
+          ~final:(Space.final square) (Space.listing square)
+      in
+      space, Op_id.Set.singleton o2.Op.id)
 
 let test_compact_rejects_non_prefix () =
   (* {2} is a state but not a prefix of the total order (op 1 comes
      first), so it is not a legal stable state. *)
-  let space, _, o2, _ = build_square () in
-  let stable = Op_id.Set.singleton o2.Op.id in
-  Alcotest.(check bool)
-    "non-prefix stable rejected" true
-    (try
-       ignore (Space.compact space ~stable ~base_doc:Document.empty);
-       false
-     with Invalid_argument _ -> true)
+  check_refused "non-prefix stable state"
+    ~reason:"is not a prefix of the total order" (fun () ->
+      let space, _, o2, _ = build_square () in
+      space, Op_id.Set.singleton o2.Op.id)
+
+(* The square's listing without the transitions out of {1}: {1,2} is a
+   state, but the leftmost path stops at {1} before reaching it. *)
+let test_compact_rejects_unreachable () =
+  check_refused "unreachable stable state"
+    ~reason:"not reachable along the leftmost path" (fun () ->
+      let square, o1, o2, _ = build_square () in
+      let s1 = Op_id.Set.singleton o1.Op.id in
+      let space =
+        Space.of_raw ~key_of:square_key ~root:Space.initial_state
+          ~final:(Space.final square)
+          (List.map
+             (fun (s, trs) -> s, if Op_id.Set.equal s s1 then [] else trs)
+             (Space.listing square))
+      in
+      space, Op_id.Set.of_list [ o1.Op.id; o2.Op.id ])
 
 let test_add_op_after_compact () =
   (* New operations must integrate on the pruned space. *)
   let space, o1, _o2, _o3 = build_square () in
   let serials = Op_id.Set.of_list [ o1.Op.id ] in
-  ignore (Space.compact space ~stable:serials ~base_doc:Document.empty);
+  ignore (Space.compact space ~stable:serials);
   let o4 = Helpers.ins ~client:1 ~seq:2 'd' 0 in
   (* o4's context is {1}: legal, it contains the stable set. *)
   let form =
@@ -426,14 +498,14 @@ let test_writer_bytes_fixed () =
     (fun stable ->
       let space, o1, o2, o3 = build_square () in
       let pick = List.map (fun (o : Op.t) -> o.id) in
-      let base_doc =
-        Space.compact space
-          ~stable:(Op_id.Set.of_list (pick (stable o1 o2 o3)))
-          ~base_doc:Document.empty
+      (* A client is rebuilt from the document at the new root, which
+         only a replaying compaction returns. *)
+      let doc =
+        compact_doc space ~stable:(Op_id.Set.of_list (pick (stable o1 o2 o3)))
       in
       Alcotest.(check bool)
         "compacted square" true
-        (same_client (client_of_space ~doc:base_doc space)))
+        (same_client (client_of_space ~doc space)))
     [ (fun _ _ _ -> []); (fun o1 _ _ -> [ o1 ]);
       (fun o1 o2 o3 -> [ o1; o2; o3 ]) ]
 
@@ -497,6 +569,84 @@ let test_stable_writer_allocation () =
     (Printf.sprintf "%.4f minor words per element <= 1" per_element)
     true (per_element <= 1.0)
 
+(* --- compaction allocation ------------------------------------------- *)
+
+(* A fixed css-pruned session driven message by message, two clients.
+   Each round both clients type [burst] characters at the front of their
+   views concurrently, the server serializes and broadcasts them, and a
+   heartbeat from each client makes the whole round stable: the server
+   answers the second with a [Stable] notice, which compacts each
+   client's space (a grid of [(burst + 1)²] states) onto its final
+   state.  Returns the minor words the clients' [Stable] receipts
+   allocated, per receipt. *)
+let client_compaction_words ~rounds ~burst =
+  let module P = Jupiter_css.Pruned_protocol in
+  let nclients = 2 and fastpath = Space.Fastpath.create () in
+  let server =
+    P.create_server ~fastpath ~nclients ~initial:Document.empty
+  in
+  let clients =
+    Array.init nclients (fun i ->
+        P.create_client ~fastpath ~nclients ~id:(i + 1) ~initial:Document.empty)
+  in
+  let send from msg =
+    List.iter
+      (fun (dst, m) -> P.client_receive clients.(dst - 1) m)
+      (P.server_receive server ~from msg)
+  in
+  let words = ref 0.0 and receipts = ref 0 and states_left = ref 0 in
+  for _ = 1 to rounds do
+    let updates =
+      Array.map
+        (fun c ->
+          List.init burst (fun _ ->
+              Option.get (snd (P.client_generate c (Intent.Insert ('x', 0))))))
+        clients
+    in
+    Array.iteri (fun i us -> List.iter (send (i + 1)) us) updates;
+    let notices =
+      List.concat_map
+        (fun i ->
+          P.server_receive server ~from:(i + 1)
+            (P.client_heartbeat clients.(i)))
+        [ 0; 1 ]
+    in
+    List.iter
+      (fun (dst, m) ->
+        let c = clients.(dst - 1) in
+        let before = Gc.minor_words () in
+        P.client_receive c m;
+        words := !words +. (Gc.minor_words () -. before);
+        incr receipts;
+        states_left := max !states_left (Space.num_states (P.client_space c)))
+      notices
+  done;
+  Alcotest.(check (pair int int))
+    "one notice per client and round, each compacting onto the final state"
+    (nclients * rounds, 1)
+    (!receipts, !states_left);
+  !words /. float_of_int !receipts
+
+(* A pruned client compacts without replaying the stable prefix into a
+   document: it checks the prefix on the leftmost path and drops and
+   rebases the states, and nothing reads a client's document at its
+   root.  The session's client compactions allocate at most 806 minor
+   words each (798.5 measured, bounded with 1 % headroom; 8 operations
+   on each compacted path, documents of up to 160 elements; 1 317.6
+   when every client replayed the path into a document of its own,
+   837.5 when each step of the walk allocated an [Option.map] closure).
+   OCaml 5 without flambda counts allocations exactly, so the figure is
+   the same on every run. *)
+let words_per_client_compaction_budget = 806.0
+
+let test_client_compaction_words () =
+  let per_compaction = client_compaction_words ~rounds:20 ~burst:4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per client compaction <= %.0f"
+       per_compaction words_per_client_compaction_budget)
+    true
+    (per_compaction <= words_per_client_compaction_budget)
+
 let () =
   Alcotest.run "pruning"
     [
@@ -505,12 +655,20 @@ let () =
           Alcotest.test_case "noop at the root" `Quick test_compact_noop;
           Alcotest.test_case "prune one operation" `Quick test_compact_one_op;
           Alcotest.test_case "collapse to final" `Quick test_compact_to_final;
+          Alcotest.test_case "without a document" `Quick
+            test_compact_without_document;
           Alcotest.test_case "rejects non-states" `Quick
             test_compact_rejects_non_state;
+          Alcotest.test_case "rejects states below the root" `Quick
+            test_compact_rejects_below_root;
           Alcotest.test_case "rejects non-prefixes" `Quick
             test_compact_rejects_non_prefix;
+          Alcotest.test_case "rejects unreachable states" `Quick
+            test_compact_rejects_unreachable;
           Alcotest.test_case "operations after compaction" `Quick
             test_add_op_after_compact;
+          Alcotest.test_case "client compaction allocation" `Quick
+            test_client_compaction_words;
         ] );
       ( "protocol",
         [
